@@ -28,6 +28,7 @@ from .experiments import (
     FORMAT_VERSION,
     ExperimentConfig,
     family_spec,
+    format_cell,
     run_dynamic_cumulative_regret,
     run_fixed_distribution_experiment,
     run_mixed_distribution_experiment,
@@ -35,6 +36,7 @@ from .experiments import (
     write_br_curve,
     write_cumulative_regret,
     write_regret_summary,
+    write_rows,
     write_toll_ratio,
 )
 from .ingest import (
@@ -57,15 +59,6 @@ from .pricing import (
 __all__ = ["build_parser", "main"]
 
 OUT_DIR_ENV = "TOLLKIT_OUT_DIR"
-
-_FLOAT_FMT = "%.12g"
-
-
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return _FLOAT_FMT % value
-    return str(value)
-
 
 def _resolve_out_dir(args: argparse.Namespace) -> str:
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
@@ -92,18 +85,10 @@ def _write_manifest(
     with open(path, "w") as handle:
         handle.write(f"command = {command}\n")
         for key, value in cfg.items():
-            handle.write(f"{key} = {_fmt(value)}\n")
+            handle.write(f"{key} = {format_cell(value)}\n")
         for key, value in extras:
             if value is not None:
-                handle.write(f"{key} = {_fmt(value)}\n")
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+                handle.write(f"{key} = {format_cell(value)}\n")
 
 
 def _resolve_envelope(
@@ -143,7 +128,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
     else:
         raise ValueError(f"unknown pricing method {method!r}: use two-point or sweep")
     quote = quote_for_result(result, cfg.T)
-    _write_csv(
+    write_rows(
         os.path.join(out_dir, "price.csv"),
         ["format_version", "toll", "usage_count", "worst_case_revenue", "method"],
         [
@@ -172,11 +157,10 @@ def _cmd_nature(args: argparse.Namespace) -> int:
     grid = cfg.grid()
     out_dir = _resolve_out_dir(args)
     env = _resolve_envelope(args, cfg, grid)
-    method = args.method or "auto"
     solver = solve_nature_an if args.objective == "an" else solve_nature_ufn
-    solution = solver(grid, env, args.toll, method=method)
+    solution = solver(grid, env, args.toll)
     dist = solution.distribution
-    _write_csv(
+    write_rows(
         os.path.join(out_dir, "nature.csv"),
         ["format_version", "support", "mass"],
         [(FORMAT_VERSION, c, m) for c, m in zip(dist.support, dist.mass)],
@@ -186,7 +170,7 @@ def _cmd_nature(args: argparse.Namespace) -> int:
         "nature",
         cfg,
         _envelope_extras(args)
-        + [("toll", args.toll), ("objective", args.objective), ("method", method)],
+        + [("toll", args.toll), ("objective", args.objective)],
     )
     print(
         f"worst-case {args.objective} objective {solution.objective_value:g}, "
@@ -287,7 +271,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     path_names, bounds = _load_bounds(args.bounds)
     arc_names, incidence = _load_incidence(args.incidence, path_names)
     tolls = allocate_arc_tolls(bounds, incidence)
-    _write_csv(
+    write_rows(
         os.path.join(out_dir, "tolls.csv"),
         ["format_version", "arc", "toll"],
         [(FORMAT_VERSION, arc, int(t)) for arc, t in zip(arc_names, tolls)],
@@ -428,7 +412,7 @@ def _cmd_real_exp(args: argparse.Namespace) -> int:
         confidence_z=cfg.confidence_z,
         seed=cfg.seed,
     )
-    _write_csv(
+    write_rows(
         os.path.join(out_dir, "real_regret.csv"),
         [
             "format_version",
@@ -496,11 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"artifact directory (default: ${OUT_DIR_ENV} or current directory)",
     )
     common.add_argument("--grid-step", type=float, help="price grid step override")
-    common.add_argument(
-        "--method",
-        help="algorithm variant (price: two-point|sweep; nature: "
-        "auto|enumerate|simplex)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="tollkit",
@@ -512,6 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
         "price", parents=[common], help="compute a robust toll and its BR curve"
     )
     _add_envelope_flags(p)
+    p.add_argument("--method", help="pricing route: two-point (default) or sweep")
     p.set_defaults(handler=_cmd_price)
 
     p = sub.add_parser(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, fields
 
-from .core import PriceGrid
+from .core import PriceGrid, require_finite
 
 __all__ = ["RunConfig", "parse_config", "write_config"]
 
@@ -31,6 +31,7 @@ class RunConfig:
             raise ValueError(f"T must be >= 2, got {self.T}")
         if self.H < 1:
             raise ValueError(f"H must be >= 1, got {self.H}")
+        require_finite(kappa_bar=self.kappa_bar, confidence_z=self.confidence_z)
         if self.kappa_bar < 0:
             raise ValueError("kappa_bar must be >= 0")
         if self.confidence_z < 0:

@@ -41,6 +41,14 @@ MASS_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 
 
+def require_finite(**values: float) -> None:
+    """Reject NaN and infinities by name; every comparison with NaN is
+    false, so range checks alone would let them through."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PriceGrid:
     """Admissible prices ``q, q+step, ..., Q``.
@@ -55,6 +63,7 @@ class PriceGrid:
     step: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(q=self.q, Q=self.Q, step=self.step)
         if not (self.q < self.Q):
             raise ValueError(f"grid needs q < Q, got q={self.q}, Q={self.Q}")
         if self.step <= 0:
@@ -107,6 +116,9 @@ class MomentEnvelope:
     kappa_bar: float
 
     def __post_init__(self) -> None:
+        require_finite(
+            u_lower=self.u_lower, u_upper=self.u_upper, kappa_bar=self.kappa_bar
+        )
         if self.u_lower > self.u_upper + 1e-12:
             raise ValueError(
                 f"mean band is empty: [{self.u_lower}, {self.u_upper}]"

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MomentEnvelope, PriceGrid, estimate_moment_envelope
+from .core import MomentEnvelope, PriceGrid, estimate_moment_envelope, require_finite
 from .network import TollNetwork, state_shortest_path_costs
 from .pricing import (
     RobustTollResult,
@@ -59,6 +59,8 @@ __all__ = [
     "run_mixed_distribution_experiment",
     "run_dynamic_cumulative_regret",
     "run_real_data_experiment",
+    "format_cell",
+    "write_rows",
     "write_regret_summary",
     "write_br_curve",
     "write_cumulative_regret",
@@ -180,6 +182,7 @@ class ExperimentConfig:
         for name in ("links", "T", "H", "history_samples", "eval_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive count")
+        require_finite(kappa_bar=self.kappa_bar, confidence_z=self.confidence_z)
         if self.kappa_bar < 0:
             raise ValueError("kappa_bar must be nonnegative")
         if self.confidence_z < 0:
@@ -518,22 +521,24 @@ def run_real_data_experiment(
     )
 
 
-def _write_rows(path, header: Sequence[str], rows) -> None:
+def format_cell(value):
+    """A CSV or manifest cell: ``%.12g`` for floats (numpy floats
+    included), anything else unchanged."""
+    return _FLOAT_FMT % value if isinstance(value, float) else value
+
+
+def write_rows(path, header: Sequence[str], rows) -> None:
+    """The one CSV writer behind every artifact: header row, then rows."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                [
-                    _FLOAT_FMT % value if isinstance(value, float) else value
-                    for value in row
-                ]
-            )
+            writer.writerow([format_cell(value) for value in row])
 
 
 def write_regret_summary(rows: Sequence[RegretRow], path) -> None:
     """One CSV row per family: percent regret summary plus toll spread."""
-    _write_rows(
+    write_rows(
         path,
         (
             "format_version",
@@ -561,7 +566,7 @@ def write_regret_summary(rows: Sequence[RegretRow], path) -> None:
 
 def write_br_curve(result: RobustTollResult, path) -> None:
     """Worst-case revenue by toll, ascending, from a robust-toll search."""
-    _write_rows(
+    write_rows(
         path,
         ("format_version", "toll", "worst_case_revenue"),
         (
@@ -573,7 +578,7 @@ def write_br_curve(result: RobustTollResult, path) -> None:
 
 def write_cumulative_regret(series: np.ndarray, path) -> None:
     """Cumulative percent regret per period (1-based periods)."""
-    _write_rows(
+    write_rows(
         path,
         ("format_version", "period", "cum_regret_pct"),
         (
@@ -585,7 +590,7 @@ def write_cumulative_regret(series: np.ndarray, path) -> None:
 
 def write_toll_ratio(ratios: Sequence[float], path) -> None:
     """Robust-to-optimal toll ratio per usable pair (1-based pair index)."""
-    _write_rows(
+    write_rows(
         path,
         ("format_version", "pair", "ratio"),
         ((FORMAT_VERSION, idx, float(r)) for idx, r in enumerate(ratios, start=1)),

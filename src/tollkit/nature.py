@@ -15,7 +15,10 @@ solutions carry at most three support points.  ``solve_nature_ufn`` /
 ``solve_nature_an`` enumerate those supports exactly, sweeping the mean
 band through closed-form candidate points; a dense-simplex fast path covers
 point mean bands on fine grids.  ``solve_nature_two_point`` is the
-quadratic-time heuristic search over integer-period two-point responses.
+heuristic search over integer-period two-point responses; its per-count
+table (``first_feasible_lower``) and per-toll choice
+(``two_point_responses``) are array passes that the BR-curve scan in
+``pricing`` reuses for every toll at once.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .core import (
     PriceGrid,
     expected_revenue,
     expected_user_cost,
+    require_finite,
 )
 from .lp import LpInfeasible, simplex_solve
 
@@ -43,6 +47,7 @@ __all__ = [
     "solve_nature_an",
     "solve_nature_two_point",
     "first_feasible_lower",
+    "two_point_responses",
     "brute_force_nature",
     "pick_worst",
 ]
@@ -369,26 +374,21 @@ def _simplex_minimum(
 
 
 def _minimize_worst_case(
-    grid: PriceGrid, env: MomentEnvelope, f: np.ndarray, method: str
+    grid: PriceGrid, env: MomentEnvelope, f: np.ndarray
 ) -> tuple[list[float], list[float]]:
     env.validate_against(grid)
     points = grid.points()
     n = points.size
-    point_band = abs(env.u_upper - env.u_lower) <= 1e-12
-    if method == "auto":
-        method = "simplex" if (point_band and n > AUTO_SIMPLEX_MIN) else "enumerate"
-    if method == "enumerate":
-        if n > ENUM_CAP:
-            raise ValueError(
-                f"grid has {n} points; exact support enumeration is capped at "
-                f"{ENUM_CAP}. Coarsen the grid, or pin the mean band to a "
-                f"point to use the simplex path."
-            )
-        _, support, masses = _enumerate_minimum(points, env, f)
-    elif method == "simplex":
+    if abs(env.u_upper - env.u_lower) <= 1e-12 and n > AUTO_SIMPLEX_MIN:
         _, support, masses = _simplex_minimum(points, env, f)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+        return support, masses
+    if n > ENUM_CAP:
+        raise ValueError(
+            f"grid has {n} points; exact support enumeration is capped at "
+            f"{ENUM_CAP}. Coarsen the grid, or pin the mean band to a "
+            f"point to use the simplex path."
+        )
+    _, support, masses = _enumerate_minimum(points, env, f)
     return support, masses
 
 
@@ -419,23 +419,19 @@ def _require_grid_toll(grid: PriceGrid, r: float) -> None:
         raise ValueError(f"toll {r} is not on the price grid")
 
 
-def solve_nature_ufn(
-    grid: PriceGrid, env: MomentEnvelope, r: float, method: str = "auto"
-) -> NatureSolution:
+def solve_nature_ufn(grid: PriceGrid, env: MomentEnvelope, r: float) -> NatureSolution:
     """Minimize the commuter's expected cost E[min(c, r)] over the envelope."""
     _require_grid_toll(grid, r)
     f = _objective_vector(grid.points(), r, "ufn")
-    support, masses = _minimize_worst_case(grid, env, f, method)
+    support, masses = _minimize_worst_case(grid, env, f)
     return _package(support, masses, env, r, "ufn")
 
 
-def solve_nature_an(
-    grid: PriceGrid, env: MomentEnvelope, r: float, method: str = "auto"
-) -> NatureSolution:
+def solve_nature_an(grid: PriceGrid, env: MomentEnvelope, r: float) -> NatureSolution:
     """Minimize toll revenue r * P(c >= r) over the envelope."""
     _require_grid_toll(grid, r)
     f = _objective_vector(grid.points(), r, "an")
-    support, masses = _minimize_worst_case(grid, env, f, method)
+    support, masses = _minimize_worst_case(grid, env, f)
     return _package(support, masses, env, r, "an")
 
 
@@ -445,26 +441,48 @@ def solve_nature_an(
 
 
 def first_feasible_lower(
-    lows: np.ndarray, mu: float, kappa_bar: float, T: int, low_count: int, Q: float
-) -> tuple[float, float] | None:
-    """First (ascending) grid value below the mean that ``low_count`` periods
-    can sit at while the balancing upper point stays within [mean, Q] and the
-    sample-sum variance budget ``kappa_bar * mu * (T-1)`` holds.
+    lows: np.ndarray, mu: float, kappa_bar: float, T: int, Q: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lowest feasible lower point for every skip count T-1, ..., 1.
 
+    For each count, the first (ascending) value in ``lows`` that the count's
+    periods can sit at while the balancing upper point stays at most Q and
+    the sample-sum spread fits the variance budget ``kappa_bar * mu * (T-1)``.
     Both checks relax as the lower point rises toward the mean, so the first
-    hit is the lowest feasible one; toll-independent, hence reusable across a
-    whole BR curve.  Returns (lower, upper) or None.
+    hit is the lowest feasible one; toll-independent, hence one table serves
+    a whole BR curve.  Returns ``(counts, lower, upper)``, counts descending,
+    holding only the counts that have a feasible lower point.
     """
-    budget = kappa_bar * mu * (T - 1)
-    high_count = T - low_count
-    for ell in lows:
-        upper = (mu * T - low_count * ell) / high_count
-        if upper > Q + 1e-9:
-            continue
-        spread = low_count * (ell - mu) ** 2 + high_count * (upper - mu) ** 2
-        if spread <= budget + 1e-9:
-            return float(ell), float(upper)
-    return None
+    counts = np.arange(T - 1, 0, -1)
+    low = counts[:, None]
+    high = T - low
+    ell = np.asarray(lows, dtype=float)[None, :]
+    upper = (mu * T - low * ell) / high
+    spread = low * (ell - mu) ** 2 + high * (upper - mu) ** 2
+    ok = (upper <= Q + 1e-9) & (spread <= kappa_bar * mu * (T - 1) + 1e-9)
+    rows = np.flatnonzero(ok.any(axis=1))
+    first = ok[rows].argmax(axis=1) if rows.size else rows
+    return counts[rows], ell[0, first], upper[rows, first]
+
+
+def two_point_responses(
+    table: tuple[np.ndarray, np.ndarray, np.ndarray], mu: float, T: int, tolls
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nature's best two-point response at every toll in ``tolls``.
+
+    ``table`` is ``first_feasible_lower``'s output.  Per toll, the count
+    minimizing ``count*lower + (T-count)*r`` wins; counts run from high to
+    low, so ties go to the largest count.  With no feasible count the
+    response is the point mass at the mean (count 0, lower = upper = mean).
+    Returns ``(low_count, lower, upper)``, one entry per toll.
+    """
+    counts, lower, upper = table
+    tolls = np.asarray(tolls, dtype=float)
+    if counts.size == 0:
+        return np.zeros(tolls.size, dtype=int), np.full(tolls.size, mu), np.full(tolls.size, mu)
+    cost = counts[:, None] * lower[:, None] + (T - counts)[:, None] * tolls[None, :]
+    pick = cost.argmin(axis=0)
+    return counts[pick], lower[pick], upper[pick]
 
 
 def solve_nature_two_point(
@@ -472,38 +490,26 @@ def solve_nature_two_point(
 ) -> TwoPointResponse:
     """Best two-point sample response at toll ``r`` with the mean pinned.
 
-    Scans ``low_count`` from T-1 down to 1 and, per count, the lower point
-    ascending over grid values below the mean; the first pair satisfying
-    ``upper <= Q`` and the sample-sum variance budget
-    ``kappa_bar * mu * (T-1)`` wins for that count (the objective is
-    increasing in the lower point).  Among accepted pairs the minimizer of
-    ``low_count*lower + (T-low_count)*r`` is returned, earliest (largest
-    count) first on ties.  With no feasible pair, the degenerate point mass
-    at the mean is returned.
+    Per skip count the lowest feasible lower point (``first_feasible_lower``)
+    is taken, since the objective ``low_count*lower + (T-low_count)*r`` is
+    increasing in it; among counts the minimizer wins, the largest count
+    on ties.  With no feasible pair, the degenerate point mass at the mean
+    is returned.
     """
     if T < 2:
         raise ValueError("T must be >= 2")
     if not (grid.q - 1e-9 <= mu <= grid.Q + 1e-9):
         raise ValueError(f"mean {mu} outside the support range")
+    require_finite(kappa_bar=kappa_bar)
     if kappa_bar < 0:
         raise ValueError("kappa_bar must be >= 0")
     _require_grid_toll(grid, r)
     points = grid.points()
-    lows = points[points < mu]
-    best_obj = math.inf
-    best: TwoPointResponse | None = None
-    for lam in range(T - 1, 0, -1):
-        hit = first_feasible_lower(lows, mu, kappa_bar, T, lam, grid.Q)
-        if hit is None:
-            continue
-        ell, upper = hit
-        obj = lam * ell + (T - lam) * r
-        if obj < best_obj:
-            best_obj = obj
-            best = TwoPointResponse(lower=ell, upper=upper, low_count=lam, mean=mu)
-    if best is None:
-        return TwoPointResponse(lower=mu, upper=mu, low_count=0, mean=mu)
-    return best
+    table = first_feasible_lower(points[points < mu], mu, kappa_bar, T, grid.Q)
+    (count,), (lower,), (upper,) = two_point_responses(table, mu, T, [r])
+    return TwoPointResponse(
+        lower=float(lower), upper=float(upper), low_count=int(count), mean=mu
+    )
 
 
 # ---------------------------------------------------------------------------

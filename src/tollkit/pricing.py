@@ -31,6 +31,7 @@ from .nature import (
     TwoPointResponse,
     first_feasible_lower,
     solve_nature_ufn,
+    two_point_responses,
 )
 
 __all__ = [
@@ -89,26 +90,9 @@ def two_point_robust_toll(grid: PriceGrid, env: MomentEnvelope, T: int) -> Robus
         raise ValueError("T must be >= 2")
     mu = env.u_lower
     points = grid.points()
-    lows = points[points < mu]
-    # first feasible (lower, upper) per skip count; independent of the toll
-    firsts: list[tuple[int, float, float]] = []
-    for lam in range(T - 1, 0, -1):
-        hit = first_feasible_lower(lows, mu, env.kappa_bar, T, lam, grid.Q)
-        if hit is not None:
-            firsts.append((lam, hit[0], hit[1]))
-
-    usage = np.zeros(points.size, dtype=int)
-    for i, r in enumerate(points):
-        best_obj = math.inf
-        best: TwoPointResponse | None = None
-        for lam, ell, upper in firsts:
-            obj = lam * ell + (T - lam) * r
-            if obj < best_obj:
-                best_obj = obj
-                best = TwoPointResponse(lower=ell, upper=upper, low_count=lam, mean=mu)
-        if best is None:
-            best = TwoPointResponse(lower=mu, upper=mu, low_count=0, mean=mu)
-        usage[i] = best.usage_count(T, float(r))
+    table = first_feasible_lower(points[points < mu], mu, env.kappa_bar, T, grid.Q)
+    low_count, lower, upper = two_point_responses(table, mu, T, points)
+    usage = np.where(lower >= points, low_count, 0) + np.where(upper >= points, T - low_count, 0)
 
     floor_idx = grid.index_of(mu)
     usage[floor_idx] = max(usage[floor_idx], 1)

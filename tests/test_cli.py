@@ -188,6 +188,38 @@ def test_off_grid_toll_exits_2(tmp_path, capsys):
     assert "not on the price grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["price", "--u-lower", "100", "--u-upper", "110"], {"kappa_bar": "nan"}),
+        (
+            ["nature", "--u-lower", "100", "--u-upper", "110", "--grid-step", "5", "--toll", "100"],
+            {"kappa_bar": "nan"},
+        ),
+        (["price", "--u-lower", "100", "--u-upper", "110", "--grid-step", "inf"], {}),
+        (["price", "--u-lower", "100", "--u-upper", "110"], {"Q": "inf"}),
+        (["price", "--u-lower", "100", "--u-upper", "inf"], {}),
+        (["nature", "--u-lower", "nan", "--u-upper", "110", "--toll", "100"], {}),
+        (["simulate", "--family", "beta", "--eval-samples", "5"], {"confidence_z": "inf"}),
+    ],
+    ids=[
+        "price-nan-kappa",
+        "nature-nan-kappa",
+        "price-inf-step",
+        "price-inf-Q",
+        "price-inf-u-upper",
+        "nature-nan-u-lower",
+        "simulate-inf-z",
+    ],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, argv, config):
+    cfg = write_config(tmp_path / "run.cfg", **config)
+    code = main(argv + ["--config", cfg, "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be finite" in err
+
+
 # --- nature ---------------------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from tollkit.config import RunConfig
 from tollkit.core import (
     CostHistory,
     DiscreteDistribution,
@@ -19,6 +20,7 @@ from tollkit.core import (
     expected_user_cost,
     relative_regret,
 )
+from tollkit.experiments import ExperimentConfig
 
 SEED = 20260819
 
@@ -53,6 +55,46 @@ def test_grid_validation():
         PriceGrid(0.0, 10.0, 3.0)  # (Q - q) not a multiple of step
     with pytest.raises(ValueError):
         PriceGrid(0.0, 10.0, 0.0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: PriceGrid(x, 10.0, 1.0),
+        lambda x: PriceGrid(0.0, x, 1.0),
+        lambda x: PriceGrid(0.0, 10.0, x),
+        lambda x: MomentEnvelope(x, 5.0, 1.0),
+        lambda x: MomentEnvelope(5.0, x, 1.0),
+        lambda x: MomentEnvelope(5.0, 5.0, x),
+        lambda x: RunConfig(Q=x),
+        lambda x: RunConfig(step=x),
+        lambda x: RunConfig(kappa_bar=x),
+        lambda x: RunConfig(confidence_z=x),
+        lambda x: ExperimentConfig(kappa_bar=x),
+        lambda x: ExperimentConfig(confidence_z=x),
+    ],
+    ids=[
+        "grid-q",
+        "grid-Q",
+        "grid-step",
+        "envelope-u_lower",
+        "envelope-u_upper",
+        "envelope-kappa_bar",
+        "config-Q",
+        "config-step",
+        "config-kappa_bar",
+        "config-confidence_z",
+        "experiment-kappa_bar",
+        "experiment-confidence_z",
+    ],
+)
+def test_non_finite_inputs_rejected(build, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        build(bad)
 
 
 def test_grid_snap_and_clamp_idempotent():

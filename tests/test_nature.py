@@ -16,6 +16,10 @@ from tollkit.core import (
     expected_user_cost,
 )
 from tollkit.nature import (
+    _enumerate_minimum,
+    _objective_vector,
+    _package,
+    _simplex_minimum,
     brute_force_nature,
     first_feasible_lower,
     pick_worst,
@@ -49,6 +53,14 @@ def random_instance(rng: np.random.Generator):
     return grid, env, r
 
 
+def solve_on_path(path, grid, env, r, objective):
+    """Nature's solution with the LP path pinned (``_enumerate_minimum`` or
+    ``_simplex_minimum``), packaged as the public solvers package it."""
+    f = _objective_vector(grid.points(), r, objective)
+    _, support, masses = path(grid.points(), env, f)
+    return _package(support, masses, env, r, objective)
+
+
 # --- exact solvers vs the brute-force oracle ---------------------------------
 
 
@@ -56,8 +68,8 @@ def test_exact_matches_brute_force_randomized():
     rng = np.random.default_rng(SEED)
     for trial in range(60):
         grid, env, r = random_instance(rng)
-        for objective, solver in (("ufn", solve_nature_ufn), ("an", solve_nature_an)):
-            got = solver(grid, env, r, method="enumerate")
+        for objective in ("ufn", "an"):
+            got = solve_on_path(_enumerate_minimum, grid, env, r, objective)
             ref = brute_force_nature(grid, env, r, objective=objective)
             assert abs(got.objective_value - ref.objective_value) <= 1e-9, (
                 trial,
@@ -77,17 +89,17 @@ def test_simplex_matches_enumeration_randomized():
         mu = float(rng.choice(grid.points()))
         env = MomentEnvelope(mu, mu, float(rng.choice([0.25, 1.0, 3.0])))
         r = float(rng.choice(grid.points()))
-        for solver in (solve_nature_ufn, solve_nature_an):
-            a = solver(grid, env, r, method="enumerate")
-            b = solver(grid, env, r, method="simplex")
-            assert abs(a.objective_value - b.objective_value) <= 1e-9, (trial, solver)
+        for objective in ("ufn", "an"):
+            a = solve_on_path(_enumerate_minimum, grid, env, r, objective)
+            b = solve_on_path(_simplex_minimum, grid, env, r, objective)
+            assert abs(a.objective_value - b.objective_value) <= 1e-9, (trial, objective)
 
 
 def test_simplex_rejects_interval_mean_band():
     grid = PriceGrid(0.0, 10.0, 1.0)
     env = MomentEnvelope(4.0, 6.0, 1.0)
     with pytest.raises(ValueError, match="point mean band"):
-        solve_nature_ufn(grid, env, 5.0, method="simplex")
+        solve_on_path(_simplex_minimum, grid, env, 5.0, "ufn")
 
 
 def test_wide_grid_examples_against_brute_force():
@@ -175,7 +187,7 @@ def test_toll_at_grid_floor_everyone_pays():
     # At r = q every feasible distribution yields the same objective; the
     # enumeration path's canonical tie-break then returns the smallest
     # support, i.e. the point mass at the band floor.
-    sol = solve_nature_ufn(WIDE, WIDE_ENV, 0.0, method="enumerate")
+    sol = solve_on_path(_enumerate_minimum, WIDE, WIDE_ENV, 0.0, "ufn")
     assert list(sol.distribution.support) == [500.0]
     assert sol.objective_value == 0.0
     assert sol.usage_probability == 1.0
@@ -196,8 +208,6 @@ def test_infeasible_envelope_errors():
 def test_off_grid_toll_rejected():
     with pytest.raises(ValueError, match="not on the price grid"):
         solve_nature_ufn(WIDE, WIDE_ENV, 405.0)
-    with pytest.raises(ValueError, match="unknown method"):
-        solve_nature_ufn(WIDE, WIDE_ENV, 400.0, method="magic")
 
 
 def test_solver_is_deterministic():
@@ -262,16 +272,20 @@ def exhaustive_two_point(grid, mu, kappa_bar, T, r):
 
 
 def test_two_point_matches_exhaustive_randomized():
+    # Every eighth mean sits on the grid floor, where no lower point exists;
+    # variance caps run from 0 to 60 and horizons up to 120 periods.
     rng = np.random.default_rng(SEED + 5)
-    for trial in range(80):
+    for trial in range(120):
         n = int(rng.integers(6, 20))
         grid = PriceGrid(0.0, float(n), 1.0)
-        T = int(rng.integers(2, 10))
-        mu = float(rng.uniform(grid.q, grid.Q))
-        kappa_bar = float(rng.choice([0.0, 0.5, 1.0, 4.0]))
+        T = int(rng.integers(2, 121))
+        mu = grid.q if trial % 8 == 0 else float(rng.uniform(grid.q, grid.Q))
+        kappa_bar = float(rng.choice([0.0, 0.5, 1.0, 4.0, 60.0]))
         r = float(rng.choice(grid.points()))
         got = solve_nature_two_point(grid, mu, kappa_bar, T, r)
         want = exhaustive_two_point(grid, mu, kappa_bar, T, r)
+        if mu == grid.q or kappa_bar == 0.0:
+            assert want is None, trial
         if want is None:
             assert got.low_count == 0, trial
             assert got.lower == got.upper == mu
@@ -329,23 +343,36 @@ def test_two_point_validation():
 
 def test_first_feasible_lower_picks_lowest():
     grid = PriceGrid(0.0, 100.0, 1.0)
-    mu, kappa, T, lam = 60.0, 1.0, 10, 3
+    mu, kappa, T = 60.0, 1.0, 10
     lows = grid.points()[grid.points() < mu]
-    hit = first_feasible_lower(lows, mu, kappa, T, lam, grid.Q)
-    assert hit is not None
-    ell, upper = hit
+    counts, lower, upper = first_feasible_lower(lows, mu, kappa, T, grid.Q)
+    assert 3 in counts.tolist()
+    assert counts.tolist() == sorted(counts.tolist(), reverse=True)
     budget = kappa * mu * (T - 1)
-    spread = lam * (ell - mu) ** 2 + (T - lam) * (upper - mu) ** 2
-    assert spread <= budget + 1e-9
-    assert upper <= grid.Q + 1e-9
-    # nothing lower is feasible
-    for cand in lows[lows < ell]:
+
+    def feasible(lam, cand):
         up = (mu * T - lam * cand) / (T - lam)
         sp = lam * (cand - mu) ** 2 + (T - lam) * (up - mu) ** 2
-        assert up > grid.Q + 1e-9 or sp > budget + 1e-9
+        return up <= grid.Q + 1e-9 and sp <= budget + 1e-9
+
+    table = {int(lam): (float(ell), float(up)) for lam, ell, up in zip(counts, lower, upper)}
+    for lam in range(T - 1, 0, -1):
+        if lam not in table:
+            # a count left out of the table has no feasible lower point
+            assert not any(feasible(lam, cand) for cand in lows), lam
+            continue
+        ell, up = table[lam]
+        assert up == (mu * T - lam * ell) / (T - lam)
+        spread = lam * (ell - mu) ** 2 + (T - lam) * (up - mu) ** 2
+        assert spread <= budget + 1e-9
+        assert up <= grid.Q + 1e-9
+        # nothing lower is feasible
+        for cand in lows[lows < ell]:
+            assert not feasible(lam, cand), (lam, cand)
 
 
 def test_first_feasible_lower_none_when_budget_zero():
     grid = PriceGrid(0.0, 100.0, 1.0)
     lows = grid.points()[grid.points() < 60.0]
-    assert first_feasible_lower(lows, 60.0, 0.0, 10, 3, grid.Q) is None
+    counts, lower, upper = first_feasible_lower(lows, 60.0, 0.0, 10, grid.Q)
+    assert counts.size == lower.size == upper.size == 0

@@ -68,21 +68,30 @@ def test_epsilon_sweep_anchor_and_ordering():
 def test_two_point_curve_matches_direct_assembly():
     # Rebuild BR(r) from the (already independently tested) two-point
     # response: revenue = toll * paying periods, floor toll seeded with one
-    # guaranteed usage, argmax ties to the lowest toll.
-    grid = PriceGrid(0.0, 10.0, 1.0)
-    T, mu, kappa = 4, 5.0, 1.0
-    env = MomentEnvelope(mu, mu, kappa)
-    res = two_point_robust_toll(grid, env, T)
-    usage = {}
-    for r in grid.points():
-        resp = solve_nature_two_point(grid, mu, kappa, T, float(r))
-        usage[float(r)] = resp.usage_count(T, float(r))
-    usage[mu] = max(usage[mu], 1)
-    curve = {r: r * u for r, u in usage.items()}
-    assert res.br_curve == pytest.approx(curve)
-    best = max(curve.values())
-    expect_toll = min(r for r, v in curve.items() if v >= best - 1e-9)
-    assert res.toll == expect_toll
+    # guaranteed usage, argmax ties to the lowest toll.  The whole curve,
+    # the toll and epsilon must all match.
+    rng = np.random.default_rng(SEED)
+    cases = [(PriceGrid(0.0, 10.0, 1.0), 4, 5.0, 1.0)]
+    for _ in range(12):
+        n = int(rng.integers(4, 40))
+        mu = float(rng.choice([0.0, float(rng.integers(0, n)), float(rng.uniform(0, n - 1))]))
+        kappa = float(rng.choice([0.0, 0.5, 1.0, 4.0, 60.0]))
+        cases.append((PriceGrid(0.0, float(n - 1), 1.0), int(rng.integers(2, 80)), mu, kappa))
+    for grid, T, mu, kappa in cases:
+        res = two_point_robust_toll(grid, MomentEnvelope(mu, mu, kappa), T)
+        usage = {}
+        for r in grid.points():
+            resp = solve_nature_two_point(grid, mu, kappa, T, float(r))
+            usage[float(r)] = resp.usage_count(T, float(r))
+        floor = grid.snap(mu)
+        usage[floor] = max(usage[floor], 1)
+        curve = {r: r * u for r, u in usage.items()}
+        assert res.br_curve == pytest.approx(curve)
+        assert list(res.br_curve) == list(curve)
+        best = max(curve.values())
+        expect_toll = min(r for r, v in curve.items() if v >= best - 1e-9)
+        assert res.toll == expect_toll
+        assert res.epsilon == usage[expect_toll] / T
 
 
 def test_curve_bounds_and_floor():
