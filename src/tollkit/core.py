@@ -98,9 +98,15 @@ class PriceGrid:
         return self.value(self.index_of(value))
 
     def contains(self, value: float, tol: float = 1e-9) -> bool:
-        if value < self.q - tol or value > self.Q + tol:
+        if not (self.q - tol <= value <= self.Q + tol):  # NaN fails too
             return False
         return abs(self.snap(value) - value) <= tol
+
+    def require_toll(self, r: float) -> None:
+        """Reject a non-finite or off-grid toll by name."""
+        require_finite(toll=r)
+        if not self.contains(r):
+            raise ValueError(f"toll {r} is not on the price grid")
 
 
 @dataclass(frozen=True)

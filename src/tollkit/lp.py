@@ -2,6 +2,8 @@
 
 min c.x  s.t.  A x (=|<=) b,  x >= 0,  with b >= 0.  Bland's rule, so no
 cycling.  Built for the 3-row moment LPs; not a general-purpose solver.
+The last phase-1 tableau is kept, so re-solving the same constraints under
+a new objective runs phase 2 only.
 """
 
 from __future__ import annotations
@@ -30,13 +32,10 @@ def _iterate(tab: np.ndarray, basis: list[int], n_cols: int) -> None:
     # index among min-ratio rows.
     m = tab.shape[0] - 1
     while True:
-        col = -1
-        for j in range(n_cols):
-            if tab[m, j] < -EPS:
-                col = j
-                break
-        if col < 0:
+        entering = np.flatnonzero(tab[m, :n_cols] < -EPS)
+        if entering.size == 0:
             return
+        col = int(entering[0])
         row, best = -1, np.inf
         for i in range(m):
             if tab[i, col] > EPS:
@@ -46,6 +45,56 @@ def _iterate(tab: np.ndarray, basis: list[int], n_cols: int) -> None:
         if row < 0:
             raise LpInfeasible("unbounded")
         _pivot(tab, basis, row, col)
+
+
+# Phase 1 never reads the objective, and callers re-solve the same
+# constraints under a new objective (one per toll along a BR curve), so the
+# last phase-1 tableau and basis are kept, keyed by (senses, A, b), and
+# every phase 2 starts from a copy of them.
+_last_phase_one: tuple | None = None
+
+
+def _phase_one(A: np.ndarray, b: np.ndarray, senses: str) -> tuple[np.ndarray, list[int]]:
+    """Feasible tableau (objective row free for phase 2) and its basis."""
+    global _last_phase_one
+    key = (senses, A.shape, A.tobytes(), b.tobytes())
+    memo = _last_phase_one  # read once: another thread may replace it
+    if memo is not None and memo[0] == key:
+        _, tab, basis = memo
+        return tab.copy(), list(basis)
+    m, n = A.shape
+    n_slack = senses.count("<")
+    width = n + n_slack + m  # structural + slack + artificial
+    body = np.zeros((m, width + 1))
+    body[:, :n] = A
+    body[:, -1] = b
+    k = 0
+    for i, s in enumerate(senses):
+        if s == "<":
+            body[i, n + k] = 1.0
+            k += 1
+        elif s != "=":
+            raise ValueError(f"bad sense {s!r}")
+    for i in range(m):
+        body[i, n + n_slack + i] = 1.0
+    basis = [n + n_slack + i for i in range(m)]
+
+    # Drive the artificials out.
+    tab = np.vstack([body, np.zeros(width + 1)])
+    tab[m, n + n_slack : n + n_slack + m] = 1.0
+    for i in range(m):
+        tab[m] -= tab[i]
+    _iterate(tab, basis, n + n_slack)
+    if tab[m, -1] < -1e-7:
+        raise LpInfeasible("phase-1 optimum is positive")
+    for i in range(m):  # pivot lingering artificials out on any usable column
+        if basis[i] >= n + n_slack:
+            usable = np.flatnonzero(np.abs(tab[i, : n + n_slack]) > EPS)
+            if usable.size:
+                _pivot(tab, basis, i, int(usable[0]))
+    tab.flags.writeable = False
+    _last_phase_one = (key, tab, tuple(basis))
+    return tab.copy(), basis
 
 
 def simplex_solve(
@@ -64,46 +113,18 @@ def simplex_solve(
     m, n = A.shape
     if np.any(b < 0):
         raise ValueError("rows must be normalized to b >= 0")
-    n_slack = senses.count("<")
-    width = n + n_slack + m  # structural + slack + artificial
-    body = np.zeros((m, width + 1))
-    body[:, :n] = A
-    body[:, -1] = b
-    k = 0
-    for i, s in enumerate(senses):
-        if s == "<":
-            body[i, n + k] = 1.0
-            k += 1
-        elif s != "=":
-            raise ValueError(f"bad sense {s!r}")
-    for i in range(m):
-        body[i, n + n_slack + i] = 1.0
-    basis = [n + n_slack + i for i in range(m)]
-
-    # Phase 1: drive artificials out.
-    tab = np.vstack([body, np.zeros(width + 1)])
-    tab[m, n + n_slack : n + n_slack + m] = 1.0
-    for i in range(m):
-        tab[m] -= tab[i]
-    _iterate(tab, basis, n + n_slack)
-    if tab[m, -1] < -1e-7:
-        raise LpInfeasible("phase-1 optimum is positive")
-    for i in range(m):  # pivot lingering artificials out on any usable column
-        if basis[i] >= n + n_slack:
-            for j in range(n + n_slack):
-                if abs(tab[i, j]) > EPS:
-                    _pivot(tab, basis, i, j)
-                    break
+    tab, basis = _phase_one(A, b, senses)
+    n_cols = n + senses.count("<")
 
     # Phase 2.
     tab[m, :] = 0.0
     tab[m, :n] = c
     for i in range(m):
-        if basis[i] < n + n_slack:
+        if basis[i] < n_cols:
             coef = c[basis[i]] if basis[i] < n else 0.0
             if coef:
                 tab[m] -= coef * tab[i]
-    _iterate(tab, basis, n + n_slack)
+    _iterate(tab, basis, n_cols)
 
     x = np.zeros(n)
     for i in range(m):

@@ -14,15 +14,22 @@ is pinned: three rows (total mass, mean, second moment), so optimal basic
 solutions carry at most three support points.  ``solve_nature_ufn`` /
 ``solve_nature_an`` enumerate those supports exactly, sweeping the mean
 band through closed-form candidate points; a dense-simplex fast path covers
-point mean bands on fine grids.  ``solve_nature_two_point`` is the
-heuristic search over integer-period two-point responses; its per-count
-table (``first_feasible_lower``) and per-toll choice
-(``two_point_responses``) are array passes that the BR-curve scan in
-``pricing`` reuses for every toll at once.
+point mean bands on fine grids.  Only the objective depends on the toll,
+so both paths do the toll-independent half once per envelope: the
+enumeration keeps a per-envelope table of the feasible candidates and of
+the triples that can still win (``_envelope_table``), and the simplex
+starts every phase 2 from the same phase-1 tableau (``lp``).  A BR curve
+then costs one table plus a short pass per toll.
+
+``solve_nature_two_point`` is the heuristic search over integer-period
+two-point responses; its per-count table (``first_feasible_lower``) and
+per-toll choice (``two_point_responses``) are array passes that the
+BR-curve scan in ``pricing`` reuses for every toll at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -186,8 +193,27 @@ def _feasible_moments(
 #     right side (1, mu, mu^2 + kappa*mu), so each mass and the objective
 #     are quadratics in mu — candidates are the band edges, the objective's
 #     stationary point, and the roots of each mass.
+#
+# Only the objective f = f(toll) changes along a BR curve, so the rest is
+# tabulated once per (grid, envelope) in ``_envelope_table``: the singleton
+# mask, the feasible pair candidates, the triples that can ever be feasible,
+# and their feasible candidates at the eight f-independent means (band
+# edges, mass roots).  A triple is kept ("live") when one of those means
+# lies in the band with every mass above -1e-7: the stationary point can
+# only be feasible inside a stretch of the band where all three masses are
+# positive, and such a stretch ends at band edges or mass roots.  Per toll,
+# ``_enumerate_minimum`` adds each live triple's stationary point and makes
+# the same offers, in the same order, as enumerating every triple would.
 
 _TIE_TOL = 1e-9
+# live-triple test: the masses at a stretch's end are zero up to rounding
+_LIVE_MASS = -1e-7
+# a triple's nine mean candidates, in enumeration order: the band edges,
+# the objective's stationary point, then the six mass roots
+_N_MEANS = 9
+_STATIONARY = 2
+# live triples per array pass, which bounds the memory of a solve
+_CHUNK = 1 << 15
 
 
 def _candidate_key(support: Sequence[float], masses: Sequence[float]):
@@ -215,133 +241,250 @@ class _Best:
                 self.masses = list(masses)
 
 
-def _enumerate_minimum(
-    points: np.ndarray, env: MomentEnvelope, f: np.ndarray
-) -> tuple[float, list[float], list[float]]:
+def _triple_geometry(ca, cb, cc):
+    """Per support point of each triple ``(ca, cb, cc)``: the sum and the
+    product of the other two points, and the Vandermonde denominator."""
+    s = (cb + cc, ca + cc, ca + cb)
+    p = (cb * cc, ca * cc, ca * cb)
+    D = ((ca - cb) * (ca - cc), (cb - ca) * (cb - cc), (cc - ca) * (cc - cb))
+    return s, p, D
+
+
+def _triple_candidates(mu, c, s, p, D, env: MomentEnvelope, mean_tol: float, var_tol: float):
+    """Masses ``(xa, xb, xc)`` of variance-tight triples at means ``mu``,
+    whether each mean is in the band, and whether each candidate is
+    feasible; ``c``, ``s``, ``p``, ``D`` broadcast against ``mu``."""
+    kappa, ul, uu = env.kappa_bar, env.u_lower, env.u_upper
+    ok = np.isfinite(mu) & (mu >= ul - mean_tol) & (mu <= uu + mean_tol)
+    m2 = mu * mu + kappa * mu
+    xa, xb, xc = ((m2 + (0.0 - s[m]) * mu + p[m]) / D[m] for m in range(3))
+    ca, cb, cc = c
+    pos = (xa > 1e-12) & (xb > 1e-12) & (xc > 1e-12)
+    # numerical re-verification of the moments
+    ssum = xa + xb + xc
+    mean = xa * ca + xb * cb + xc * cc
+    msq = xa * ca * ca + xb * (cb * cb) + xc * (cc * cc)
+    var = msq - mean * mean
+    feas = (
+        ok
+        & pos
+        & (np.abs(ssum - 1.0) <= 1e-9)
+        & (mean >= ul - mean_tol)
+        & (mean <= uu + mean_tol)
+        & (var <= kappa * mean + var_tol)
+    )
+    return (xa, xb, xc), ok, feas
+
+
+def _readonly(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class _TripleChunk:
+    """Live triples of whole blocks (a block shares its lowest point) and
+    their feasible candidates at the f-independent means."""
+
+    idx: np.ndarray  # (3, L) grid indices, in enumeration order
+    # candidates in (triple, mean) order: live-triple row, mean column and
+    # masses of shape (3, F)
+    row: np.ndarray
+    col: np.ndarray
+    x: np.ndarray
+
+    @classmethod
+    def join(cls, blocks: list[tuple]) -> "_TripleChunk":
+        idx, row, col, x = (
+            np.concatenate(parts, axis=axis)
+            for parts, axis in zip(zip(*blocks), (1, 0, 0, 1))
+        )
+        _readonly(idx, row, col, x)
+        return cls(idx, row, col, x)
+
+
+@dataclass(frozen=True)
+class _EnvelopeTable:
+    """The toll-independent half of the enumeration for one envelope."""
+
+    points: np.ndarray
+    mean_tol: float
+    var_tol: float
+    single: np.ndarray  # grid indices of the singletons inside the band
+    # feasible pair candidates in (pair, candidate) order
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    pair_t: np.ndarray
+    triples: tuple[_TripleChunk, ...]
+
+
+@functools.lru_cache(maxsize=2)
+def _envelope_table(grid: PriceGrid, env: MomentEnvelope) -> _EnvelopeTable:
+    points = grid.points()
     n = points.size
     kappa = env.kappa_bar
     ul, uu = env.u_lower, env.u_upper
-    mean_tol, var_tol = _moment_tols(float(np.max(np.abs(points))) if n else 1.0)
+    mean_tol, var_tol = _moment_tols(float(np.max(np.abs(points))))
+
+    single = np.flatnonzero((points >= ul - mean_tol) & (points <= uu + mean_tol))
+
+    I, J = np.triu_indices(n, k=1)
+    ci, cj = points[I], points[J]
+    d = cj - ci
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t_mean_lo = (cj - ul) / d  # mean pinned at u_lower
+        t_mean_hi = (cj - uu) / d  # mean pinned at u_upper
+        half = 0.5 * (1.0 + kappa / d)
+        disc = half * half - kappa * cj / (d * d)
+        sq = np.sqrt(np.where(disc >= 0, disc, np.nan))
+        t_var_lo = half - sq
+        t_var_hi = half + sq
+    cand = np.stack([t_mean_lo, t_mean_hi, t_var_lo, t_var_hi], axis=1)
+    interior = np.isfinite(cand) & (cand > 1e-12) & (cand < 1 - 1e-12)
+    t = np.clip(cand, 0.0, 1.0)
+    mu = cj[:, None] - t * d[:, None]
+    var = t * (1.0 - t) * (d * d)[:, None]
+    feas = (
+        interior
+        & (mu >= ul - mean_tol)
+        & (mu <= uu + mean_tol)
+        & (var <= kappa * mu + var_tol)
+    )
+    pp, qq = np.nonzero(feas)
+
+    # a wide band on a fine grid keeps over a million triples: store them
+    # compactly, in passes of whole blocks
+    point_type = np.min_scalar_type(n)
+    chunks: list[_TripleChunk] = []
+    pending: list[tuple] = []
+    size = 0
+    for a in range(n - 2):
+        jj, kk = np.triu_indices(n - a - 1, k=1)
+        ib, ic = a + 1 + jj, a + 1 + kk
+        ca, cb, cc = float(points[a]), points[ib], points[ic]
+        s, p, D = _triple_geometry(ca, cb, cc)
+        # band edges, then a blank for the stationary point (per toll)
+        means = [np.full(jj.shape, ul), np.full(jj.shape, uu), np.full(jj.shape, np.nan)]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for s_m, p_m in zip(s, p):
+                bcoef = kappa - s_m
+                disc = bcoef * bcoef - 4.0 * p_m
+                sq = np.sqrt(np.where(disc >= 0, disc, np.nan))
+                means.append(0.5 * (-bcoef - sq))
+                means.append(0.5 * (-bcoef + sq))
+        x, ok, feas = _triple_candidates(
+            np.stack(means, axis=1),  # (P, 9)
+            (ca, cb[:, None], cc[:, None]),
+            *([v[:, None] for v in part] for part in (s, p, D)),
+            env,
+            mean_tol,
+            var_tol,
+        )
+        live = np.flatnonzero(
+            (ok & (x[0] > _LIVE_MASS) & (x[1] > _LIVE_MASS) & (x[2] > _LIVE_MASS)).any(axis=1)
+        )
+        if live.size == 0:
+            continue
+        if pending and size + live.size > _CHUNK:
+            chunks.append(_TripleChunk.join(pending))
+            pending, size = [], 0
+        row, col = np.nonzero(feas[live])
+        pending.append((
+            np.stack([np.full(live.size, a), ib[live], ic[live]]).astype(point_type),
+            (size + row).astype(np.int32),
+            col.astype(np.int8),
+            np.stack([v[live][row, col] for v in x]),
+        ))
+        size += live.size
+    if pending:
+        chunks.append(_TripleChunk.join(pending))
+
+    pair_i, pair_j, pair_t = I[pp], J[pp], t[pp, qq]
+    _readonly(points, single, pair_i, pair_j, pair_t)
+    return _EnvelopeTable(
+        points=points,
+        mean_tol=mean_tol,
+        var_tol=var_tol,
+        single=single,
+        pair_i=pair_i,
+        pair_j=pair_j,
+        pair_t=pair_t,
+        triples=tuple(chunks),
+    )
+
+
+def _triple_winners(chunk: _TripleChunk, tab: _EnvelopeTable, env: MomentEnvelope, f: np.ndarray):
+    """Each block's offer, in block order: the lowest objective among its
+    feasible candidates and, among ties, the first by (cb, cc, xa, xb,
+    position)."""
+    c = tab.points[chunk.idx]
+    fa, fb, fc = f[chunk.idx]
+    s, p, D = _triple_geometry(*c)
+    kappa = env.kappa_bar
+    # objective as a quadratic in mu; its stationary point is the one
+    # f-dependent mean candidate
+    A2 = fa / D[0] + fb / D[1] + fc / D[2]
+    A1 = fa * (kappa - s[0]) / D[0] + fb * (kappa - s[1]) / D[1] + fc * (kappa - s[2]) / D[2]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mu = np.where(np.abs(A2) > 1e-14, -A1 / (2.0 * A2), np.nan)
+    x_s, _, feas_s = _triple_candidates(mu, c, s, p, D, env, tab.mean_tol, tab.var_tol)
+    st = np.flatnonzero(feas_s)
+    row = np.concatenate([chunk.row, st])
+    if row.size == 0:
+        return
+    col = np.concatenate([chunk.col, np.full(st.size, _STATIONARY)])
+    xa, xb, xc = np.concatenate([chunk.x, np.stack([v[st] for v in x_s])], axis=1)
+    obj = xa * fa[row] + xb * fb[row] + xc * fc[row]
+    block = chunk.idx[0, row]
+    m0 = np.full(tab.points.size, np.inf)
+    np.minimum.at(m0, block, obj)
+    ties = np.flatnonzero(obj <= m0[block] + _TIE_TOL)
+    r = row[ties]
+    position = r * _N_MEANS + col[ties]
+    ties = ties[np.lexsort((position, xb[ties], xa[ties], c[2, r], c[1, r], block[ties]))]
+    ranked = block[ties]
+    for e in ties[np.r_[True, ranked[1:] != ranked[:-1]]].tolist():
+        k = row[e]
+        yield (
+            float(obj[e]),
+            [float(c[0, k]), float(c[1, k]), float(c[2, k])],
+            [float(xa[e]), float(xb[e]), float(xc[e])],
+        )
+
+
+def _enumerate_minimum(
+    grid: PriceGrid, env: MomentEnvelope, f: np.ndarray
+) -> tuple[float, list[float], list[float]]:
+    tab = _envelope_table(grid, env)
+    points = tab.points
     best = _Best()
 
     # --- singletons -------------------------------------------------------
-    mask = (points >= ul - mean_tol) & (points <= uu + mean_tol)
-    if mask.any():
-        idx = np.flatnonzero(mask)
+    if tab.single.size:
+        idx = tab.single
         objs = f[idx]
         m0 = float(objs.min())
         winner = idx[objs <= m0 + _TIE_TOL][0]  # smallest support point
         best.offer(float(f[winner]), [float(points[winner])], [1.0])
 
     # --- pairs --------------------------------------------------------------
-    if n >= 2:
-        I, J = np.triu_indices(n, k=1)
-        ci, cj = points[I], points[J]
-        fi, fj = f[I], f[J]
-        d = cj - ci
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t_mean_lo = (cj - ul) / d  # mean pinned at u_lower
-            t_mean_hi = (cj - uu) / d  # mean pinned at u_upper
-            half = 0.5 * (1.0 + kappa / d)
-            disc = half * half - kappa * cj / (d * d)
-            sq = np.sqrt(np.where(disc >= 0, disc, np.nan))
-            t_var_lo = half - sq
-            t_var_hi = half + sq
-        cand = np.stack([t_mean_lo, t_mean_hi, t_var_lo, t_var_hi], axis=1)
-        interior = np.isfinite(cand) & (cand > 1e-12) & (cand < 1 - 1e-12)
-        t = np.clip(cand, 0.0, 1.0)
-        mu = cj[:, None] - t * d[:, None]
-        var = t * (1.0 - t) * (d * d)[:, None]
-        feas = (
-            interior
-            & (mu >= ul - mean_tol)
-            & (mu <= uu + mean_tol)
-            & (var <= kappa * mu + var_tol)
+    if tab.pair_t.size:
+        t, i, j = tab.pair_t, tab.pair_i, tab.pair_j
+        obj = t * f[i] + (1.0 - t) * f[j]
+        m0 = float(obj.min())
+        ties = np.flatnonzero(obj <= m0 + _TIE_TOL)
+        e = ties[np.lexsort((t[ties], points[j[ties]], points[i[ties]]))[0]]
+        tv = float(t[e])
+        best.offer(
+            float(obj[e]),
+            [float(points[i[e]]), float(points[j[e]])],
+            [tv, 1.0 - tv],
         )
-        if feas.any():
-            obj = t * fi[:, None] + (1.0 - t) * fj[:, None]
-            masked = np.where(feas, obj, np.inf)
-            m0 = float(masked.min())
-            pp, qq = np.nonzero(masked <= m0 + _TIE_TOL)
-            order = np.lexsort((t[pp, qq], cj[pp], ci[pp]))
-            p, q = pp[order[0]], qq[order[0]]
-            tv = float(t[p, q])
-            best.offer(
-                float(obj[p, q]),
-                [float(ci[p]), float(cj[p])],
-                [tv, 1.0 - tv],
-            )
 
     # --- variance-tight triples ---------------------------------------------
-    for a in range(n - 2):
-        rest = n - a - 1
-        jj, kk = np.triu_indices(rest, k=1)
-        cb = points[a + 1 + jj]
-        cc = points[a + 1 + kk]
-        ca = float(points[a])
-        fa = float(f[a])
-        fb = f[a + 1 + jj]
-        fc = f[a + 1 + kk]
-
-        Da = (ca - cb) * (ca - cc)
-        Db = (cb - ca) * (cb - cc)
-        Dc = (cc - ca) * (cc - cb)
-        sa, pa = cb + cc, cb * cc
-        sb, pb = ca + cc, ca * cc
-        sc, pc = ca + cb, ca * cb
-
-        # objective as a quadratic in mu
-        A2 = fa / Da + fb / Db + fc / Dc
-        A1 = fa * (kappa - sa) / Da + fb * (kappa - sb) / Db + fc * (kappa - sc) / Dc
-
-        cols = [np.full(jj.shape, ul), np.full(jj.shape, uu)]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cols.append(np.where(np.abs(A2) > 1e-14, -A1 / (2.0 * A2), np.nan))
-            for s_m, p_m in ((sa, pa), (sb, pb), (sc, pc)):
-                bcoef = kappa - s_m
-                disc = bcoef * bcoef - 4.0 * p_m
-                sq = np.sqrt(np.where(disc >= 0, disc, np.nan))
-                cols.append(0.5 * (-bcoef - sq))
-                cols.append(0.5 * (-bcoef + sq))
-        mu = np.stack(cols, axis=1)  # (P, 9)
-        ok = np.isfinite(mu) & (mu >= ul - mean_tol) & (mu <= uu + mean_tol)
-        if not ok.any():
-            continue
-        m2 = mu * mu + kappa * mu
-        xa = (m2 + (0.0 - sa[:, None]) * mu + pa[:, None]) / Da[:, None]
-        xb = (m2 + (0.0 - sb[:, None]) * mu + pb[:, None]) / Db[:, None]
-        xc = (m2 + (0.0 - sc[:, None]) * mu + pc[:, None]) / Dc[:, None]
-        pos = (xa > 1e-12) & (xb > 1e-12) & (xc > 1e-12)
-        # numerical re-verification of the moments
-        ssum = xa + xb + xc
-        mean = xa * ca + xb * cb[:, None] + xc * cc[:, None]
-        msq = xa * ca * ca + xb * (cb * cb)[:, None] + xc * (cc * cc)[:, None]
-        var = msq - mean * mean
-        feas = (
-            ok
-            & pos
-            & (np.abs(ssum - 1.0) <= 1e-9)
-            & (mean >= ul - mean_tol)
-            & (mean <= uu + mean_tol)
-            & (var <= kappa * mean + var_tol)
-        )
-        if not feas.any():
-            continue
-        obj = xa * fa + xb * fb[:, None] + xc * fc[:, None]
-        masked = np.where(feas, obj, np.inf)
-        m0 = float(masked.min())
-        if best.objective is not None and m0 > best.objective + _TIE_TOL:
-            continue
-        pp, qq = np.nonzero(masked <= m0 + _TIE_TOL)
-        order = np.lexsort(
-            (xb[pp, qq], xa[pp, qq], cc[pp], cb[pp])
-        )
-        p, q = pp[order[0]], qq[order[0]]
-        best.offer(
-            float(obj[p, q]),
-            [ca, float(cb[p]), float(cc[p])],
-            [float(xa[p, q]), float(xb[p, q]), float(xc[p, q])],
-        )
+    for chunk in tab.triples:
+        for objective, support, masses in _triple_winners(chunk, tab, env, f):
+            best.offer(objective, support, masses)
 
     if best.objective is None:
         raise ValueError(
@@ -351,10 +494,11 @@ def _enumerate_minimum(
 
 
 def _simplex_minimum(
-    points: np.ndarray, env: MomentEnvelope, f: np.ndarray
+    grid: PriceGrid, env: MomentEnvelope, f: np.ndarray
 ) -> tuple[float, list[float], list[float]]:
     if abs(env.u_upper - env.u_lower) > 1e-12:
         raise ValueError("simplex path requires a point mean band")
+    points = grid.points()
     mu = env.u_lower
     cap = mu * mu + env.kappa_bar * mu
     scale1 = 1.0 / max(1.0, float(np.max(np.abs(points))))
@@ -377,10 +521,9 @@ def _minimize_worst_case(
     grid: PriceGrid, env: MomentEnvelope, f: np.ndarray
 ) -> tuple[list[float], list[float]]:
     env.validate_against(grid)
-    points = grid.points()
-    n = points.size
+    n = grid.n_points
     if abs(env.u_upper - env.u_lower) <= 1e-12 and n > AUTO_SIMPLEX_MIN:
-        _, support, masses = _simplex_minimum(points, env, f)
+        _, support, masses = _simplex_minimum(grid, env, f)
         return support, masses
     if n > ENUM_CAP:
         raise ValueError(
@@ -388,7 +531,7 @@ def _minimize_worst_case(
             f"{ENUM_CAP}. Coarsen the grid, or pin the mean band to a "
             f"point to use the simplex path."
         )
-    _, support, masses = _enumerate_minimum(points, env, f)
+    _, support, masses = _enumerate_minimum(grid, env, f)
     return support, masses
 
 
@@ -414,14 +557,9 @@ def _package(
     )
 
 
-def _require_grid_toll(grid: PriceGrid, r: float) -> None:
-    if not grid.contains(r):
-        raise ValueError(f"toll {r} is not on the price grid")
-
-
 def solve_nature_ufn(grid: PriceGrid, env: MomentEnvelope, r: float) -> NatureSolution:
     """Minimize the commuter's expected cost E[min(c, r)] over the envelope."""
-    _require_grid_toll(grid, r)
+    grid.require_toll(r)
     f = _objective_vector(grid.points(), r, "ufn")
     support, masses = _minimize_worst_case(grid, env, f)
     return _package(support, masses, env, r, "ufn")
@@ -429,7 +567,7 @@ def solve_nature_ufn(grid: PriceGrid, env: MomentEnvelope, r: float) -> NatureSo
 
 def solve_nature_an(grid: PriceGrid, env: MomentEnvelope, r: float) -> NatureSolution:
     """Minimize toll revenue r * P(c >= r) over the envelope."""
-    _require_grid_toll(grid, r)
+    grid.require_toll(r)
     f = _objective_vector(grid.points(), r, "an")
     support, masses = _minimize_worst_case(grid, env, f)
     return _package(support, masses, env, r, "an")
@@ -503,7 +641,7 @@ def solve_nature_two_point(
     require_finite(kappa_bar=kappa_bar)
     if kappa_bar < 0:
         raise ValueError("kappa_bar must be >= 0")
-    _require_grid_toll(grid, r)
+    grid.require_toll(r)
     points = grid.points()
     table = first_feasible_lower(points[points < mu], mu, kappa_bar, T, grid.Q)
     (count,), (lower,), (upper,) = two_point_responses(table, mu, T, [r])
@@ -531,7 +669,7 @@ def brute_force_nature(
     ``max_points`` grid points; raise the cap explicitly for larger checks.
     """
     env.validate_against(grid)
-    _require_grid_toll(grid, r)
+    grid.require_toll(r)
     points = grid.points()
     n = points.size
     if n > max_points:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MomentEnvelope, PriceGrid, TollQuote
+from .core import MomentEnvelope, PriceGrid, TollQuote, require_finite
 from .nature import (
     NatureSolution,
     TwoPointResponse,
@@ -267,14 +267,16 @@ def emit_nature_miqp(
     env.validate_against(grid)
     if T < 1:
         raise ValueError("T must be >= 1")
-    if r is not None and not grid.contains(r):
-        raise ValueError(f"toll {r} is not on the price grid")
+    if r is not None:
+        grid.require_toll(r)
     if epsilon is not None and not (0.0 < epsilon <= 1.0):
         raise ValueError("epsilon must lie in (0, 1]")
     if big_M is None:
         big_M = grid.Q
-    elif big_M < grid.Q:
-        raise ValueError("big_M must be >= the grid ceiling")
+    else:
+        require_finite(big_M=big_M)
+        if big_M < grid.Q:
+            raise ValueError("big_M must be >= the grid ceiling")
     M = _fmt(big_M)
     idx = range(1, T + 1)
 
@@ -372,8 +374,7 @@ def solve_nature_miqp_exact(
     objective value and the optimal response.
     """
     env.validate_against(grid)
-    if not grid.contains(r):
-        raise ValueError(f"toll {r} is not on the price grid")
+    grid.require_toll(r)
     if T < 1:
         raise ValueError("T must be >= 1")
     if T > MIQP_EXACT_MAX_T:

@@ -220,6 +220,32 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, config):
     assert err.startswith("error:") and "must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["nature", "--u-lower", "100", "--u-upper", "100", "--toll", "nan"], "toll"),
+        (["nature", "--u-lower", "100", "--u-upper", "110", "--toll", "inf"], "toll"),
+        (["emit-mip", "--u-lower", "100", "--u-upper", "110", "--toll", "nan"], "toll"),
+        (["emit-mip", "--u-lower", "100", "--u-upper", "110", "--big-m", "inf"], "big_M"),
+        (["emit-mip", "--u-lower", "100", "--u-upper", "110", "--big-m", "nan"], "big_M"),
+    ],
+    ids=[
+        "nature-nan-toll",
+        "nature-inf-toll",
+        "emit-mip-nan-toll",
+        "emit-mip-inf-big-m",
+        "emit-mip-nan-big-m",
+    ],
+)
+def test_non_finite_toll_or_big_m_exits_2(tmp_path, capsys, argv, name):
+    out = tmp_path / "out"
+    code = main(argv + ["--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be finite"), err
+    assert not (out / "model.lp").exists() and not (out / "nature.csv").exists()
+
+
 # --- nature ---------------------------------------------------------------------------
 
 

@@ -97,6 +97,17 @@ def test_non_finite_inputs_rejected(build, bad):
         build(bad)
 
 
+def test_grid_rejects_non_finite_toll_by_name():
+    g = PriceGrid(0.0, 100.0, 5.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        assert not g.contains(bad)
+        with pytest.raises(ValueError, match="toll must be finite"):
+            g.require_toll(bad)
+    with pytest.raises(ValueError, match="toll 7.0 is not on the price grid"):
+        g.require_toll(7.0)
+    g.require_toll(35.0)
+
+
 def test_grid_snap_and_clamp_idempotent():
     g = PriceGrid(0.0, 100.0, 5.0)
     rng = np.random.default_rng(SEED)

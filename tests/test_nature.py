@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from tollkit import lp, nature
 from tollkit.core import (
     DiscreteDistribution,
     MomentEnvelope,
@@ -16,7 +17,10 @@ from tollkit.core import (
     expected_user_cost,
 )
 from tollkit.nature import (
+    _TIE_TOL,
+    _Best,
     _enumerate_minimum,
+    _moment_tols,
     _objective_vector,
     _package,
     _simplex_minimum,
@@ -57,7 +61,7 @@ def solve_on_path(path, grid, env, r, objective):
     """Nature's solution with the LP path pinned (``_enumerate_minimum`` or
     ``_simplex_minimum``), packaged as the public solvers package it."""
     f = _objective_vector(grid.points(), r, objective)
-    _, support, masses = path(grid.points(), env, f)
+    _, support, masses = path(grid, env, f)
     return _package(support, masses, env, r, objective)
 
 
@@ -93,6 +97,258 @@ def test_simplex_matches_enumeration_randomized():
             a = solve_on_path(_enumerate_minimum, grid, env, r, objective)
             b = solve_on_path(_simplex_minimum, grid, env, r, objective)
             assert abs(a.objective_value - b.objective_value) <= 1e-9, (trial, objective)
+
+
+# --- the per-envelope table against a per-toll enumeration --------------------
+
+
+def per_toll_enumeration(points, env, f):
+    """Every support candidate rebuilt from scratch for one objective vector:
+    the enumeration as it ran before its toll-independent half was
+    tabulated once per envelope."""
+    n = points.size
+    kappa = env.kappa_bar
+    ul, uu = env.u_lower, env.u_upper
+    mean_tol, var_tol = _moment_tols(float(np.max(np.abs(points))) if n else 1.0)
+    best = _Best()
+
+    mask = (points >= ul - mean_tol) & (points <= uu + mean_tol)
+    if mask.any():
+        idx = np.flatnonzero(mask)
+        objs = f[idx]
+        m0 = float(objs.min())
+        winner = idx[objs <= m0 + _TIE_TOL][0]
+        best.offer(float(f[winner]), [float(points[winner])], [1.0])
+
+    if n >= 2:
+        I, J = np.triu_indices(n, k=1)
+        ci, cj = points[I], points[J]
+        fi, fj = f[I], f[J]
+        d = cj - ci
+        with np.errstate(invalid="ignore", divide="ignore"):
+            t_mean_lo = (cj - ul) / d
+            t_mean_hi = (cj - uu) / d
+            half = 0.5 * (1.0 + kappa / d)
+            disc = half * half - kappa * cj / (d * d)
+            sq = np.sqrt(np.where(disc >= 0, disc, np.nan))
+            t_var_lo = half - sq
+            t_var_hi = half + sq
+        cand = np.stack([t_mean_lo, t_mean_hi, t_var_lo, t_var_hi], axis=1)
+        interior = np.isfinite(cand) & (cand > 1e-12) & (cand < 1 - 1e-12)
+        t = np.clip(cand, 0.0, 1.0)
+        mu = cj[:, None] - t * d[:, None]
+        var = t * (1.0 - t) * (d * d)[:, None]
+        feas = (
+            interior
+            & (mu >= ul - mean_tol)
+            & (mu <= uu + mean_tol)
+            & (var <= kappa * mu + var_tol)
+        )
+        if feas.any():
+            obj = t * fi[:, None] + (1.0 - t) * fj[:, None]
+            masked = np.where(feas, obj, np.inf)
+            m0 = float(masked.min())
+            pp, qq = np.nonzero(masked <= m0 + _TIE_TOL)
+            order = np.lexsort((t[pp, qq], cj[pp], ci[pp]))
+            p, q = pp[order[0]], qq[order[0]]
+            tv = float(t[p, q])
+            best.offer(float(obj[p, q]), [float(ci[p]), float(cj[p])], [tv, 1.0 - tv])
+
+    for a in range(n - 2):
+        rest = n - a - 1
+        jj, kk = np.triu_indices(rest, k=1)
+        cb = points[a + 1 + jj]
+        cc = points[a + 1 + kk]
+        ca = float(points[a])
+        fa = float(f[a])
+        fb = f[a + 1 + jj]
+        fc = f[a + 1 + kk]
+        Da = (ca - cb) * (ca - cc)
+        Db = (cb - ca) * (cb - cc)
+        Dc = (cc - ca) * (cc - cb)
+        sa, pa = cb + cc, cb * cc
+        sb, pb = ca + cc, ca * cc
+        sc, pc = ca + cb, ca * cb
+        A2 = fa / Da + fb / Db + fc / Dc
+        A1 = fa * (kappa - sa) / Da + fb * (kappa - sb) / Db + fc * (kappa - sc) / Dc
+        cols = [np.full(jj.shape, ul), np.full(jj.shape, uu)]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cols.append(np.where(np.abs(A2) > 1e-14, -A1 / (2.0 * A2), np.nan))
+            for s_m, p_m in ((sa, pa), (sb, pb), (sc, pc)):
+                bcoef = kappa - s_m
+                disc = bcoef * bcoef - 4.0 * p_m
+                sq = np.sqrt(np.where(disc >= 0, disc, np.nan))
+                cols.append(0.5 * (-bcoef - sq))
+                cols.append(0.5 * (-bcoef + sq))
+        mu = np.stack(cols, axis=1)
+        ok = np.isfinite(mu) & (mu >= ul - mean_tol) & (mu <= uu + mean_tol)
+        if not ok.any():
+            continue
+        m2 = mu * mu + kappa * mu
+        xa = (m2 + (0.0 - sa[:, None]) * mu + pa[:, None]) / Da[:, None]
+        xb = (m2 + (0.0 - sb[:, None]) * mu + pb[:, None]) / Db[:, None]
+        xc = (m2 + (0.0 - sc[:, None]) * mu + pc[:, None]) / Dc[:, None]
+        pos = (xa > 1e-12) & (xb > 1e-12) & (xc > 1e-12)
+        ssum = xa + xb + xc
+        mean = xa * ca + xb * cb[:, None] + xc * cc[:, None]
+        msq = xa * ca * ca + xb * (cb * cb)[:, None] + xc * (cc * cc)[:, None]
+        var = msq - mean * mean
+        feas = (
+            ok
+            & pos
+            & (np.abs(ssum - 1.0) <= 1e-9)
+            & (mean >= ul - mean_tol)
+            & (mean <= uu + mean_tol)
+            & (var <= kappa * mean + var_tol)
+        )
+        if not feas.any():
+            continue
+        obj = xa * fa + xb * fb[:, None] + xc * fc[:, None]
+        masked = np.where(feas, obj, np.inf)
+        m0 = float(masked.min())
+        if best.objective is not None and m0 > best.objective + _TIE_TOL:
+            continue
+        pp, qq = np.nonzero(masked <= m0 + _TIE_TOL)
+        order = np.lexsort((xb[pp, qq], xa[pp, qq], cc[pp], cb[pp]))
+        p, q = pp[order[0]], qq[order[0]]
+        best.offer(
+            float(obj[p, q]),
+            [ca, float(cb[p]), float(cc[p])],
+            [float(xa[p, q]), float(xb[p, q]), float(xc[p, q])],
+        )
+
+    if best.objective is None:
+        raise ValueError("no grid-supported distribution satisfies the moment envelope")
+    return best.objective, best.support, best.masses
+
+
+def outcome(solve, *args):
+    """A solver's return value, or its error message."""
+    try:
+        return solve(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def random_table_instance(rng: np.random.Generator):
+    """A random grid (step and floor vary) with an interval or point band."""
+    n = int(rng.integers(8, 31))
+    step = float(rng.choice([0.25, 1.0, 4.0, 10.0]))
+    q = float(rng.choice([0.0, 3.0, 100.0]))
+    grid = PriceGrid(q, q + step * (n - 1), step)
+    kappa = float(rng.choice([0.0, 0.25, 1.0, 3.0, 40.0, rng.uniform(0.0, 40.0)]))
+    points = grid.points()
+    if kappa == 0.0 or rng.random() < 0.3:
+        on_grid = rng.random() < 0.7
+        lo = hi = float(rng.choice(points)) if on_grid else float(rng.uniform(grid.q, grid.Q))
+    else:
+        lo = float(rng.uniform(grid.q, grid.Q))
+        hi = float(rng.uniform(lo, grid.Q))
+    return grid, MomentEnvelope(lo, hi, kappa)
+
+
+def test_envelope_table_matches_per_toll_enumeration():
+    rng = np.random.default_rng(SEED + 7)
+    for trial in range(16):
+        grid, env = random_table_instance(rng)
+        points = grid.points()
+        for objective in ("ufn", "an"):
+            for r in points.tolist():
+                f = _objective_vector(points, r, objective)
+                got = outcome(_enumerate_minimum, grid, env, f)
+                want = outcome(per_toll_enumeration, points, env, f)
+                assert got == want, (trial, grid, env, objective, r)
+
+
+def test_envelope_table_in_small_passes(monkeypatch):
+    # Grids of a few dozen points fit one array pass; shrink the pass so
+    # that blocks are grouped and split across passes as on a fine grid.
+    monkeypatch.setattr(nature, "_CHUNK", 60)
+    nature._envelope_table.cache_clear()
+    rng = np.random.default_rng(SEED + 8)
+    try:
+        for trial in range(6):
+            grid, env = random_table_instance(rng)
+            points = grid.points()
+            for r in points[::3].tolist():
+                f = _objective_vector(points, r, "ufn")
+                got = outcome(_enumerate_minimum, grid, env, f)
+                assert got == outcome(per_toll_enumeration, points, env, f), (trial, r)
+    finally:
+        nature._envelope_table.cache_clear()
+
+
+def test_envelope_table_interleaved_keys():
+    # Alternate two envelopes on one grid, and one envelope on two grids,
+    # so that a stale or mis-keyed table would answer for the wrong input.
+    fine = PriceGrid(0.0, 24.0, 1.0)
+    coarse = PriceGrid(0.0, 24.0, 2.0)
+    wide = MomentEnvelope(8.0, 15.0, 3.0)
+    narrow = MomentEnvelope(11.0, 12.0, 1.0)
+    for r in coarse.points().tolist():
+        for grid, env in ((fine, wide), (fine, narrow), (coarse, wide), (fine, wide)):
+            points = grid.points()
+            f = _objective_vector(points, r, "ufn")
+            assert _enumerate_minimum(grid, env, f) == per_toll_enumeration(points, env, f), (
+                grid,
+                env,
+                r,
+            )
+
+
+def test_simplex_memo_matches_fresh_solve_when_b_changes(monkeypatch):
+    grid = PriceGrid(0.0, 60.0, 1.0)
+    points = grid.points()
+    A = np.vstack([np.ones_like(points), points / 60.0, (points / 60.0) ** 2])
+    c = np.minimum(points, 25.0)
+
+    def rhs(mu, kappa):
+        return np.array([1.0, mu / 60.0, (mu * mu + kappa * mu) / 3600.0])
+
+    def fresh(b):
+        monkeypatch.setattr(lp, "_last_phase_one", None)
+        x, obj = lp.simplex_solve(c, A, b, senses="==<")
+        return x.tolist(), obj
+
+    moments = ((30.0, 2.0), (30.0, 5.0), (12.5, 2.0), (30.0, 2.0))
+    want = [fresh(rhs(*m)) for m in moments]
+    assert want[0] != want[1] != want[2]
+    monkeypatch.setattr(lp, "_last_phase_one", None)
+    b = rhs(*moments[0])
+    for m, expected in zip(moments, want):
+        b[:] = rhs(*m)  # a new b in the same array, under the same A
+        x, obj = lp.simplex_solve(c, A, b, senses="==<")
+        assert (x.tolist(), obj) == expected, m
+
+
+def test_mutating_a_solution_leaves_the_next_solve_unchanged():
+    cases = (
+        (PriceGrid(0.0, 30.0, 1.0), MomentEnvelope(10.0, 14.0, 2.0)),  # enumeration
+        (PriceGrid(0.0, 60.0, 1.0), MomentEnvelope(30.0, 30.0, 2.0)),  # simplex
+    )
+    for grid, env in cases:
+        for r in (9.0, 20.0, 27.0):
+            first = solve_nature_ufn(grid, env, r)
+            support = first.distribution.support.tolist()
+            mass = first.distribution.mass.tolist()
+            first.distribution.support[:] = -1.0
+            first.distribution.mass[:] = 0.0
+            again = solve_nature_ufn(grid, env, r)
+            assert again.distribution.support.tolist() == support
+            assert again.distribution.mass.tolist() == mass
+        f = _objective_vector(grid.points(), 20.0, "ufn")
+        path = _simplex_minimum if env.u_lower == env.u_upper else _enumerate_minimum
+        value, support, masses = path(grid, env, f)
+        want = (value, list(support), list(masses))
+        support.append(99.0)
+        masses[0] = -1.0
+        assert path(grid, env, f) == want
+    A = np.vstack([np.ones(5), np.arange(5.0)])
+    x, _ = lp.simplex_solve(np.arange(5.0), A, np.array([1.0, 2.0]), senses="==")
+    want = x.tolist()
+    x[:] = 7.0
+    x, _ = lp.simplex_solve(np.arange(5.0), A, np.array([1.0, 2.0]), senses="==")
+    assert x.tolist() == want
 
 
 def test_simplex_rejects_interval_mean_band():
@@ -208,6 +464,11 @@ def test_infeasible_envelope_errors():
 def test_off_grid_toll_rejected():
     with pytest.raises(ValueError, match="not on the price grid"):
         solve_nature_ufn(WIDE, WIDE_ENV, 405.0)
+    for solver in (solve_nature_ufn, solve_nature_an, brute_force_nature):
+        with pytest.raises(ValueError, match="toll must be finite"):
+            solver(WIDE, WIDE_ENV, math.nan)
+    with pytest.raises(ValueError, match="toll must be finite"):
+        solve_nature_two_point(WIDE, 500.0, 60.0, 50, math.nan)
 
 
 def test_solver_is_deterministic():

@@ -261,3 +261,10 @@ def test_emit_validation():
         emit_nature_miqp(WIDE, WIDE_ENV, 3, big_M=500.0)
     with pytest.raises(ValueError, match="not on the price grid"):
         emit_nature_miqp(WIDE, WIDE_ENV, 3, r=123.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="big_M must be finite"):
+            emit_nature_miqp(WIDE, WIDE_ENV, 3, big_M=bad)
+        with pytest.raises(ValueError, match="toll must be finite"):
+            emit_nature_miqp(WIDE, WIDE_ENV, 3, r=bad)
+        with pytest.raises(ValueError, match="toll must be finite"):
+            solve_nature_miqp_exact(WIDE, WIDE_ENV, 3, bad)
