@@ -15,14 +15,20 @@ Exit codes: 0 success, 1 missing input file (path in the message),
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
 import numpy as np
 
 from .config import RunConfig, parse_config
-from .core import CostHistory, MomentEnvelope, PriceGrid, estimate_moment_envelope
+from .core import (
+    CostHistory,
+    MomentEnvelope,
+    PriceGrid,
+    estimate_moment_envelope,
+    flag,
+    read_rows,
+)
 from .experiments import (
     FAMILIES,
     FORMAT_VERSION,
@@ -48,7 +54,7 @@ from .ingest import (
     skeleton_to_network,
 )
 from .nature import solve_nature_an, solve_nature_ufn
-from .network import allocate_arc_tolls, load_network, write_network
+from .network import allocate_arc_tolls, load_network, read_arcs, write_network
 from .pricing import (
     emit_nature_miqp,
     epsilon_sweep_robust_toll,
@@ -210,58 +216,28 @@ def _cmd_emit_mip(args: argparse.Namespace) -> int:
 
 
 def _load_bounds(path: str) -> tuple[list[str], np.ndarray]:
-    names: list[str] = []
-    values: list[float] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["path", "bound"]:
-            raise ValueError(f"{path}: expected header 'path,bound'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            name = row[0].strip()
-            if name in names:
-                raise ValueError(f"{path}:{lineno}: duplicate path {name!r}")
-            try:
-                bound = float(row[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad bound {row[1]!r}") from exc
-            names.append(name)
-            values.append(bound)
+    table = read_rows(path, "path,bound", (str.strip, float))
+    names, bounds = table.columns
     if not names:
-        raise ValueError(f"{path}: no path bounds")
-    return names, np.asarray(values)
+        raise ValueError(f"{table.where}: no path bounds")
+    for row, name in enumerate(names):
+        if names.index(name) != row:
+            raise table.error(row, f"duplicate path {name!r}")
+    return names, np.asarray(bounds)
 
 
 def _load_incidence(path: str, path_names: list[str]) -> tuple[list[str], np.ndarray]:
-    entries: dict[tuple[str, str], int] = {}
-    arc_names: list[str] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["path", "arc", "used"]:
-            raise ValueError(f"{path}: expected header 'path,arc,used'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            name, arc, used = (field.strip() for field in row)
-            if name not in path_names:
-                raise ValueError(f"{path}:{lineno}: unknown path {name!r}")
-            if used not in ("0", "1"):
-                raise ValueError(f"{path}:{lineno}: 'used' must be 0 or 1")
-            if arc not in arc_names:
-                arc_names.append(arc)
-            entries[(name, arc)] = int(used)
-    if not arc_names:
-        raise ValueError(f"{path}: no incidence rows")
+    table = read_rows(path, "path,arc,used", (str.strip, str.strip, flag))
+    names, arcs, used = table.columns
+    if not names:
+        raise ValueError(f"{table.where}: no incidence rows")
+    for row, name in enumerate(names):
+        if name not in path_names:
+            raise table.error(row, f"unknown path {name!r}")
+    arc_names = list(dict.fromkeys(arcs))
     matrix = np.zeros((len(path_names), len(arc_names)), dtype=int)
-    for (name, arc), used in entries.items():
-        matrix[path_names.index(name), arc_names.index(arc)] = used
+    for name, arc, value in zip(names, arcs, used):  # a repeated row overrides
+        matrix[path_names.index(name), arc_names.index(arc)] = value
     return arc_names, matrix
 
 
@@ -377,18 +353,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _network_endpoints(arcs_path: str) -> tuple[str, str]:
     """First and last node name (sorted) from an arcs CSV."""
-    nodes: set[str] = set()
-    with open(arcs_path, newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader, None)
-        for row in reader:
-            if len(row) >= 2:
-                nodes.add(row[0].strip())
-                nodes.add(row[1].strip())
+    arcs = read_arcs(arcs_path)
+    nodes = sorted({arc.tail for arc in arcs} | {arc.head for arc in arcs})
     if len(nodes) < 2:
         raise ValueError(f"{arcs_path}: fewer than two nodes")
-    ordered = sorted(nodes)
-    return ordered[0], ordered[-1]
+    return nodes[0], nodes[-1]
 
 
 def _cmd_real_exp(args: argparse.Namespace) -> int:

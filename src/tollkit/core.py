@@ -14,12 +14,14 @@ snapping and enumeration are exact.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +35,7 @@ __all__ = [
     "expected_revenue",
     "expected_user_cost",
     "relative_regret",
+    "read_rows",
 ]
 
 # Feasibility tolerance on probability masses and moment constraints.
@@ -47,6 +50,95 @@ def require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def flag(text: str) -> bool:
+    """A 0/1 field."""
+    text = text.strip()
+    if text not in ("0", "1"):
+        raise ValueError(f"must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
+def _all_finite(values: list) -> bool:
+    """True when no value is a NaN or infinite float."""
+    try:
+        # NaN and infinities survive any sum; a finite sum clears them all.
+        if math.isfinite(sum(values)):
+            return True
+    except (TypeError, OverflowError):  # text, blanks, huge integers
+        pass
+    return not any(isinstance(v, float) and not math.isfinite(v) for v in values)
+
+
+class Table(NamedTuple):
+    """Converted data rows of one CSV input, stored by column.
+
+    ``lines[i]`` is the file line of row ``i``; ``where`` names the input.
+    """
+
+    where: str
+    lines: list[int]
+    columns: tuple[list, ...]
+
+    def error(self, row: int, message: str) -> ValueError:
+        return ValueError(f"{self.where}:{self.lines[row]}: {message}")
+
+
+def read_rows(source, header: str, converters: Sequence[Callable[[str], object]]) -> Table:
+    """Read a CSV input, a path or a text stream, whose first line is
+    ``header`` (compared stripped and lower-cased).
+
+    Blank rows are skipped.  Every other row must have one field per header
+    name; field ``j`` is converted by ``converters[j]`` and may not be a NaN
+    or infinite float.  Every error is a ``ValueError`` that starts with
+    ``where:line:``, where ``where`` is the path or ``<stream>``.
+    """
+    names = header.split(",")
+    if hasattr(source, "read"):
+        where, handle = "<stream>", contextlib.nullcontext(source)
+    else:
+        where, handle = os.fsdecode(source), open(source, newline="")
+    with handle as stream:
+        reader = csv.reader(stream)
+        try:
+            got = next(reader, None)
+            if got is None or [h.strip().lower() for h in got] != names:
+                raise ValueError(
+                    f"{where}:1: unexpected header {','.join(got or [])!r}, "
+                    f"expected header {header!r}"
+                )
+            fields: list[str] = []  # one flat list: a live list per row slows the GC
+            lines: list[int] = []
+            for row in reader:
+                if len(row) != len(names):
+                    if "".join(row).strip():
+                        raise ValueError(
+                            f"{where}:{reader.line_num}: expected {len(names)} "
+                            f"fields, got {len(row)}"
+                        )
+                    continue
+                fields += row
+                lines.append(reader.line_num)
+        except csv.Error as exc:
+            raise ValueError(f"{where}:{reader.line_num}: {exc}") from None
+    # Convert column by column; only a failure scans rows for its line.
+    texts = [fields[j :: len(names)] for j in range(len(names))]
+    try:
+        columns = tuple(list(map(conv, col)) for conv, col in zip(converters, texts))
+    except ValueError:
+        columns = ()
+    if columns and all(map(_all_finite, columns)):
+        return Table(where, lines, columns)
+    for line, row in zip(lines, zip(*texts)):
+        for name, conv, text in zip(names, converters, row):
+            try:
+                value = conv(text)
+            except ValueError as exc:
+                raise ValueError(f"{where}:{line}: {name}: {exc}") from None
+            if not _all_finite([value]):
+                raise ValueError(f"{where}:{line}: {name} must be finite, got {text!r}")
+    return Table(where, lines, columns)  # only an overflowing sum gets here
 
 
 @dataclass(frozen=True)
@@ -262,42 +354,20 @@ class CostHistory:
         With a grid, costs are clamped into [q, Q]; a clamp rate above
         ``clamp_warn_threshold`` warns.
         """
-        close = False
-        if isinstance(source, (str, bytes)):
-            handle = open(source, "r", newline="")
-            close = True
-        else:
-            handle = source
-        try:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError("history CSV is empty")
-            if [h.strip().lower() for h in header] != ["state", "arc", "cost"]:
-                raise ValueError(f"expected header state,arc,cost, got {header}")
-            cells: dict[tuple[int, int], float] = {}
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not f.strip() for f in row):
-                    continue
-                try:
-                    s, a, c = int(row[0]), int(row[1]), float(row[2])
-                except (ValueError, IndexError) as exc:
-                    raise ValueError(f"bad history row at line {lineno}: {row}") from exc
-                cells[(s, a)] = c
-        finally:
-            if close:
-                handle.close()
-        if not cells:
-            raise ValueError("history CSV has no data rows")
-        n_states = max(s for s, _ in cells) + 1
-        n_arcs = max(a for _, a in cells) + 1
-        matrix = np.full((n_states, n_arcs), np.nan)
-        for (s, a), c in cells.items():
+        table = read_rows(source, "state,arc,cost", (int, int, float))
+        states, arcs, costs = table.columns
+        if not states:
+            raise ValueError(f"{table.where}: history CSV has no data rows")
+        for row, (s, a) in enumerate(zip(states, arcs)):
+            if s < 0 or a < 0:
+                raise table.error(row, f"state and arc must be >= 0, got {s}, {a}")
+        matrix = np.full((max(states) + 1, max(arcs) + 1), np.nan)
+        for s, a, c in zip(states, arcs, costs):  # a repeated cell overrides
             matrix[s, a] = c
         if np.isnan(matrix).any():
-            missing = np.argwhere(np.isnan(matrix))[0]
+            s, a = np.argwhere(np.isnan(matrix))[0]
             raise ValueError(
-                f"history is missing a cost for state {missing[0]}, arc {missing[1]}"
+                f"{table.where}: history is missing a cost for state {s}, arc {a}"
             )
         if grid is not None:
             clamped = np.clip(matrix, grid.q, grid.Q)
@@ -312,9 +382,9 @@ class CostHistory:
                     )
             matrix = clamped
         if T is None:
-            if n_states % windows:
+            if matrix.shape[0] % windows:
                 raise ValueError("row count not divisible by windows")
-            T = n_states // windows
+            T = matrix.shape[0] // windows
         return cls(states=matrix, T=T, windows=windows)
 
     def to_csv(self, destination: str | io.TextIOBase) -> None:

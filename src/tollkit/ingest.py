@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import PriceGrid
+from .core import PriceGrid, read_rows
 from .network import Arc, TollNetwork
 
 __all__ = [
@@ -138,47 +138,30 @@ def _parse_timestamp(text: str) -> float:
     return stamp.timestamp()
 
 
+def _optional_float(text: str) -> float | None:
+    return None if not text.strip() else float(text)
+
+
 def parse_traffic_records(source) -> tuple[SegmentRecord, ...]:
     """Parse the raw feed CSV; blank speed means missing.
 
     Records come back sorted by (segment, timestamp); duplicate
     (segment, timestamp) keys keep the last occurrence with a warning.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-        where = "<stream>"
-    else:
-        with open(source) as fh:
-            lines = fh.read().splitlines()
-        where = str(source)
-    if not lines or lines[0].strip() != RECORD_HEADER:
-        raise ValueError(f"{where}: expected header {RECORD_HEADER!r}")
+    table = read_rows(
+        source,
+        RECORD_HEADER,
+        (_parse_timestamp, str.strip, _optional_float, float, float, float, float),
+    )
     seen: dict[tuple[str, float], SegmentRecord] = {}
-    duplicates = 0
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"{where}:{ln}: expected 7 fields, got {len(parts)}")
+    for row, (ts, segment, speed, x1, y1, x2, y2) in enumerate(zip(*table.columns)):
         try:
-            ts = _parse_timestamp(parts[0])
-            speed = None if parts[2].strip() == "" else float(parts[2])
-            rec = SegmentRecord(
-                timestamp=ts,
-                segment_id=parts[1],
-                speed=speed,
-                start=(float(parts[3]), float(parts[4])),
-                end=(float(parts[5]), float(parts[6])),
-            )
+            seen[(segment, ts)] = SegmentRecord(ts, segment, speed, (x1, y1), (x2, y2))
         except ValueError as exc:
-            raise ValueError(f"{where}:{ln}: {exc}") from None
-        key = (rec.segment_id, rec.timestamp)
-        if key in seen:
-            duplicates += 1
-        seen[key] = rec
+            raise table.error(row, str(exc)) from None
     if not seen:
-        raise ValueError(f"{where}: no records")
+        raise ValueError(f"{table.where}: no records")
+    duplicates = len(table.lines) - len(seen)
     if duplicates:
         warnings.warn(
             f"{duplicates} duplicate (segment, timestamp) records; kept last",

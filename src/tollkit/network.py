@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MomentEnvelope, PriceGrid, estimate_moment_envelope
+from .core import MomentEnvelope, PriceGrid, estimate_moment_envelope, flag, read_rows
 
 __all__ = [
     "Arc",
@@ -32,6 +32,7 @@ __all__ = [
     "build_parallel_equivalent",
     "allocate_arc_tolls",
     "load_network",
+    "read_arcs",
     "write_network",
 ]
 
@@ -360,68 +361,40 @@ def allocate_arc_tolls(bounds, incidence) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def read_arcs(arcs_path) -> tuple[Arc, ...]:
+    """Read an arcs CSV (`tail,head,toll_flag,length`)."""
+    table = read_rows(
+        arcs_path, "tail,head,toll_flag,length", (str.strip, str.strip, flag, float)
+    )
+    if not table.lines:
+        raise ValueError(f"{table.where}: no arcs")
+    return tuple(map(Arc, *table.columns))
+
+
 def load_network(
     arcs_path, states_path, origin: str, destination: str
 ) -> TollNetwork:
     """Read a network from an arcs CSV (`tail,head,toll_flag,length`) and a
     states CSV (`state,arc,cost`, arc = row index in the arcs file).  Every
-    (state, arc) pair must be present exactly once."""
-    arcs: list[Arc] = []
-    with open(arcs_path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != "tail,head,toll_flag,length":
-            raise ValueError(f"{arcs_path}: unexpected header {header!r}")
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{arcs_path}:{ln}: expected 4 fields")
-            try:
-                arcs.append(
-                    Arc(
-                        tail=parts[0],
-                        head=parts[1],
-                        toll_flag=bool(int(parts[2])),
-                        length=float(parts[3]),
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{arcs_path}:{ln}: {exc}") from None
-    if not arcs:
-        raise ValueError(f"{arcs_path}: no arcs")
-
-    entries: dict[tuple[int, int], float] = {}
-    with open(states_path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != "state,arc,cost":
-            raise ValueError(f"{states_path}: unexpected header {header!r}")
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{states_path}:{ln}: expected 3 fields")
-            try:
-                s, a, c = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ValueError(f"{states_path}:{ln}: {exc}") from None
-            if not 0 <= a < len(arcs):
-                raise ValueError(f"{states_path}:{ln}: arc {a} out of range")
-            entries[(s, a)] = c
-    if not entries:
-        raise ValueError(f"{states_path}: no state costs")
-    states = sorted({s for s, _ in entries})
+    (state, arc) pair must be present; a repeated pair keeps its last cost."""
+    arcs = read_arcs(arcs_path)
+    table = read_rows(states_path, "state,arc,cost", (int, int, float))
+    state_col, arc_col, cost_col = table.columns
+    if not state_col:
+        raise ValueError(f"{table.where}: no state costs")
+    for row, a in enumerate(arc_col):
+        if not 0 <= a < len(arcs):
+            raise table.error(row, f"arc {a} out of range")
+    entries = dict(zip(zip(state_col, arc_col), cost_col))
+    states = sorted(set(state_col))
     costs = np.empty((len(states), len(arcs)))
     for si, s in enumerate(states):
         for a in range(len(arcs)):
             if (s, a) not in entries:
-                raise ValueError(f"{states_path}: missing cost for state {s}, arc {a}")
+                raise ValueError(f"{table.where}: missing cost for state {s}, arc {a}")
             costs[si, a] = entries[(s, a)]
     return TollNetwork(
-        arcs=tuple(arcs), origin=origin, destination=destination, state_costs=costs
+        arcs=arcs, origin=origin, destination=destination, state_costs=costs
     )
 
 

@@ -246,6 +246,79 @@ def test_non_finite_toll_or_big_m_exits_2(tmp_path, capsys, argv, name):
     assert not (out / "model.lp").exists() and not (out / "nature.csv").exists()
 
 
+# Every CSV a subcommand reads: a valid text, and the column each bad value
+# goes into on the file's line 3.
+CSV_INPUTS = {
+    "history": (
+        "state,arc,cost\n" + "".join(f"{s},0,{100 + s % 2}\n" for s in range(50)),
+        {"text": 2, "nan": 2, "inf": 2},
+    ),
+    "feed": (
+        f"{RECORD_HEADER}\n0,ne,30,0,0,1,1\n900,ne,40,0,0,1,1\n0,nw,35,1,0,0,1\n",
+        {"text": 2, "nan": 2, "inf": 3},
+    ),
+    "arcs": (
+        "tail,head,toll_flag,length\nO,A,1,1\nA,D,0,1\nO,B,0,1\nB,D,0,1\n",
+        {"text": 3, "nan": 3, "inf": 3, "flag": 2},
+    ),
+    "states": (
+        "state,arc,cost\n"
+        + "".join(f"{s},{a},{5 + s + a}\n" for s in range(6) for a in range(4)),
+        {"text": 2, "nan": 2, "inf": 2},
+    ),
+    "bounds": ("path,bound\np1,10\np2,8\np3,5\n", {"text": 1, "nan": 1, "inf": 1}),
+    "incidence": (
+        "path,arc,used\np1,a1,0\np1,a2,1\np2,a1,1\np3,a2,1\n",
+        {"text": 2, "nan": 2, "inf": 2, "flag": 2},
+    ),
+}
+BAD_VALUES = {"text": "abc", "nan": "nan", "inf": "inf", "flag": "7"}
+
+
+def csv_command(name, paths):
+    network = ["real-exp", "--arcs", paths["arcs"], "--states", paths["states"], "--pairs", "1"]
+    allocation = ["allocate", "--bounds", paths["bounds"], "--incidence", paths["incidence"]]
+    return {
+        "history": ["price", "--history", paths["history"]],
+        "feed": ["ingest", "--records", paths["feed"]],
+        "arcs": network,
+        "states": network,
+        "bounds": allocation,
+        "incidence": allocation,
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name, case",
+    [
+        (name, case)
+        for name, (_, columns) in CSV_INPUTS.items()
+        for case in ("header", "fields", *columns)
+    ],
+    ids=lambda value: value,
+)
+def test_bad_csv_input_exits_2(tmp_path, capsys, name, case):
+    paths = {}
+    for other, (text, _) in CSV_INPUTS.items():
+        paths[other] = str(tmp_path / f"{other}.csv")
+        (tmp_path / f"{other}.csv").write_text(text)
+    lines = CSV_INPUTS[name][0].splitlines()
+    if case == "header":
+        lines[0], line = "bogus," + lines[0], 1
+    else:
+        fields, line = lines[2].split(","), 3
+        if case == "fields":
+            fields.pop()
+        else:
+            fields[CSV_INPUTS[name][1][case]] = BAD_VALUES[case]
+        lines[2] = ",".join(fields)
+    (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    code = main(csv_command(name, paths) + ["--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {paths[name]}:{line}: "), err
+
+
 # --- nature ---------------------------------------------------------------------------
 
 
