@@ -220,9 +220,7 @@ def _load_bounds(path: str) -> tuple[list[str], np.ndarray]:
     names, bounds = table.columns
     if not names:
         raise ValueError(f"{table.where}: no path bounds")
-    for row, name in enumerate(names):
-        if names.index(name) != row:
-            raise table.error(row, f"duplicate path {name!r}")
+    table.reject_duplicates(list(zip(names)), "path {!r}".format)
     return names, np.asarray(bounds)
 
 
@@ -234,9 +232,10 @@ def _load_incidence(path: str, path_names: list[str]) -> tuple[list[str], np.nda
     for row, name in enumerate(names):
         if name not in path_names:
             raise table.error(row, f"unknown path {name!r}")
+    table.reject_duplicates(list(zip(names, arcs)), "row for path {!r}, arc {!r}".format)
     arc_names = list(dict.fromkeys(arcs))
     matrix = np.zeros((len(path_names), len(arc_names)), dtype=int)
-    for name, arc, value in zip(names, arcs, used):  # a repeated row overrides
+    for name, arc, value in zip(names, arcs, used):
         matrix[path_names.index(name), arc_names.index(arc)] = value
     return arc_names, matrix
 

@@ -84,6 +84,16 @@ class Table(NamedTuple):
     def error(self, row: int, message: str) -> ValueError:
         return ValueError(f"{self.where}:{self.lines[row]}: {message}")
 
+    def reject_duplicates(self, keys: Sequence[tuple], describe: Callable[..., str]) -> None:
+        """Raise at the first row whose key tuple an earlier row already has:
+        ``FILE:LINE: duplicate <describe(*key)>; first at line N``."""
+        first: dict = {}
+        for row, key in enumerate(keys):
+            if first.setdefault(key, row) != row:
+                raise self.error(
+                    row, f"duplicate {describe(*key)}; first at line {self.lines[first[key]]}"
+                )
+
 
 def read_rows(source, header: str, converters: Sequence[Callable[[str], object]]) -> Table:
     """Read a CSV input, a path or a text stream, whose first line is
@@ -188,6 +198,11 @@ class PriceGrid:
     def snap(self, value: float) -> float:
         """Clamp into [q, Q] and round to the nearest grid value."""
         return self.value(self.index_of(value))
+
+    def snap_array(self, values: np.ndarray) -> np.ndarray:
+        """``snap`` of every value, with the same clamp and floor arithmetic."""
+        clamped = np.minimum(np.maximum(values, self.q), self.Q)
+        return self.q + self.step * np.floor((clamped - self.q) / self.step + 0.5)
 
     def contains(self, value: float, tol: float = 1e-9) -> bool:
         if not (self.q - tol <= value <= self.Q + tol):  # NaN fails too
@@ -349,7 +364,8 @@ class CostHistory:
         windows: int = 1,
         clamp_warn_threshold: float = 0.05,
     ) -> "CostHistory":
-        """Read ``state,arc,cost`` rows. Every (state, arc) cell must appear.
+        """Read ``state,arc,cost`` rows. Every (state, arc) cell must appear,
+        and only once.
 
         With a grid, costs are clamped into [q, Q]; a clamp rate above
         ``clamp_warn_threshold`` warns.
@@ -361,9 +377,9 @@ class CostHistory:
         for row, (s, a) in enumerate(zip(states, arcs)):
             if s < 0 or a < 0:
                 raise table.error(row, f"state and arc must be >= 0, got {s}, {a}")
+        table.reject_duplicates(list(zip(states, arcs)), "cost for state {}, arc {}".format)
         matrix = np.full((max(states) + 1, max(arcs) + 1), np.nan)
-        for s, a, c in zip(states, arcs, costs):  # a repeated cell overrides
-            matrix[s, a] = c
+        matrix[states, arcs] = costs
         if np.isnan(matrix).any():
             s, a = np.argwhere(np.isnan(matrix))[0]
             raise ValueError(

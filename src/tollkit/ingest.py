@@ -13,6 +13,7 @@ convention for this toolkit's data sets.
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -178,14 +179,17 @@ def write_traffic_records(records, destination) -> None:
     else:
         fh = destination
     try:
-        fh.write(RECORD_HEADER + "\n")
-        for r in records:
-            speed = "" if r.speed is None else f"{r.speed:.12g}"
-            fh.write(
-                f"{r.timestamp:.12g},{r.segment_id},{speed},"
-                f"{r.start[0]:.12g},{r.start[1]:.12g},"
-                f"{r.end[0]:.12g},{r.end[1]:.12g}\n"
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(RECORD_HEADER.split(","))
+        writer.writerows(
+            (
+                f"{r.timestamp:.12g}",
+                r.segment_id,
+                "" if r.speed is None else f"{r.speed:.12g}",
+                *(f"{x:.12g}" for x in (*r.start, *r.end)),
             )
+            for r in records
+        )
     finally:
         if close:
             fh.close()
@@ -201,7 +205,9 @@ def grid_observations(
     index = {b: i for i, b in enumerate(buckets)}
     speeds: dict[str, np.ndarray] = {}
     for r in sorted(records, key=lambda r: (r.segment_id, r.timestamp)):
-        series = speeds.setdefault(r.segment_id, np.full(len(buckets), np.nan))
+        series = speeds.get(r.segment_id)
+        if series is None:
+            series = speeds[r.segment_id] = np.full(len(buckets), np.nan)
         if r.speed is not None:
             series[index[math.floor(r.timestamp / width) * width]] = r.speed
     return ObservationGrid(timestamps=tuple(buckets), speeds=speeds)
@@ -267,6 +273,27 @@ def _crossing_params(seg_a, seg_b, tol: float) -> tuple[float, float] | None:
     return None
 
 
+def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int]]:
+    """Index pairs ``(i, j)``, ``i < j``, in lexicographic order, of the
+    axis-aligned boxes ``lo[k] <= (x, y) <= hi[k]`` that overlap.
+
+    Sort and sweep on x: after sorting by ``lo[:, 0]``, the boxes that can
+    meet box ``k`` in x follow it up to the first one starting past
+    ``hi[k, 0]``; those are then tested in y.  The work grows with the boxes
+    plus the pairs that overlap in x, never with all pairs.
+    """
+    order = np.argsort(lo[:, 0], kind="stable")
+    stop = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    count = stop - np.arange(1, len(order) + 1)  # hi >= lo: a run starts right after its box
+    pos = np.repeat(np.arange(len(order)), count)
+    partner = pos + 1 + np.arange(count.sum()) - (np.cumsum(count) - count)[pos]
+    a, b = order[pos], order[partner]
+    meet = (lo[b, 1] <= hi[a, 1]) & (lo[a, 1] <= hi[b, 1])
+    i, j = np.minimum(a, b)[meet], np.maximum(a, b)[meet]
+    pairs = np.lexsort((j, i))
+    return list(zip(i[pairs].tolist(), j[pairs].tolist()))
+
+
 def build_graph_from_segments(
     records,
     merge_tolerance: float = DEFAULT_MERGE_TOL,
@@ -279,33 +306,44 @@ def build_graph_from_segments(
     segment's endpoint does not split that segment (the merge pass unifies it
     instead).  Endpoint clusters are merged to a fixed point on centroids, so
     no two surviving nodes lie within the merge tolerance.  Zero-length arcs
-    (both endpoints in one cluster) are dropped with a warning.
+    (both endpoints in one cluster) are dropped with a warning.  Only pairs
+    whose bounding boxes, widened by the tolerance, overlap are tested, so
+    the work grows with the segments plus the near pairs.
     """
     if merge_tolerance <= 0 or crossing_tolerance <= 0:
         raise ValueError("tolerances must be positive")
-    geometry: dict[str, tuple[tuple[float, float], tuple[float, float]]] = {}
-    for r in sorted(records, key=lambda r: (r.segment_id, r.timestamp)):
-        geometry.setdefault(r.segment_id, (r.start, r.end))
+    earliest: dict[str, SegmentRecord] = {}  # ties keep the first in record order
+    for r in records:
+        seen = earliest.get(r.segment_id)
+        if seen is None or r.timestamp < seen.timestamp:
+            earliest[r.segment_id] = r
+    geometry = {s: (r.start, r.end) for s, r in earliest.items()}
     seg_ids = sorted(geometry)
 
     def seg_len(seg_id: str) -> float:
         (x1, y1), (x2, y2) = geometry[seg_id]
         return math.hypot(x2 - x1, y2 - y1)
 
-    # collect split parameters per segment from pairwise crossings
+    # collect split parameters per segment from crossings of nearby segments:
+    # _crossing_params accepts only segments that meet or come within the
+    # tolerance, so boxes widened by the whole tolerance on every side keep
+    # every such pair, with a tolerance to spare for rounding
     cuts: dict[str, list[float]] = {s: [] for s in seg_ids}
     n_splits = 0
-    for i, sa in enumerate(seg_ids):
-        for sb in seg_ids[i + 1 :]:
-            hit = _crossing_params(geometry[sa], geometry[sb], crossing_tolerance)
-            if hit is None:
-                continue
-            t, u = hit
-            for seg_id, param in ((sa, t), (sb, u)):
-                margin = crossing_tolerance / max(seg_len(seg_id), 1e-18)
-                if margin < param < 1 - margin:
-                    cuts[seg_id].append(param)
-                    n_splits += 1
+    ends = np.array([geometry[s] for s in seg_ids], dtype=float).reshape(-1, 4)
+    lo = np.minimum(ends[:, :2], ends[:, 2:]) - crossing_tolerance
+    hi = np.maximum(ends[:, :2], ends[:, 2:]) + crossing_tolerance
+    for i, j in _overlapping_boxes(lo, hi):
+        sa, sb = seg_ids[i], seg_ids[j]
+        hit = _crossing_params(geometry[sa], geometry[sb], crossing_tolerance)
+        if hit is None:
+            continue
+        t, u = hit
+        for seg_id, param in ((sa, t), (sb, u)):
+            margin = crossing_tolerance / max(seg_len(seg_id), 1e-18)
+            if margin < param < 1 - margin:
+                cuts[seg_id].append(param)
+                n_splits += 1
 
     # subdivide
     pieces: list[tuple[str, tuple[float, float], tuple[float, float]]] = []
@@ -342,14 +380,17 @@ def build_graph_from_segments(
             for r in roots
         }
         merged_any = False
-        for i, ra in enumerate(roots):
-            for rb in roots[i + 1 :]:
-                if find(ra) == find(rb):
-                    continue
-                ca, cb = centroid[ra], centroid[rb]
-                if math.hypot(ca[0] - cb[0], ca[1] - cb[1]) < merge_tolerance:
-                    parent[find(rb)] = find(ra)
-                    merged_any = True
+        # centroids closer than the tolerance are within it on each axis, so
+        # their boxes [c, c + tol] overlap (rounding of c + tol is monotone)
+        at = np.array([centroid[r] for r in roots]).reshape(-1, 2)
+        for i, j in _overlapping_boxes(at, at + merge_tolerance):
+            ra, rb = roots[i], roots[j]
+            if find(ra) == find(rb):
+                continue
+            ca, cb = centroid[ra], centroid[rb]
+            if math.hypot(ca[0] - cb[0], ca[1] - cb[1]) < merge_tolerance:
+                parent[find(rb)] = find(ra)
+                merged_any = True
         if not merged_any:
             break
 
@@ -394,6 +435,25 @@ def build_graph_from_segments(
     )
 
 
+def _raw_travel_costs(
+    skeleton: NetworkSkeleton, gridded: ObservationGrid, scale: float
+) -> np.ndarray:
+    """Per-state arc travel costs scale * length / speed, before snapping."""
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    speeds = np.empty((len(skeleton.arcs), len(gridded.timestamps)))
+    for j, arc in enumerate(skeleton.arcs):
+        if arc.segment_id not in gridded.speeds:
+            raise ValueError(f"no speed series for segment {arc.segment_id!r}")
+        speeds[j] = gridded.speeds[arc.segment_id]
+        if np.isnan(speeds[j]).any():
+            raise ValueError(f"segment {arc.segment_id!r} has missing speeds")
+        if (speeds[j] <= 0).any():
+            raise ValueError(f"segment {arc.segment_id!r} has non-positive speed")
+    lengths = np.array([arc.length for arc in skeleton.arcs])
+    return scale * lengths / speeds.T
+
+
 def travel_cost_states(
     skeleton: NetworkSkeleton,
     gridded: ObservationGrid,
@@ -402,21 +462,7 @@ def travel_cost_states(
 ) -> np.ndarray:
     """Per-state arc travel costs: scale * length / speed, snapped to the
     price grid.  Requires full speed coverage for every arc's segment."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    n_states = len(gridded.timestamps)
-    costs = np.empty((n_states, len(skeleton.arcs)))
-    for j, arc in enumerate(skeleton.arcs):
-        if arc.segment_id not in gridded.speeds:
-            raise ValueError(f"no speed series for segment {arc.segment_id!r}")
-        speeds = gridded.speeds[arc.segment_id]
-        if np.isnan(speeds).any():
-            raise ValueError(f"segment {arc.segment_id!r} has missing speeds")
-        if (speeds <= 0).any():
-            raise ValueError(f"segment {arc.segment_id!r} has non-positive speed")
-        for s in range(n_states):
-            costs[s, j] = price_grid.snap(scale * arc.length / speeds[s])
-    return costs
+    return price_grid.snap_array(_raw_travel_costs(skeleton, gridded, scale))
 
 
 def skeleton_to_network(
@@ -465,13 +511,8 @@ def ingest_to_network(
     skeleton = build_graph_from_segments(
         kept, merge_tolerance=merge_tolerance, crossing_tolerance=crossing_tolerance
     )
-    costs = travel_cost_states(skeleton, filled, scale, price_grid)
-    raw = np.array(
-        [
-            [scale * arc.length / filled.speeds[arc.segment_id][s] for arc in skeleton.arcs]
-            for s in range(len(filled.timestamps))
-        ]
-    )
+    raw = _raw_travel_costs(skeleton, filled, scale)
+    costs = price_grid.snap_array(raw)
     clamps = int(((raw < price_grid.q) | (raw > price_grid.Q)).sum())
     keys = {(r.segment_id, r.timestamp) for r in records}
     report = IngestReport(

@@ -12,6 +12,7 @@ program.
 
 from __future__ import annotations
 
+import csv
 import heapq
 import math
 from collections import Counter
@@ -205,32 +206,35 @@ def state_shortest_path_costs(
 
     ``free_only`` restricts to toll-free arcs; ``undirected`` lets every arc
     be traversed both ways (road segments recorded in arbitrary direction).
-    Unreachable states come back as ``inf``.
+    Unreachable states come back as ``inf``.  Nodes are numbered in name
+    order, so the heap breaks ties between equal distances by node name.
     """
     src = net.origin if origin is None else origin
     dst = net.destination if destination is None else destination
-    arc_ids = net.free_arcs if free_only else tuple(range(len(net.arcs)))
-    adj: dict[str, list[tuple[str, int]]] = {}
-    for i in arc_ids:
-        a = net.arcs[i]
-        adj.setdefault(a.tail, []).append((a.head, i))
+    names = sorted({*net.nodes, src, dst})
+    number = {name: k for k, name in enumerate(names)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in names]
+    for i in net.free_arcs if free_only else range(len(net.arcs)):
+        tail, head = number[net.arcs[i].tail], number[net.arcs[i].head]
+        adj[tail].append((head, i))
         if undirected:
-            adj.setdefault(a.head, []).append((a.tail, i))
+            adj[head].append((tail, i))
+    start, goal = number[src], number[dst]
     result = np.full(net.n_states, math.inf)
-    for s in range(net.n_states):
-        w = net.state_costs[s]
-        dist = {src: 0.0}
-        heap = [(0.0, src)]
+    for s, w in enumerate(net.state_costs.tolist()):
+        dist = [math.inf] * len(names)
+        dist[start] = 0.0
+        heap = [(0.0, start)]
         while heap:
             d, node = heapq.heappop(heap)
-            if node == dst:
+            if node == goal:
                 result[s] = d
                 break
-            if d > dist.get(node, math.inf):
+            if d > dist[node]:
                 continue
-            for head, i in adj.get(node, ()):
+            for head, i in adj[node]:
                 nd = d + w[i]
-                if nd < dist.get(head, math.inf):
+                if nd < dist[head]:
                     dist[head] = nd
                     heapq.heappush(heap, (nd, head))
     return result
@@ -376,7 +380,7 @@ def load_network(
 ) -> TollNetwork:
     """Read a network from an arcs CSV (`tail,head,toll_flag,length`) and a
     states CSV (`state,arc,cost`, arc = row index in the arcs file).  Every
-    (state, arc) pair must be present; a repeated pair keeps its last cost."""
+    (state, arc) pair must be present exactly once."""
     arcs = read_arcs(arcs_path)
     table = read_rows(states_path, "state,arc,cost", (int, int, float))
     state_col, arc_col, cost_col = table.columns
@@ -385,14 +389,15 @@ def load_network(
     for row, a in enumerate(arc_col):
         if not 0 <= a < len(arcs):
             raise table.error(row, f"arc {a} out of range")
-    entries = dict(zip(zip(state_col, arc_col), cost_col))
+    keys = list(zip(state_col, arc_col))
+    table.reject_duplicates(keys, "cost for state {}, arc {}".format)
     states = sorted(set(state_col))
+    if len(keys) < len(states) * len(arcs):
+        present = set(keys)
+        s, a = next((s, a) for s in states for a in range(len(arcs)) if (s, a) not in present)
+        raise ValueError(f"{table.where}: missing cost for state {s}, arc {a}")
     costs = np.empty((len(states), len(arcs)))
-    for si, s in enumerate(states):
-        for a in range(len(arcs)):
-            if (s, a) not in entries:
-                raise ValueError(f"{table.where}: missing cost for state {s}, arc {a}")
-            costs[si, a] = entries[(s, a)]
+    costs[np.searchsorted(states, state_col), arc_col] = cost_col
     return TollNetwork(
         arcs=arcs, origin=origin, destination=destination, state_costs=costs
     )
@@ -400,11 +405,16 @@ def load_network(
 
 def write_network(net: TollNetwork, arcs_path, states_path) -> None:
     with open(arcs_path, "w", newline="") as fh:
-        fh.write("tail,head,toll_flag,length\n")
-        for a in net.arcs:
-            fh.write(f"{a.tail},{a.head},{int(a.toll_flag)},{a.length:.12g}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("tail", "head", "toll_flag", "length"))
+        writer.writerows(
+            (a.tail, a.head, int(a.toll_flag), f"{a.length:.12g}") for a in net.arcs
+        )
     with open(states_path, "w", newline="") as fh:
-        fh.write("state,arc,cost\n")
-        for s in range(net.n_states):
-            for a in range(len(net.arcs)):
-                fh.write(f"{s},{a},{net.state_costs[s, a]:.12g}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("state", "arc", "cost"))
+        writer.writerows(
+            (s, a, f"{cost:.12g}")
+            for s, row in enumerate(net.state_costs.tolist())
+            for a, cost in enumerate(row)
+        )

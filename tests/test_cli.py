@@ -273,6 +273,9 @@ CSV_INPUTS = {
     ),
 }
 BAD_VALUES = {"text": "abc", "nan": "nan", "inf": "inf", "flag": "7"}
+# Inputs whose key columns may not repeat: the "duplicate" case copies line 2
+# onto line 3.
+KEYED = ("history", "states", "bounds", "incidence")
 
 
 def csv_command(name, paths):
@@ -293,7 +296,7 @@ def csv_command(name, paths):
     [
         (name, case)
         for name, (_, columns) in CSV_INPUTS.items()
-        for case in ("header", "fields", *columns)
+        for case in ("header", "fields", *columns) + (("duplicate",) if name in KEYED else ())
     ],
     ids=lambda value: value,
 )
@@ -305,6 +308,8 @@ def test_bad_csv_input_exits_2(tmp_path, capsys, name, case):
     lines = CSV_INPUTS[name][0].splitlines()
     if case == "header":
         lines[0], line = "bogus," + lines[0], 1
+    elif case == "duplicate":
+        lines[2], line = lines[1], 3
     else:
         fields, line = lines[2].split(","), 3
         if case == "fields":
@@ -317,6 +322,8 @@ def test_bad_csv_input_exits_2(tmp_path, capsys, name, case):
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith(f"error: {paths[name]}:{line}: "), err
+    if case == "duplicate":
+        assert err.rstrip().endswith("; first at line 2"), err
 
 
 # --- nature ---------------------------------------------------------------------------

@@ -117,6 +117,15 @@ def test_grid_snap_and_clamp_idempotent():
         assert g.snap(s) == s  # idempotent
 
 
+def test_grid_snap_array_matches_snap():
+    rng = np.random.default_rng(SEED)
+    for q, Q, step in ((0.0, 100.0, 5.0), (0.0, 200.0, 0.5), (-3.0, 7.5, 0.25), (10.0, 30.0, 2.5)):
+        g = PriceGrid(q, Q, step)
+        halves = g.points() + step / 2  # exact ties round up
+        values = np.concatenate([rng.uniform(q - 20.0, Q + 20.0, 300), halves, g.points()])
+        assert g.snap_array(values).tolist() == [g.snap(v) for v in values.tolist()]
+
+
 def test_grid_index_round_trip():
     g = PriceGrid(10.0, 30.0, 2.5)
     for i, p in enumerate(g.points()):

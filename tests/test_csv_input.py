@@ -111,7 +111,8 @@ def written(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-names = st.text(string.ascii_letters + string.digits, min_size=1, max_size=3)
+# Names may hold the CSV delimiter and quote: the writers must quote them.
+names = st.text(string.ascii_letters + string.digits + ',"', min_size=1, max_size=3)
 costs = st.floats(0.0, 1e12).map(written)
 signed = st.floats(-1e9, 1e9).map(written)
 non_finite = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
@@ -120,9 +121,11 @@ non_finite = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
 def corrupt(text: str, line: int, column: int, value: str) -> str:
     """``text`` with field ``column`` of file line ``line`` set to ``value``."""
     lines = text.split("\n")
-    fields = lines[line - 1].split(",")
+    (fields,) = csv.reader([lines[line - 1]])
     fields[column] = value
-    lines[line - 1] = ",".join(fields)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow(fields)
+    lines[line - 1] = out.getvalue()
     return "\n".join(lines)
 
 

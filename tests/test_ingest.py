@@ -8,10 +8,13 @@ import math
 import numpy as np
 import pytest
 
+import tollkit.ingest as ingest
 from tollkit.core import PriceGrid
 from tollkit.ingest import (
     RECORD_HEADER,
+    NetworkSkeleton,
     SegmentRecord,
+    SkeletonArc,
     build_graph_from_segments,
     grid_observations,
     ingest_to_network,
@@ -232,6 +235,179 @@ def test_graph_is_record_order_invariant():
 def test_graph_tolerance_validation():
     with pytest.raises(ValueError, match="positive"):
         build_graph_from_segments(crossing_records(), merge_tolerance=0.0)
+
+
+def all_pairs_graph(records, merge_tolerance, crossing_tolerance):
+    """Reference: the graph builder that tests every segment pair for a
+    crossing and every pair of cluster roots for a merge."""
+    geometry = {}
+    for r in sorted(records, key=lambda r: (r.segment_id, r.timestamp)):
+        geometry.setdefault(r.segment_id, (r.start, r.end))
+    seg_ids = sorted(geometry)
+
+    def seg_len(seg_id):
+        (x1, y1), (x2, y2) = geometry[seg_id]
+        return math.hypot(x2 - x1, y2 - y1)
+
+    cuts = {s: [] for s in seg_ids}
+    n_splits = 0
+    for i, sa in enumerate(seg_ids):
+        for sb in seg_ids[i + 1 :]:
+            hit = ingest._crossing_params(geometry[sa], geometry[sb], crossing_tolerance)
+            if hit is None:
+                continue
+            for seg_id, param in zip((sa, sb), hit):
+                margin = crossing_tolerance / max(seg_len(seg_id), 1e-18)
+                if margin < param < 1 - margin:
+                    cuts[seg_id].append(param)
+                    n_splits += 1
+
+    pieces = []
+    for seg_id in seg_ids:
+        (x1, y1), (x2, y2) = geometry[seg_id]
+        params = sorted({0.0, 1.0, *cuts[seg_id]})
+        for a, b in zip(params, params[1:]):
+            pa = (x1 + a * (x2 - x1), y1 + a * (y2 - y1))
+            pb = (x1 + b * (x2 - x1), y1 + b * (y2 - y1))
+            pieces.append((seg_id, pa, pb))
+
+    points = [p for _, pa, pb in pieces for p in (pa, pb)]
+    parent = list(range(len(points)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def centroids():
+        clusters = {}
+        for i in range(len(points)):
+            clusters.setdefault(find(i), []).append(i)
+        return {
+            r: (
+                sum(points[i][0] for i in members) / len(members),
+                sum(points[i][1] for i in members) / len(members),
+            )
+            for r, members in clusters.items()
+        }
+
+    merged_any = True
+    while merged_any:
+        centroid = centroids()
+        roots = sorted(centroid)
+        merged_any = False
+        for i, ra in enumerate(roots):
+            for rb in roots[i + 1 :]:
+                if find(ra) == find(rb):
+                    continue
+                ca, cb = centroid[ra], centroid[rb]
+                if math.hypot(ca[0] - cb[0], ca[1] - cb[1]) < merge_tolerance:
+                    parent[find(rb)] = find(ra)
+                    merged_any = True
+
+    centroid = centroids()
+    order = sorted(centroid, key=lambda r: centroid[r])
+    node_of_root = {r: k for k, r in enumerate(order)}
+    node_coords = tuple(centroid[r] for r in order)
+    arcs = []
+    dropped = 0
+    for k, (seg_id, _, _) in enumerate(pieces):
+        tail, head = node_of_root[find(2 * k)], node_of_root[find(2 * k + 1)]
+        if tail == head:
+            dropped += 1
+            continue
+        (x1, y1), (x2, y2) = node_coords[tail], node_coords[head]
+        arcs.append(SkeletonArc(tail, head, seg_id, math.hypot(x2 - x1, y2 - y1)))
+    return NetworkSkeleton(node_coords, tuple(arcs), n_splits, dropped)
+
+
+def random_segments(rng, tol):
+    """A mix of the shapes the geometry must get right, in the unit square
+    around a city-like origin: free segments (crossings), collinear overlaps
+    on a horizontal, a vertical and a diagonal line, T-junctions whose stem
+    ends on, just past or just short of another segment, endpoint clusters
+    inside the tolerance, and repeated records of one segment at later times
+    with other ends."""
+    x0, y0 = rng.choice([0.0, -87.6]), rng.choice([0.0, 41.8])
+    ends = []
+
+    def point():
+        return rng.uniform(0.0, 1.0, 2)
+
+    for _ in range(rng.integers(2, 12)):  # free segments
+        ends.append((point(), point()))
+    for direction in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8]):  # collinear overlaps
+        base = point() * 0.5
+        for _ in range(rng.integers(0, 3)):
+            a, b = np.sort(rng.uniform(0.0, 0.5, 2))
+            ends.append((base + a * np.array(direction), base + b * np.array(direction)))
+    for _ in range(rng.integers(1, 5)):  # T-junctions, the stem square to the bar
+        p, q = ends[rng.integers(len(ends))]
+        normal = np.array([p[1] - q[1], q[0] - p[0]]) / math.hypot(*(q - p))
+        foot = p + rng.uniform(0.1, 0.9) * (q - p) + rng.uniform(-1.5, 1.5) * tol * normal
+        side = rng.choice([-1.0, 1.0])
+        ends.append((foot, foot + side * rng.uniform(0.05, 0.5) * normal))
+    for _ in range(rng.integers(0, 3)):  # endpoint clusters inside the tolerance
+        centre = point()
+        for _ in range(rng.integers(2, 5)):
+            ends.append((centre + rng.uniform(-0.6, 0.6, 2) * tol, point()))
+    records = []
+    for k, (p, q) in enumerate(ends):
+        start, end = (x0 + p[0], y0 + p[1]), (x0 + q[0], y0 + q[1])
+        if start == end:
+            continue
+        records.append(rec(float(rng.integers(0, 3) * 900), f"s{k}", 30.0, start, end))
+        if rng.uniform() < 0.2:  # a later record of the same segment
+            records.append(rec(records[-1].timestamp + 900.0, f"s{k}", 20.0, end, start))
+    order = rng.permutation(len(records))
+    return [records[i] for i in order]
+
+
+@pytest.mark.filterwarnings("ignore:.*zero-length")
+@pytest.mark.parametrize(
+    "merge_tol, crossing_tol", [(1e-4, 1e-4), (1e-3, 1e-2), (0.05, 0.02), (0.1, 0.1)]
+)
+def test_graph_matches_all_pairs_reference(merge_tol, crossing_tol):
+    rng = np.random.default_rng([SEED, int(merge_tol * 1e4), int(crossing_tol * 1e4)])
+    for _ in range(40):
+        records = random_segments(rng, max(merge_tol, crossing_tol))
+        fast = build_graph_from_segments(records, merge_tol, crossing_tol)
+        assert fast == all_pairs_graph(records, merge_tol, crossing_tol)
+
+
+def lattice_records(blocks, spacing=0.01):
+    """A street lattice of ``blocks`` x ``blocks`` blocks, one segment per
+    block side, with the nodes jittered well inside a block."""
+    rng = np.random.default_rng(SEED)
+    n = blocks + 1
+    node = (rng.uniform(-0.1, 0.1, (n, n, 2)) + np.dstack(np.mgrid[0:n, 0:n])) * spacing
+    at = lambda i, j: (float(node[i, j, 0]), float(node[i, j, 1]))  # noqa: E731
+    records = []
+    for i in range(n):
+        for j in range(n):
+            for di, dj in ((1, 0), (0, 1)):
+                if i + di < n and j + dj < n:
+                    seg = f"{i}-{j}-{di}"
+                    records.append(rec(0.0, seg, 30.0, at(i, j), at(i + di, j + dj)))
+    return records
+
+
+def test_crossing_tests_grow_with_near_pairs(monkeypatch):
+    records = lattice_records(30)
+    assert len(records) == 1860  # all pairs would be 1,728,870 crossing tests
+    calls = 0
+    exact = ingest._crossing_params
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return exact(*args)
+
+    monkeypatch.setattr(ingest, "_crossing_params", counted)
+    skel = build_graph_from_segments(records)
+    assert calls <= 4 * len(records)
+    assert (len(skel.node_coords), len(skel.arcs), skel.n_splits) == (31 * 31, 1860, 0)
 
 
 # --- travel costs and the full pipeline -----------------------------------------

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -161,6 +164,68 @@ def test_shortest_path_unreachable_is_inf():
     # undirected traversal makes D reachable through A
     undirected = state_shortest_path_costs(net, undirected=True)
     assert undirected.tolist() == [2.0, 2.0]
+
+
+def string_keyed_shortest_paths(net, origin, destination, free_only, undirected):
+    """Reference: Dijkstra on node names, with dict distances and numpy costs."""
+    arc_ids = net.free_arcs if free_only else tuple(range(len(net.arcs)))
+    adj = {}
+    for i in arc_ids:
+        a = net.arcs[i]
+        adj.setdefault(a.tail, []).append((a.head, i))
+        if undirected:
+            adj.setdefault(a.head, []).append((a.tail, i))
+    result = np.full(net.n_states, math.inf)
+    for s in range(net.n_states):
+        w = net.state_costs[s]
+        dist = {origin: 0.0}
+        heap = [(0.0, origin)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if node == destination:
+                result[s] = d
+                break
+            if d > dist.get(node, math.inf):
+                continue
+            for head, i in adj.get(node, ()):
+                nd = d + w[i]
+                if nd < dist.get(head, math.inf):
+                    dist[head] = nd
+                    heapq.heappush(heap, (nd, head))
+    return result
+
+
+@pytest.mark.parametrize("undirected, free_only", itertools.product([False, True], repeat=2))
+def test_shortest_paths_match_string_keyed_reference(undirected, free_only):
+    rng = np.random.default_rng([SEED, undirected, free_only])
+    # Few cost levels: equal-cost ties, zero-cost arcs, and sums whose last
+    # bit depends on the order they are added in (0.1 + 0.2 != 0.3).
+    levels = np.array([0.0, 0.1, 0.2, 0.3, 1 / 3, 0.7, 1.0])
+    for _ in range(60):
+        n_nodes = int(rng.integers(2, 14))
+        names = [f"n{k}" for k in rng.permutation(n_nodes)]  # "n10" sorts before "n2"
+        arcs, parallel = [], Counter()
+        for _ in range(int(rng.integers(1, 3 * n_nodes))):
+            tail, head = rng.choice(names, 2, replace=False)
+            if parallel[tail, head] < 2:
+                parallel[tail, head] += 1
+                arcs.append(Arc(str(tail), str(head), bool(rng.uniform() < 0.3)))
+        costs = rng.choice(levels, (int(rng.integers(1, 5)), len(arcs)))
+        if not undirected:
+            # With -1e-9, the least cost a network accepts, the distances
+            # depend on the order nodes leave the heap, so ties must break by
+            # name.  It goes on arcs that run forward in the order of
+            # ``names``; arcs that run backward cost at least 0.1, so no
+            # cycle is negative.
+            forward = np.array([names.index(a.tail) < names.index(a.head) for a in arcs])
+            costs[(rng.uniform(size=costs.shape) < 0.3) & forward] = -1e-9
+            costs[(costs == 0.0) & ~forward] = 0.1
+        net = TollNetwork(tuple(arcs), names[0], names[1], costs)
+        ends = names + ["elsewhere"]  # isolated nodes and an unknown name: unreachable
+        for origin, destination in itertools.product(ends, ends):
+            got = state_shortest_path_costs(net, origin, destination, free_only, undirected)
+            want = string_keyed_shortest_paths(net, origin, destination, free_only, undirected)
+            assert np.array_equal(got, want), (origin, destination)
 
 
 def test_margin_series_fixtures():
