@@ -12,14 +12,15 @@ support inside [q, Q]}`` to hurt the toll-setter.  Two objectives:
 On a finite price grid the problem is a small linear program once the mean
 is pinned: three rows (total mass, mean, second moment), so optimal basic
 solutions carry at most three support points.  ``solve_nature_ufn`` /
-``solve_nature_an`` enumerate those supports exactly, sweeping the mean
-band through closed-form candidate points; a dense-simplex fast path covers
-point mean bands on fine grids.  Only the objective depends on the toll,
-so both paths do the toll-independent half once per envelope: the
-enumeration keeps a per-envelope table of the feasible candidates and of
-the triples that can still win (``_envelope_table``), and the simplex
-starts every phase 2 from the same phase-1 tableau (``lp``).  A BR curve
-then costs one table plus a short pass per toll.
+``solve_nature_an`` take one grid toll or a 1-D array of them (one solution
+per toll).  Point mean bands on grids above ``AUTO_SIMPLEX_MIN`` points are
+solved by ``lp``'s dense simplex, every toll of the call in one stacked
+solve from one shared phase-1 tableau.  Other envelopes enumerate the
+supports exactly, sweeping the mean band through closed-form candidate
+points, one toll at a time on a per-envelope table of the feasible
+candidates and of the triples that can still win (``_envelope_table``).
+Only the objective depends on the toll, so either way a BR curve costs the
+toll-independent half once.
 
 ``solve_nature_two_point`` is the heuristic search over integer-period
 two-point responses; its per-count table (``first_feasible_lower``) and
@@ -129,11 +130,13 @@ class TwoPointResponse:
 # ---------------------------------------------------------------------------
 
 
-def _objective_vector(points: np.ndarray, r: float, objective: str) -> np.ndarray:
+def _objective_vector(points: np.ndarray, r, objective: str) -> np.ndarray:
+    """Nature's cost per grid point at toll ``r``; a column of tolls gives
+    one row per toll."""
     if objective == "ufn":
         return np.minimum(points, r)
     if objective == "an":
-        return np.where(points >= r, float(r), 0.0)
+        return np.where(points >= r, r, 0.0)
     raise ValueError(f"unknown objective {objective!r}")
 
 
@@ -493,9 +496,11 @@ def _enumerate_minimum(
     return best.objective, best.support, best.masses
 
 
-def _simplex_minimum(
-    grid: PriceGrid, env: MomentEnvelope, f: np.ndarray
-) -> tuple[float, list[float], list[float]]:
+def _simplex_minima(
+    grid: PriceGrid, env: MomentEnvelope, F: np.ndarray
+) -> list[tuple[float, list[float], list[float]]]:
+    """``(objective, support, masses)`` for each objective row of ``F``, all
+    rows in one ``simplex_solve`` call."""
     if abs(env.u_upper - env.u_lower) > 1e-12:
         raise ValueError("simplex path requires a point mean band")
     points = grid.points()
@@ -506,33 +511,33 @@ def _simplex_minimum(
     A = np.vstack([np.ones_like(points), points * scale1, points * points * scale2])
     b = np.array([1.0, mu * scale1, cap * scale2])
     try:
-        x, obj = simplex_solve(f, A, b, senses="==<")
+        X, objs = simplex_solve(F, A, b, senses="==<")
     except LpInfeasible as exc:
         raise ValueError(
             "no grid-supported distribution satisfies the moment envelope"
         ) from exc
-    keep = x > 1e-11
-    support = points[keep].tolist()
-    masses = x[keep].tolist()
-    return float(obj), support, masses
+    minima = []
+    for x, obj in zip(X, objs.tolist()):
+        keep = x > 1e-11
+        minima.append((obj, points[keep].tolist(), x[keep].tolist()))
+    return minima
 
 
 def _minimize_worst_case(
-    grid: PriceGrid, env: MomentEnvelope, f: np.ndarray
-) -> tuple[list[float], list[float]]:
+    grid: PriceGrid, env: MomentEnvelope, F: np.ndarray
+) -> list[tuple[list[float], list[float]]]:
+    """Nature's ``(support, masses)`` for each objective row of ``F``."""
     env.validate_against(grid)
     n = grid.n_points
     if abs(env.u_upper - env.u_lower) <= 1e-12 and n > AUTO_SIMPLEX_MIN:
-        _, support, masses = _simplex_minimum(grid, env, f)
-        return support, masses
+        return [(support, masses) for _, support, masses in _simplex_minima(grid, env, F)]
     if n > ENUM_CAP:
         raise ValueError(
             f"grid has {n} points; exact support enumeration is capped at "
             f"{ENUM_CAP}. Coarsen the grid, or pin the mean band to a "
             f"point to use the simplex path."
         )
-    _, support, masses = _enumerate_minimum(grid, env, f)
-    return support, masses
+    return [_enumerate_minimum(grid, env, f)[1:] for f in F]
 
 
 def _package(
@@ -557,20 +562,43 @@ def _package(
     )
 
 
-def solve_nature_ufn(grid: PriceGrid, env: MomentEnvelope, r: float) -> NatureSolution:
-    """Minimize the commuter's expected cost E[min(c, r)] over the envelope."""
-    grid.require_toll(r)
-    f = _objective_vector(grid.points(), r, "ufn")
-    support, masses = _minimize_worst_case(grid, env, f)
-    return _package(support, masses, env, r, "ufn")
+def _solve_nature(
+    grid: PriceGrid, env: MomentEnvelope, r, objective: str
+) -> NatureSolution | tuple[NatureSolution, ...]:
+    tolls = np.asarray(r, dtype=float)
+    if tolls.ndim > 1:
+        raise ValueError("tolls must be one toll or a 1-D array of tolls")
+    tolls = tolls.reshape(-1).tolist()
+    for toll in tolls:
+        grid.require_toll(toll)
+    F = _objective_vector(grid.points(), np.array(tolls)[:, None], objective)
+    solutions = tuple(
+        _package(support, masses, env, toll, objective)
+        for (support, masses), toll in zip(_minimize_worst_case(grid, env, F), tolls)
+    )
+    return solutions if np.ndim(r) else solutions[0]
 
 
-def solve_nature_an(grid: PriceGrid, env: MomentEnvelope, r: float) -> NatureSolution:
-    """Minimize toll revenue r * P(c >= r) over the envelope."""
-    grid.require_toll(r)
-    f = _objective_vector(grid.points(), r, "an")
-    support, masses = _minimize_worst_case(grid, env, f)
-    return _package(support, masses, env, r, "an")
+def solve_nature_ufn(
+    grid: PriceGrid, env: MomentEnvelope, r
+) -> NatureSolution | tuple[NatureSolution, ...]:
+    """Minimize the commuter's expected cost E[min(c, r)] over the envelope.
+
+    ``r`` is one grid toll, giving one ``NatureSolution``, or a 1-D array
+    of grid tolls, giving a tuple with one solution per toll.
+    """
+    return _solve_nature(grid, env, r, "ufn")
+
+
+def solve_nature_an(
+    grid: PriceGrid, env: MomentEnvelope, r
+) -> NatureSolution | tuple[NatureSolution, ...]:
+    """Minimize toll revenue r * P(c >= r) over the envelope.
+
+    ``r`` is one grid toll, giving one ``NatureSolution``, or a 1-D array
+    of grid tolls, giving a tuple with one solution per toll.
+    """
+    return _solve_nature(grid, env, r, "an")
 
 
 # ---------------------------------------------------------------------------

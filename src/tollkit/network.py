@@ -208,6 +208,10 @@ def state_shortest_path_costs(
     be traversed both ways (road segments recorded in arbitrary direction).
     Unreachable states come back as ``inf``.  Nodes are numbered in name
     order, so the heap breaks ties between equal distances by node name.
+    Raises ValueError, naming the state, when the search runs into a
+    negative-cost cycle (costs may be as low as -1e-9, and an undirected
+    arc of negative cost is such a cycle): a path that improves on a node's
+    distance with as many arcs as there are nodes must repeat a node.
     """
     src = net.origin if origin is None else origin
     dst = net.destination if destination is None else destination
@@ -224,6 +228,7 @@ def state_shortest_path_costs(
     for s, w in enumerate(net.state_costs.tolist()):
         dist = [math.inf] * len(names)
         dist[start] = 0.0
+        arcs_to = [0] * len(names)  # arcs on the path that set dist
         heap = [(0.0, start)]
         while heap:
             d, node = heapq.heappop(heap)
@@ -236,6 +241,12 @@ def state_shortest_path_costs(
                 nd = d + w[i]
                 if nd < dist[head]:
                     dist[head] = nd
+                    arcs_to[head] = arcs_to[node] + 1
+                    if arcs_to[head] >= len(names):
+                        raise ValueError(
+                            f"state {s}: a negative-cost cycle is reachable from {src!r}; "
+                            f"shortest paths are undefined"
+                        )
                     heapq.heappush(heap, (nd, head))
     return result
 

@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import MomentEnvelope, PriceGrid, TollQuote, require_finite
 from .nature import (
-    NatureSolution,
     TwoPointResponse,
     first_feasible_lower,
     solve_nature_ufn,
@@ -116,20 +115,19 @@ def epsilon_sweep_robust_toll(
     """For each usage level eps in {1/T, ..., 1}, walk the grid downward to
     the largest toll whose worst-case response keeps usage probability >= eps,
     and return the toll with the best guaranteed revenue eps * r_eps (ties
-    break to the lower toll).  Nature solves are memoized; the walk resumes
-    where the previous level stopped, since r_eps can only fall as eps rises.
+    break to the lower toll).  The walk resumes where the previous level
+    stopped, since r_eps can only fall as eps rises.
+
+    ``nature`` is called once, as ``nature(grid, env, grid.points())``, and
+    must return one ``NatureSolution`` per grid toll, in grid order, as
+    ``solve_nature_ufn`` and ``solve_nature_an`` do for an array of tolls.
+    Every toll is solved, including those below where the walk stops.
     """
     env.validate_against(grid)
     if T < 1:
         raise ValueError("T must be >= 1")
     points = grid.points()
-    cache: dict[int, float] = {}
-
-    def usage_at(i: int) -> float:
-        if i not in cache:
-            sol: NatureSolution = nature(grid, env, float(points[i]))
-            cache[i] = sol.usage_probability
-        return cache[i]
+    usage = [sol.usage_probability for sol in nature(grid, env, points)]
 
     curve: dict[float, float] = {}
     pointer = points.size - 1
@@ -138,7 +136,7 @@ def epsilon_sweep_robust_toll(
     best_eps = 0.0
     for k in range(1, T + 1):
         eps = k / T
-        while pointer >= 0 and usage_at(pointer) < eps - 1e-9:
+        while pointer >= 0 and usage[pointer] < eps - 1e-9:
             pointer -= 1
         if pointer < 0:
             break

@@ -492,6 +492,22 @@ def test_ingest_then_real_exp(tmp_path, capsys):
         assert (exp_dir / name).read_bytes() == (rerun_dir / name).read_bytes()
 
 
+def test_real_exp_negative_cycle_exits_2(tmp_path, capsys):
+    # real-exp searches undirected, so the arc a-d of cost -1e-9 in state 0
+    # is a negative cycle.
+    arcs = tmp_path / "arcs.csv"
+    arcs.write_text("tail,head,toll_flag,length\na,b,0,1\nb,c,1,1\nc,d,0,1\na,d,0,1\n")
+    states = tmp_path / "states.csv"
+    costs = ((1, 2, 1, -1e-9), (1, 1, 1, 1))
+    states.write_text(
+        "state,arc,cost\n"
+        + "".join(f"{s},{a},{c}\n" for s, row in enumerate(costs) for a, c in enumerate(row))
+    )
+    argv = ["real-exp", "--arcs", str(arcs), "--states", str(states), "--pairs", "6"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    assert "state 0: a negative-cost cycle" in capsys.readouterr().err
+
+
 # --- simulate -----------------------------------------------------------------------------
 
 

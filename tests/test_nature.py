@@ -23,7 +23,7 @@ from tollkit.nature import (
     _moment_tols,
     _objective_vector,
     _package,
-    _simplex_minimum,
+    _simplex_minima,
     brute_force_nature,
     first_feasible_lower,
     pick_worst,
@@ -55,6 +55,12 @@ def random_instance(rng: np.random.Generator):
     env = MomentEnvelope(lo, hi, kappa)
     r = float(rng.choice(grid.points()))
     return grid, env, r
+
+
+def _simplex_minimum(grid, env, f):
+    """One objective vector through the stacked simplex path."""
+    (minimum,) = _simplex_minima(grid, env, f[None])
+    return minimum
 
 
 def solve_on_path(path, grid, env, r, objective):

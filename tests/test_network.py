@@ -166,6 +166,16 @@ def test_shortest_path_unreachable_is_inf():
     assert undirected.tolist() == [2.0, 2.0]
 
 
+def test_shortest_path_negative_cycle_raises_naming_the_state():
+    # An undirected arc of negative cost is a negative cycle (there and
+    # back); the search used to lower the two distances forever.
+    arcs = (Arc("O", "A", False), Arc("A", "D", False))
+    net = TollNetwork(arcs, "O", "D", [[1.0, 1.0], [-1e-9, 1.0]])
+    assert state_shortest_path_costs(net).tolist() == [2.0, 1.0 - 1e-9]
+    with pytest.raises(ValueError, match="state 1: a negative-cost cycle"):
+        state_shortest_path_costs(net, undirected=True)
+
+
 def string_keyed_shortest_paths(net, origin, destination, free_only, undirected):
     """Reference: Dijkstra on node names, with dict distances and numpy costs."""
     arc_ids = net.free_arcs if free_only else tuple(range(len(net.arcs)))

@@ -14,7 +14,7 @@ from tollkit.core import (
     expected_revenue,
     expected_user_cost,
 )
-from tollkit.nature import solve_nature_an, solve_nature_two_point
+from tollkit.nature import solve_nature_an, solve_nature_two_point, solve_nature_ufn
 from tollkit.pricing import (
     RobustTollResult,
     deterministic_toll,
@@ -63,6 +63,91 @@ def test_epsilon_sweep_anchor_and_ordering():
     # response the least; the chosen tolls order the same way here
     tp = two_point_robust_toll(WIDE, WIDE_ENV, T50)
     assert an.toll <= ufn.toll <= tp.toll
+
+
+def lazy_sweep(grid, env, T, nature):
+    """The epsilon sweep with one memoized nature solve per toll the walk
+    visits, as it ran before nature took every toll in one call."""
+    points = grid.points()
+    cache = {}
+
+    def usage_at(i):
+        if i not in cache:
+            cache[i] = nature(grid, env, float(points[i])).usage_probability
+        return cache[i]
+
+    curve, pointer = {}, points.size - 1
+    best_value, best_toll, best_eps = -math.inf, None, 0.0
+    for k in range(1, T + 1):
+        eps = k / T
+        while pointer >= 0 and usage_at(pointer) < eps - 1e-9:
+            pointer -= 1
+        if pointer < 0:
+            break
+        r_eps = float(points[pointer])
+        value = eps * r_eps * T
+        curve[r_eps] = max(curve.get(r_eps, -math.inf), value)
+        if value > best_value + 1e-12 or (
+            value >= best_value - 1e-12 and best_toll is not None and r_eps < best_toll
+        ):
+            best_value, best_toll, best_eps = value, r_eps, eps
+    return best_toll, best_eps, list(curve.items()), len(cache)
+
+
+def test_sweep_matches_lazy_per_toll_walk():
+    rng = np.random.default_rng(SEED + 2)
+    cases = [
+        # kappa = 0 pins nature to the point mass at the mean: usage is 1 up
+        # to the mean, so the lazy walk never visits the tolls below it
+        (PriceGrid(0.0, 120.0, 1.0), MomentEnvelope(37.0, 37.0, 0.0), solve_nature_ufn),
+        (PriceGrid(0.0, 60.0, 2.0), MomentEnvelope(21.0, 27.0, 3.0), solve_nature_an),
+    ]
+    for nature in (solve_nature_ufn, solve_nature_an) * 3:
+        n = int(rng.integers(42, 160))
+        grid = PriceGrid(0.0, float(n - 1), 1.0)
+        mu = float(rng.choice(grid.points()[1:-1]))
+        kappa = float(rng.choice([0.25, 1.0, 4.0, 20.0]))
+        cases.append((grid, MomentEnvelope(mu, mu, kappa), nature))
+    for _ in range(4):
+        grid = PriceGrid(0.0, float(rng.integers(12, 30)), 1.0)
+        lo = float(rng.uniform(1.0, grid.Q - 2.0))
+        hi = float(rng.uniform(lo, grid.Q - 1.0))
+        env = MomentEnvelope(lo, hi, float(rng.choice([0.5, 2.0])))
+        nature = solve_nature_an if rng.uniform() < 0.5 else solve_nature_ufn
+        cases.append((grid, env, nature))
+    visited = []
+    for grid, env, nature in cases:
+        res = epsilon_sweep_robust_toll(grid, env, T50, nature=nature)
+        toll, eps, curve, solves = lazy_sweep(grid, env, T50, nature)
+        got = (res.toll, res.epsilon, list(res.br_curve.items()))
+        assert got == (toll, eps, curve), (grid, env, nature)
+        visited.append(solves / grid.n_points)
+    assert visited[0] < 0.75  # the kappa = 0 walk stops early
+
+
+def test_nature_takes_an_array_of_tolls():
+    for grid, env in (
+        (PriceGrid(0.0, 80.0, 1.0), MomentEnvelope(30.0, 30.0, 2.0)),  # simplex
+        (PriceGrid(0.0, 20.0, 1.0), MomentEnvelope(8.0, 11.0, 1.0)),  # enumeration
+    ):
+        for solve in (solve_nature_ufn, solve_nature_an):
+            tolls = grid.points()[::-3]
+            batch = solve(grid, env, tolls)
+            assert isinstance(batch, tuple) and len(batch) == tolls.size
+            for r, sol in zip(tolls.tolist(), batch):
+                one = solve(grid, env, r)
+                assert sol.distribution.support.tolist() == one.distribution.support.tolist()
+                assert sol.distribution.mass.tolist() == one.distribution.mass.tolist()
+                assert (sol.objective_value, sol.usage_probability, sol.active_constraints) == (
+                    one.objective_value,
+                    one.usage_probability,
+                    one.active_constraints,
+                )
+            assert solve(grid, env, tolls[:0]) == ()
+            with pytest.raises(ValueError, match="not on the price grid"):
+                solve(grid, env, np.array([tolls[0], 0.5]))
+            with pytest.raises(ValueError, match="1-D array"):
+                solve(grid, env, tolls[None])
 
 
 def test_two_point_curve_matches_direct_assembly():
