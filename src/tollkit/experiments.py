@@ -5,7 +5,8 @@ expanded into independent substreams keyed by (kind, trial, link, channel),
 so every trial is reproducible in isolation and the family-choice stream of
 the mixed experiment never touches the cost stream.  Pinning the mixed
 family pool to a single family therefore reproduces the fixed-family run
-bit for bit.
+bit for bit.  The drivers seed a block of trials at once: one array pass
+derives every cell's stream state, and one Generator is re-seeded per cell.
 
 Each link's distribution parameters are drawn once per run (their own
 substream) and shared by every history and evaluation trial: a history
@@ -34,7 +35,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,6 +83,21 @@ _KIND_ASSIGN = 4
 _KIND_PARAMS = 5
 
 _FLOAT_FMT = "%.12g"
+
+# numpy's SeedSequence hash constants and default pool size, and PCG64's
+# 128-bit LCG multiplier (numpy/random/bit_generator.pyx, pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
+# float64 entries per block of trials; one cell's seed (its Python-int
+# state and the words it is hashed from) counts as _SEED_ENTRIES of them
+_BLOCK_ELEMENTS = 1 << 15
+_SEED_ENTRIES = 64
 
 
 @dataclass(frozen=True)
@@ -218,10 +234,125 @@ class RealDataResult:
     n_skipped: int
 
 
+def _hashmixer(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """numpy's SeedSequence ``hashmix`` over uint32 arrays.  Its hash
+    constant steps the same way whatever the data, so it is a Python int."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return out ^ (out >> np.uint32(16))
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` seeded by ``SeedSequence(entropy=row)`` for
+    each row of an (N, L) uint32 entropy array.
+
+    The SeedSequence pool mixing and ``generate_state(4, uint64)`` run as
+    uint32 array arithmetic over the rows; PCG64's ``set_seed`` (state 0,
+    inc = 2 seq + 1, step, add the seed, step) runs in Python ints.
+    """
+    n, length = entropy.shape
+    hashmix = _hashmixer(_INIT_A, _MULT_A)
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, length):
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
+    hashmix = _hashmixer(_INIT_B, _MULT_B)
+    words = [hashmix(pool[i % _POOL]).astype(np.uint64) for i in range(8)]
+    # little-endian word pairs: seed high, seed low, seq high, seq low
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        (words[2 * j] | words[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)
+    )
+    seeds = []
+    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
+        state = (((inc + (s_hi << 64 | s_lo)) & _MASK128) * _PCG_MULT + inc) & _MASK128
+        seeds.append((state, inc))
+    return seeds
+
+
+def _int_words(value: int) -> list[int]:
+    """SeedSequence's uint32 words of a nonnegative int, least significant
+    first (0 is one word)."""
+    if value < 0:
+        raise ValueError("seed and key entries must be nonnegative integers")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _cell_seeds(seed: int, *key) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``SeedSequence(entropy=(seed, *key))`` for
+    every cell.  Key entries are ints or arrays of nonnegative ints (below
+    2**64); arrays broadcast, and cells run in C order of the broadcast."""
+    shape = np.broadcast_shapes(*(np.shape(k) for k in key))
+    cols = [np.broadcast_to(np.asarray(k, dtype=np.uint64), shape).ravel() for k in key]
+    lead = _int_words(int(seed))
+    # bit j of a cell's layout: key entry j takes two words; cells with the
+    # same layout hash together
+    layout = np.zeros(math.prod(shape), dtype=np.int64)
+    for j, c in enumerate(cols):
+        layout |= (c > _MASK32).astype(np.int64) << j
+    seeds: list = [None] * layout.size
+    for code in np.flatnonzero(np.bincount(layout)).tolist():
+        rows = np.flatnonzero(layout == code)
+        words = [np.full(rows.size, w, dtype=np.uint64) for w in lead]
+        for j, c in enumerate(cols):
+            words.append(c[rows] & np.uint64(_MASK32))
+            if code >> j & 1:
+                words.append(c[rows] >> np.uint64(32))
+        entropy = np.stack(words, axis=1).astype(np.uint32)
+        for row, cell in zip(rows.tolist(), _pcg64_seeds(entropy)):
+            seeds[row] = cell
+    return seeds
+
+
+def _streams(seed: int, *key) -> Iterator[np.random.Generator]:
+    """One Generator per cell of :func:`_cell_seeds`, in order.
+
+    It is the same Generator each time, re-seeded for the next cell, so a
+    cell's draws must be taken before the iteration moves on.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))  # the seed is overwritten
+    bitgen = rng.bit_generator
+    for state, inc in _cell_seeds(seed, *key):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
 def _stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one (kind, trial, link, channel) cell."""
-    entropy = (int(seed),) + tuple(int(k) for k in key)
-    return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
+    """The generator of one (kind, trial, link, ...) cell.
+
+    Every cell's stream is PCG64 seeded by
+    ``SeedSequence(entropy=(seed, *key))``; the drivers compute those seeds
+    in batches (:func:`_cell_seeds`), this is the batch of one.  Under
+    numpy's stream-compatibility policy (NEP 19) the draws are the same on
+    every numpy version.
+    """
+    return next(_streams(seed, *key))
 
 
 def _draw_params(
@@ -284,16 +415,38 @@ def _trial_minima(
     cfg: ExperimentConfig,
     instances: tuple[_LinkInstance, ...],
     kind: int,
-    trial: int,
+    trials: range,
     n: int,
 ) -> np.ndarray:
-    """Element-wise minimum over the per-link cost draws of one trial."""
-    minima: np.ndarray | None = None
-    for link, (spec, a, b) in enumerate(instances):
-        costs = _draw_costs(spec, a, b, n, _stream(cfg.seed, kind, trial, link))
-        minima = costs if minima is None else np.minimum(minima, costs)
-    assert minima is not None
-    return np.clip(minima, cfg.grid.q, cfg.grid.Q)
+    """Element-wise minimum over the per-link cost draws of each trial,
+    clipped to the grid: shape (len(trials), n).  One seeding pass covers
+    every (trial, link) cell."""
+    links = len(instances)
+    costs = np.empty((len(trials), links, n))
+    streams = _streams(
+        cfg.seed, kind, np.arange(trials.start, trials.stop)[:, None], np.arange(links)
+    )
+    for cell, rng in enumerate(streams):
+        spec, a, b = instances[cell % links]
+        costs[divmod(cell, links)] = _draw_costs(spec, a, b, n, rng)
+    return np.clip(costs.min(axis=1), cfg.grid.q, cfg.grid.Q)
+
+
+def _trial_blocks(
+    cfg: ExperimentConfig,
+    instances: tuple[_LinkInstance, ...],
+    kind: int,
+    count: int,
+    n: int,
+) -> Iterator[tuple[range, np.ndarray]]:
+    """:func:`_trial_minima` of trials 0..count-1 in near-equal blocks of
+    at most ``_BLOCK_ELEMENTS`` entries, so memory does not grow with
+    ``count``."""
+    per_trial = len(instances) * (n + _SEED_ENTRIES)
+    blocks = -(-count // max(1, _BLOCK_ELEMENTS // per_trial))
+    for k in range(blocks):
+        trials = range(k * count // blocks, (k + 1) * count // blocks)
+        yield trials, _trial_minima(cfg, instances, kind, trials, n)
 
 
 def _history_tolls(
@@ -302,12 +455,15 @@ def _history_tolls(
 ) -> np.ndarray:
     """Robust toll from each history sample's link-minima series."""
     tolls = np.empty(cfg.history_samples)
-    for h in range(cfg.history_samples):
-        series = _trial_minima(cfg, instances, _KIND_HISTORY, h, cfg.H * cfg.T)
-        env = estimate_moment_envelope(
-            series, cfg.grid, cfg.confidence_z, cfg.kappa_bar
-        )
-        tolls[h] = two_point_robust_toll(cfg.grid, env, cfg.T).toll
+    blocks = _trial_blocks(
+        cfg, instances, _KIND_HISTORY, cfg.history_samples, cfg.H * cfg.T
+    )
+    for trials, minima in blocks:
+        for h, series in zip(trials, minima):
+            env = estimate_moment_envelope(
+                series, cfg.grid, cfg.confidence_z, cfg.kappa_bar
+            )
+            tolls[h] = two_point_robust_toll(cfg.grid, env, cfg.T).toll
     return tolls
 
 
@@ -322,15 +478,18 @@ def _evaluate_tolls(
     realized revenue and regret lands in [0, 1] up to rounding.
     """
     regret = np.zeros((cfg.eval_samples, tolls.size))
-    for e in range(cfg.eval_samples):
-        minima = _trial_minima(cfg, instances, _KIND_EVAL, e, cfg.T)
-        _, opt_revenue = optimal_toll_for_realized_costs(minima, cfg.grid)
-        if opt_revenue <= 0:
-            continue  # nothing to collect: every toll is equally optimal
-        ordered = np.sort(minima)
-        paying = minima.size - np.searchsorted(ordered, tolls, side="left")
-        revenue = tolls * paying
-        regret[e] = np.clip((opt_revenue - revenue) / opt_revenue, 0.0, 1.0)
+    blocks = _trial_blocks(cfg, instances, _KIND_EVAL, cfg.eval_samples, cfg.T)
+    for trials, block in blocks:
+        opt = np.array(
+            [optimal_toll_for_realized_costs(minima, cfg.grid)[1] for minima in block]
+        )
+        revenue = tolls * np.count_nonzero(block[:, None, :] >= tolls[:, None], axis=2)
+        # a sample with nothing to collect keeps 0: every toll is equally optimal
+        scored = opt > 0
+        opt = opt[scored, None]
+        regret[trials.start : trials.stop][scored] = np.clip(
+            (opt - revenue[scored]) / opt, 0.0, 1.0
+        )
     return regret
 
 
@@ -422,8 +581,8 @@ def run_dynamic_cumulative_regret(
     averaged = cfg.grid.snap(float(np.mean(tolls)))
     periods = cfg.eval_samples
     costs = np.empty(periods)
-    for p in range(periods):
-        costs[p] = _trial_minima(cfg, instances, _KIND_DYNAMIC, p, 1)[0]
+    for trials, minima in _trial_blocks(cfg, instances, _KIND_DYNAMIC, periods, 1):
+        costs[trials.start : trials.stop] = minima[:, 0]
     static_toll, _ = optimal_toll_for_realized_costs(costs, cfg.grid)
     opt_cum = np.cumsum(np.where(costs >= static_toll, static_toll, 0.0))
     rob_cum = np.cumsum(np.where(costs >= averaged, averaged, 0.0))

@@ -208,17 +208,30 @@ def state_shortest_path_costs(
     be traversed both ways (road segments recorded in arbitrary direction).
     Unreachable states come back as ``inf``.  Nodes are numbered in name
     order, so the heap breaks ties between equal distances by node name.
-    Raises ValueError, naming the state, when the search runs into a
-    negative-cost cycle (costs may be as low as -1e-9, and an undirected
-    arc of negative cost is such a cycle): a path that improves on a node's
+
+    Costs may be as low as -1e-9.  An undirected search can cross an arc
+    there and back, so a negative arc is a negative-cost cycle: it raises
+    ValueError, naming the first such state and arc, before any search
+    runs.  A directed search raises ValueError, naming the state, when it
+    runs into a negative-cost cycle: a path that improves on a node's
     distance with as many arcs as there are nodes must repeat a node.
     """
     src = net.origin if origin is None else origin
     dst = net.destination if destination is None else destination
+    arc_ids = net.free_arcs if free_only else range(len(net.arcs))
+    if undirected:
+        usable = set(arc_ids)
+        for s, i in np.argwhere(net.state_costs < 0).tolist():
+            if i in usable:
+                raise ValueError(
+                    f"state {s}: a negative-cost cycle: arc {i} ({net.arcs[i].tail!r}-"
+                    f"{net.arcs[i].head!r}) costs {float(net.state_costs[s, i])!r}, "
+                    "and an undirected search crosses it there and back"
+                )
     names = sorted({*net.nodes, src, dst})
     number = {name: k for k, name in enumerate(names)}
     adj: list[list[tuple[int, int]]] = [[] for _ in names]
-    for i in net.free_arcs if free_only else range(len(net.arcs)):
+    for i in arc_ids:
         tail, head = number[net.arcs[i].tail], number[net.arcs[i].head]
         adj[tail].append((head, i))
         if undirected:

@@ -380,18 +380,10 @@ def test_criterion_06_simulated_regret():
         gamma = family_spec("gamma", cfg.grid)
         instances = _link_instances(cfg, lambda link: gamma)
         robust_tolls = _history_tolls(cfg, instances)
-        mean_tolls = np.array(
-            [
-                cfg.grid.snap(
-                    float(
-                        np.mean(
-                            _trial_minima(cfg, instances, _KIND_HISTORY, h, cfg.H * cfg.T)
-                        )
-                    )
-                )
-                for h in range(cfg.history_samples)
-            ]
+        histories = _trial_minima(
+            cfg, instances, _KIND_HISTORY, range(cfg.history_samples), cfg.H * cfg.T
         )
+        mean_tolls = np.array([cfg.grid.snap(float(np.mean(h))) for h in histories])
         robust_regret = 100.0 * _evaluate_tolls(cfg, instances, robust_tolls)
         mean_regret = 100.0 * _evaluate_tolls(cfg, instances, mean_tolls)
         assert float(np.mean(robust_regret)) == pytest.approx(

@@ -494,7 +494,7 @@ def test_ingest_then_real_exp(tmp_path, capsys):
 
 def test_real_exp_negative_cycle_exits_2(tmp_path, capsys):
     # real-exp searches undirected, so the arc a-d of cost -1e-9 in state 0
-    # is a negative cycle.
+    # is a negative cycle, whichever pairs are drawn.
     arcs = tmp_path / "arcs.csv"
     arcs.write_text("tail,head,toll_flag,length\na,b,0,1\nb,c,1,1\nc,d,0,1\na,d,0,1\n")
     states = tmp_path / "states.csv"
@@ -503,9 +503,12 @@ def test_real_exp_negative_cycle_exits_2(tmp_path, capsys):
         "state,arc,cost\n"
         + "".join(f"{s},{a},{c}\n" for s, row in enumerate(costs) for a, c in enumerate(row))
     )
-    argv = ["real-exp", "--arcs", str(arcs), "--states", str(states), "--pairs", "6"]
-    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
-    assert "state 0: a negative-cost cycle" in capsys.readouterr().err
+    for pairs in ("1", "2", "6"):
+        argv = ["real-exp", "--arcs", str(arcs), "--states", str(states), "--pairs", pairs]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2, pairs
+        err = capsys.readouterr().err
+        assert "state 0: a negative-cost cycle: arc 3 ('a'-'d')" in err, pairs
+        assert not (tmp_path / "out" / "real_regret.csv").exists()
 
 
 # --- simulate -----------------------------------------------------------------------------

@@ -221,12 +221,7 @@ def test_dynamic_final_entry_matches_whole_horizon_regret():
     instances = _link_instances(cfg, lambda link: spec)
     tolls = _history_tolls(cfg, instances)
     averaged = cfg.grid.snap(float(np.mean(tolls)))
-    costs = np.array(
-        [
-            _trial_minima(cfg, instances, _KIND_DYNAMIC, p, 1)[0]
-            for p in range(cfg.eval_samples)
-        ]
-    )
+    costs = _trial_minima(cfg, instances, _KIND_DYNAMIC, range(cfg.eval_samples), 1)[:, 0]
     static_toll, opt_revenue = optimal_toll_for_realized_costs(costs, cfg.grid)
     robust_revenue = averaged * np.count_nonzero(costs >= averaged)
     want = 100.0 * np.clip((opt_revenue - robust_revenue) / opt_revenue, 0.0, 1.0)

@@ -172,8 +172,21 @@ def test_shortest_path_negative_cycle_raises_naming_the_state():
     arcs = (Arc("O", "A", False), Arc("A", "D", False))
     net = TollNetwork(arcs, "O", "D", [[1.0, 1.0], [-1e-9, 1.0]])
     assert state_shortest_path_costs(net).tolist() == [2.0, 1.0 - 1e-9]
-    with pytest.raises(ValueError, match="state 1: a negative-cost cycle"):
+    with pytest.raises(ValueError, match="state 1: a negative-cost cycle: arc 0 \\('O'-'A'\\)"):
         state_shortest_path_costs(net, undirected=True)
+
+
+def test_undirected_search_refuses_a_negative_arc_before_searching():
+    # The negative arc lies beyond the destination, so the search would pop
+    # D before it reached the arc; it is refused whatever the pair.  Only the
+    # arcs the search may use count.
+    arcs = (Arc("O", "D", False), Arc("D", "X", True))
+    net = TollNetwork(arcs, "O", "D", [[1.0, 1.0], [1.0, -1e-9]])
+    assert state_shortest_path_costs(net).tolist() == [1.0, 1.0]
+    for origin, destination in (("O", "D"), ("O", "X"), ("X", "X")):
+        with pytest.raises(ValueError, match="state 1: .*arc 1 \\('D'-'X'\\) costs -1e-09"):
+            state_shortest_path_costs(net, origin, destination, undirected=True)
+    assert state_shortest_path_costs(net, free_only=True, undirected=True).tolist() == [1.0, 1.0]
 
 
 def string_keyed_shortest_paths(net, origin, destination, free_only, undirected):
