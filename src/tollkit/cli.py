@@ -27,14 +27,15 @@ from .core import (
     PriceGrid,
     estimate_moment_envelope,
     flag,
+    format_cell,
     read_rows,
+    write_rows,
 )
 from .experiments import (
     FAMILIES,
     FORMAT_VERSION,
     ExperimentConfig,
     family_spec,
-    format_cell,
     run_dynamic_cumulative_regret,
     run_fixed_distribution_experiment,
     run_mixed_distribution_experiment,
@@ -42,7 +43,6 @@ from .experiments import (
     write_br_curve,
     write_cumulative_regret,
     write_regret_summary,
-    write_rows,
     write_toll_ratio,
 )
 from .ingest import (

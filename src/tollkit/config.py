@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
 from dataclasses import dataclass, fields
 
 from .core import PriceGrid, require_finite
@@ -46,32 +48,32 @@ class RunConfig:
 
 
 def parse_config(source: str | io.TextIOBase, **overrides: object) -> RunConfig:
-    """Parse ``key = value`` lines; '#' starts a comment; unknown keys error."""
-    close = False
-    if isinstance(source, (str, bytes)):
-        handle = open(source, "r")
-        close = True
+    """Parse ``key = value`` lines; '#' starts a comment; unknown keys error.
+
+    A line that cannot be read is a ``ValueError`` that starts with
+    ``where:line:``, where ``where`` is the path or ``<stream>``.
+    """
+    if hasattr(source, "read"):
+        where, handle = "<stream>", contextlib.nullcontext(source)
     else:
-        handle = source
+        where, handle = os.fsdecode(source), open(source, "r")
     values: dict[str, object] = {}
-    try:
-        for lineno, raw in enumerate(handle, start=1):
+    with handle as stream:
+        for lineno, raw in enumerate(stream, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"bad config line {lineno}: {raw.rstrip()!r}")
+                raise ValueError(f"{where}:{lineno}: bad config line {raw.rstrip()!r}")
             key, _, text = line.partition("=")
             key, text = key.strip(), text.strip()
-            if key in _INT_KEYS:
-                values[key] = int(text)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(text)
-            else:
-                raise ValueError(f"unknown config key {key!r} at line {lineno}")
-    finally:
-        if close:
-            handle.close()
+            convert = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else None
+            if convert is None:
+                raise ValueError(f"{where}:{lineno}: unknown config key {key!r}")
+            try:
+                values[key] = convert(text)
+            except ValueError as exc:
+                raise ValueError(f"{where}:{lineno}: {key}: {exc}") from None
     values.update(overrides)
     return RunConfig(**values)  # type: ignore[arg-type]
 

@@ -36,6 +36,8 @@ __all__ = [
     "expected_user_cost",
     "relative_regret",
     "read_rows",
+    "format_cell",
+    "write_rows",
 ]
 
 # Feasibility tolerance on probability masses and moment constraints.
@@ -149,6 +151,25 @@ def read_rows(source, header: str, converters: Sequence[Callable[[str], object]]
             if not _all_finite([value]):
                 raise ValueError(f"{where}:{line}: {name} must be finite, got {text!r}")
     return Table(where, lines, columns)  # only an overflowing sum gets here
+
+
+def format_cell(value):
+    """A CSV or manifest cell: ``%.12g`` for floats (numpy floats
+    included), anything else unchanged."""
+    return "%.12g" % value if isinstance(value, float) else value
+
+
+def write_rows(destination, header: Sequence[str], rows, lineterminator: str = "\r\n") -> None:
+    """The one CSV writer, to a path or a text stream: ``header``, then
+    ``rows`` with every cell through ``format_cell``."""
+    if hasattr(destination, "write"):
+        handle = contextlib.nullcontext(destination)
+    else:
+        handle = open(destination, "w", newline="")
+    with handle as stream:
+        writer = csv.writer(stream, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows([format_cell(value) for value in row] for row in rows)
 
 
 @dataclass(frozen=True)
@@ -404,21 +425,15 @@ class CostHistory:
         return cls(states=matrix, T=T, windows=windows)
 
     def to_csv(self, destination: str | io.TextIOBase) -> None:
-        close = False
-        if isinstance(destination, (str, bytes)):
-            handle = open(destination, "w", newline="")
-            close = True
-        else:
-            handle = destination
-        try:
-            writer = csv.writer(handle)
-            writer.writerow(["state", "arc", "cost"])
-            for s in range(self.states.shape[0]):
-                for a in range(self.states.shape[1]):
-                    writer.writerow([s, a, f"{self.states[s, a]:.12g}"])
-        finally:
-            if close:
-                handle.close()
+        write_rows(
+            destination,
+            ("state", "arc", "cost"),
+            (
+                (s, a, cost)
+                for s, row in enumerate(self.states.tolist())
+                for a, cost in enumerate(row)
+            ),
+        )
 
 
 @dataclass(frozen=True)

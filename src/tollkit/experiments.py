@@ -31,7 +31,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -39,7 +38,14 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import MomentEnvelope, PriceGrid, estimate_moment_envelope, require_finite
+from .core import (
+    MomentEnvelope,
+    PriceGrid,
+    estimate_moment_envelope,
+    format_cell,
+    require_finite,
+    write_rows,
+)
 from .network import TollNetwork, state_shortest_path_costs
 from .pricing import (
     RobustTollResult,
@@ -81,8 +87,6 @@ _KIND_DYNAMIC = 2
 _KIND_PAIRS = 3
 _KIND_ASSIGN = 4
 _KIND_PARAMS = 5
-
-_FLOAT_FMT = "%.12g"
 
 # numpy's SeedSequence hash constants and default pool size, and PCG64's
 # 128-bit LCG multiplier (numpy/random/bit_generator.pyx, pcg64.h)
@@ -678,21 +682,6 @@ def run_real_data_experiment(
         n_pairs_used=len(margin_series),
         n_skipped=skipped,
     )
-
-
-def format_cell(value):
-    """A CSV or manifest cell: ``%.12g`` for floats (numpy floats
-    included), anything else unchanged."""
-    return _FLOAT_FMT % value if isinstance(value, float) else value
-
-
-def write_rows(path, header: Sequence[str], rows) -> None:
-    """The one CSV writer behind every artifact: header row, then rows."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_cell(value) for value in row])
 
 
 def write_regret_summary(rows: Sequence[RegretRow], path) -> None:

@@ -13,7 +13,6 @@ convention for this toolkit's data sets.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import PriceGrid, read_rows
+from .core import PriceGrid, read_rows, write_rows
 from .network import Arc, TollNetwork
 
 __all__ = [
@@ -172,27 +171,20 @@ def parse_traffic_records(source) -> tuple[SegmentRecord, ...]:
 
 
 def write_traffic_records(records, destination) -> None:
-    close = False
-    if isinstance(destination, (str, bytes)):
-        fh = open(destination, "w", newline="")
-        close = True
-    else:
-        fh = destination
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_HEADER.split(","))
-        writer.writerows(
+    write_rows(
+        destination,
+        RECORD_HEADER.split(","),
+        (
             (
-                f"{r.timestamp:.12g}",
+                float(r.timestamp),
                 r.segment_id,
-                "" if r.speed is None else f"{r.speed:.12g}",
-                *(f"{x:.12g}" for x in (*r.start, *r.end)),
+                "" if r.speed is None else float(r.speed),
+                *map(float, (*r.start, *r.end)),
             )
             for r in records
-        )
-    finally:
-        if close:
-            fh.close()
+        ),
+        lineterminator="\n",
+    )
 
 
 def grid_observations(

@@ -5,14 +5,15 @@ min c.x  s.t.  A x (=|<=) b,  x >= 0,  with b >= 0.  Bland's rule, so no
 cycling.  Built for nature's 3-row moment LPs, where only the objective
 changes along a BR curve; not a general-purpose solver.
 
-Phase 1 never reads the objective, so it runs once per (senses, A, b) and
-its last tableau is kept.  Phase 2 copies that tableau once per objective
-and advances the whole stack in lockstep: at each step every unfinished
-tableau takes its own Bland pivot with the same arithmetic as a lone solve,
-so an objective gets the same x whether it is solved alone or in a stack.
-Finished tableaux leave the stack, and a tall stack goes through in passes
-of at most ``_PASS_ELEMENTS`` tableau entries, which bounds the memory of a
-solve.  Phase 1 runs on the same kernel as a stack of one.
+Phase 1 never reads the objective, so it runs once per call, however many
+objectives the call stacks.  Phase 2 copies its last tableau once per
+objective and advances the whole stack in lockstep: at each step every
+unfinished tableau takes its own Bland pivot with the same arithmetic as a
+lone solve, so an objective gets the same x whether it is solved alone or
+in a stack.  Finished tableaux leave the stack, and a tall stack goes
+through in passes of at most ``_PASS_ELEMENTS`` tableau entries, which
+bounds the memory of a solve.  Phase 1 runs on the same kernel as a stack
+of one.  The module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -116,21 +117,8 @@ def _iterate(tab: np.ndarray, basis: np.ndarray, n_cols: int) -> tuple[np.ndarra
         _pivot(work, wbasis, row, col, buf[: len(work)])
 
 
-# Phase 1 never reads the objective, and callers re-solve the same
-# constraints under new objectives (one per toll along a BR curve), so the
-# last phase-1 tableau and basis are kept, keyed by (senses, A, b), and
-# every phase 2 starts from a copy of them.
-_last_phase_one: tuple | None = None
-
-
 def _phase_one(A: np.ndarray, b: np.ndarray, senses: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only feasible tableau (objective row free for phase 2) and its
-    basis."""
-    global _last_phase_one
-    key = (senses, A.shape, A.tobytes(), b.tobytes())
-    memo = _last_phase_one  # read once: another thread may replace it
-    if memo is not None and memo[0] == key:
-        return memo[1], memo[2]
+    """Feasible tableau (objective row free for phase 2) and its basis."""
     m, n = A.shape
     n_slack = senses.count("<")
     width = n + n_slack + m  # structural + slack + artificial
@@ -162,11 +150,7 @@ def _phase_one(A: np.ndarray, b: np.ndarray, senses: str) -> tuple[np.ndarray, n
             usable = np.flatnonzero(np.abs(tab[i, : n + n_slack]) > EPS)
             if usable.size:
                 _pivot(stack, basis, np.array([i]), usable[:1])
-    basis = basis[0]
-    tab.flags.writeable = False
-    basis.flags.writeable = False
-    _last_phase_one = (key, tab, basis)
-    return tab, basis
+    return tab, basis[0]
 
 
 def _phase_two(

@@ -16,11 +16,11 @@ solutions carry at most three support points.  ``solve_nature_ufn`` /
 per toll).  Point mean bands on grids above ``AUTO_SIMPLEX_MIN`` points are
 solved by ``lp``'s dense simplex, every toll of the call in one stacked
 solve from one shared phase-1 tableau.  Other envelopes enumerate the
-supports exactly, sweeping the mean band through closed-form candidate
-points, one toll at a time on a per-envelope table of the feasible
-candidates and of the triples that can still win (``_envelope_table``).
-Only the objective depends on the toll, so either way a BR curve costs the
-toll-independent half once.
+supports exactly: one table per call (``_envelope_table``) holds every
+feasible support candidate, at closed-form points of the mean band, and
+each toll prices it.  Only the objective depends on the toll, so either way
+a call pays the toll-independent half once, and nothing is kept between
+calls.
 
 ``solve_nature_two_point`` is the heuristic search over integer-period
 two-point responses; its per-count table (``first_feasible_lower``) and
@@ -30,7 +30,6 @@ BR-curve scan in ``pricing`` reuses for every toll at once.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -193,29 +192,18 @@ def _feasible_moments(
 #   * pairs with the free mass at an endpoint of a feasible interval
 #     (mass bound, mean bound, or variance boundary);
 #   * variance-tight triples: x(mu) solves a 3x3 Vandermonde system with
-#     right side (1, mu, mu^2 + kappa*mu), so each mass and the objective
-#     are quadratics in mu — candidates are the band edges, the objective's
-#     stationary point, and the roots of each mass.
+#     right side (1, mu, mu^2 + kappa*mu), so each mass is a quadratic in
+#     mu.  Where a triple's basis is optimal its objective y.b(mu) has
+#     y2 <= 0, so it is concave in mu and its minimum over a stretch of the
+#     band lies at a band edge or at a root of a mass (parametric
+#     right-hand side): those eight means are the candidates.
 #
-# Only the objective f = f(toll) changes along a BR curve, so the rest is
-# tabulated once per (grid, envelope) in ``_envelope_table``: the singleton
-# mask, the feasible pair candidates, the triples that can ever be feasible,
-# and their feasible candidates at the eight f-independent means (band
-# edges, mass roots).  A triple is kept ("live") when one of those means
-# lies in the band with every mass above -1e-7: the stationary point can
-# only be feasible inside a stretch of the band where all three masses are
-# positive, and such a stretch ends at band edges or mass roots.  Per toll,
-# ``_enumerate_minimum`` adds each live triple's stationary point and makes
-# the same offers, in the same order, as enumerating every triple would.
+# None of the candidates depends on the objective, so ``_envelope_table``
+# builds every feasible one once per call, and ``_enumerate_minima`` prices
+# them for each objective row.
 
 _TIE_TOL = 1e-9
-# live-triple test: the masses at a stretch's end are zero up to rounding
-_LIVE_MASS = -1e-7
-# a triple's nine mean candidates, in enumeration order: the band edges,
-# the objective's stationary point, then the six mass roots
-_N_MEANS = 9
-_STATIONARY = 2
-# live triples per array pass, which bounds the memory of a solve
+# triple candidates per array pass, which bounds the memory of a solve
 _CHUNK = 1 << 15
 
 
@@ -244,86 +232,22 @@ class _Best:
                 self.masses = list(masses)
 
 
-def _triple_geometry(ca, cb, cc):
-    """Per support point of each triple ``(ca, cb, cc)``: the sum and the
-    product of the other two points, and the Vandermonde denominator."""
-    s = (cb + cc, ca + cc, ca + cb)
-    p = (cb * cc, ca * cc, ca * cb)
-    D = ((ca - cb) * (ca - cc), (cb - ca) * (cb - cc), (cc - ca) * (cc - cb))
-    return s, p, D
-
-
-def _triple_candidates(mu, c, s, p, D, env: MomentEnvelope, mean_tol: float, var_tol: float):
-    """Masses ``(xa, xb, xc)`` of variance-tight triples at means ``mu``,
-    whether each mean is in the band, and whether each candidate is
-    feasible; ``c``, ``s``, ``p``, ``D`` broadcast against ``mu``."""
-    kappa, ul, uu = env.kappa_bar, env.u_lower, env.u_upper
-    ok = np.isfinite(mu) & (mu >= ul - mean_tol) & (mu <= uu + mean_tol)
-    m2 = mu * mu + kappa * mu
-    xa, xb, xc = ((m2 + (0.0 - s[m]) * mu + p[m]) / D[m] for m in range(3))
-    ca, cb, cc = c
-    pos = (xa > 1e-12) & (xb > 1e-12) & (xc > 1e-12)
-    # numerical re-verification of the moments
-    ssum = xa + xb + xc
-    mean = xa * ca + xb * cb + xc * cc
-    msq = xa * ca * ca + xb * (cb * cb) + xc * (cc * cc)
-    var = msq - mean * mean
-    feas = (
-        ok
-        & pos
-        & (np.abs(ssum - 1.0) <= 1e-9)
-        & (mean >= ul - mean_tol)
-        & (mean <= uu + mean_tol)
-        & (var <= kappa * mean + var_tol)
-    )
-    return (xa, xb, xc), ok, feas
-
-
-def _readonly(*arrays: np.ndarray) -> None:
-    for array in arrays:
-        array.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class _TripleChunk:
-    """Live triples of whole blocks (a block shares its lowest point) and
-    their feasible candidates at the f-independent means."""
-
-    idx: np.ndarray  # (3, L) grid indices, in enumeration order
-    # candidates in (triple, mean) order: live-triple row, mean column and
-    # masses of shape (3, F)
-    row: np.ndarray
-    col: np.ndarray
-    x: np.ndarray
-
-    @classmethod
-    def join(cls, blocks: list[tuple]) -> "_TripleChunk":
-        idx, row, col, x = (
-            np.concatenate(parts, axis=axis)
-            for parts, axis in zip(zip(*blocks), (1, 0, 0, 1))
-        )
-        _readonly(idx, row, col, x)
-        return cls(idx, row, col, x)
-
-
 @dataclass(frozen=True)
 class _EnvelopeTable:
-    """The toll-independent half of the enumeration for one envelope."""
+    """Every feasible support candidate of one envelope, by grid index."""
 
-    points: np.ndarray
-    mean_tol: float
-    var_tol: float
-    single: np.ndarray  # grid indices of the singletons inside the band
-    # feasible pair candidates in (pair, candidate) order
+    single: np.ndarray  # the singletons inside the band
+    # pair candidates in (pair, candidate) order
     pair_i: np.ndarray
     pair_j: np.ndarray
     pair_t: np.ndarray
-    triples: tuple[_TripleChunk, ...]
+    # triple candidates in (triple, mean) order, as (indices, masses) of
+    # shape (3, F) each, in passes of whole blocks (a block shares its
+    # lowest point)
+    triples: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-@functools.lru_cache(maxsize=2)
-def _envelope_table(grid: PriceGrid, env: MomentEnvelope) -> _EnvelopeTable:
-    points = grid.points()
+def _envelope_table(points: np.ndarray, env: MomentEnvelope) -> _EnvelopeTable:
     n = points.size
     kappa = env.kappa_bar
     ul, uu = env.u_lower, env.u_upper
@@ -355,145 +279,126 @@ def _envelope_table(grid: PriceGrid, env: MomentEnvelope) -> _EnvelopeTable:
     )
     pp, qq = np.nonzero(feas)
 
-    # a wide band on a fine grid keeps over a million triples: store them
-    # compactly, in passes of whole blocks
+    # a wide band on a fine grid has about half a million triple
+    # candidates: store them compactly, in passes of whole blocks
     point_type = np.min_scalar_type(n)
-    chunks: list[_TripleChunk] = []
-    pending: list[tuple] = []
+    triples: list[tuple[np.ndarray, np.ndarray]] = []
+    pending: list[tuple[np.ndarray, np.ndarray]] = []
     size = 0
     for a in range(n - 2):
         jj, kk = np.triu_indices(n - a - 1, k=1)
         ib, ic = a + 1 + jj, a + 1 + kk
-        ca, cb, cc = float(points[a]), points[ib], points[ic]
-        s, p, D = _triple_geometry(ca, cb, cc)
-        # band edges, then a blank for the stationary point (per toll)
-        means = [np.full(jj.shape, ul), np.full(jj.shape, uu), np.full(jj.shape, np.nan)]
-        with np.errstate(invalid="ignore", divide="ignore"):
+        ca, cb, cc = float(points[a]), points[ib][:, None], points[ic][:, None]
+        # per support point: the sum and the product of the other two
+        # points, and the Vandermonde denominator
+        s = (cb + cc, ca + cc, ca + cb)
+        p = (cb * cc, ca * cc, ca * cb)
+        D = ((ca - cb) * (ca - cc), (cb - ca) * (cb - cc), (cc - ca) * (cc - cb))
+        means = [np.full(cb.shape, ul), np.full(cb.shape, uu)]
+        with np.errstate(invalid="ignore"):
             for s_m, p_m in zip(s, p):
                 bcoef = kappa - s_m
                 disc = bcoef * bcoef - 4.0 * p_m
                 sq = np.sqrt(np.where(disc >= 0, disc, np.nan))
-                means.append(0.5 * (-bcoef - sq))
-                means.append(0.5 * (-bcoef + sq))
-        x, ok, feas = _triple_candidates(
-            np.stack(means, axis=1),  # (P, 9)
-            (ca, cb[:, None], cc[:, None]),
-            *([v[:, None] for v in part] for part in (s, p, D)),
-            env,
-            mean_tol,
-            var_tol,
+                means += [0.5 * (-bcoef - sq), 0.5 * (-bcoef + sq)]
+        mu = np.hstack(means)  # (P, 8)
+        ok = np.isfinite(mu) & (mu >= ul - mean_tol) & (mu <= uu + mean_tol)
+        m2 = mu * mu + kappa * mu
+        xa, xb, xc = ((m2 + (0.0 - s[m]) * mu + p[m]) / D[m] for m in range(3))
+        pos = (xa > 1e-12) & (xb > 1e-12) & (xc > 1e-12)
+        # numerical re-verification of the moments
+        ssum = xa + xb + xc
+        mean = xa * ca + xb * cb + xc * cc
+        msq = xa * ca * ca + xb * (cb * cb) + xc * (cc * cc)
+        var = msq - mean * mean
+        row, col = np.nonzero(
+            ok
+            & pos
+            & (np.abs(ssum - 1.0) <= 1e-9)
+            & (mean >= ul - mean_tol)
+            & (mean <= uu + mean_tol)
+            & (var <= kappa * mean + var_tol)
         )
-        live = np.flatnonzero(
-            (ok & (x[0] > _LIVE_MASS) & (x[1] > _LIVE_MASS) & (x[2] > _LIVE_MASS)).any(axis=1)
-        )
-        if live.size == 0:
+        if row.size == 0:
             continue
-        if pending and size + live.size > _CHUNK:
-            chunks.append(_TripleChunk.join(pending))
+        if pending and size + row.size > _CHUNK:
+            triples.append(tuple(np.concatenate(part, axis=1) for part in zip(*pending)))
             pending, size = [], 0
-        row, col = np.nonzero(feas[live])
         pending.append((
-            np.stack([np.full(live.size, a), ib[live], ic[live]]).astype(point_type),
-            (size + row).astype(np.int32),
-            col.astype(np.int8),
-            np.stack([v[live][row, col] for v in x]),
+            np.stack([np.full(row.size, a), ib[row], ic[row]]).astype(point_type),
+            np.stack([xa[row, col], xb[row, col], xc[row, col]]),
         ))
-        size += live.size
+        size += row.size
     if pending:
-        chunks.append(_TripleChunk.join(pending))
+        triples.append(tuple(np.concatenate(part, axis=1) for part in zip(*pending)))
 
-    pair_i, pair_j, pair_t = I[pp], J[pp], t[pp, qq]
-    _readonly(points, single, pair_i, pair_j, pair_t)
-    return _EnvelopeTable(
-        points=points,
-        mean_tol=mean_tol,
-        var_tol=var_tol,
-        single=single,
-        pair_i=pair_i,
-        pair_j=pair_j,
-        pair_t=pair_t,
-        triples=tuple(chunks),
-    )
+    return _EnvelopeTable(single, I[pp], J[pp], t[pp, qq], tuple(triples))
 
 
-def _triple_winners(chunk: _TripleChunk, tab: _EnvelopeTable, env: MomentEnvelope, f: np.ndarray):
+def _triple_offers(idx: np.ndarray, x: np.ndarray, points: np.ndarray, f: np.ndarray):
     """Each block's offer, in block order: the lowest objective among its
-    feasible candidates and, among ties, the first by (cb, cc, xa, xb,
-    position)."""
-    c = tab.points[chunk.idx]
-    fa, fb, fc = f[chunk.idx]
-    s, p, D = _triple_geometry(*c)
-    kappa = env.kappa_bar
-    # objective as a quadratic in mu; its stationary point is the one
-    # f-dependent mean candidate
-    A2 = fa / D[0] + fb / D[1] + fc / D[2]
-    A1 = fa * (kappa - s[0]) / D[0] + fb * (kappa - s[1]) / D[1] + fc * (kappa - s[2]) / D[2]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mu = np.where(np.abs(A2) > 1e-14, -A1 / (2.0 * A2), np.nan)
-    x_s, _, feas_s = _triple_candidates(mu, c, s, p, D, env, tab.mean_tol, tab.var_tol)
-    st = np.flatnonzero(feas_s)
-    row = np.concatenate([chunk.row, st])
-    if row.size == 0:
-        return
-    col = np.concatenate([chunk.col, np.full(st.size, _STATIONARY)])
-    xa, xb, xc = np.concatenate([chunk.x, np.stack([v[st] for v in x_s])], axis=1)
-    obj = xa * fa[row] + xb * fb[row] + xc * fc[row]
-    block = chunk.idx[0, row]
-    m0 = np.full(tab.points.size, np.inf)
+    candidates and, among ties, the first by (cb, cc, xa, xb)."""
+    xa, xb, xc = x
+    fa, fb, fc = f[idx]
+    obj = xa * fa + xb * fb + xc * fc
+    block = idx[0]
+    m0 = np.full(points.size, np.inf)
     np.minimum.at(m0, block, obj)
     ties = np.flatnonzero(obj <= m0[block] + _TIE_TOL)
-    r = row[ties]
-    position = r * _N_MEANS + col[ties]
-    ties = ties[np.lexsort((position, xb[ties], xa[ties], c[2, r], c[1, r], block[ties]))]
+    ties = ties[np.lexsort((xb[ties], xa[ties], idx[2, ties], idx[1, ties], block[ties]))]
     ranked = block[ties]
     for e in ties[np.r_[True, ranked[1:] != ranked[:-1]]].tolist():
-        k = row[e]
         yield (
             float(obj[e]),
-            [float(c[0, k]), float(c[1, k]), float(c[2, k])],
+            points[idx[:, e]].tolist(),
             [float(xa[e]), float(xb[e]), float(xc[e])],
         )
 
 
-def _enumerate_minimum(
-    grid: PriceGrid, env: MomentEnvelope, f: np.ndarray
-) -> tuple[float, list[float], list[float]]:
-    tab = _envelope_table(grid, env)
-    points = tab.points
-    best = _Best()
+def _enumerate_minima(
+    grid: PriceGrid, env: MomentEnvelope, F: np.ndarray
+) -> list[tuple[float, list[float], list[float]]]:
+    """``(objective, support, masses)`` for each objective row of ``F``, all
+    rows priced on one table of the feasible support candidates."""
+    points = grid.points()
+    tab = _envelope_table(points, env)
+    minima = []
+    for f in F:
+        best = _Best()
 
-    # --- singletons -------------------------------------------------------
-    if tab.single.size:
-        idx = tab.single
-        objs = f[idx]
-        m0 = float(objs.min())
-        winner = idx[objs <= m0 + _TIE_TOL][0]  # smallest support point
-        best.offer(float(f[winner]), [float(points[winner])], [1.0])
+        # --- singletons ---------------------------------------------------
+        if tab.single.size:
+            idx = tab.single
+            objs = f[idx]
+            m0 = float(objs.min())
+            winner = idx[objs <= m0 + _TIE_TOL][0]  # smallest support point
+            best.offer(float(f[winner]), [float(points[winner])], [1.0])
 
-    # --- pairs --------------------------------------------------------------
-    if tab.pair_t.size:
-        t, i, j = tab.pair_t, tab.pair_i, tab.pair_j
-        obj = t * f[i] + (1.0 - t) * f[j]
-        m0 = float(obj.min())
-        ties = np.flatnonzero(obj <= m0 + _TIE_TOL)
-        e = ties[np.lexsort((t[ties], points[j[ties]], points[i[ties]]))[0]]
-        tv = float(t[e])
-        best.offer(
-            float(obj[e]),
-            [float(points[i[e]]), float(points[j[e]])],
-            [tv, 1.0 - tv],
-        )
+        # --- pairs ----------------------------------------------------------
+        if tab.pair_t.size:
+            t, i, j = tab.pair_t, tab.pair_i, tab.pair_j
+            obj = t * f[i] + (1.0 - t) * f[j]
+            m0 = float(obj.min())
+            ties = np.flatnonzero(obj <= m0 + _TIE_TOL)
+            e = ties[np.lexsort((t[ties], points[j[ties]], points[i[ties]]))[0]]
+            tv = float(t[e])
+            best.offer(
+                float(obj[e]),
+                [float(points[i[e]]), float(points[j[e]])],
+                [tv, 1.0 - tv],
+            )
 
-    # --- variance-tight triples ---------------------------------------------
-    for chunk in tab.triples:
-        for objective, support, masses in _triple_winners(chunk, tab, env, f):
-            best.offer(objective, support, masses)
+        # --- variance-tight triples -----------------------------------------
+        for idx, x in tab.triples:
+            for objective, support, masses in _triple_offers(idx, x, points, f):
+                best.offer(objective, support, masses)
 
-    if best.objective is None:
-        raise ValueError(
-            "no grid-supported distribution satisfies the moment envelope"
-        )
-    return best.objective, best.support, best.masses
+        if best.objective is None:
+            raise ValueError(
+                "no grid-supported distribution satisfies the moment envelope"
+            )
+        minima.append((best.objective, best.support, best.masses))
+    return minima
 
 
 def _simplex_minima(
@@ -537,7 +442,7 @@ def _minimize_worst_case(
             f"{ENUM_CAP}. Coarsen the grid, or pin the mean band to a "
             f"point to use the simplex path."
         )
-    return [_enumerate_minimum(grid, env, f)[1:] for f in F]
+    return [minimum[1:] for minimum in _enumerate_minima(grid, env, F)]
 
 
 def _package(

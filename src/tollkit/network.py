@@ -12,7 +12,6 @@ program.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from collections import Counter
@@ -20,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MomentEnvelope, PriceGrid, estimate_moment_envelope, flag, read_rows
+from .core import (
+    MomentEnvelope,
+    PriceGrid,
+    estimate_moment_envelope,
+    flag,
+    read_rows,
+    write_rows,
+)
 
 __all__ = [
     "Arc",
@@ -341,6 +347,9 @@ def allocate_arc_tolls(bounds, incidence) -> np.ndarray:
     inc = np.asarray(incidence)
     if inc.ndim != 2 or inc.shape[0] != sigma.size:
         raise ValueError("incidence must be (paths x arcs) matching bounds")
+    bad = sigma[~np.isfinite(sigma)]
+    if bad.size:
+        raise ValueError(f"path bounds must be finite, got {bad.tolist()}")
     if (sigma < 0).any():
         raise ValueError("negative path bound")
     n_arcs = inc.shape[1]
@@ -428,17 +437,19 @@ def load_network(
 
 
 def write_network(net: TollNetwork, arcs_path, states_path) -> None:
-    with open(arcs_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("tail", "head", "toll_flag", "length"))
-        writer.writerows(
-            (a.tail, a.head, int(a.toll_flag), f"{a.length:.12g}") for a in net.arcs
-        )
-    with open(states_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("state", "arc", "cost"))
-        writer.writerows(
-            (s, a, f"{cost:.12g}")
+    write_rows(
+        arcs_path,
+        ("tail", "head", "toll_flag", "length"),
+        ((a.tail, a.head, int(a.toll_flag), float(a.length)) for a in net.arcs),
+        lineterminator="\n",
+    )
+    write_rows(
+        states_path,
+        ("state", "arc", "cost"),
+        (
+            (s, a, cost)
             for s, row in enumerate(net.state_costs.tolist())
             for a, cost in enumerate(row)
-        )
+        ),
+        lineterminator="\n",
+    )

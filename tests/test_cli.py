@@ -163,6 +163,25 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("T = abc", "T: invalid literal for int() with base 10: 'abc'"),
+        ("seed = 1.5", "seed: invalid literal for int() with base 10: '1.5'"),
+        ("kappa_bar = lots", "kappa_bar: could not convert string to float: 'lots'"),
+        ("kappa_bar 2", "bad config line 'kappa_bar 2'"),
+        ("bogus = 3", "unknown config key 'bogus'"),
+    ],
+    ids=["int-text", "int-float", "float-text", "no-equals", "unknown-key"],
+)
+def test_bad_config_line_names_file_and_line(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q = 0\nQ = 10\n# a comment\n\n" + line + "\nstep = 1\n")
+    argv = ["price", "--config", str(cfg), "--u-lower", "5", "--u-upper", "6"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:5: {message}\n"
+
+
 def test_argparse_errors_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()

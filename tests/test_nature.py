@@ -19,7 +19,7 @@ from tollkit.core import (
 from tollkit.nature import (
     _TIE_TOL,
     _Best,
-    _enumerate_minimum,
+    _enumerate_minima,
     _moment_tols,
     _objective_vector,
     _package,
@@ -60,6 +60,12 @@ def random_instance(rng: np.random.Generator):
 def _simplex_minimum(grid, env, f):
     """One objective vector through the stacked simplex path."""
     (minimum,) = _simplex_minima(grid, env, f[None])
+    return minimum
+
+
+def _enumerate_minimum(grid, env, f):
+    """One objective vector through the enumeration path."""
+    (minimum,) = _enumerate_minima(grid, env, f[None])
     return minimum
 
 
@@ -105,13 +111,13 @@ def test_simplex_matches_enumeration_randomized():
             assert abs(a.objective_value - b.objective_value) <= 1e-9, (trial, objective)
 
 
-# --- the per-envelope table against a per-toll enumeration --------------------
+# --- the candidate table against a per-toll enumeration ------------------------
 
 
 def per_toll_enumeration(points, env, f):
-    """Every support candidate rebuilt from scratch for one objective vector:
-    the enumeration as it ran before its toll-independent half was
-    tabulated once per envelope."""
+    """Every support candidate rebuilt from scratch for one objective vector,
+    the objective's stationary point on each triple included: the
+    enumeration as it ran before its toll-independent half was tabulated."""
     n = points.size
     kappa = env.kappa_bar
     ul, uu = env.u_lower, env.u_upper
@@ -259,29 +265,42 @@ def test_envelope_table_matches_per_toll_enumeration():
         grid, env = random_table_instance(rng)
         points = grid.points()
         for objective in ("ufn", "an"):
-            for r in points.tolist():
-                f = _objective_vector(points, r, objective)
-                got = outcome(_enumerate_minimum, grid, env, f)
-                want = outcome(per_toll_enumeration, points, env, f)
-                assert got == want, (trial, grid, env, objective, r)
+            F = _objective_vector(points, points[:, None], objective)
+            got = outcome(_enumerate_minima, grid, env, F)
+            if isinstance(got, str):  # an infeasible envelope fails every toll
+                got = [got] * len(F)
+            want = [outcome(per_toll_enumeration, points, env, f) for f in F]
+            assert got == want, (trial, grid, env, objective)
 
 
 def test_envelope_table_in_small_passes(monkeypatch):
-    # Grids of a few dozen points fit one array pass; shrink the pass so
-    # that blocks are grouped and split across passes as on a fine grid.
+    # Grids of a few dozen points fit one array pass; shrink the pass to 60
+    # candidates so that blocks are grouped and split across passes as on a
+    # fine grid.
     monkeypatch.setattr(nature, "_CHUNK", 60)
-    nature._envelope_table.cache_clear()
     rng = np.random.default_rng(SEED + 8)
-    try:
-        for trial in range(6):
-            grid, env = random_table_instance(rng)
-            points = grid.points()
-            for r in points[::3].tolist():
-                f = _objective_vector(points, r, "ufn")
-                got = outcome(_enumerate_minimum, grid, env, f)
-                assert got == outcome(per_toll_enumeration, points, env, f), (trial, r)
-    finally:
-        nature._envelope_table.cache_clear()
+    for trial in range(6):
+        grid, env = random_table_instance(rng)
+        points = grid.points()
+        for r in points[::3].tolist():
+            f = _objective_vector(points, r, "ufn")
+            got = outcome(_enumerate_minimum, grid, env, f)
+            assert got == outcome(per_toll_enumeration, points, env, f), (trial, r)
+
+
+def test_envelope_table_on_sweep_interval_bands():
+    # The bench's sweep-interval traffic: a narrow band on a 51-point grid,
+    # every toll of a curve in one call.
+    rng = np.random.default_rng(SEED + 9)
+    grid = PriceGrid(0.0, 200.0, 4.0)
+    points = grid.points()
+    for objective in ("ufn", "an"):
+        centre, half = rng.uniform(40.0, 160.0), rng.uniform(1.0, 10.0)
+        env = MomentEnvelope(centre - half, centre + half, rng.uniform(0.5, 2.0))
+        F = _objective_vector(points, points[:, None], objective)
+        got = _enumerate_minima(grid, env, F)
+        want = [per_toll_enumeration(points, env, f) for f in F]
+        assert got == want, (env, objective)
 
 
 def test_envelope_table_interleaved_keys():
@@ -302,7 +321,7 @@ def test_envelope_table_interleaved_keys():
             )
 
 
-def test_simplex_memo_matches_fresh_solve_when_b_changes(monkeypatch):
+def test_simplex_solves_b_changed_in_place():
     grid = PriceGrid(0.0, 60.0, 1.0)
     points = grid.points()
     A = np.vstack([np.ones_like(points), points / 60.0, (points / 60.0) ** 2])
@@ -312,14 +331,12 @@ def test_simplex_memo_matches_fresh_solve_when_b_changes(monkeypatch):
         return np.array([1.0, mu / 60.0, (mu * mu + kappa * mu) / 3600.0])
 
     def fresh(b):
-        monkeypatch.setattr(lp, "_last_phase_one", None)
         x, obj = lp.simplex_solve(c, A, b, senses="==<")
         return x.tolist(), obj
 
     moments = ((30.0, 2.0), (30.0, 5.0), (12.5, 2.0), (30.0, 2.0))
     want = [fresh(rhs(*m)) for m in moments]
     assert want[0] != want[1] != want[2]
-    monkeypatch.setattr(lp, "_last_phase_one", None)
     b = rhs(*moments[0])
     for m, expected in zip(moments, want):
         b[:] = rhs(*m)  # a new b in the same array, under the same A

@@ -382,6 +382,14 @@ def test_allocation_validation():
         allocate_arc_tolls([1.0, 2.0], [[1]])
 
 
+def test_allocation_rejects_non_finite_bounds():
+    cases = (([math.inf], "[inf]"), ([2.0, math.nan], "[nan]"), ([-math.inf], "[-inf]"))
+    for bounds, shown in cases:
+        with pytest.raises(ValueError) as err:
+            allocate_arc_tolls(bounds, [[1]] * len(bounds))
+        assert str(err.value) == f"path bounds must be finite, got {shown}"
+
+
 # --- CSV interchange ----------------------------------------------------------------
 
 
