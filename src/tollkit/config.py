@@ -15,6 +15,14 @@ _INT_KEYS = {"T", "H", "seed"}
 _FLOAT_KEYS = {"q", "Q", "step", "kappa_bar", "confidence_z"}
 
 
+class _SettingError(ValueError):
+    """A value out of range, with the config keys it involves."""
+
+    def __init__(self, keys: tuple[str, ...], message: str) -> None:
+        super().__init__(message)
+        self.keys = keys
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved run parameters. Unknown keys are rejected at parse time."""
@@ -30,15 +38,22 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.T < 2:
-            raise ValueError(f"T must be >= 2, got {self.T}")
+            raise _SettingError(("T",), f"T must be >= 2, got {self.T}")
         if self.H < 1:
-            raise ValueError(f"H must be >= 1, got {self.H}")
-        require_finite(kappa_bar=self.kappa_bar, confidence_z=self.confidence_z)
-        if self.kappa_bar < 0:
-            raise ValueError("kappa_bar must be >= 0")
-        if self.confidence_z < 0:
-            raise ValueError("confidence_z must be >= 0")
-        self.grid()  # validates q/Q/step
+            raise _SettingError(("H",), f"H must be >= 1, got {self.H}")
+        reals = {"kappa_bar": self.kappa_bar, "confidence_z": self.confidence_z}
+        for key, value in reals.items():
+            try:
+                require_finite(**{key: value})
+            except ValueError as exc:
+                raise _SettingError((key,), str(exc)) from None
+        for key, value in reals.items():
+            if value < 0:
+                raise _SettingError((key,), f"{key} must be >= 0")
+        try:
+            self.grid()  # validates q/Q/step
+        except ValueError as exc:
+            raise _SettingError(("q", "Q", "step"), str(exc)) from None
 
     def grid(self) -> PriceGrid:
         return PriceGrid(q=self.q, Q=self.Q, step=self.step)
@@ -50,14 +65,17 @@ class RunConfig:
 def parse_config(source: str | io.TextIOBase, **overrides: object) -> RunConfig:
     """Parse ``key = value`` lines; '#' starts a comment; unknown keys error.
 
-    A line that cannot be read is a ``ValueError`` that starts with
-    ``where:line:``, where ``where`` is the path or ``<stream>``.
+    A line that cannot be read, or a value out of range, is a
+    ``ValueError`` that starts with ``where:line:``, where ``where`` is the
+    path or ``<stream>``; a range error involving several keys names the
+    line of the last of them.  Errors in ``overrides`` name no line.
     """
     if hasattr(source, "read"):
         where, handle = "<stream>", contextlib.nullcontext(source)
     else:
         where, handle = os.fsdecode(source), open(source, "r")
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}  # the line each key was last set on
     with handle as stream:
         for lineno, raw in enumerate(stream, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -74,8 +92,15 @@ def parse_config(source: str | io.TextIOBase, **overrides: object) -> RunConfig:
                 values[key] = convert(text)
             except ValueError as exc:
                 raise ValueError(f"{where}:{lineno}: {key}: {exc}") from None
+            lines[key] = lineno
     values.update(overrides)
-    return RunConfig(**values)  # type: ignore[arg-type]
+    try:
+        return RunConfig(**values)  # type: ignore[arg-type]
+    except _SettingError as exc:
+        at = [lines[key] for key in exc.keys if key in lines and key not in overrides]
+        if not at:
+            raise
+        raise ValueError(f"{where}:{max(at)}: {exc}") from None
 
 
 def write_config(cfg: RunConfig, destination: str | io.TextIOBase) -> None:

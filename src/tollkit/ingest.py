@@ -142,11 +142,21 @@ def _optional_float(text: str) -> float | None:
     return None if not text.strip() else float(text)
 
 
+class _ParsedRecords(tuple):
+    """Feed records, with the number of duplicate rows the parser dropped."""
+
+    def __new__(cls, records, n_duplicates: int):
+        parsed = super().__new__(cls, records)
+        parsed.n_duplicates = n_duplicates
+        return parsed
+
+
 def parse_traffic_records(source) -> tuple[SegmentRecord, ...]:
     """Parse the raw feed CSV; blank speed means missing.
 
     Records come back sorted by (segment, timestamp); duplicate
-    (segment, timestamp) keys keep the last occurrence with a warning.
+    (segment, timestamp) keys keep the last occurrence with a warning, and
+    the tuple's ``n_duplicates`` counts the rows dropped.
     """
     table = read_rows(
         source,
@@ -167,7 +177,9 @@ def parse_traffic_records(source) -> tuple[SegmentRecord, ...]:
             f"{duplicates} duplicate (segment, timestamp) records; kept last",
             stacklevel=2,
         )
-    return tuple(sorted(seen.values(), key=lambda r: (r.segment_id, r.timestamp)))
+    return _ParsedRecords(
+        sorted(seen.values(), key=lambda r: (r.segment_id, r.timestamp)), duplicates
+    )
 
 
 def write_traffic_records(records, destination) -> None:
@@ -493,7 +505,9 @@ def ingest_to_network(
     crossing_tolerance: float = DEFAULT_CROSSING_TOL,
 ) -> tuple[NetworkSkeleton, ObservationGrid, np.ndarray, IngestReport]:
     """Full pipeline: records -> gridded speeds -> filled speeds -> graph ->
-    per-state costs, plus the ingestion report."""
+    per-state costs, plus the ingestion report.  The report's duplicate
+    count is the one ``parse_traffic_records`` dropped (0 for records from
+    elsewhere)."""
     raw_grid = grid_observations(records, bucket_minutes=bucket_minutes)
     filled = interpolate_missing(raw_grid)
     never_observed = set(raw_grid.speeds) - set(filled.speeds)
@@ -506,11 +520,10 @@ def ingest_to_network(
     raw = _raw_travel_costs(skeleton, filled, scale)
     costs = price_grid.snap_array(raw)
     clamps = int(((raw < price_grid.q) | (raw > price_grid.Q)).sum())
-    keys = {(r.segment_id, r.timestamp) for r in records}
     report = IngestReport(
         n_records=len(records),
         n_segments=len(raw_grid.speeds),
-        n_duplicates=len(records) - len(keys),
+        n_duplicates=getattr(records, "n_duplicates", 0),
         n_never_observed=len(never_observed),
         n_splits=skeleton.n_splits,
         n_zero_length_dropped=skeleton.n_zero_length_dropped,

@@ -16,11 +16,11 @@ solutions carry at most three support points.  ``solve_nature_ufn`` /
 per toll).  Point mean bands on grids above ``AUTO_SIMPLEX_MIN`` points are
 solved by ``lp``'s dense simplex, every toll of the call in one stacked
 solve from one shared phase-1 tableau.  Other envelopes enumerate the
-supports exactly: one table per call (``_envelope_table``) holds every
-feasible support candidate, at closed-form points of the mean band, and
-each toll prices it.  Only the objective depends on the toll, so either way
-a call pays the toll-independent half once, and nothing is kept between
-calls.
+supports exactly: one table per call (``_envelope_table``) holds the
+feasible singletons, pairs and variance-tight triples, the triples solved
+at the two band edges only, and each toll prices it.  Only the objective
+depends on the toll, so either way a call pays the toll-independent half
+once, and nothing is kept between calls.
 
 ``solve_nature_two_point`` is the heuristic search over integer-period
 two-point responses; its per-count table (``first_feasible_lower``) and
@@ -189,18 +189,19 @@ def _feasible_moments(
 # Basic feasible solutions of the three-row moment LP have <= 3 support
 # points.  With the mean free in a band, every optimum is still found among:
 #   * singletons inside the band;
-#   * pairs with the free mass at an endpoint of a feasible interval
-#     (mass bound, mean bound, or variance boundary);
-#   * variance-tight triples: x(mu) solves a 3x3 Vandermonde system with
-#     right side (1, mu, mu^2 + kappa*mu), so each mass is a quadratic in
-#     mu.  Where a triple's basis is optimal its objective y.b(mu) has
-#     y2 <= 0, so it is concave in mu and its minimum over a stretch of the
-#     band lies at a band edge or at a root of a mass (parametric
-#     right-hand side): those eight means are the candidates.
+#   * pairs at a mean edge or on the variance boundary;
+#   * variance-tight triples at the two band edges: x(mu) solves a 3x3
+#     Vandermonde system with right side (1, mu, mu^2 + kappa*mu).  Where a
+#     triple's basis is optimal its objective y.b(mu) has y2 <= 0, so it is
+#     concave in mu and its minimum over a stretch of the band lies at a
+#     band edge or at a root of a mass (parametric right-hand side).
+#     A mass root needs no candidate of its own: there the triple is a
+#     variance-tight pair, which the pairs already offer and which wins
+#     the canonical tie as the smaller support.
 #
 # None of the candidates depends on the objective, so ``_envelope_table``
 # builds every feasible one once per call, and ``_enumerate_minima`` prices
-# them for each objective row.
+# them for each objective row, with one offer per array pass.
 
 _TIE_TOL = 1e-9
 # triple candidates per array pass, which bounds the memory of a solve
@@ -232,28 +233,24 @@ class _Best:
                 self.masses = list(masses)
 
 
-@dataclass(frozen=True)
-class _EnvelopeTable:
-    """Every feasible support candidate of one envelope, by grid index."""
-
-    single: np.ndarray  # the singletons inside the band
-    # pair candidates in (pair, candidate) order
-    pair_i: np.ndarray
-    pair_j: np.ndarray
-    pair_t: np.ndarray
-    # triple candidates in (triple, mean) order, as (indices, masses) of
-    # shape (3, F) each, in passes of whole blocks (a block shares its
-    # lowest point)
-    triples: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-def _envelope_table(points: np.ndarray, env: MomentEnvelope) -> _EnvelopeTable:
+def _envelope_table(
+    points: np.ndarray, env: MomentEnvelope
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every feasible support candidate of one envelope, in array passes of
+    ``(indices, masses)``, each of shape (support size, candidates): the
+    singletons in the band, then the pairs in (pair, candidate) order, then
+    the triples in (triple, band edge) order, in passes of whole blocks (a
+    block shares its lowest point) of at most ``_CHUNK`` candidates."""
     n = points.size
     kappa = env.kappa_bar
     ul, uu = env.u_lower, env.u_upper
     mean_tol, var_tol = _moment_tols(float(np.max(np.abs(points))))
+    point_type = np.min_scalar_type(n)
+    passes = []
 
     single = np.flatnonzero((points >= ul - mean_tol) & (points <= uu + mean_tol))
+    if single.size:
+        passes.append((single[None].astype(point_type), np.ones((1, single.size))))
 
     I, J = np.triu_indices(n, k=1)
     ci, cj = points[I], points[J]
@@ -278,33 +275,24 @@ def _envelope_table(points: np.ndarray, env: MomentEnvelope) -> _EnvelopeTable:
         & (var <= kappa * mu + var_tol)
     )
     pp, qq = np.nonzero(feas)
+    if pp.size:
+        tv = t[pp, qq]
+        passes.append((np.stack([I[pp], J[pp]]).astype(point_type), np.stack([tv, 1.0 - tv])))
 
     # a wide band on a fine grid has about half a million triple
-    # candidates: store them compactly, in passes of whole blocks
-    point_type = np.min_scalar_type(n)
-    triples: list[tuple[np.ndarray, np.ndarray]] = []
+    # candidates: store them compactly
+    mu = np.array([ul, uu])  # a triple's masses are solved at the band edges
+    m2 = mu * mu + kappa * mu
     pending: list[tuple[np.ndarray, np.ndarray]] = []
     size = 0
     for a in range(n - 2):
         jj, kk = np.triu_indices(n - a - 1, k=1)
         ib, ic = a + 1 + jj, a + 1 + kk
         ca, cb, cc = float(points[a]), points[ib][:, None], points[ic][:, None]
-        # per support point: the sum and the product of the other two
-        # points, and the Vandermonde denominator
-        s = (cb + cc, ca + cc, ca + cb)
-        p = (cb * cc, ca * cc, ca * cb)
-        D = ((ca - cb) * (ca - cc), (cb - ca) * (cb - cc), (cc - ca) * (cc - cb))
-        means = [np.full(cb.shape, ul), np.full(cb.shape, uu)]
-        with np.errstate(invalid="ignore"):
-            for s_m, p_m in zip(s, p):
-                bcoef = kappa - s_m
-                disc = bcoef * bcoef - 4.0 * p_m
-                sq = np.sqrt(np.where(disc >= 0, disc, np.nan))
-                means += [0.5 * (-bcoef - sq), 0.5 * (-bcoef + sq)]
-        mu = np.hstack(means)  # (P, 8)
-        ok = np.isfinite(mu) & (mu >= ul - mean_tol) & (mu <= uu + mean_tol)
-        m2 = mu * mu + kappa * mu
-        xa, xb, xc = ((m2 + (0.0 - s[m]) * mu + p[m]) / D[m] for m in range(3))
+        # the Vandermonde system's solution in Lagrange form
+        xa = (m2 - (cb + cc) * mu + cb * cc) / ((ca - cb) * (ca - cc))
+        xb = (m2 - (ca + cc) * mu + ca * cc) / ((cb - ca) * (cb - cc))
+        xc = (m2 - (ca + cb) * mu + ca * cb) / ((cc - ca) * (cc - cb))
         pos = (xa > 1e-12) & (xb > 1e-12) & (xc > 1e-12)
         # numerical re-verification of the moments
         ssum = xa + xb + xc
@@ -312,8 +300,7 @@ def _envelope_table(points: np.ndarray, env: MomentEnvelope) -> _EnvelopeTable:
         msq = xa * ca * ca + xb * (cb * cb) + xc * (cc * cc)
         var = msq - mean * mean
         row, col = np.nonzero(
-            ok
-            & pos
+            pos
             & (np.abs(ssum - 1.0) <= 1e-9)
             & (mean >= ul - mean_tol)
             & (mean <= uu + mean_tol)
@@ -322,7 +309,7 @@ def _envelope_table(points: np.ndarray, env: MomentEnvelope) -> _EnvelopeTable:
         if row.size == 0:
             continue
         if pending and size + row.size > _CHUNK:
-            triples.append(tuple(np.concatenate(part, axis=1) for part in zip(*pending)))
+            passes.append(tuple(np.concatenate(part, axis=1) for part in zip(*pending)))
             pending, size = [], 0
         pending.append((
             np.stack([np.full(row.size, a), ib[row], ic[row]]).astype(point_type),
@@ -330,29 +317,18 @@ def _envelope_table(points: np.ndarray, env: MomentEnvelope) -> _EnvelopeTable:
         ))
         size += row.size
     if pending:
-        triples.append(tuple(np.concatenate(part, axis=1) for part in zip(*pending)))
+        passes.append(tuple(np.concatenate(part, axis=1) for part in zip(*pending)))
+    return passes
 
-    return _EnvelopeTable(single, I[pp], J[pp], t[pp, qq], tuple(triples))
 
-
-def _triple_offers(idx: np.ndarray, x: np.ndarray, points: np.ndarray, f: np.ndarray):
-    """Each block's offer, in block order: the lowest objective among its
-    candidates and, among ties, the first by (cb, cc, xa, xb)."""
-    xa, xb, xc = x
-    fa, fb, fc = f[idx]
-    obj = xa * fa + xb * fb + xc * fc
-    block = idx[0]
-    m0 = np.full(points.size, np.inf)
-    np.minimum.at(m0, block, obj)
-    ties = np.flatnonzero(obj <= m0[block] + _TIE_TOL)
-    ties = ties[np.lexsort((xb[ties], xa[ties], idx[2, ties], idx[1, ties], block[ties]))]
-    ranked = block[ties]
-    for e in ties[np.r_[True, ranked[1:] != ranked[:-1]]].tolist():
-        yield (
-            float(obj[e]),
-            points[idx[:, e]].tolist(),
-            [float(xa[e]), float(xb[e]), float(xc[e])],
-        )
+def _pass_offer(idx: np.ndarray, x: np.ndarray, points: np.ndarray, f: np.ndarray):
+    """One pass's offer: its lowest objective and, among the candidates
+    within ``_TIE_TOL`` of it, the first by support, then by masses."""
+    obj = (x * f[idx]).sum(axis=0)
+    ties = np.flatnonzero(obj <= obj.min() + _TIE_TOL)
+    # np.lexsort's last key is the primary one
+    e = ties[np.lexsort([key[ties] for key in (*x[:-1][::-1], *idx[::-1])])[0]]
+    return float(obj[e]), points[idx[:, e]].tolist(), x[:, e].tolist()
 
 
 def _enumerate_minima(
@@ -361,38 +337,12 @@ def _enumerate_minima(
     """``(objective, support, masses)`` for each objective row of ``F``, all
     rows priced on one table of the feasible support candidates."""
     points = grid.points()
-    tab = _envelope_table(points, env)
+    passes = _envelope_table(points, env)
     minima = []
     for f in F:
         best = _Best()
-
-        # --- singletons ---------------------------------------------------
-        if tab.single.size:
-            idx = tab.single
-            objs = f[idx]
-            m0 = float(objs.min())
-            winner = idx[objs <= m0 + _TIE_TOL][0]  # smallest support point
-            best.offer(float(f[winner]), [float(points[winner])], [1.0])
-
-        # --- pairs ----------------------------------------------------------
-        if tab.pair_t.size:
-            t, i, j = tab.pair_t, tab.pair_i, tab.pair_j
-            obj = t * f[i] + (1.0 - t) * f[j]
-            m0 = float(obj.min())
-            ties = np.flatnonzero(obj <= m0 + _TIE_TOL)
-            e = ties[np.lexsort((t[ties], points[j[ties]], points[i[ties]]))[0]]
-            tv = float(t[e])
-            best.offer(
-                float(obj[e]),
-                [float(points[i[e]]), float(points[j[e]])],
-                [tv, 1.0 - tv],
-            )
-
-        # --- variance-tight triples -----------------------------------------
-        for idx, x in tab.triples:
-            for objective, support, masses in _triple_offers(idx, x, points, f):
-                best.offer(objective, support, masses)
-
+        for idx, x in passes:
+            best.offer(*_pass_offer(idx, x, points, f))
         if best.objective is None:
             raise ValueError(
                 "no grid-supported distribution satisfies the moment envelope"

@@ -65,10 +65,10 @@ class RobustTollResult:
     def __post_init__(self) -> None:
         if not self.br_curve:
             raise ValueError("br_curve must be non-empty")
-        best = max(self.br_curve.values())
-        if self.br_curve[self.toll] < best - 1e-9:
+        values = self.br_curve.values()
+        if self.br_curve[self.toll] < max(values) - 1e-9:
             raise ValueError("toll does not maximize the revenue curve")
-        if any(v < -1e-9 for v in self.br_curve.values()):
+        if min(values) < -1e-9:
             raise ValueError("worst-case revenues must be non-negative")
         if not (-1e-9 <= self.epsilon <= 1 + 1e-9):
             raise ValueError("epsilon must lie in [0, 1]")
@@ -97,10 +97,9 @@ def two_point_robust_toll(grid: PriceGrid, env: MomentEnvelope, T: int) -> Robus
     usage[floor_idx] = max(usage[floor_idx], 1)
     br = points * usage
     best_idx = int(np.argmax(br))  # first maximum = lowest toll on ties
-    curve = {float(r): float(v) for r, v in zip(points, br)}
     return RobustTollResult(
         toll=float(points[best_idx]),
-        br_curve=curve,
+        br_curve=dict(zip(points.tolist(), br.tolist())),
         epsilon=float(usage[best_idx]) / T,
         method="two-point",
     )

@@ -171,8 +171,22 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         ("kappa_bar = lots", "kappa_bar: could not convert string to float: 'lots'"),
         ("kappa_bar 2", "bad config line 'kappa_bar 2'"),
         ("bogus = 3", "unknown config key 'bogus'"),
+        ("T = 1", "T must be >= 2, got 1"),
+        ("H = 0", "H must be >= 1, got 0"),
+        ("kappa_bar = nan", "kappa_bar must be finite, got nan"),
+        ("confidence_z = -1", "confidence_z must be >= 0"),
     ],
-    ids=["int-text", "int-float", "float-text", "no-equals", "unknown-key"],
+    ids=[
+        "int-text",
+        "int-float",
+        "float-text",
+        "no-equals",
+        "unknown-key",
+        "T-range",
+        "H-range",
+        "nan-kappa",
+        "negative-z",
+    ],
 )
 def test_bad_config_line_names_file_and_line(tmp_path, capsys, line, message):
     cfg = tmp_path / "run.cfg"
@@ -180,6 +194,19 @@ def test_bad_config_line_names_file_and_line(tmp_path, capsys, line, message):
     argv = ["price", "--config", str(cfg), "--u-lower", "5", "--u-upper", "6"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {cfg}:5: {message}\n"
+
+
+def test_config_grid_error_names_last_grid_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q = 0\nQ = -1\nT = 5\nstep = 1\nH = 1\n")
+    argv = ["price", "--config", str(cfg), "--u-lower", "5", "--u-upper", "6"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:4: grid needs q < Q, got q=0.0, Q=-1.0\n"
+    # a value from the command line names no line
+    argv += ["--grid-step", "0", "--out-dir", str(tmp_path)]
+    cfg.write_text("step = 1\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: grid step must be positive, got 0.0\n"
 
 
 def test_argparse_errors_exit_2(capsys):
@@ -509,6 +536,19 @@ def test_ingest_then_real_exp(tmp_path, capsys):
     assert main(rerun) == 0
     for name in ("real_regret.csv", "toll_ratio.csv"):
         assert (exp_dir / name).read_bytes() == (rerun_dir / name).read_bytes()
+
+
+def test_ingest_report_counts_dropped_duplicates(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    crossing_feed(records)
+    records.write_text(records.read_text() + "900,nw,25,1,0,0,1\n")  # repeats the last key
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="1 duplicate"):
+        assert main(["ingest", "--records", str(records), "--out-dir", str(out)]) == 0
+    report = (out / "ingest_report.txt").read_text()
+    assert "records: 4\n" in report
+    assert "duplicate records (last kept): 1\n" in report
+    capsys.readouterr()
 
 
 def test_real_exp_negative_cycle_exits_2(tmp_path, capsys):

@@ -23,6 +23,7 @@ from tollkit.nature import (
     _moment_tols,
     _objective_vector,
     _package,
+    _pass_offer,
     _simplex_minima,
     brute_force_nature,
     first_feasible_lower,
@@ -301,6 +302,25 @@ def test_envelope_table_on_sweep_interval_bands():
         got = _enumerate_minima(grid, env, F)
         want = [per_toll_enumeration(points, env, f) for f in F]
         assert got == want, (env, objective)
+
+
+def test_pass_offer_breaks_ties_by_support_then_masses():
+    points = np.array([0.0, 1.0, 2.0, 3.0])
+    f = np.array([1.0 + 1e-9, 1.0, 1.0, 1.0])  # objective 1 + xa * 1e-9
+    # one support, masses in table order A, B, C, and a dearer D: within
+    # _TIE_TOL the smallest xa wins, then the smallest xb
+    idx = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [2, 2, 2, 2]], dtype=np.uint8)
+    x = np.array([[0.3, 0.25, 0.25, 0.1], [0.4, 0.5, 0.45, 0.4], [0.3, 0.25, 0.3, 1.5]])
+    objective, support, masses = _pass_offer(idx, x, points, f)
+    assert (support, masses) == ([0.0, 1.0, 2.0], [0.25, 0.45, 0.3])
+    assert objective == pytest.approx(1.0, abs=_TIE_TOL)
+    # equal masses on supports that differ only in the middle point: the
+    # smaller middle point wins, whatever the table order
+    idx = np.array([[0, 0], [2, 1], [3, 3]], dtype=np.uint8)
+    x = np.array([[0.2, 0.2], [0.5, 0.5], [0.3, 0.3]])
+    for order in ([0, 1], [1, 0]):
+        _, support, _ = _pass_offer(idx[:, order], x[:, order], points, np.ones(4))
+        assert support == [0.0, 1.0, 3.0], order
 
 
 def test_envelope_table_interleaved_keys():
