@@ -24,6 +24,11 @@ Drivers:
 * ``run_real_data_experiment`` -- virtual toll roads between random node
   pairs of an ingested network, robust pricing vs. a sample-mean toll.
 
+Regret is scored one way: ``pricing.realized_revenue_table`` gives every
+grid toll's revenue r * #{c >= r} on each realized sample (costs clamped
+into the grid), its row maximum is the hindsight optimum, and ``_regret``
+scores (opt - got) / opt clipped into [0, 1], 0 where opt <= 0.
+
 All CSV emitters write a leading ``format_version`` column, ``%.12g``
 floats, and no timestamps, so identical (config, seed) runs produce
 byte-identical files.
@@ -50,6 +55,7 @@ from .network import TollNetwork, state_shortest_path_costs
 from .pricing import (
     RobustTollResult,
     optimal_toll_for_realized_costs,
+    realized_revenue_table,
     two_point_robust_toll,
 )
 
@@ -370,7 +376,7 @@ def _draw_params(
 def _draw_costs(
     spec: DistributionSpec, a: float, b: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """``n`` i.i.d. costs from one parametrized family, mapped and clamped."""
+    """``n`` i.i.d. costs from one parametrized family, mapped; callers clamp."""
     if spec.family == "beta":
         raw = rng.beta(a, b, n)
     elif spec.family == "gamma":
@@ -380,7 +386,7 @@ def _draw_costs(
     else:  # lognormal
         raw = rng.lognormal(a, b, n)
     scale, offset = spec.cost_mapping
-    return np.clip(offset + scale * raw, spec.clamp[0], spec.clamp[1])
+    return offset + scale * raw
 
 
 def sample_costs(spec: DistributionSpec, n: int, seed) -> np.ndarray:
@@ -394,7 +400,7 @@ def sample_costs(spec: DistributionSpec, n: int, seed) -> np.ndarray:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     a, b = _draw_params(spec, rng)
-    return _draw_costs(spec, a, b, n, rng)
+    return np.clip(_draw_costs(spec, a, b, n, rng), *spec.clamp)
 
 
 # A link's ground truth for one run: its family plus the parameters drawn
@@ -422,9 +428,9 @@ def _trial_minima(
     trials: range,
     n: int,
 ) -> np.ndarray:
-    """Element-wise minimum over the per-link cost draws of each trial,
-    clipped to the grid: shape (len(trials), n).  One seeding pass covers
-    every (trial, link) cell."""
+    """Element-wise minimum over the per-link cost draws of each trial (each
+    link's clamped to its spec), clipped to the grid: shape (len(trials), n).
+    One seeding pass covers every (trial, link) cell."""
     links = len(instances)
     costs = np.empty((len(trials), links, n))
     streams = _streams(
@@ -433,6 +439,8 @@ def _trial_minima(
     for cell, rng in enumerate(streams):
         spec, a, b = instances[cell % links]
         costs[divmod(cell, links)] = _draw_costs(spec, a, b, n, rng)
+    bounds = np.array([spec.clamp for spec, _, _ in instances])  # (links, 2)
+    np.clip(costs, bounds[:, :1], bounds[:, 1:], out=costs)
     return np.clip(costs.min(axis=1), cfg.grid.q, cfg.grid.Q)
 
 
@@ -471,6 +479,15 @@ def _history_tolls(
     return tolls
 
 
+def _regret(opt, got) -> np.ndarray:
+    """Relative regret ``(opt - got) / opt`` clipped into [0, 1],
+    elementwise with broadcasting.  Where ``opt <= 0`` there is nothing to
+    collect, every toll is equally optimal, and regret is 0."""
+    opt = np.asarray(opt, dtype=float)
+    lost = opt - got
+    return np.clip(np.divide(lost, opt, out=np.zeros(lost.shape), where=opt > 0), 0, 1)
+
+
 def _evaluate_tolls(
     cfg: ExperimentConfig,
     instances: tuple[_LinkInstance, ...],
@@ -478,21 +495,16 @@ def _evaluate_tolls(
 ) -> np.ndarray:
     """Regret matrix (eval sample, toll) against per-sample optimal tolls.
 
-    Every toll is a grid point, so the hindsight optimum upper-bounds each
-    realized revenue and regret lands in [0, 1] up to rounding.
+    Every toll is a grid point, so its revenue is a column of the revenue
+    table, which the hindsight optimum bounds: regret lands in [0, 1].
     """
-    regret = np.zeros((cfg.eval_samples, tolls.size))
+    columns = np.searchsorted(cfg.grid.points(), tolls)
+    regret = np.empty((cfg.eval_samples, tolls.size))
     blocks = _trial_blocks(cfg, instances, _KIND_EVAL, cfg.eval_samples, cfg.T)
     for trials, block in blocks:
-        opt = np.array(
-            [optimal_toll_for_realized_costs(minima, cfg.grid)[1] for minima in block]
-        )
-        revenue = tolls * np.count_nonzero(block[:, None, :] >= tolls[:, None], axis=2)
-        # a sample with nothing to collect keeps 0: every toll is equally optimal
-        scored = opt > 0
-        opt = opt[scored, None]
-        regret[trials.start : trials.stop][scored] = np.clip(
-            (opt - revenue[scored]) / opt, 0.0, 1.0
+        revenue = realized_revenue_table(block, cfg.grid)
+        regret[trials.start : trials.stop] = _regret(
+            revenue.max(axis=1)[:, None], revenue[:, columns]
         )
     return regret
 
@@ -590,10 +602,7 @@ def run_dynamic_cumulative_regret(
     static_toll, _ = optimal_toll_for_realized_costs(costs, cfg.grid)
     opt_cum = np.cumsum(np.where(costs >= static_toll, static_toll, 0.0))
     rob_cum = np.cumsum(np.where(costs >= averaged, averaged, 0.0))
-    series = np.zeros(periods)
-    mask = opt_cum > 0
-    series[mask] = np.clip((opt_cum[mask] - rob_cum[mask]) / opt_cum[mask], 0.0, 1.0)
-    return 100.0 * series
+    return 100.0 * _regret(opt_cum, rob_cum)
 
 
 def run_real_data_experiment(
@@ -645,40 +654,26 @@ def run_real_data_experiment(
         top = max(float(np.max(m)) for m in margin_series)
         grid = PriceGrid(0.0, max(1.0, math.ceil(top)), 1.0)
 
-    robust_regret: list[float] = []
-    mean_regret: list[float] = []
-    ratios: list[float] = []
-    for margins in margin_series:
+    tolls = np.empty((len(margin_series), 2))  # robust, sample mean
+    for pair, margins in enumerate(margin_series):
         history = margins[:history_cut]
         env = estimate_moment_envelope(history, grid, confidence_z, kappa_bar)
-        robust_toll = two_point_robust_toll(grid, env, T).toll
-        mean_toll = grid.snap(float(np.mean(history)))
-        clamped = np.clip(margins, grid.q, grid.Q)
-        opt_toll, opt_revenue = optimal_toll_for_realized_costs(clamped, grid)
-        if opt_revenue <= 0:
-            robust_regret.append(0.0)
-            mean_regret.append(0.0)
-            continue
-
-        def regret_of(toll: float) -> float:
-            revenue = toll * float(np.count_nonzero(clamped >= toll))
-            return float(np.clip((opt_revenue - revenue) / opt_revenue, 0.0, 1.0))
-
-        robust_regret.append(regret_of(robust_toll))
-        mean_regret.append(regret_of(mean_toll))
-        if opt_toll > 0:
-            ratios.append(robust_toll / opt_toll)
-
-    robust_arr = np.asarray(robust_regret)
-    mean_arr = np.asarray(mean_regret)
+        tolls[pair] = two_point_robust_toll(grid, env, T).toll, grid.snap(np.mean(history))
+    points = grid.points()
+    revenue = realized_revenue_table(np.stack(margin_series), grid)
+    opt = revenue.max(axis=1)
+    got = np.take_along_axis(revenue, np.searchsorted(points, tolls), axis=1)
+    robust_arr, mean_arr = _regret(opt, got.T)
+    scored = opt > 0  # a positive optimum has a positive toll
+    ratios = tolls[scored, 0] / points[revenue.argmax(axis=1)[scored]]
     return RealDataResult(
         robust_avg_pct=100.0 * float(np.mean(robust_arr)),
         robust_stdev_pct=100.0 * _spread(robust_arr),
         mean_toll_avg_pct=100.0 * float(np.mean(mean_arr)),
         mean_toll_stdev_pct=100.0 * _spread(mean_arr),
-        per_pair_robust=tuple(robust_regret),
-        per_pair_mean_toll=tuple(mean_regret),
-        toll_ratios=tuple(ratios),
+        per_pair_robust=tuple(robust_arr.tolist()),
+        per_pair_mean_toll=tuple(mean_arr.tolist()),
+        toll_ratios=tuple(ratios.tolist()),
         n_pairs_used=len(margin_series),
         n_skipped=skipped,
     )

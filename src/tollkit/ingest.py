@@ -398,19 +398,10 @@ def build_graph_from_segments(
         if not merged_any:
             break
 
-    final: dict[int, list[int]] = {}
-    for i in range(len(points)):
-        final.setdefault(find(i), []).append(i)
-    centroids = {
-        r: (
-            sum(points[i][0] for i in members) / len(members),
-            sum(points[i][1] for i in members) / len(members),
-        )
-        for r, members in final.items()
-    }
-    order = sorted(centroids, key=lambda r: centroids[r])
+    # the last pass merged nothing, so its clusters and centroids are final
+    order = sorted(centroid, key=lambda r: centroid[r])
     node_of_root = {r: k for k, r in enumerate(order)}
-    node_coords = tuple(centroids[r] for r in order)
+    node_coords = tuple(centroid[r] for r in order)
 
     arcs: list[SkeletonArc] = []
     dropped = 0

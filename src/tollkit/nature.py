@@ -255,17 +255,16 @@ def _envelope_table(
     I, J = np.triu_indices(n, k=1)
     ci, cj = points[I], points[J]
     d = cj - ci
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t_mean_lo = (cj - ul) / d  # mean pinned at u_lower
-        t_mean_hi = (cj - uu) / d  # mean pinned at u_upper
-        half = 0.5 * (1.0 + kappa / d)
-        disc = half * half - kappa * cj / (d * d)
-        sq = np.sqrt(np.where(disc >= 0, disc, np.nan))
-        t_var_lo = half - sq
-        t_var_hi = half + sq
-    cand = np.stack([t_mean_lo, t_mean_hi, t_var_lo, t_var_hi], axis=1)
-    interior = np.isfinite(cand) & (cand > 1e-12) & (cand < 1 - 1e-12)
-    t = np.clip(cand, 0.0, 1.0)
+    t_mean_lo = (cj - ul) / d  # mean pinned at u_lower
+    t_mean_hi = (cj - uu) / d  # mean pinned at u_upper
+    half = 0.5 * (1.0 + kappa / d)
+    disc = half * half - kappa * cj / (d * d)
+    sq = np.sqrt(np.where(disc >= 0, disc, np.nan))
+    t_var_lo = half - sq
+    t_var_hi = half + sq
+    t = np.stack([t_mean_lo, t_mean_hi, t_var_lo, t_var_hi], axis=1)
+    # d > 0, and the mask rejects the NaN of a negative discriminant
+    interior = (t > 1e-12) & (t < 1 - 1e-12)
     mu = cj[:, None] - t * d[:, None]
     var = t * (1.0 - t) * (d * d)[:, None]
     feas = (

@@ -41,6 +41,7 @@ __all__ = [
     "emit_nature_miqp",
     "solve_nature_miqp_exact",
     "optimal_toll_for_realized_costs",
+    "realized_revenue_table",
     "deterministic_toll",
     "quote_for_result",
 ]
@@ -165,22 +166,37 @@ def epsilon_sweep_robust_toll(
     )
 
 
+def realized_revenue_table(costs, grid: PriceGrid) -> np.ndarray:
+    """Revenue r * #{i : c_i >= r} of every grid toll r on each realized
+    sample, one sample per row: shape (samples, grid points).  Costs are
+    clamped into the grid range first; NaN is rejected.  Counts are exact:
+    each row's histogram of how many tolls a cost pays (the grid points at
+    or below it), accumulated, gives #{i : c_i >= r}."""
+    arr = np.asarray(costs, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError("realized costs must be a 2-D array, one sample per row")
+    samples, n = arr.shape
+    if n == 0:
+        raise ValueError("empty cost sample")
+    if np.isnan(arr).any():
+        raise ValueError("realized costs must not be NaN")
+    points = grid.points()
+    width = points.size + 1
+    paid = np.searchsorted(points, np.clip(arr, grid.q, grid.Q), side="right")
+    paid += width * np.arange(samples)[:, None]  # one histogram per row
+    hist = np.bincount(paid.ravel(), minlength=samples * width).reshape(samples, width)
+    return points * (n - np.cumsum(hist, axis=1)[:, :-1])
+
+
 def optimal_toll_for_realized_costs(
     costs, grid: PriceGrid
 ) -> tuple[float, float]:
     """Hindsight-optimal toll for a realized cost sample: maximize
     r * #{i : c_i >= r} over the grid (ties to the lowest toll).  Costs are
     clamped into the grid range first."""
-    arr = np.asarray(costs, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty cost sample")
-    arr = np.clip(arr, grid.q, grid.Q)
-    arr.sort()
-    points = grid.points()
-    paying = arr.size - np.searchsorted(arr, points, side="left")
-    revenue = points * paying
+    revenue = realized_revenue_table(np.asarray(costs, dtype=float)[None], grid)[0]
     idx = int(np.argmax(revenue))
-    return float(points[idx]), float(revenue[idx])
+    return float(grid.points()[idx]), float(revenue[idx])
 
 
 def deterministic_toll(alternative_costs) -> float:
@@ -451,9 +467,7 @@ def solve_nature_miqp_exact(
         raise ValueError("no feasible sample path for the envelope at this horizon")
     obj, neg_lam, a, b = best
     lam = -neg_lam
-    if lam == 0:
-        resp = TwoPointResponse(lower=a, upper=a, low_count=0, mean=a)
-    elif lam == T:
+    if lam in (0, T):
         resp = TwoPointResponse(lower=a, upper=a, low_count=0, mean=a)
     else:
         resp = TwoPointResponse(

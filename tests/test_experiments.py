@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from tollkit.core import PriceGrid
+from tollkit.core import PriceGrid, estimate_moment_envelope
 from tollkit.experiments import (
+    _KIND_PAIRS,
     DistributionSpec,
     ExperimentConfig,
     RealDataResult,
@@ -22,8 +25,8 @@ from tollkit.experiments import (
     write_regret_summary,
     write_toll_ratio,
 )
-from tollkit.network import Arc, TollNetwork
-from tollkit.pricing import RobustTollResult
+from tollkit.network import Arc, TollNetwork, state_shortest_path_costs
+from tollkit.pricing import RobustTollResult, two_point_robust_toll
 
 SEED = 20260819
 
@@ -267,6 +270,96 @@ def test_real_data_skips_disconnected_pairs():
     result = run_real_data_experiment(island, pairs=12, history_cut=8, seed=2)
     assert result.n_skipped >= 1
     assert result.n_pairs_used + result.n_skipped == 12
+
+
+def ref_real_data(net, pairs, history_cut, grid=None, T=50, seed=0):
+    """The real-data driver as a per-pair loop, with the hindsight optimum
+    found by sort and bisection: (robust regret, mean-toll regret, ratios),
+    and how many pairs had nothing to collect."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _KIND_PAIRS)))
+    series = []
+    for _ in range(pairs):
+        i, j = rng.choice(len(net.nodes), size=2, replace=False)
+        margins = state_shortest_path_costs(
+            net, origin=net.nodes[i], destination=net.nodes[j], undirected=True
+        )
+        if np.all(np.isfinite(margins)):
+            series.append(margins)
+    if grid is None:
+        top = max(float(np.max(m)) for m in series)
+        grid = PriceGrid(0.0, max(1.0, math.ceil(top)), 1.0)
+    robust, mean, ratios, empty = [], [], [], 0
+    for margins in series:
+        history = margins[:history_cut]
+        env = estimate_moment_envelope(history, grid, 1.96, 1.0)
+        robust_toll = two_point_robust_toll(grid, env, T).toll
+        mean_toll = grid.snap(float(np.mean(history)))
+        clamped = np.sort(np.clip(margins, grid.q, grid.Q))
+        points = grid.points()
+        revenue = points * (clamped.size - np.searchsorted(clamped, points, side="left"))
+        best = int(np.argmax(revenue))
+        opt_toll, opt_revenue = float(points[best]), float(revenue[best])
+        if opt_revenue <= 0:
+            robust.append(0.0)
+            mean.append(0.0)
+            empty += 1
+            continue
+        for toll, out in ((robust_toll, robust), (mean_toll, mean)):
+            got = toll * float(np.count_nonzero(clamped >= toll))
+            out.append(float(np.clip((opt_revenue - got) / opt_revenue, 0.0, 1.0)))
+        ratios.append(robust_toll / opt_toll)
+    return tuple(robust), tuple(mean), tuple(ratios), empty
+
+
+def random_network(rng) -> TollNetwork:
+    """A random connected network whose first arc costs nothing in every
+    state, so some pairs have all-zero margins."""
+    n = int(rng.integers(3, 7))
+    names = [f"v{k}" for k in range(n)]
+    arcs = [Arc(names[int(rng.integers(k))], names[k], False) for k in range(1, n)]
+    joined = {frozenset((a.tail, a.head)) for a in arcs}
+    for _ in range(n):
+        a, b = rng.choice(n, size=2, replace=False)
+        if frozenset((names[a], names[b])) not in joined:
+            joined.add(frozenset((names[a], names[b])))
+            arcs.append(Arc(names[a], names[b], False))
+    costs = rng.uniform(0.5, 30.0, size=(int(rng.integers(4, 30)), len(arcs)))
+    costs[:, 0] = 0.0
+    return TollNetwork(tuple(arcs), names[0], names[-1], costs)
+
+
+def test_real_data_matches_per_pair_reference():
+    rng = np.random.default_rng(SEED)
+    empty = 0
+    for k in range(24):
+        net = random_network(rng)
+        states = net.state_costs.shape[0]
+        kwargs = dict(
+            pairs=int(rng.integers(1, 10)),
+            history_cut=int(rng.integers(1, states + 1)),
+            grid=None if k % 2 else PriceGrid(0.0, 40.0, 0.5),
+            T=int(rng.integers(2, 12)),
+            seed=k,
+        )
+        robust, mean, ratios, zero_pairs = ref_real_data(net, **kwargs)
+        empty += zero_pairs
+        robust_arr, mean_arr = np.asarray(robust), np.asarray(mean)
+
+        def spread(x):
+            return float(np.std(x, ddof=1)) if x.size > 1 else 0.0
+
+        assert run_real_data_experiment(net, **kwargs) == RealDataResult(
+            robust_avg_pct=100.0 * float(np.mean(robust_arr)),
+            robust_stdev_pct=100.0 * spread(robust_arr),
+            mean_toll_avg_pct=100.0 * float(np.mean(mean_arr)),
+            mean_toll_stdev_pct=100.0 * spread(mean_arr),
+            per_pair_robust=robust,
+            per_pair_mean_toll=mean,
+            toll_ratios=ratios,
+            n_pairs_used=len(robust),
+            n_skipped=0,
+        )
+    assert empty > 0  # some pair had nothing to collect
 
 
 def test_real_data_validation():

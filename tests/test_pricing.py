@@ -22,6 +22,7 @@ from tollkit.pricing import (
     epsilon_sweep_robust_toll,
     optimal_toll_for_realized_costs,
     quote_for_result,
+    realized_revenue_table,
     solve_nature_miqp_exact,
     two_point_robust_toll,
 )
@@ -243,6 +244,56 @@ def test_optimal_toll_matches_exhaustive_scan():
         )
         assert revenue == pytest.approx(best[0])
         assert toll == -best[1]
+
+
+def sorted_revenue(costs, grid):
+    """Reference hindsight revenue of every grid toll on one sample: clamp,
+    sort, and count the costs at or above each toll by bisection."""
+    ordered = np.sort(np.clip(np.asarray(costs, dtype=float), grid.q, grid.Q))
+    points = grid.points()
+    return points * (ordered.size - np.searchsorted(ordered, points, side="left"))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [PriceGrid(1.3, 4.3, 0.1), PriceGrid(2.5, 12.5, 0.25), PriceGrid(3.0, 40.0, 1.0)],
+    ids=["step-0.1", "step-0.25", "step-1"],
+)
+def test_revenue_table_matches_sorted_reference(grid):
+    rng = np.random.default_rng(SEED)
+    points = grid.points()
+    span = grid.Q - grid.q
+    for n in (1, 2, 7, 30):
+        # costs on grid points, between them, and below q and above Q
+        on_grid = rng.choice(points, size=(25, n))
+        between = rng.uniform(grid.q - 0.3 * span, grid.Q + 0.3 * span, size=(25, n))
+        costs = np.where(rng.random((25, n)) < 0.5, on_grid, between)
+        costs[0] = grid.q - 1.0
+        costs[1] = grid.Q + 1.0
+        costs[2, 0] = -np.inf
+        costs[3, -1] = np.inf
+        table = realized_revenue_table(costs, grid)
+        assert table.shape == (25, points.size)
+        for row, sample in zip(table, costs):
+            want = sorted_revenue(sample, grid)
+            assert row.tobytes() == want.tobytes()
+            idx = int(np.argmax(want))
+            assert optimal_toll_for_realized_costs(sample, grid) == (
+                float(points[idx]),
+                float(want[idx]),
+            )
+
+
+def test_revenue_table_rejects_nan_and_bad_shapes():
+    grid = PriceGrid(0.0, 10.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        optimal_toll_for_realized_costs([math.nan, 2.0], grid)
+    with pytest.raises(ValueError, match="NaN"):
+        realized_revenue_table([[1.0, 2.0], [3.0, math.nan]], grid)
+    with pytest.raises(ValueError, match="2-D"):
+        realized_revenue_table([1.0, 2.0], grid)
+    with pytest.raises(ValueError, match="empty"):
+        realized_revenue_table(np.empty((3, 0)), grid)
 
 
 def test_deterministic_toll():

@@ -25,6 +25,7 @@ from tollkit.experiments import (
     _KIND_PAIRS,
     _KIND_PARAMS,
     FAMILIES,
+    DistributionSpec,
     ExperimentConfig,
     RegretRow,
     _cell_seeds,
@@ -37,7 +38,7 @@ from tollkit.experiments import (
     run_fixed_distribution_experiment,
     run_mixed_distribution_experiment,
 )
-from tollkit.pricing import optimal_toll_for_realized_costs, two_point_robust_toll
+from tollkit.pricing import two_point_robust_toll
 
 SEED = 20261018
 
@@ -138,6 +139,7 @@ def ref_trial_minima(cfg, instances, kind, trial, n):
     minima = None
     for link, (spec, a, b) in enumerate(instances):
         costs = _draw_costs(spec, a, b, n, reference_stream(cfg.seed, kind, trial, link))
+        costs = np.clip(costs, *spec.clamp)
         minima = costs if minima is None else np.minimum(minima, costs)
     return np.clip(minima, cfg.grid.q, cfg.grid.Q)
 
@@ -151,6 +153,20 @@ def ref_history_tolls(cfg, instances):
     return tolls
 
 
+def ref_paying(costs, tolls):
+    """How many of the costs are at or above each toll, by sort and bisection."""
+    ordered = np.sort(costs)
+    return costs.size - np.searchsorted(ordered, tolls, side="left")
+
+
+def ref_hindsight(costs, grid):
+    """Lowest toll of the largest revenue over the grid, and that revenue."""
+    points = grid.points()
+    revenue = points * ref_paying(costs, points)
+    best = int(np.argmax(revenue))
+    return points[best], revenue[best]
+
+
 def ref_regret_row(cfg, link_spec, label):
     instances = ref_instances(cfg, link_spec)
     tolls = ref_history_tolls(cfg, instances)
@@ -159,11 +175,10 @@ def ref_regret_row(cfg, link_spec, label):
     regret = np.zeros((cfg.eval_samples, scored.size))
     for e in range(cfg.eval_samples):
         minima = ref_trial_minima(cfg, instances, _KIND_EVAL, e, cfg.T)
-        _, opt_revenue = optimal_toll_for_realized_costs(minima, cfg.grid)
+        _, opt_revenue = ref_hindsight(minima, cfg.grid)
         if opt_revenue <= 0:
             continue
-        ordered = np.sort(minima)
-        paying = minima.size - np.searchsorted(ordered, scored, side="left")
+        paying = ref_paying(minima, scored)
         regret[e] = np.clip((opt_revenue - scored * paying) / opt_revenue, 0.0, 1.0)
 
     def spread(values):
@@ -196,7 +211,7 @@ def ref_dynamic(cfg, spec):
     costs = np.array(
         [ref_trial_minima(cfg, instances, _KIND_DYNAMIC, p, 1)[0] for p in range(cfg.eval_samples)]
     )
-    static_toll, _ = optimal_toll_for_realized_costs(costs, cfg.grid)
+    static_toll, _ = ref_hindsight(costs, cfg.grid)
     opt_cum = np.cumsum(np.where(costs >= static_toll, static_toll, 0.0))
     rob_cum = np.cumsum(np.where(costs >= averaged, averaged, 0.0))
     series = np.zeros(cfg.eval_samples)
@@ -217,10 +232,12 @@ def test_drivers_match_per_cell_reference(monkeypatch, block, links, H):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for family in FAMILIES:
-            spec = family_spec(family, cfg.grid)
+        # the stock specs clamp to the grid; the last one clamps each link
+        # inside it, before the minimum over links
+        narrow = DistributionSpec("normal", ((90.0, 110.0), (10.0, 30.0)), clamp=(95.0, 105.0))
+        for spec in [family_spec(family, cfg.grid) for family in FAMILIES] + [narrow]:
             assert run_fixed_distribution_experiment(cfg, spec) == ref_regret_row(
-                cfg, lambda link: spec, family
+                cfg, lambda link: spec, spec.family
             )
         assert run_mixed_distribution_experiment(cfg) == ref_mixed(cfg, FAMILIES)
         assert run_mixed_distribution_experiment(cfg, ["gamma"]) == ref_mixed(cfg, ["gamma"])
