@@ -6,127 +6,99 @@ robust pricing search, arc-level toll allocation, traffic-record
 ingestion, and Monte-Carlo regret experiments.
 """
 
-from .config import RunConfig, parse_config, write_config
-from .core import (
-    CostHistory,
-    DiscreteDistribution,
-    MomentEnvelope,
-    PriceGrid,
-    TollQuote,
-    estimate_moment_envelope,
-    expected_revenue,
-    expected_user_cost,
-    relative_regret,
-)
-from .experiments import (
-    DistributionSpec,
-    ExperimentConfig,
-    RealDataResult,
-    RegretRow,
-    family_spec,
-    run_dynamic_cumulative_regret,
-    run_fixed_distribution_experiment,
-    run_mixed_distribution_experiment,
-    run_real_data_experiment,
-    sample_costs,
-)
-from .ingest import (
-    NetworkSkeleton,
-    SegmentRecord,
-    build_graph_from_segments,
-    ingest_to_network,
-    interpolate_missing,
-    parse_traffic_records,
-    travel_cost_states,
-)
-from .nature import (
-    NatureSolution,
-    TwoPointResponse,
-    brute_force_nature,
-    pick_worst,
-    solve_nature_an,
-    solve_nature_two_point,
-    solve_nature_ufn,
-)
-from .network import (
-    Arc,
-    PathFamily,
-    TollNetwork,
-    allocate_arc_tolls,
-    build_parallel_equivalent,
-    enumerate_paths,
-    load_network,
-    state_margin_series,
-    write_network,
-)
-from .pricing import (
-    MiqpModel,
-    RobustTollResult,
-    deterministic_toll,
-    emit_nature_miqp,
-    epsilon_sweep_robust_toll,
-    optimal_toll_for_realized_costs,
-    quote_for_result,
-    solve_nature_miqp_exact,
-    two_point_robust_toll,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "Arc",
-    "CostHistory",
-    "DiscreteDistribution",
-    "DistributionSpec",
-    "ExperimentConfig",
-    "MiqpModel",
-    "MomentEnvelope",
-    "NatureSolution",
-    "NetworkSkeleton",
-    "PathFamily",
-    "PriceGrid",
-    "RealDataResult",
-    "RegretRow",
-    "RobustTollResult",
-    "RunConfig",
-    "SegmentRecord",
-    "TollNetwork",
-    "TollQuote",
-    "TwoPointResponse",
-    "allocate_arc_tolls",
-    "brute_force_nature",
-    "build_graph_from_segments",
-    "build_parallel_equivalent",
-    "deterministic_toll",
-    "emit_nature_miqp",
-    "enumerate_paths",
-    "epsilon_sweep_robust_toll",
-    "estimate_moment_envelope",
-    "expected_revenue",
-    "expected_user_cost",
-    "family_spec",
-    "ingest_to_network",
-    "interpolate_missing",
-    "load_network",
-    "optimal_toll_for_realized_costs",
-    "parse_config",
-    "parse_traffic_records",
-    "pick_worst",
-    "quote_for_result",
-    "relative_regret",
-    "run_dynamic_cumulative_regret",
-    "run_fixed_distribution_experiment",
-    "run_mixed_distribution_experiment",
-    "run_real_data_experiment",
-    "sample_costs",
-    "solve_nature_an",
-    "solve_nature_miqp_exact",
-    "solve_nature_two_point",
-    "solve_nature_ufn",
-    "state_margin_series",
-    "travel_cost_states",
-    "two_point_robust_toll",
-    "write_config",
-    "write_network",
-]
+# Public name -> the tollkit module that defines it.  ``import tollkit``
+# imports none of them; the first lookup of a name imports its module.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "config": ("RunConfig", "parse_config", "write_config"),
+        "core": (
+            "CostHistory",
+            "DiscreteDistribution",
+            "MomentEnvelope",
+            "PriceGrid",
+            "TollQuote",
+            "estimate_moment_envelope",
+            "expected_revenue",
+            "expected_user_cost",
+        ),
+        "experiments": (
+            "DistributionSpec",
+            "ExperimentConfig",
+            "RealDataResult",
+            "RegretRow",
+            "family_spec",
+            "run_dynamic_cumulative_regret",
+            "run_fixed_distribution_experiment",
+            "run_mixed_distribution_experiment",
+            "run_real_data_experiment",
+            "sample_costs",
+        ),
+        "ingest": (
+            "NetworkSkeleton",
+            "RecordColumns",
+            "SegmentRecord",
+            "build_graph_from_segments",
+            "ingest_to_network",
+            "interpolate_missing",
+            "parse_traffic_records",
+            "travel_cost_states",
+        ),
+        "nature": (
+            "NatureSolution",
+            "TwoPointResponse",
+            "brute_force_nature",
+            "pick_worst",
+            "solve_nature_an",
+            "solve_nature_two_point",
+            "solve_nature_ufn",
+        ),
+        "network": (
+            "Arc",
+            "PathFamily",
+            "TollNetwork",
+            "allocate_arc_tolls",
+            "build_parallel_equivalent",
+            "enumerate_paths",
+            "load_network",
+            "state_margin_series",
+            "write_network",
+        ),
+        "pricing": (
+            "MiqpModel",
+            "RobustTollResult",
+            "deterministic_toll",
+            "emit_nature_miqp",
+            "epsilon_sweep_robust_toll",
+            "optimal_toll_for_realized_costs",
+            "quote_for_result",
+            "solve_nature_miqp_exact",
+            "two_point_robust_toll",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def _lazy_getattr(namespace: dict, table: dict[str, str]):
+    """A PEP 562 module ``__getattr__`` for the module whose globals are
+    ``namespace``: a ``table`` name resolves to the object of that name in
+    its tollkit module, imported on first use and then kept in
+    ``namespace``, where a later ``setattr`` on the module replaces it."""
+
+    def __getattr__(name: str):
+        if name not in table:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(f"{__name__}.{table[name]}"), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy_getattr(globals(), _EXPORTS)

@@ -20,8 +20,14 @@ import sys
 
 import numpy as np
 
+from . import _lazy_getattr
 from .config import RunConfig, parse_config
 from .core import (
+    DEFAULT_BUCKET_MINUTES,
+    DEFAULT_CROSSING_TOL,
+    DEFAULT_MERGE_TOL,
+    FAMILIES,
+    FORMAT_VERSION,
     CostHistory,
     MomentEnvelope,
     PriceGrid,
@@ -31,38 +37,42 @@ from .core import (
     read_rows,
     write_rows,
 )
-from .experiments import (
-    FAMILIES,
-    FORMAT_VERSION,
-    ExperimentConfig,
-    family_spec,
-    run_dynamic_cumulative_regret,
-    run_fixed_distribution_experiment,
-    run_mixed_distribution_experiment,
-    run_real_data_experiment,
-    write_br_curve,
-    write_cumulative_regret,
-    write_regret_summary,
-    write_toll_ratio,
-)
-from .ingest import (
-    DEFAULT_BUCKET_MINUTES,
-    DEFAULT_CROSSING_TOL,
-    DEFAULT_MERGE_TOL,
-    ingest_to_network,
-    parse_traffic_records,
-    skeleton_to_network,
-)
-from .nature import solve_nature_an, solve_nature_ufn
-from .network import allocate_arc_tolls, load_network, read_arcs, write_network
-from .pricing import (
-    emit_nature_miqp,
-    epsilon_sweep_robust_toll,
-    quote_for_result,
-    two_point_robust_toll,
-)
 
 __all__ = ["build_parser", "main"]
+
+# Library name -> the tollkit module that defines it, imported on first use
+# so a process loads only what its subcommand runs.  Handlers look these
+# names up on the module object (``_this``), which resolves them through
+# ``__getattr__`` and sees any object ``setattr`` put in their place.
+_LIBRARY = {
+    name: module
+    for module, names in {
+        "experiments": (
+            "ExperimentConfig",
+            "family_spec",
+            "run_dynamic_cumulative_regret",
+            "run_fixed_distribution_experiment",
+            "run_mixed_distribution_experiment",
+            "run_real_data_experiment",
+            "write_br_curve",
+            "write_cumulative_regret",
+            "write_regret_summary",
+            "write_toll_ratio",
+        ),
+        "ingest": ("ingest_to_network", "parse_traffic_records", "skeleton_to_network"),
+        "nature": ("solve_nature_an", "solve_nature_ufn"),
+        "network": ("allocate_arc_tolls", "load_network", "read_arcs", "write_network"),
+        "pricing": (
+            "emit_nature_miqp",
+            "epsilon_sweep_robust_toll",
+            "quote_for_result",
+            "two_point_robust_toll",
+        ),
+    }.items()
+    for name in names
+}
+__getattr__ = _lazy_getattr(globals(), _LIBRARY)
+_this = sys.modules[__name__]
 
 OUT_DIR_ENV = "TOLLKIT_OUT_DIR"
 
@@ -128,12 +138,12 @@ def _cmd_price(args: argparse.Namespace) -> int:
     env = _resolve_envelope(args, cfg, grid)
     method = args.method or "two-point"
     if method == "two-point":
-        result = two_point_robust_toll(grid, env, cfg.T)
+        result = _this.two_point_robust_toll(grid, env, cfg.T)
     elif method == "sweep":
-        result = epsilon_sweep_robust_toll(grid, env, cfg.T)
+        result = _this.epsilon_sweep_robust_toll(grid, env, cfg.T)
     else:
         raise ValueError(f"unknown pricing method {method!r}: use two-point or sweep")
-    quote = quote_for_result(result, cfg.T)
+    quote = _this.quote_for_result(result, cfg.T)
     write_rows(
         os.path.join(out_dir, "price.csv"),
         ["format_version", "toll", "usage_count", "worst_case_revenue", "method"],
@@ -147,7 +157,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
             )
         ],
     )
-    write_br_curve(result, os.path.join(out_dir, "br_curve.csv"))
+    _this.write_br_curve(result, os.path.join(out_dir, "br_curve.csv"))
     _write_manifest(
         out_dir, "price", cfg, _envelope_extras(args) + [("method", method)]
     )
@@ -163,7 +173,7 @@ def _cmd_nature(args: argparse.Namespace) -> int:
     grid = cfg.grid()
     out_dir = _resolve_out_dir(args)
     env = _resolve_envelope(args, cfg, grid)
-    solver = solve_nature_an if args.objective == "an" else solve_nature_ufn
+    solver = _this.solve_nature_an if args.objective == "an" else _this.solve_nature_ufn
     solution = solver(grid, env, args.toll)
     dist = solution.distribution
     write_rows(
@@ -191,7 +201,7 @@ def _cmd_emit_mip(args: argparse.Namespace) -> int:
     grid = cfg.grid()
     out_dir = _resolve_out_dir(args)
     env = _resolve_envelope(args, cfg, grid)
-    model, text = emit_nature_miqp(
+    model, text = _this.emit_nature_miqp(
         grid, env, cfg.T, r=args.toll, epsilon=args.epsilon, big_M=args.big_m
     )
     path = os.path.join(out_dir, "model.lp")
@@ -245,7 +255,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     out_dir = _resolve_out_dir(args)
     path_names, bounds = _load_bounds(args.bounds)
     arc_names, incidence = _load_incidence(args.incidence, path_names)
-    tolls = allocate_arc_tolls(bounds, incidence)
+    tolls = _this.allocate_arc_tolls(bounds, incidence)
     write_rows(
         os.path.join(out_dir, "tolls.csv"),
         ["format_version", "arc", "toll"],
@@ -265,8 +275,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     grid = cfg.grid()
     out_dir = _resolve_out_dir(args)
-    records = parse_traffic_records(args.records)
-    skeleton, _, costs, report = ingest_to_network(
+    records = _this.parse_traffic_records(args.records)
+    skeleton, _, costs, report = _this.ingest_to_network(
         records,
         grid,
         scale=args.scale,
@@ -276,8 +286,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     )
     if len(skeleton.node_coords) < 2:
         raise ValueError("ingested network has fewer than two nodes")
-    net = skeleton_to_network(skeleton, costs, 0, len(skeleton.node_coords) - 1)
-    write_network(
+    net = _this.skeleton_to_network(skeleton, costs, 0, len(skeleton.node_coords) - 1)
+    _this.write_network(
         net, os.path.join(out_dir, "arcs.csv"), os.path.join(out_dir, "states.csv")
     )
     with open(os.path.join(out_dir, "ingest_report.txt"), "w") as handle:
@@ -304,7 +314,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     eval_samples = args.eval_samples
     if eval_samples is None:
         eval_samples = 2500 if args.full_scale else 500
-    ecfg = ExperimentConfig(
+    ecfg = _this.ExperimentConfig(
         links=args.links,
         T=cfg.T,
         H=cfg.H,
@@ -317,20 +327,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     if args.family == "all":
         rows = [
-            run_fixed_distribution_experiment(ecfg, family_spec(fam, ecfg.grid))
+            _this.run_fixed_distribution_experiment(ecfg, _this.family_spec(fam, ecfg.grid))
             for fam in FAMILIES
         ]
-        rows.append(run_mixed_distribution_experiment(ecfg))
+        rows.append(_this.run_mixed_distribution_experiment(ecfg))
     elif args.family == "mixed":
-        rows = [run_mixed_distribution_experiment(ecfg)]
+        rows = [_this.run_mixed_distribution_experiment(ecfg)]
     else:
-        spec = family_spec(args.family, ecfg.grid)
-        rows = [run_fixed_distribution_experiment(ecfg, spec)]
-        series = run_dynamic_cumulative_regret(ecfg, spec)
-        write_cumulative_regret(
+        spec = _this.family_spec(args.family, ecfg.grid)
+        rows = [_this.run_fixed_distribution_experiment(ecfg, spec)]
+        series = _this.run_dynamic_cumulative_regret(ecfg, spec)
+        _this.write_cumulative_regret(
             series, os.path.join(out_dir, "cumulative_regret.csv")
         )
-    write_regret_summary(rows, os.path.join(out_dir, "regret_summary.csv"))
+    _this.write_regret_summary(rows, os.path.join(out_dir, "regret_summary.csv"))
     _write_manifest(
         out_dir,
         "simulate",
@@ -352,7 +362,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _network_endpoints(arcs_path: str) -> tuple[str, str]:
     """First and last node name (sorted) from an arcs CSV."""
-    arcs = read_arcs(arcs_path)
+    arcs = _this.read_arcs(arcs_path)
     nodes = sorted({arc.tail for arc in arcs} | {arc.head for arc in arcs})
     if len(nodes) < 2:
         raise ValueError(f"{arcs_path}: fewer than two nodes")
@@ -367,10 +377,10 @@ def _cmd_real_exp(args: argparse.Namespace) -> int:
         first, last = _network_endpoints(args.arcs)
         origin = origin or first
         destination = destination or last
-    net = load_network(args.arcs, args.states, origin, destination)
+    net = _this.load_network(args.arcs, args.states, origin, destination)
     n_states = net.state_costs.shape[0]
     history_cut = args.history_cut or max(1, int(0.8 * n_states))
-    result = run_real_data_experiment(
+    result = _this.run_real_data_experiment(
         net,
         args.pairs,
         history_cut,
@@ -409,7 +419,7 @@ def _cmd_real_exp(args: argparse.Namespace) -> int:
             ),
         ],
     )
-    write_toll_ratio(result.toll_ratios, os.path.join(out_dir, "toll_ratio.csv"))
+    _this.write_toll_ratio(result.toll_ratios, os.path.join(out_dir, "toll_ratio.csv"))
     _write_manifest(
         out_dir,
         "real-exp",

@@ -34,11 +34,18 @@ __all__ = [
     "estimate_moment_envelope",
     "expected_revenue",
     "expected_user_cost",
-    "relative_regret",
     "read_rows",
     "format_cell",
     "write_rows",
 ]
+
+# Constants the command-line parser needs, kept here so that building it
+# imports no solver module; experiments and ingest re-export them.
+FAMILIES = ("beta", "gamma", "normal", "lognormal")  # synthetic cost families
+FORMAT_VERSION = 1  # first column of every CSV artifact
+DEFAULT_BUCKET_MINUTES = 15  # ingest observation bucket width
+DEFAULT_MERGE_TOL = 1e-4  # ingest endpoint merge tolerance
+DEFAULT_CROSSING_TOL = 1e-4  # ingest segment crossing tolerance
 
 # Feasibility tolerance on probability masses and moment constraints.
 MASS_TOL = 1e-9
@@ -512,20 +519,3 @@ def expected_user_cost(dist: DiscreteDistribution, r: float) -> float:
     )
     return primary
 
-
-def relative_regret(optimal_revenue: float, robust_revenue: float) -> float:
-    """(optimal - robust) / optimal, clamped into [0, 1].
-
-    A strictly better "robust" revenue signals a harness bug, so negative
-    regret warns before clamping to 0.
-    """
-    if optimal_revenue == 0:
-        raise ValueError("optimal revenue is zero: relative regret undefined")
-    value = (optimal_revenue - robust_revenue) / optimal_revenue
-    if value < -1e-12:
-        warnings.warn(
-            f"negative regret {value:.3g} clamped to 0 "
-            f"(robust revenue exceeded the optimal benchmark)",
-            stacklevel=2,
-        )
-    return min(max(value, 0.0), 1.0)

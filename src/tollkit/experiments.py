@@ -44,6 +44,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .core import (
+    FAMILIES,
+    FORMAT_VERSION,
     MomentEnvelope,
     PriceGrid,
     estimate_moment_envelope,
@@ -79,10 +81,6 @@ __all__ = [
     "write_cumulative_regret",
     "write_toll_ratio",
 ]
-
-FAMILIES = ("beta", "gamma", "normal", "lognormal")
-
-FORMAT_VERSION = 1
 
 # Substream kind codes (first entropy word after the master seed).  The
 # mixed experiment's per-link family assignment draws from its own kind, so

@@ -15,16 +15,25 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import PriceGrid, read_rows, write_rows
+from .core import (
+    DEFAULT_BUCKET_MINUTES,
+    DEFAULT_CROSSING_TOL,
+    DEFAULT_MERGE_TOL,
+    PriceGrid,
+    read_rows,
+    require_finite,
+    write_rows,
+)
 from .network import Arc, TollNetwork
 
 __all__ = [
     "SegmentRecord",
+    "RecordColumns",
     "ObservationGrid",
     "NetworkSkeleton",
     "SkeletonArc",
@@ -40,13 +49,14 @@ __all__ = [
 ]
 
 RECORD_HEADER = "timestamp,segment_id,speed,lon1,lat1,lon2,lat2"
-DEFAULT_BUCKET_MINUTES = 15
-DEFAULT_MERGE_TOL = 1e-4
-DEFAULT_CROSSING_TOL = 1e-4
+_BAD_SPEED = "speed must be positive when present"
+_ZERO_LENGTH = "segment endpoints must be distinct"
 
 
 @dataclass(frozen=True)
 class SegmentRecord:
+    """One feed row: the row view of :class:`RecordColumns`."""
+
     timestamp: float
     segment_id: str
     speed: float | None
@@ -55,9 +65,69 @@ class SegmentRecord:
 
     def __post_init__(self) -> None:
         if self.speed is not None and self.speed <= 0:
-            raise ValueError("speed must be positive when present")
+            raise ValueError(_BAD_SPEED)
         if self.start == self.end:
-            raise ValueError("segment endpoints must be distinct")
+            raise ValueError(_ZERO_LENGTH)
+
+
+def _key_order(codes: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
+    """Stable order of rows by (segment code, timestamp); ``0.0`` and
+    ``-0.0`` are one timestamp."""
+    return np.lexsort((timestamps + 0.0, codes))
+
+
+def _segment_starts(codes: np.ndarray) -> np.ndarray:
+    """Mask of the first row of each segment in code-sorted rows."""
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    return first
+
+
+@dataclass(frozen=True, eq=False)
+class RecordColumns:
+    """Feed records by column, sorted by (segment, timestamp).
+
+    Row ``i`` is segment ``names[codes[i]]`` at ``timestamps[i]`` with speed
+    ``speeds[i]`` (NaN for a blank) and end points ``ends[i] = (x1, y1, x2,
+    y2)``.  ``names`` is sorted, so code order is segment order; rows that
+    share a key keep the order they came in.  ``n_duplicates`` counts the
+    feed rows the parser dropped.  Iteration yields :class:`SegmentRecord`
+    rows and ``len`` is the row count.
+    """
+
+    names: tuple[str, ...]
+    codes: np.ndarray
+    timestamps: np.ndarray
+    speeds: np.ndarray
+    ends: np.ndarray
+    n_duplicates: int = 0
+
+    @classmethod
+    def of(cls, records) -> RecordColumns:
+        """``records`` unchanged when they are columns; otherwise an iterable
+        of :class:`SegmentRecord`, stably sorted into columns."""
+        if isinstance(records, cls):
+            return records
+        records = list(records)
+        names = sorted({r.segment_id for r in records})
+        index = {name: code for code, name in enumerate(names)}
+        codes = np.array([index[r.segment_id] for r in records], dtype=np.intp)
+        timestamps = np.array([r.timestamp for r in records], dtype=float)
+        speeds = np.array([r.speed for r in records], dtype=float)  # None -> NaN
+        ends = np.array([(*r.start, *r.end) for r in records], dtype=float).reshape(-1, 4)
+        order = _key_order(codes, timestamps)
+        return cls(tuple(names), codes[order], timestamps[order], speeds[order], ends[order])
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        rows = zip(
+            self.codes.tolist(), self.timestamps.tolist(), self.speeds.tolist(), self.ends.tolist()
+        )
+        for code, timestamp, speed, (x1, y1, x2, y2) in rows:
+            speed = None if math.isnan(speed) else speed
+            yield SegmentRecord(timestamp, self.names[code], speed, (x1, y1), (x2, y2))
 
 
 @dataclass(frozen=True)
@@ -142,43 +212,56 @@ def _optional_float(text: str) -> float | None:
     return None if not text.strip() else float(text)
 
 
-class _ParsedRecords(tuple):
-    """Feed records, with the number of duplicate rows the parser dropped."""
+def _require_positive(**values: float) -> None:
+    """Reject non-finite and non-positive option values by name."""
+    require_finite(**values)
+    for name, value in values.items():
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
-    def __new__(cls, records, n_duplicates: int):
-        parsed = super().__new__(cls, records)
-        parsed.n_duplicates = n_duplicates
-        return parsed
 
+def parse_traffic_records(source) -> RecordColumns:
+    """Parse the raw feed CSV into columns; a blank speed is missing.
 
-def parse_traffic_records(source) -> tuple[SegmentRecord, ...]:
-    """Parse the raw feed CSV; blank speed means missing.
-
-    Records come back sorted by (segment, timestamp); duplicate
-    (segment, timestamp) keys keep the last occurrence with a warning, and
-    the tuple's ``n_duplicates`` counts the rows dropped.
+    A non-positive speed or a zero-length segment is an error at its
+    ``FILE:LINE:``, the first bad row first.  Duplicate (segment, timestamp)
+    keys keep the last row with a warning, and ``n_duplicates`` counts the
+    rows dropped.
     """
     table = read_rows(
         source,
         RECORD_HEADER,
         (_parse_timestamp, str.strip, _optional_float, float, float, float, float),
     )
-    seen: dict[tuple[str, float], SegmentRecord] = {}
-    for row, (ts, segment, speed, x1, y1, x2, y2) in enumerate(zip(*table.columns)):
-        try:
-            seen[(segment, ts)] = SegmentRecord(ts, segment, speed, (x1, y1), (x2, y2))
-        except ValueError as exc:
-            raise table.error(row, str(exc)) from None
-    if not seen:
+    stamps, segments, speeds, *ends = table.columns
+    if not segments:
         raise ValueError(f"{table.where}: no records")
-    duplicates = len(table.lines) - len(seen)
+    timestamps = np.array(stamps, dtype=float)
+    speeds = np.array(speeds, dtype=float)  # None -> NaN
+    ends = np.array(ends, dtype=float).T
+    bad_speed = np.where(np.isnan(speeds), 1.0, speeds) <= 0
+    bad = bad_speed | ((ends[:, 0] == ends[:, 2]) & (ends[:, 1] == ends[:, 3]))
+    if bad.any():
+        row = int(bad.argmax())
+        raise table.error(row, _BAD_SPEED if bad_speed[row] else _ZERO_LENGTH)
+    names = sorted(set(segments))
+    index = {name: code for code, name in enumerate(names)}
+    codes = np.fromiter(map(index.__getitem__, segments), dtype=np.intp, count=len(segments))
+    del table, stamps, segments, index  # free the row objects before the sort's arrays
+    # the last row of each run of one key in the stable key order is kept
+    order = _key_order(codes, timestamps)
+    code, stamp = codes[order], timestamps[order] + 0.0
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = (code[1:] != code[:-1]) | (stamp[1:] != stamp[:-1])
+    keep = order[last]
+    duplicates = len(order) - len(keep)
     if duplicates:
         warnings.warn(
             f"{duplicates} duplicate (segment, timestamp) records; kept last",
             stacklevel=2,
         )
-    return _ParsedRecords(
-        sorted(seen.values(), key=lambda r: (r.segment_id, r.timestamp)), duplicates
+    return RecordColumns(
+        tuple(names), codes[keep], timestamps[keep], speeds[keep], ends[keep], duplicates
     )
 
 
@@ -203,18 +286,27 @@ def grid_observations(
     records, bucket_minutes: int = DEFAULT_BUCKET_MINUTES
 ) -> ObservationGrid:
     """Bucket record timestamps to a fixed interval and align every segment's
-    speeds on the shared axis (later records win within a bucket)."""
+    speeds on the shared axis (the last present speed wins within a bucket;
+    a blank never overwrites)."""
+    require_finite(bucket_minutes=bucket_minutes)
+    if bucket_minutes < 1:
+        raise ValueError(f"bucket_minutes must be at least 1, got {bucket_minutes}")
+    cols = RecordColumns.of(records)
     width = bucket_minutes * 60.0
-    buckets = sorted({math.floor(r.timestamp / width) * width for r in records})
-    index = {b: i for i, b in enumerate(buckets)}
-    speeds: dict[str, np.ndarray] = {}
-    for r in sorted(records, key=lambda r: (r.segment_id, r.timestamp)):
-        series = speeds.get(r.segment_id)
-        if series is None:
-            series = speeds[r.segment_id] = np.full(len(buckets), np.nan)
-        if r.speed is not None:
-            series[index[math.floor(r.timestamp / width) * width]] = r.speed
-    return ObservationGrid(timestamps=tuple(buckets), speeds=speeds)
+    stamps = np.floor(cols.timestamps / width) * width + 0.0  # no -0.0 bucket
+    buckets = np.array(sorted(set(stamps.tolist())))  # sorts the distinct buckets only
+    column = np.searchsorted(buckets, stamps)
+    first = _segment_starts(cols.codes)
+    series = np.full((int(first.sum()), len(buckets)), np.nan)
+    # rows come in (segment, bucket) order, so each cell's present speeds
+    # are consecutive and the last of them is the one kept
+    have = ~np.isnan(cols.speeds)
+    cell = ((np.cumsum(first) - 1) * len(buckets) + column)[have]
+    last = np.ones(len(cell), dtype=bool)
+    last[:-1] = cell[1:] != cell[:-1]
+    series.reshape(-1)[cell[last]] = cols.speeds[have][last]
+    names = [cols.names[code] for code in cols.codes[first].tolist()]
+    return ObservationGrid(timestamps=tuple(buckets.tolist()), speeds=dict(zip(names, series)))
 
 
 def interpolate_missing(gridded: ObservationGrid) -> ObservationGrid:
@@ -314,46 +406,41 @@ def build_graph_from_segments(
     whose bounding boxes, widened by the tolerance, overlap are tested, so
     the work grows with the segments plus the near pairs.
     """
-    if merge_tolerance <= 0 or crossing_tolerance <= 0:
-        raise ValueError("tolerances must be positive")
-    earliest: dict[str, SegmentRecord] = {}  # ties keep the first in record order
-    for r in records:
-        seen = earliest.get(r.segment_id)
-        if seen is None or r.timestamp < seen.timestamp:
-            earliest[r.segment_id] = r
-    geometry = {s: (r.start, r.end) for s, r in earliest.items()}
-    seg_ids = sorted(geometry)
+    _require_positive(merge_tolerance=merge_tolerance, crossing_tolerance=crossing_tolerance)
+    cols = RecordColumns.of(records)
+    # a segment's geometry is its earliest record's, ties the first in
+    # record order: the first of its rows in the stable key order
+    first = _segment_starts(cols.codes)
+    seg_ids = [cols.names[code] for code in cols.codes[first].tolist()]
+    ends = cols.ends[first]
+    geometry = [((x1, y1), (x2, y2)) for x1, y1, x2, y2 in ends.tolist()]
 
-    def seg_len(seg_id: str) -> float:
-        (x1, y1), (x2, y2) = geometry[seg_id]
+    def seg_len(k: int) -> float:
+        (x1, y1), (x2, y2) = geometry[k]
         return math.hypot(x2 - x1, y2 - y1)
 
     # collect split parameters per segment from crossings of nearby segments:
     # _crossing_params accepts only segments that meet or come within the
     # tolerance, so boxes widened by the whole tolerance on every side keep
     # every such pair, with a tolerance to spare for rounding
-    cuts: dict[str, list[float]] = {s: [] for s in seg_ids}
+    cuts: list[list[float]] = [[] for _ in seg_ids]
     n_splits = 0
-    ends = np.array([geometry[s] for s in seg_ids], dtype=float).reshape(-1, 4)
     lo = np.minimum(ends[:, :2], ends[:, 2:]) - crossing_tolerance
     hi = np.maximum(ends[:, :2], ends[:, 2:]) + crossing_tolerance
     for i, j in _overlapping_boxes(lo, hi):
-        sa, sb = seg_ids[i], seg_ids[j]
-        hit = _crossing_params(geometry[sa], geometry[sb], crossing_tolerance)
+        hit = _crossing_params(geometry[i], geometry[j], crossing_tolerance)
         if hit is None:
             continue
-        t, u = hit
-        for seg_id, param in ((sa, t), (sb, u)):
-            margin = crossing_tolerance / max(seg_len(seg_id), 1e-18)
+        for k, param in zip((i, j), hit):
+            margin = crossing_tolerance / max(seg_len(k), 1e-18)
             if margin < param < 1 - margin:
-                cuts[seg_id].append(param)
+                cuts[k].append(param)
                 n_splits += 1
 
     # subdivide
     pieces: list[tuple[str, tuple[float, float], tuple[float, float]]] = []
-    for seg_id in seg_ids:
-        (x1, y1), (x2, y2) = geometry[seg_id]
-        params = sorted({0.0, 1.0, *cuts[seg_id]})
+    for seg_id, ((x1, y1), (x2, y2)), seg_cuts in zip(seg_ids, geometry, cuts):
+        params = sorted({0.0, 1.0, *seg_cuts})
         for a, b in zip(params, params[1:]):
             pa = (x1 + a * (x2 - x1), y1 + a * (y2 - y1))
             pb = (x1 + b * (x2 - x1), y1 + b * (y2 - y1))
@@ -434,8 +521,7 @@ def _raw_travel_costs(
     skeleton: NetworkSkeleton, gridded: ObservationGrid, scale: float
 ) -> np.ndarray:
     """Per-state arc travel costs scale * length / speed, before snapping."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    _require_positive(scale=scale)
     speeds = np.empty((len(skeleton.arcs), len(gridded.timestamps)))
     for j, arc in enumerate(skeleton.arcs):
         if arc.segment_id not in gridded.speeds:
@@ -496,15 +582,29 @@ def ingest_to_network(
     crossing_tolerance: float = DEFAULT_CROSSING_TOL,
 ) -> tuple[NetworkSkeleton, ObservationGrid, np.ndarray, IngestReport]:
     """Full pipeline: records -> gridded speeds -> filled speeds -> graph ->
-    per-state costs, plus the ingestion report.  The report's duplicate
-    count is the one ``parse_traffic_records`` dropped (0 for records from
-    elsewhere)."""
+    per-state costs, plus the ingestion report.  ``records`` are columns or
+    an iterable of :class:`SegmentRecord`.  The report's duplicate count is
+    the one ``parse_traffic_records`` dropped (0 for records from
+    elsewhere).  A non-finite or non-positive scale or tolerance, or a
+    bucket under a minute, is refused before any work."""
+    _require_positive(
+        scale=scale, merge_tolerance=merge_tolerance, crossing_tolerance=crossing_tolerance
+    )
+    records = RecordColumns.of(records)
     raw_grid = grid_observations(records, bucket_minutes=bucket_minutes)
     filled = interpolate_missing(raw_grid)
     never_observed = set(raw_grid.speeds) - set(filled.speeds)
-    kept = [r for r in records if r.segment_id in filled.speeds]
-    if not kept:
+    observed = np.array([name in filled.speeds for name in records.names], dtype=bool)
+    rows = observed[records.codes]
+    if not rows.any():
         raise ValueError("no segment has any observed speed")
+    kept = replace(
+        records,
+        codes=records.codes[rows],
+        timestamps=records.timestamps[rows],
+        speeds=records.speeds[rows],
+        ends=records.ends[rows],
+    )
     skeleton = build_graph_from_segments(
         kept, merge_tolerance=merge_tolerance, crossing_tolerance=crossing_tolerance
     )
@@ -514,7 +614,7 @@ def ingest_to_network(
     report = IngestReport(
         n_records=len(records),
         n_segments=len(raw_grid.speeds),
-        n_duplicates=getattr(records, "n_duplicates", 0),
+        n_duplicates=records.n_duplicates,
         n_never_observed=len(never_observed),
         n_splits=skeleton.n_splits,
         n_zero_length_dropped=skeleton.n_zero_length_dropped,

@@ -5,9 +5,13 @@ from __future__ import annotations
 import csv
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import tollkit
+import tollkit.cli as cli
 from tollkit.cli import main
 from tollkit.ingest import RECORD_HEADER
 
@@ -551,6 +555,26 @@ def test_ingest_report_counts_dropped_duplicates(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--bucket-minutes", "0", "bucket_minutes must be at least 1, got 0"),
+        ("--bucket-minutes", "-15", "bucket_minutes must be at least 1, got -15"),
+        ("--scale", "inf", "scale must be finite, got inf"),
+        ("--scale", "0", "scale must be positive, got 0.0"),
+        ("--merge-tol", "nan", "merge_tolerance must be finite, got nan"),
+        ("--crossing-tol", "inf", "crossing_tolerance must be finite, got inf"),
+    ],
+)
+def test_ingest_bad_options_exit_2(tmp_path, capsys, flag, value, message):
+    records = crossing_feed(tmp_path / "records.csv")
+    out = tmp_path / "out"
+    argv = ["ingest", "--records", records, flag, value, "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "arcs.csv").exists()
+
+
 def test_real_exp_negative_cycle_exits_2(tmp_path, capsys):
     # real-exp searches undirected, so the arc a-d of cost -1e-9 in state 0
     # is a negative cycle, whichever pairs are drawn.
@@ -643,3 +667,123 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     )
     assert code == 0
     assert (flag_dir / "price.csv").exists()  # explicit flag beats the env var
+
+
+# --- the import contract ------------------------------------------------------------
+
+# Library names a tracer replaces on ``tollkit.cli`` with ``setattr``; the
+# subcommands must call whatever object the name holds.
+TRACED_NAMES = (
+    "parse_traffic_records",
+    "ingest_to_network",
+    "write_network",
+    "load_network",
+    "two_point_robust_toll",
+    "epsilon_sweep_robust_toll",
+    "solve_nature_ufn",
+    "solve_nature_an",
+    "emit_nature_miqp",
+    "allocate_arc_tolls",
+    "run_real_data_experiment",
+    "estimate_moment_envelope",
+)
+
+
+def test_traced_names_resolve_to_the_library_objects():
+    for name in TRACED_NAMES:
+        obj = getattr(cli, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cli.no_such_name
+
+
+@pytest.mark.parametrize(
+    "command, names",
+    [
+        ("ingest", ("parse_traffic_records", "ingest_to_network", "write_network")),
+        ("nature", ("solve_nature_ufn",)),
+        ("allocate", ("allocate_arc_tolls",)),
+    ],
+)
+def test_subcommands_call_the_names_set_on_the_module(
+    tmp_path, monkeypatch, capsys, command, names
+):
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    bounds, incidence = allocation_fixture(tmp_path)
+    argv = {
+        "ingest": ["ingest", "--records", crossing_feed(tmp_path / "records.csv")],
+        "nature": ["nature", "--u-lower", "100", "--u-upper", "100", "--toll", "80"],
+        "allocate": ["allocate", "--bounds", bounds, "--incidence", incidence],
+    }[command]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+    assert calls == dict.fromkeys(names, 1)
+    capsys.readouterr()
+
+
+# Runs one subcommand and prints the tollkit modules it loaded, last.
+FOOTPRINT = """
+import sys
+from tollkit.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("tollkit.")))
+"""
+
+
+def loaded_modules(tmp_path, argv):
+    src = os.path.dirname(os.path.dirname(tollkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *argv, "--out-dir", str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    code, *modules = done.stdout.splitlines()[-1].split()
+    return int(code), {m.removeprefix("tollkit.") for m in modules}
+
+
+def test_each_subcommand_imports_only_what_it_uses(tmp_path):
+    bounds, incidence = allocation_fixture(tmp_path)
+    solvers = {"lp", "nature", "pricing", "experiments", "ingest"}
+    code, modules = loaded_modules(
+        tmp_path, ["allocate", "--bounds", bounds, "--incidence", incidence]
+    )
+    assert code == 0 and not modules & solvers, modules
+    code, modules = loaded_modules(
+        tmp_path, ["nature", "--u-lower", "100", "--u-upper", "100", "--toll", "80"]
+    )
+    assert (code, modules) == (0, {"cli", "config", "core", "lp", "nature"})
+    code, modules = loaded_modules(
+        tmp_path, ["ingest", "--records", crossing_feed(tmp_path / "records.csv")]
+    )
+    assert (code, modules) == (0, {"cli", "config", "core", "ingest", "network"})
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("kappa_bar = nan\n")
+    code, modules = loaded_modules(
+        tmp_path, ["price", "--config", str(cfg), "--u-lower", "100", "--u-upper", "110"]
+    )
+    assert (code, modules) == (2, {"cli", "config", "core"})
+
+
+def test_package_exports_are_the_submodule_objects():
+    for name in tollkit.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(tollkit, name)
+        module = sys.modules[obj.__module__]
+        assert module.__name__.startswith("tollkit.") and getattr(module, name) is obj, name
+    assert len(set(tollkit.__all__)) == len(tollkit.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'relative_regret'"):
+        tollkit.relative_regret

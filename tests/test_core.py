@@ -18,7 +18,6 @@ from tollkit.core import (
     estimate_moment_envelope,
     expected_revenue,
     expected_user_cost,
-    relative_regret,
 )
 from tollkit.experiments import ExperimentConfig
 
@@ -241,24 +240,6 @@ def test_user_cost_identity_randomized():
         # user cost = revenue + money spent on the free road
         free_side = math.fsum(m * c for c, m in zip(d.support, d.mass) if c < r)
         assert abs(direct - (expected_revenue(d, r) + free_side)) <= 1e-9
-
-
-# --- relative regret ---------------------------------------------------------
-
-
-def test_relative_regret_values():
-    assert relative_regret(100.0, 90.0) == pytest.approx(0.10)
-    assert relative_regret(73.2, 73.2) == 0.0
-
-
-def test_relative_regret_zero_optimal_errors():
-    with pytest.raises(ValueError, match="zero"):
-        relative_regret(0.0, 1.0)
-
-
-def test_relative_regret_negative_clamps_with_warning():
-    with pytest.warns(UserWarning):
-        assert relative_regret(10.0, 11.0) == 0.0
 
 
 # --- TollQuote ---------------------------------------------------------------

@@ -211,7 +211,7 @@ def test_traffic_records_round_trip(feed, data):
     buf = io.StringIO()
     write_traffic_records(feed, buf)
     again = parse_traffic_records(io.StringIO(buf.getvalue()))
-    assert again == tuple(sorted(feed, key=lambda r: (r.segment_id, r.timestamp)))
+    assert tuple(again) == tuple(sorted(feed, key=lambda r: (r.segment_id, r.timestamp)))
 
     line = data.draw(st.integers(2, len(feed) + 1))
     column = data.draw(st.sampled_from([0, 2, 3, 4, 5, 6]))

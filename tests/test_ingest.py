@@ -48,7 +48,7 @@ def test_parse_round_trip_is_byte_stable():
     write_traffic_records(records, buf)
     text = buf.getvalue()
     parsed = parse_traffic_records(io.StringIO(text))
-    assert parsed == records
+    assert tuple(parsed) == records
     buf2 = io.StringIO()
     write_traffic_records(parsed, buf2)
     assert buf2.getvalue() == text
@@ -457,3 +457,43 @@ def test_ingest_pipeline_end_to_end():
     for s in range(costs.shape[0]):
         for a in range(costs.shape[1]):
             assert grid.contains(costs[s, a])
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("bucket_minutes", 0, "bucket_minutes must be at least 1, got 0"),
+        ("bucket_minutes", -15, "bucket_minutes must be at least 1, got -15"),
+        ("bucket_minutes", math.nan, "bucket_minutes must be finite, got nan"),
+        ("scale", math.inf, "scale must be finite, got inf"),
+        ("scale", -1.0, "scale must be positive, got -1.0"),
+        ("merge_tolerance", math.nan, "merge_tolerance must be finite, got nan"),
+        ("merge_tolerance", 0.0, "merge_tolerance must be positive, got 0.0"),
+        ("crossing_tolerance", math.inf, "crossing_tolerance must be finite, got inf"),
+    ],
+)
+def test_ingest_rejects_bad_options_by_name(option, value, message):
+    records = (rec(0.0, "a", 30.0, (0.0, 0.0), (1.0, 0.0)),)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ingest_to_network(records, PriceGrid(0.0, 10.0, 1.0), **{option: value})
+    if option == "bucket_minutes":
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            grid_observations(records, bucket_minutes=value)
+
+
+def test_parse_returns_columns_with_record_rows():
+    rows = ["900,b,,1,0,2,0", "0,b,40,1,0,2,0", "0,a,30,0,0,1,0", "0,a,35,0,0,1,0"]
+    with pytest.warns(UserWarning, match="1 duplicate"):
+        parsed = parse_traffic_records(feed(rows))
+    assert isinstance(parsed, ingest.RecordColumns)
+    assert len(parsed) == 3 and parsed.n_duplicates == 1
+    assert parsed.names == ("a", "b")
+    assert parsed.codes.tolist() == [0, 1, 1]
+    assert parsed.timestamps.tolist() == [0.0, 0.0, 900.0]
+    assert np.isnan(parsed.speeds[2]) and parsed.speeds[:2].tolist() == [35.0, 40.0]
+    assert parsed.ends.tolist() == [[0, 0, 1, 0], [1, 0, 2, 0], [1, 0, 2, 0]]
+    assert tuple(parsed) == (
+        rec(0.0, "a", 35.0, (0.0, 0.0), (1.0, 0.0)),
+        rec(0.0, "b", 40.0, (1.0, 0.0), (2.0, 0.0)),
+        rec(900.0, "b", None, (1.0, 0.0), (2.0, 0.0)),
+    )
