@@ -54,7 +54,6 @@ _LIBRARY = {
             "run_fixed_distribution_experiment",
             "run_mixed_distribution_experiment",
             "run_real_data_experiment",
-            "write_br_curve",
             "write_cumulative_regret",
             "write_regret_summary",
             "write_toll_ratio",
@@ -67,6 +66,7 @@ _LIBRARY = {
             "epsilon_sweep_robust_toll",
             "quote_for_result",
             "two_point_robust_toll",
+            "write_br_curve",
         ),
     }.items()
     for name in names

@@ -55,10 +55,10 @@ from .core import (
 )
 from .network import TollNetwork, state_shortest_path_costs
 from .pricing import (
-    RobustTollResult,
     optimal_toll_for_realized_costs,
     realized_revenue_table,
     two_point_robust_toll,
+    write_br_curve,
 )
 
 __all__ = [
@@ -701,18 +701,6 @@ def write_regret_summary(rows: Sequence[RegretRow], path) -> None:
                 row.averaged_toll_stdev_pct,
             )
             for row in rows
-        ),
-    )
-
-
-def write_br_curve(result: RobustTollResult, path) -> None:
-    """Worst-case revenue by toll, ascending, from a robust-toll search."""
-    write_rows(
-        path,
-        ("format_version", "toll", "worst_case_revenue"),
-        (
-            (FORMAT_VERSION, toll, revenue)
-            for toll, revenue in sorted(result.br_curve.items())
         ),
     )
 

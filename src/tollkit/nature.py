@@ -9,18 +9,25 @@ support inside [q, Q]}`` to hurt the toll-setter.  Two objectives:
   ``E[min(c, r)]`` — less conservative, since cheap states can still pay
   the toll.
 
+When several distributions reach the optimum, nature breaks the tie
+against the toll-setter (the pessimistic bilevel convention): among those
+within ``_TIE_TOL`` of it, the lowest usage ``P(c >= r)``, then the lowest
+``E[s^3]`` with ``s`` the grid scaled onto [0, 1].  Both levels are linear,
+and the last one has a single minimizer, so every solver path returns the
+same distribution.
+
 On a finite price grid the problem is a small linear program once the mean
 is pinned: three rows (total mass, mean, second moment), so optimal basic
 solutions carry at most three support points.  ``solve_nature_ufn`` /
 ``solve_nature_an`` take one grid toll or a 1-D array of them (one solution
-per toll).  Point mean bands on grids above ``AUTO_SIMPLEX_MIN`` points are
-solved by ``lp``'s dense simplex, every toll of the call in one stacked
-solve from one shared phase-1 tableau.  Other envelopes enumerate the
-supports exactly: one table per call (``_envelope_table``) holds the
-feasible singletons, pairs and variance-tight triples, the triples solved
-at the two band edges only, and each toll prices it.  Only the objective
-depends on the toll, so either way a call pays the toll-independent half
-once, and nothing is kept between calls.
+per toll).  A point mean band is solved by ``lp``'s dense simplex with the
+tie rule as two more lexicographic levels, in one walk over the call's
+tolls, each toll warm from the last one's basis.  An interval band
+enumerates the supports exactly: one table per call (``_envelope_table``)
+holds the feasible singletons, pairs and variance-tight triples, the
+triples solved at the two band edges only, and each toll prices it.  Only
+the objective depends on the toll, so either way a call pays the
+toll-independent half once, and nothing is kept between calls.
 
 ``solve_nature_two_point`` is the heuristic search over integer-period
 two-point responses; its per-count table (``first_feasible_lower``) and
@@ -59,15 +66,13 @@ __all__ = [
     "pick_worst",
 ]
 
-# Above this many grid points, exact support enumeration is refused
-# (interval mean bands) or rerouted to the simplex path (point bands).
+# Above this many grid points, exact support enumeration of an interval
+# mean band is refused.
 ENUM_CAP = 256
 
 # Masses below this are numerical artifacts of the small linear solves, not
 # genuine support atoms; candidates are cleaned before evaluation.
 _ATOM_TOL = 1e-10
-# Point mean bands on grids larger than this take the simplex fast path.
-AUTO_SIMPLEX_MIN = 40
 
 
 @dataclass(frozen=True)
@@ -139,17 +144,31 @@ def _objective_vector(points: np.ndarray, r, objective: str) -> np.ndarray:
     raise ValueError(f"unknown objective {objective!r}")
 
 
+def _levels(points: np.ndarray, tolls, objective: str) -> np.ndarray:
+    """Nature's lexicographic objective per toll, shape (tolls, 3, points):
+    the cost, the usage ``c >= r``, and the tie-breaking cube ``s^3`` with
+    ``s`` the grid scaled onto [0, 1].  The cube cannot stay constant along
+    an edge of an optimal face: an edge moves mass among at most four
+    points keeping moments 0-2, or among three keeping moments 0-1, and
+    the only such move that also keeps the cube is zero (a Vandermonde
+    determinant; for three points it carries the factor s1 + s2 + s3,
+    positive on [0, 1])."""
+    tolls = np.asarray(tolls, dtype=float).reshape(-1, 1)
+    s = (points - points[0]) / (points[-1] - points[0])
+    levels = np.empty((tolls.size, 3, points.size))
+    levels[:, 0] = _objective_vector(points, tolls, objective)
+    levels[:, 1] = points >= tolls
+    levels[:, 2] = s * s * s
+    return levels
+
+
 def _recompute_objective(dist: DiscreteDistribution, r: float, objective: str) -> float:
     if objective == "ufn":
         return expected_user_cost(dist, r)
     return expected_revenue(dist, r)
 
 
-def _active_constraints(
-    dist: DiscreteDistribution, env: MomentEnvelope
-) -> tuple[str, ...]:
-    mean = dist.mean()
-    var = dist.variance()
+def _active_constraints(mean: float, var: float, env: MomentEnvelope) -> tuple[str, ...]:
     tol = 1e-6 * max(1.0, abs(mean))
     labels = []
     if mean <= env.u_lower + tol:
@@ -196,41 +215,45 @@ def _feasible_moments(
 #     concave in mu and its minimum over a stretch of the band lies at a
 #     band edge or at a root of a mass (parametric right-hand side).
 #     A mass root needs no candidate of its own: there the triple is a
-#     variance-tight pair, which the pairs already offer and which wins
-#     the canonical tie as the smaller support.
+#     variance-tight pair, which the pairs already offer.
 #
 # None of the candidates depends on the objective, so ``_envelope_table``
 # builds every feasible one once per call, and ``_enumerate_minima`` prices
-# them for each objective row, with one offer per array pass.
+# them for each toll, with one offer per array pass.
 
 _TIE_TOL = 1e-9
 # triple candidates per array pass, which bounds the memory of a solve
 _CHUNK = 1 << 15
 
 
-def _candidate_key(support: Sequence[float], masses: Sequence[float]):
-    return (len(support), tuple(support), tuple(masses))
-
-
 class _Best:
-    """Tracks the minimal objective with the canonical tie-break
-    (support size, then support tuple, then mass tuple)."""
+    """Tracks the lowest objective offered and nature's pick under the tie
+    rule: among offers within ``_TIE_TOL`` of it, the lowest usage, within
+    ``_TIE_TOL`` the lowest cube."""
 
     def __init__(self) -> None:
         self.objective: float | None = None
+        self.usage = self.cube = 0.0
         self.support: list[float] | None = None
         self.masses: list[float] | None = None
 
-    def offer(self, objective: float, support: Sequence[float], masses: Sequence[float]):
-        if self.objective is None or objective < self.objective - _TIE_TOL:
-            self.objective = objective
-            self.support = list(support)
-            self.masses = list(masses)
-        elif objective <= self.objective + _TIE_TOL:
-            if _candidate_key(support, masses) < _candidate_key(self.support, self.masses):
-                self.objective = min(self.objective, objective)
-                self.support = list(support)
-                self.masses = list(masses)
+    def offer(
+        self,
+        objective: float,
+        usage: float,
+        cube: float,
+        support: Sequence[float],
+        masses: Sequence[float],
+    ) -> None:
+        if self.objective is not None and objective >= self.objective - _TIE_TOL:
+            if objective > self.objective + _TIE_TOL or not (
+                usage < self.usage - _TIE_TOL
+                or (usage <= self.usage + _TIE_TOL and cube < self.cube)
+            ):
+                return
+            objective = min(objective, self.objective)
+        self.objective, self.usage, self.cube = objective, usage, cube
+        self.support, self.masses = list(support), list(masses)
 
 
 def _envelope_table(
@@ -320,28 +343,46 @@ def _envelope_table(
     return passes
 
 
-def _pass_offer(idx: np.ndarray, x: np.ndarray, points: np.ndarray, f: np.ndarray):
-    """One pass's offer: its lowest objective and, among the candidates
-    within ``_TIE_TOL`` of it, the first by support, then by masses."""
+def _pass_offer(
+    idx: np.ndarray,
+    x: np.ndarray,
+    cube: np.ndarray,
+    points: np.ndarray,
+    f: np.ndarray,
+    u: np.ndarray,
+):
+    """One pass's offer at one toll, whose cost and usage per point are
+    ``f`` and ``u`` (``cube`` is each candidate's toll-independent E[s^3]):
+    the pass's lowest objective and, among the candidates within
+    ``_TIE_TOL`` of it, the one the tie rule picks, as
+    ``(lowest objective, usage, cube, support, masses)``."""
     obj = (x * f[idx]).sum(axis=0)
-    ties = np.flatnonzero(obj <= obj.min() + _TIE_TOL)
-    # np.lexsort's last key is the primary one
-    e = ties[np.lexsort([key[ties] for key in (*x[:-1][::-1], *idx[::-1])])[0]]
-    return float(obj[e]), points[idx[:, e]].tolist(), x[:, e].tolist()
+    lowest = obj.min()
+    ties = np.flatnonzero(obj <= lowest + _TIE_TOL)
+    e = int(ties[0])
+    if ties.size > 1:  # the usage is scored on the tied candidates only
+        usage = (x[:, ties] * u[idx[:, ties]]).sum(axis=0)
+        low = ties[usage <= usage.min() + _TIE_TOL]
+        e = int(low[cube[low].argmin()])
+    at, masses = idx[:, e].tolist(), x[:, e].tolist()
+    usage = sum(m * u[i] for i, m in zip(at, masses))
+    return float(lowest), float(usage), float(cube[e]), points[at].tolist(), masses
 
 
 def _enumerate_minima(
-    grid: PriceGrid, env: MomentEnvelope, F: np.ndarray
+    grid: PriceGrid, env: MomentEnvelope, levels: np.ndarray
 ) -> list[tuple[float, list[float], list[float]]]:
-    """``(objective, support, masses)`` for each objective row of ``F``, all
-    rows priced on one table of the feasible support candidates."""
+    """``(objective, support, masses)`` for each toll's ``levels``, all tolls
+    priced on one table of the feasible support candidates."""
     points = grid.points()
     passes = _envelope_table(points, env)
     minima = []
-    for f in F:
+    for k, (f, u, g) in enumerate(levels):
+        if k == 0:  # the cube level is the same at every toll
+            cubes = [(x * g[idx]).sum(axis=0) for idx, x in passes]
         best = _Best()
-        for idx, x in passes:
-            best.offer(*_pass_offer(idx, x, points, f))
+        for (idx, x), cube in zip(passes, cubes):
+            best.offer(*_pass_offer(idx, x, cube, points, f, u))
         if best.objective is None:
             raise ValueError(
                 "no grid-supported distribution satisfies the moment envelope"
@@ -350,11 +391,30 @@ def _enumerate_minima(
     return minima
 
 
+def _point_band_masses(support: list[float], mu: float, m2: float) -> list[float]:
+    """The masses of a basic support with mean ``mu`` and, on three
+    points, second moment ``m2``, by the formulas ``_envelope_table`` uses,
+    so they depend on the support alone and not on the pivots that found
+    it."""
+    if len(support) == 1:
+        return [1.0]
+    if len(support) == 2:
+        ci, cj = support
+        t = (cj - mu) / (cj - ci)
+        return [t, 1.0 - t]
+    ca, cb, cc = support
+    return [
+        (m2 - (cb + cc) * mu + cb * cc) / ((ca - cb) * (ca - cc)),
+        (m2 - (ca + cc) * mu + ca * cc) / ((cb - ca) * (cb - cc)),
+        (m2 - (ca + cb) * mu + ca * cb) / ((cc - ca) * (cc - cb)),
+    ]
+
+
 def _simplex_minima(
-    grid: PriceGrid, env: MomentEnvelope, F: np.ndarray
+    grid: PriceGrid, env: MomentEnvelope, levels: np.ndarray
 ) -> list[tuple[float, list[float], list[float]]]:
-    """``(objective, support, masses)`` for each objective row of ``F``, all
-    rows in one ``simplex_solve`` call."""
+    """``(objective, support, masses)`` for each toll's ``levels``, all tolls
+    in one ``simplex_solve`` walk, in the order given."""
     if abs(env.u_upper - env.u_lower) > 1e-12:
         raise ValueError("simplex path requires a point mean band")
     points = grid.points()
@@ -365,33 +425,35 @@ def _simplex_minima(
     A = np.vstack([np.ones_like(points), points * scale1, points * points * scale2])
     b = np.array([1.0, mu * scale1, cap * scale2])
     try:
-        X, objs = simplex_solve(F, A, b, senses="==<")
+        X, objs = simplex_solve(levels, A, b, senses="==<")
     except LpInfeasible as exc:
         raise ValueError(
             "no grid-supported distribution satisfies the moment envelope"
         ) from exc
     minima = []
     for x, obj in zip(X, objs.tolist()):
-        keep = x > 1e-11
-        minima.append((obj, points[keep].tolist(), x[keep].tolist()))
+        support = points[x > 1e-11].tolist()
+        minima.append((obj, support, _point_band_masses(support, mu, cap)))
     return minima
 
 
 def _minimize_worst_case(
-    grid: PriceGrid, env: MomentEnvelope, F: np.ndarray
+    grid: PriceGrid, env: MomentEnvelope, levels: np.ndarray
 ) -> list[tuple[list[float], list[float]]]:
-    """Nature's ``(support, masses)`` for each objective row of ``F``."""
+    """Nature's ``(support, masses)`` for each toll's ``levels``."""
     env.validate_against(grid)
     n = grid.n_points
-    if abs(env.u_upper - env.u_lower) <= 1e-12 and n > AUTO_SIMPLEX_MIN:
-        return [(support, masses) for _, support, masses in _simplex_minima(grid, env, F)]
-    if n > ENUM_CAP:
+    if abs(env.u_upper - env.u_lower) <= 1e-12:
+        minima = _simplex_minima(grid, env, levels)
+    elif n > ENUM_CAP:
         raise ValueError(
             f"grid has {n} points; exact support enumeration is capped at "
             f"{ENUM_CAP}. Coarsen the grid, or pin the mean band to a "
             f"point to use the simplex path."
         )
-    return [minimum[1:] for minimum in _enumerate_minima(grid, env, F)]
+    else:
+        minima = _enumerate_minima(grid, env, levels)
+    return [minimum[1:] for minimum in minima]
 
 
 def _package(
@@ -412,7 +474,7 @@ def _package(
         distribution=dist,
         objective_value=_recompute_objective(dist, r, objective),
         usage_probability=dist.usage_probability(r),
-        active_constraints=_active_constraints(dist, env),
+        active_constraints=_active_constraints(mean, var, env),
     )
 
 
@@ -425,10 +487,10 @@ def _solve_nature(
     tolls = tolls.reshape(-1).tolist()
     for toll in tolls:
         grid.require_toll(toll)
-    F = _objective_vector(grid.points(), np.array(tolls)[:, None], objective)
+    levels = _levels(grid.points(), tolls, objective)
     solutions = tuple(
         _package(support, masses, env, toll, objective)
-        for (support, masses), toll in zip(_minimize_worst_case(grid, env, F), tolls)
+        for (support, masses), toll in zip(_minimize_worst_case(grid, env, levels), tolls)
     )
     return solutions if np.ndim(r) else solutions[0]
 
@@ -547,8 +609,9 @@ def brute_force_nature(
     """Exhaustive reference solver over all supports of size <= 3.
 
     Solves each support's small linear systems directly (plain loops, no
-    vectorization) and returns the global minimum.  Guarded to
-    ``max_points`` grid points; raise the cap explicitly for larger checks.
+    vectorization) and returns the global minimum under nature's tie rule.
+    Guarded to ``max_points`` grid points; raise the cap explicitly for
+    larger checks.
     """
     env.validate_against(grid)
     grid.require_toll(r)
@@ -561,7 +624,7 @@ def brute_force_nature(
     kappa = env.kappa_bar
     ul, uu = env.u_lower, env.u_upper
     scale = float(np.max(np.abs(points))) if n else 1.0
-    fvec = _objective_vector(points, r, objective)
+    fvec, uvec, gvec = _levels(points, r, objective)[0]
     best = _Best()
 
     def consider(support: list[float], masses: list[float]) -> None:
@@ -582,10 +645,12 @@ def brute_force_nature(
         var = math.fsum(w * c * c for c, w in zip(values, weights)) - mean * mean
         if not _feasible_moments(mean, var, env, scale):
             return
-        obj = math.fsum(
-            w * fvec[int(round((c - grid.q) / grid.step))] for c, w in zip(values, weights)
+        at = [int(round((c - grid.q) / grid.step)) for c in values]
+        best.offer(
+            *(math.fsum(w * vec[i] for i, w in zip(at, weights)) for vec in (fvec, uvec, gvec)),
+            values,
+            weights,
         )
-        best.offer(obj, values, weights)
 
     for i in range(n):
         consider([float(points[i])], [1.0])

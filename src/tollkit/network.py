@@ -215,12 +215,12 @@ def state_shortest_path_costs(
     Unreachable states come back as ``inf``.  Nodes are numbered in name
     order, so the heap breaks ties between equal distances by node name.
 
-    Costs may be as low as -1e-9.  An undirected search can cross an arc
-    there and back, so a negative arc is a negative-cost cycle: it raises
-    ValueError, naming the first such state and arc, before any search
-    runs.  A directed search raises ValueError, naming the state, when it
-    runs into a negative-cost cycle: a path that improves on a node's
-    distance with as many arcs as there are nodes must repeat a node.
+    Costs may be as low as -1e-9.  Before any search runs, a negative-cost
+    cycle among the usable arcs raises ValueError naming the first such
+    state, wherever the cycle lies.  An undirected search can cross an arc
+    there and back, so there a negative arc is such a cycle; a directed
+    one is found by Bellman-Ford from every node at once, in the states
+    that have a negative usable arc.
     """
     src = net.origin if origin is None else origin
     dst = net.destination if destination is None else destination
@@ -242,12 +242,19 @@ def state_shortest_path_costs(
         adj[tail].append((head, i))
         if undirected:
             adj[head].append((tail, i))
+    if not undirected:
+        negative = net.state_costs[:, list(arc_ids)] < 0
+        for s in np.flatnonzero(negative.any(axis=1)).tolist():
+            if _has_negative_cycle(adj, net.state_costs[s].tolist()):
+                raise ValueError(
+                    f"state {s}: the usable arcs close a negative-cost cycle; "
+                    "shortest paths are undefined"
+                )
     start, goal = number[src], number[dst]
     result = np.full(net.n_states, math.inf)
     for s, w in enumerate(net.state_costs.tolist()):
         dist = [math.inf] * len(names)
         dist[start] = 0.0
-        arcs_to = [0] * len(names)  # arcs on the path that set dist
         heap = [(0.0, start)]
         while heap:
             d, node = heapq.heappop(heap)
@@ -260,14 +267,25 @@ def state_shortest_path_costs(
                 nd = d + w[i]
                 if nd < dist[head]:
                     dist[head] = nd
-                    arcs_to[head] = arcs_to[node] + 1
-                    if arcs_to[head] >= len(names):
-                        raise ValueError(
-                            f"state {s}: a negative-cost cycle is reachable from {src!r}; "
-                            f"shortest paths are undefined"
-                        )
                     heapq.heappush(heap, (nd, head))
     return result
+
+
+def _has_negative_cycle(adj: list[list[tuple[int, int]]], w: list[float]) -> bool:
+    """Bellman-Ford from every node at once (all distances 0): a pass that
+    still improves a distance after one pass per node means a
+    negative-cost cycle."""
+    dist = [0.0] * len(adj)
+    for _ in adj:
+        improved = False
+        for tail, arcs in enumerate(adj):
+            for head, i in arcs:
+                if dist[tail] + w[i] < dist[head]:
+                    dist[head] = dist[tail] + w[i]
+                    improved = True
+        if not improved:
+            return False
+    return True
 
 
 def _validate_path(net: TollNetwork, path) -> tuple[int, ...]:

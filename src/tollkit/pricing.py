@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MomentEnvelope, PriceGrid, TollQuote, require_finite
+from .core import (
+    FORMAT_VERSION,
+    MomentEnvelope,
+    PriceGrid,
+    TollQuote,
+    require_finite,
+    write_rows,
+)
 from .nature import (
     TwoPointResponse,
     first_feasible_lower,
@@ -44,6 +51,7 @@ __all__ = [
     "realized_revenue_table",
     "deterministic_toll",
     "quote_for_result",
+    "write_br_curve",
 ]
 
 MIQP_EXACT_MAX_T = 12
@@ -218,6 +226,18 @@ def quote_for_result(
         worst_case_revenue=result.toll * usage,
         response=None,
         horizon=horizon if horizon is not None else T,
+    )
+
+
+def write_br_curve(result: RobustTollResult, path) -> None:
+    """Worst-case revenue by toll, ascending, from a robust-toll search."""
+    write_rows(
+        path,
+        ("format_version", "toll", "worst_case_revenue"),
+        (
+            (FORMAT_VERSION, toll, revenue)
+            for toll, revenue in sorted(result.br_curve.items())
+        ),
     )
 
 

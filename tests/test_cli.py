@@ -592,6 +592,18 @@ def test_real_exp_negative_cycle_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "state 0: a negative-cost cycle: arc 3 ('a'-'d')" in err, pairs
         assert not (tmp_path / "out" / "real_regret.csv").exists()
+    # the arcs a -> b -> c -> a close a directed cycle of cost -1e-9 in
+    # state 1: refused too, whichever pairs are drawn
+    arcs.write_text("tail,head,toll_flag,length\na,b,0,1\nb,c,0,1\nc,a,0,1\nc,d,1,1\n")
+    costs = ((1, 1, 1, 1), (-1e-9, 0, 0, 1))
+    states.write_text(
+        "state,arc,cost\n"
+        + "".join(f"{s},{a},{c}\n" for s, row in enumerate(costs) for a, c in enumerate(row))
+    )
+    argv = ["real-exp", "--arcs", str(arcs), "--states", str(states), "--pairs", "3"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    assert "error: state 1: a negative-cost cycle" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "real_regret.csv").exists()
 
 
 # --- simulate -----------------------------------------------------------------------------
@@ -765,6 +777,8 @@ def test_each_subcommand_imports_only_what_it_uses(tmp_path):
         tmp_path, ["nature", "--u-lower", "100", "--u-upper", "100", "--toll", "80"]
     )
     assert (code, modules) == (0, {"cli", "config", "core", "lp", "nature"})
+    code, modules = loaded_modules(tmp_path, ["price", "--u-lower", "100", "--u-upper", "110"])
+    assert (code, modules) == (0, {"cli", "config", "core", "lp", "nature", "pricing"})
     code, modules = loaded_modules(
         tmp_path, ["ingest", "--records", crossing_feed(tmp_path / "records.csv")]
     )

@@ -1,7 +1,9 @@
-"""The stacked dense simplex against a one-objective scalar reference, and
-its input checks."""
+"""The warm-walking dense simplex against a one-objective scalar reference
+and an enumeration of every basis, and its input checks."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -87,10 +89,12 @@ def scalar_simplex(c, A, b, senses):
     return x, float(np.dot(c, x))
 
 
-def moment_lp(rng):
-    """A nature-shaped 3-row LP and a stack of objectives: tolls in random
-    order, either objective, either sense pattern."""
-    n = int(rng.integers(41, 121))
+def moment_lp(rng, sizes=(41, 121)):
+    """A nature-shaped 3-row LP and a walk of objectives: tolls in random
+    order, either objective, either sense pattern.  Returns the one-level
+    costs (K, n), the three-level walk (K, 3, n) of cost, usage and cube,
+    A, b and the senses."""
+    n = int(rng.integers(*sizes))
     points = np.arange(n) * float(rng.choice([0.25, 1.0, 2.5, 5.0]))
     mu = float(rng.choice(points[1:-1]))
     kappa = float(rng.choice([0.0, 0.25, 1.0, 4.0, 40.0]))
@@ -103,22 +107,52 @@ def moment_lp(rng):
         C = np.minimum(points, tolls)
     else:
         C = np.where(points >= tolls, tolls, 0.0)
-    return C, A, b, senses
+    cube = np.broadcast_to((points * s1) ** 3, C.shape)
+    levels = np.stack([C, (points >= tolls) * 1.0, cube], axis=1)
+    return C, levels, A, b, senses
 
 
-def stacked_or_infeasible(C, A, b, senses):
+def walk_or_infeasible(C, A, b, senses):
     try:
         return lp.simplex_solve(C, A, b, senses)
     except lp.LpInfeasible:
         return None
 
 
-def test_stacked_simplex_matches_scalar_reference():
+def vertex_enumeration(levels, A, b, senses):
+    """The lexicographic minimum over every basic feasible solution, each
+    level taken among the earlier levels' optima within 1e-9."""
+    m, n = A.shape
+    slack = np.eye(m)[:, [i for i, s in enumerate(senses) if s == "<"]]
+    full = np.hstack([A, slack])
+    vertices = []
+    for cols in itertools.combinations(range(full.shape[1]), m):
+        B = full[:, cols]
+        if abs(np.linalg.det(B)) < 1e-12:
+            continue
+        xb = np.linalg.solve(B, b)
+        if (xb >= -1e-9).all():
+            x = np.zeros(full.shape[1])
+            x[list(cols)] = xb
+            vertices.append(x[:n])
+    if not vertices:
+        return None
+    X = np.array(vertices)
+    for c in levels:
+        value = X @ c
+        X = X[value <= value.min() + 1e-9]
+    return X[0]
+
+
+def test_walk_matches_scalar_reference():
+    # A walk over objectives in any order reaches each objective's optimal
+    # value; ties may leave it on another optimal vertex than a solve from
+    # scratch, so x is checked for feasibility, not compared.
     rng = np.random.default_rng(SEED)
     solved = 0
     for trial in range(14):
-        C, A, b, senses = moment_lp(rng)
-        got = stacked_or_infeasible(C, A, b, senses)
+        C, _, A, b, senses = moment_lp(rng)
+        got = walk_or_infeasible(C, A, b, senses)
         try:
             want = [scalar_simplex(c, A, b, senses) for c in C]
         except lp.LpInfeasible:
@@ -126,19 +160,66 @@ def test_stacked_simplex_matches_scalar_reference():
             continue
         X, objective = got
         assert X.shape == C.shape and objective.shape == (len(C),)
-        for k, (x, value) in enumerate(want):
-            assert X[k].tobytes() == x.tobytes(), (trial, k)
-            assert objective[k] == value, (trial, k)
-            alone, alone_value = lp.simplex_solve(C[k], A, b, senses)
-            assert alone.tobytes() == x.tobytes() and alone_value == value
-            assert type(alone_value) is float
+        for k, (_, value) in enumerate(want):
+            assert abs(objective[k] - value) <= 1e-9 * max(1.0, abs(value)), (trial, k)
+            assert objective[k] == float(np.dot(C[k], X[k]))
+            assert (X[k] >= -1e-12).all() and np.allclose(A[:2] @ X[k], b[:2], atol=1e-9)
+            gap = A[2] @ X[k] - b[2]
+            assert gap <= 1e-9 if senses == "==<" else abs(gap) <= 1e-9
+        alone, alone_value = lp.simplex_solve(C[0], A, b, senses)
+        assert type(alone_value) is float and alone.shape == C[0].shape
         solved += len(C)
     assert solved > 150
 
 
+def test_lexicographic_walk_matches_vertex_enumeration():
+    # Cost, then usage, then the cube: the third level has one minimizer on
+    # these LPs, so the walk, in grid order or shuffled, and a lone solve all
+    # reach the vertex the enumeration of every basis finds.
+    rng = np.random.default_rng(SEED + 1)
+    solved = 0
+    for trial in range(24):
+        _, levels, A, b, senses = moment_lp(rng, sizes=(6, 16))
+        want = [vertex_enumeration(lv, A, b, senses) for lv in levels]
+        got = walk_or_infeasible(levels, A, b, senses)
+        if want[0] is None:
+            assert got is None, trial
+            continue
+        order = rng.permutation(len(levels))
+        shuffled, _ = lp.simplex_solve(levels[order], A, b, senses)
+        X, objective = got
+        for k, x in enumerate(want):
+            alone, _ = lp.simplex_solve(levels[k : k + 1], A, b, senses)
+            for y in (X[k], shuffled[np.flatnonzero(order == k)[0]], alone[0]):
+                assert np.allclose(y, x, atol=1e-9), (trial, k)
+                assert np.array_equal(y > 1e-11, X[k] > 1e-11), (trial, k)
+            assert objective[k] == float(np.dot(levels[k, 0], X[k]))
+        solved += len(levels)
+    assert solved > 150
+
+
+def test_levels_choose_among_the_earlier_optima():
+    A = np.array([[1.0, 1.0, 1.0, 1.0]])
+    b = np.array([1.0])
+    cost = np.array([0.0, 0.0, 1.0, 0.0])  # ties between columns 0, 1 and 3
+    usage = np.array([1.0, 0.0, 0.0, 0.0])
+    cube = np.array([0.0, 3.0, -5.0, 2.0])
+    x, value = lp.simplex_solve(np.stack([cost, usage, cube])[None], A, b, "=")
+    # the cube's best column 2 is not optimal at level 0, and column 0 loses
+    # on usage: column 3 wins
+    assert x.tolist() == [[0.0, 0.0, 0.0, 1.0]] and value.tolist() == [0.0]
+    x, _ = lp.simplex_solve(np.stack([cost, cube, usage])[None], A, b, "=")
+    assert x.tolist() == [[1.0, 0.0, 0.0, 0.0]]
+    # a walk: each objective starts where the last one ended
+    walk = np.stack([np.stack([cost, usage, cube]), np.stack([-cost, cube, usage])])
+    x, value = lp.simplex_solve(walk, A, b, "=")
+    assert x.tolist() == [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]]
+    assert value.tolist() == [0.0, -1.0]
+
+
 def test_small_lps_match_scalar_reference():
-    # General small LPs, some entries 1e-15: a multiplier at or below the
-    # 1e-14 skip threshold must leave its row exactly as it is.
+    # General small LPs, some entries 1e-15, three objectives walked in turn:
+    # each reaches the reference's optimal value at a feasible x.
     rng = np.random.default_rng(SEED + 2)
     solved = 0
     for trial in range(300):
@@ -153,38 +234,14 @@ def test_small_lps_match_scalar_reference():
         except lp.LpInfeasible:
             continue
         X, objective = lp.simplex_solve(C, A, b, senses)
-        for k, (x, value) in enumerate(want):
-            assert X[k].tobytes() == x.tobytes() and objective[k] == value, (trial, k)
+        eq = np.array([s == "=" for s in senses])
+        for k, (_, value) in enumerate(want):
+            assert abs(objective[k] - value) <= 1e-9 * max(1.0, abs(value)), (trial, k)
+            row = A @ X[k]
+            assert (X[k] >= -1e-12).all(), (trial, k)
+            assert np.allclose(row[eq], b[eq], atol=1e-9) and (row[~eq] <= b[~eq] + 1e-9).all()
         solved += 1
     assert solved > 100
-
-
-def test_stack_split_into_passes(monkeypatch):
-    rng = np.random.default_rng(SEED + 1)
-    cases = [moment_lp(rng) for _ in range(6)]
-    want = [stacked_or_infeasible(*case) for case in cases]
-    assert sum(w is not None for w in want) >= 4
-    passes = []
-    phase_two = lp._phase_two
-
-    def counted(tab, basis, c, n_cols, x):
-        passes.append(len(c))
-        phase_two(tab, basis, c, n_cols, x)
-
-    monkeypatch.setattr(lp, "_phase_two", counted)
-    for (C, A, b, senses), expected in zip(cases, want):
-        # a budget of three tableaux: a stack of more than three is split
-        width = A.shape[1] + senses.count("<") + A.shape[0] + 1
-        monkeypatch.setattr(lp, "_PASS_ELEMENTS", 3 * (A.shape[0] + 1) * width)
-        passes.clear()
-        got = stacked_or_infeasible(C, A, b, senses)
-        if expected is None:
-            assert got is None
-            continue
-        assert len(passes) == -(-len(C) // 3) and sum(passes) == len(C)
-        assert max(passes) - min(passes) <= 1
-        assert got[0].tobytes() == expected[0].tobytes()
-        assert got[1].tolist() == expected[1].tolist()
 
 
 def test_empty_stack():
@@ -216,9 +273,10 @@ C5 = np.arange(5.0)
         (C5, A3, np.array([1.0, np.nan, 5.0]), "b must be finite"),
         (np.arange(4.0), A3, B3, r"c has shape \(4,\)"),
         (np.zeros((2, 6)), A3, B3, r"c has shape \(2, 6\)"),
-        (np.zeros((2, 2, 5)), A3, B3, r"c has shape \(2, 2, 5\)"),
+        (np.zeros((2, 2, 6)), A3, B3, r"c has shape \(2, 2, 6\)"),
+        (np.zeros((1, 2, 2, 5)), A3, B3, r"c has shape \(1, 2, 2, 5\)"),
     ],
-    ids=["nan-c", "inf-c-stack", "inf-A", "nan-b", "short-c", "wide-c-stack", "3d-c"],
+    ids=["nan-c", "inf-c-stack", "inf-A", "nan-b", "short-c", "wide-c-stack", "3d-c", "4d-c"],
 )
 def test_bad_input_raises_value_error(c, A, b, message):
     with pytest.raises(ValueError, match=message):

@@ -1,5 +1,5 @@
-"""Worst-case nature solvers: exact enumeration, simplex, brute force, and
-the sample two-point search."""
+"""Worst-case nature solvers: exact enumeration, the simplex walk, brute
+force, the HiGHS lexicographic oracle, and the sample two-point search."""
 
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ from tollkit.nature import (
     _TIE_TOL,
     _Best,
     _enumerate_minima,
+    _levels,
     _moment_tols,
-    _objective_vector,
     _package,
     _pass_offer,
     _simplex_minima,
@@ -58,47 +58,54 @@ def random_instance(rng: np.random.Generator):
     return grid, env, r
 
 
-def _simplex_minimum(grid, env, f):
-    """One objective vector through the stacked simplex path."""
-    (minimum,) = _simplex_minima(grid, env, f[None])
+def _simplex_minimum(grid, env, levels):
+    """One toll's levels through the simplex walk, a walk of length one."""
+    (minimum,) = _simplex_minima(grid, env, levels[None])
     return minimum
 
 
-def _enumerate_minimum(grid, env, f):
-    """One objective vector through the enumeration path."""
-    (minimum,) = _enumerate_minima(grid, env, f[None])
+def _enumerate_minimum(grid, env, levels):
+    """One toll's levels through the enumeration path."""
+    (minimum,) = _enumerate_minima(grid, env, levels[None])
     return minimum
 
 
 def solve_on_path(path, grid, env, r, objective):
     """Nature's solution with the LP path pinned (``_enumerate_minimum`` or
     ``_simplex_minimum``), packaged as the public solvers package it."""
-    f = _objective_vector(grid.points(), r, objective)
-    _, support, masses = path(grid, env, f)
+    (levels,) = _levels(grid.points(), r, objective)
+    _, support, masses = path(grid, env, levels)
     return _package(support, masses, env, r, objective)
+
+
+def assert_same_pick(got, want, context):
+    """Two solutions of one toll are the same distribution: equal supports,
+    masses within 1e-9, and equal values and usage within 1e-9."""
+    assert got.distribution.support.tolist() == want.distribution.support.tolist(), context
+    assert np.allclose(got.distribution.mass, want.distribution.mass, rtol=0, atol=1e-9), context
+    assert abs(got.objective_value - want.objective_value) <= 1e-9, context
+    assert abs(got.usage_probability - want.usage_probability) <= 1e-9, context
 
 
 # --- exact solvers vs the brute-force oracle ---------------------------------
 
 
 def test_exact_matches_brute_force_randomized():
+    # Under the tie rule the oracle and the enumeration pick the same
+    # distribution, not only the same value.
     rng = np.random.default_rng(SEED)
     for trial in range(60):
         grid, env, r = random_instance(rng)
         for objective in ("ufn", "an"):
             got = solve_on_path(_enumerate_minimum, grid, env, r, objective)
             ref = brute_force_nature(grid, env, r, objective=objective)
-            assert abs(got.objective_value - ref.objective_value) <= 1e-9, (
-                trial,
-                objective,
-                got.objective_value,
-                ref.objective_value,
-            )
+            assert_same_pick(got, ref, (trial, objective, env, r))
 
 
 def test_simplex_matches_enumeration_randomized():
-    # The simplex fast path handles the pinned-mean case (the only shape it
-    # is auto-selected for); compare it against full enumeration there.
+    # On a point mean band the simplex walk, the enumeration and the oracle
+    # pick one distribution; the walk's masses come from its support by the
+    # table's formulas, so its support and usage equal the table's.
     rng = np.random.default_rng(SEED + 1)
     for trial in range(40):
         n = int(rng.integers(8, 26))
@@ -109,16 +116,127 @@ def test_simplex_matches_enumeration_randomized():
         for objective in ("ufn", "an"):
             a = solve_on_path(_enumerate_minimum, grid, env, r, objective)
             b = solve_on_path(_simplex_minimum, grid, env, r, objective)
-            assert abs(a.objective_value - b.objective_value) <= 1e-9, (trial, objective)
+            assert_same_pick(b, a, (trial, objective))
+            assert b.distribution.support.tolist() == a.distribution.support.tolist()
+            assert b.usage_probability == a.usage_probability, (trial, objective)
+            if trial % 4 == 0:
+                ref = brute_force_nature(grid, env, r, objective=objective)
+                assert_same_pick(b, ref, (trial, objective))
+
+
+# --- the walk is path-independent -------------------------------------------
+
+
+def walk_instances(rng):
+    """Random point bands (on- and off-grid means, floors 0 and 3, steps
+    0.25-4), then ``sweep-point``-shaped ones: grid 0..200 step 1, an
+    off-grid mean in [20, 180] and kappa in [0.5, 2]."""
+    for _ in range(10):
+        n = int(rng.integers(8, 41))
+        step = float(rng.choice([0.25, 1.0, 4.0]))
+        q = float(rng.choice([0.0, 3.0]))
+        grid = PriceGrid(q, q + step * (n - 1), step)
+        points = grid.points()
+        on_grid = rng.random() < 0.6
+        mu = float(rng.choice(points[1:-1])) if on_grid else float(rng.uniform(q, grid.Q))
+        yield grid, MomentEnvelope(mu, mu, float(rng.choice([0.25, 1.0, 3.0, 10.0])))
+    for _ in range(2):
+        mu = float(rng.uniform(20.0, 180.0))
+        yield PriceGrid(0.0, 200.0, 1.0), MomentEnvelope(mu, mu, float(rng.uniform(0.5, 2.0)))
+
+
+def test_walk_matches_lone_solves_in_any_order():
+    # Every grid toll, r = q and r = Q among them, walked in grid order and
+    # in a shuffled order, against one lone solve per toll: equal supports,
+    # masses and usage, whatever basis the walk arrives from.
+    rng = np.random.default_rng(SEED + 2)
+    cases = 0
+    for grid, env in walk_instances(rng):
+        points = grid.points()
+        for objective in ("ufn", "an"):
+            levels = _levels(points, points, objective)
+            walk = outcome(_simplex_minima, grid, env, levels)
+            if isinstance(walk, str):
+                assert walk == outcome(_simplex_minimum, grid, env, levels[0])
+                continue
+            order = rng.permutation(points.size)
+            shuffled = _simplex_minima(grid, env, levels[order])
+            for k, r in enumerate(points.tolist()):
+                lone = _simplex_minimum(grid, env, levels[k])
+                back = shuffled[np.flatnonzero(order == k)[0]]
+                assert walk[k][1:] == lone[1:] == back[1:], (grid, env, objective, r)
+                usage = [
+                    _package(*m[1:], env, r, objective).usage_probability for m in (walk[k], lone)
+                ]
+                assert usage[0] == usage[1]
+                cases += 1
+    assert cases > 1000
+
+
+def highs_lexicographic(points, mu, kappa, levels):
+    """HiGHS, one level at a time: each later level minimized among the
+    earlier levels' optima (each earlier level held within 1e-9)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    a_ub, b_ub = [points * points], [mu * mu + kappa * mu]
+    for c in levels:
+        res = linprog(
+            c,
+            A_ub=a_ub,
+            b_ub=b_ub,
+            A_eq=[np.ones_like(points), points],
+            b_eq=[1.0, mu],
+            bounds=(0, None),
+            method="highs",
+        )
+        if res.status == 2:
+            return None
+        assert res.status == 0, res.message
+        a_ub, b_ub = [*a_ub, c], [*b_ub, res.fun + 1e-9]
+    return res.x
+
+
+def test_walk_matches_highs_lexicographic_oracle():
+    # HiGHS minimizes the cost, then the usage among the cost's optima, then
+    # the cube: the walk's pick has its value, its usage and its support.
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(SEED + 3)
+    checked = 0
+    for grid, env in walk_instances(rng):
+        points = grid.points()
+        for objective in ("ufn", "an"):
+            levels = _levels(points, points, objective)
+            walk = outcome(_simplex_minima, grid, env, levels)
+            for k in rng.choice(points.size, min(12, points.size), replace=False).tolist():
+                x = highs_lexicographic(points, env.u_lower, env.kappa_bar, levels[k])
+                if x is None:
+                    assert isinstance(walk, str)
+                    break
+                r = float(points[k])
+                got = _package(*walk[k][1:], env, r, objective)
+                assert abs(got.objective_value - float(levels[k, 0] @ x)) <= 1e-7, (env, r)
+                assert abs(got.usage_probability - float(levels[k, 1] @ x)) <= 1e-7, (env, r)
+                assert walk[k][1] == points[x > 1e-7].tolist(), (env, objective, r)
+                checked += 1
+    assert checked > 250
 
 
 # --- the candidate table against a per-toll enumeration ------------------------
 
 
-def per_toll_enumeration(points, env, f):
-    """Every support candidate rebuilt from scratch for one objective vector,
+def rule_pick(obj, usage, cube):
+    """The index the tie rule picks among flat candidates (``obj`` inf where
+    infeasible): within _TIE_TOL of the lowest objective, the lowest usage,
+    within _TIE_TOL the lowest cube."""
+    ties = obj <= obj.min() + _TIE_TOL
+    low = ties & (usage <= usage[ties].min() + _TIE_TOL)
+    return int(np.flatnonzero(low)[cube[low].argmin()])
+
+
+def per_toll_enumeration(points, env, levels):
+    """Every support candidate rebuilt from scratch for one toll's levels,
     the objective's stationary point on each triple included: the
     enumeration as it ran before its toll-independent half was tabulated."""
+    f, u, g = levels
     n = points.size
     kappa = env.kappa_bar
     ul, uu = env.u_lower, env.u_upper
@@ -128,10 +246,10 @@ def per_toll_enumeration(points, env, f):
     mask = (points >= ul - mean_tol) & (points <= uu + mean_tol)
     if mask.any():
         idx = np.flatnonzero(mask)
-        objs = f[idx]
-        m0 = float(objs.min())
-        winner = idx[objs <= m0 + _TIE_TOL][0]
-        best.offer(float(f[winner]), [float(points[winner])], [1.0])
+        winner = idx[rule_pick(f[idx], u[idx], g[idx])]
+        best.offer(
+            float(f[idx].min()), float(u[winner]), float(g[winner]), [float(points[winner])], [1.0]
+        )
 
     if n >= 2:
         I, J = np.triu_indices(n, k=1)
@@ -159,13 +277,19 @@ def per_toll_enumeration(points, env, f):
         )
         if feas.any():
             obj = t * fi[:, None] + (1.0 - t) * fj[:, None]
+            usage = t * u[I][:, None] + (1.0 - t) * u[J][:, None]
+            cube = t * g[I][:, None] + (1.0 - t) * g[J][:, None]
             masked = np.where(feas, obj, np.inf)
-            m0 = float(masked.min())
-            pp, qq = np.nonzero(masked <= m0 + _TIE_TOL)
-            order = np.lexsort((t[pp, qq], cj[pp], ci[pp]))
-            p, q = pp[order[0]], qq[order[0]]
+            pick = rule_pick(masked.ravel(), usage.ravel(), cube.ravel())
+            p, q = np.unravel_index(pick, t.shape)
             tv = float(t[p, q])
-            best.offer(float(obj[p, q]), [float(ci[p]), float(cj[p])], [tv, 1.0 - tv])
+            best.offer(
+                float(masked.min()),
+                float(usage[p, q]),
+                float(cube[p, q]),
+                [float(ci[p]), float(cj[p])],
+                [tv, 1.0 - tv],
+            )
 
     for a in range(n - 2):
         rest = n - a - 1
@@ -218,14 +342,16 @@ def per_toll_enumeration(points, env, f):
             continue
         obj = xa * fa + xb * fb[:, None] + xc * fc[:, None]
         masked = np.where(feas, obj, np.inf)
-        m0 = float(masked.min())
-        if best.objective is not None and m0 > best.objective + _TIE_TOL:
+        if best.objective is not None and masked.min() > best.objective + _TIE_TOL:
             continue
-        pp, qq = np.nonzero(masked <= m0 + _TIE_TOL)
-        order = np.lexsort((xb[pp, qq], xa[pp, qq], cc[pp], cb[pp]))
-        p, q = pp[order[0]], qq[order[0]]
+        ib, ic = a + 1 + jj, a + 1 + kk
+        usage = xa * u[a] + xb * u[ib][:, None] + xc * u[ic][:, None]
+        cube = xa * g[a] + xb * g[ib][:, None] + xc * g[ic][:, None]
+        p, q = np.unravel_index(rule_pick(masked.ravel(), usage.ravel(), cube.ravel()), mu.shape)
         best.offer(
-            float(obj[p, q]),
+            float(masked.min()),
+            float(usage[p, q]),
+            float(cube[p, q]),
             [ca, float(cb[p]), float(cc[p])],
             [float(xa[p, q]), float(xb[p, q]), float(xc[p, q])],
         )
@@ -266,11 +392,11 @@ def test_envelope_table_matches_per_toll_enumeration():
         grid, env = random_table_instance(rng)
         points = grid.points()
         for objective in ("ufn", "an"):
-            F = _objective_vector(points, points[:, None], objective)
-            got = outcome(_enumerate_minima, grid, env, F)
+            levels = _levels(points, points, objective)
+            got = outcome(_enumerate_minima, grid, env, levels)
             if isinstance(got, str):  # an infeasible envelope fails every toll
-                got = [got] * len(F)
-            want = [outcome(per_toll_enumeration, points, env, f) for f in F]
+                got = [got] * len(levels)
+            want = [outcome(per_toll_enumeration, points, env, lv) for lv in levels]
             assert got == want, (trial, grid, env, objective)
 
 
@@ -284,9 +410,9 @@ def test_envelope_table_in_small_passes(monkeypatch):
         grid, env = random_table_instance(rng)
         points = grid.points()
         for r in points[::3].tolist():
-            f = _objective_vector(points, r, "ufn")
-            got = outcome(_enumerate_minimum, grid, env, f)
-            assert got == outcome(per_toll_enumeration, points, env, f), (trial, r)
+            (levels,) = _levels(points, r, "ufn")
+            got = outcome(_enumerate_minimum, grid, env, levels)
+            assert got == outcome(per_toll_enumeration, points, env, levels), (trial, r)
 
 
 def test_envelope_table_on_sweep_interval_bands():
@@ -298,29 +424,39 @@ def test_envelope_table_on_sweep_interval_bands():
     for objective in ("ufn", "an"):
         centre, half = rng.uniform(40.0, 160.0), rng.uniform(1.0, 10.0)
         env = MomentEnvelope(centre - half, centre + half, rng.uniform(0.5, 2.0))
-        F = _objective_vector(points, points[:, None], objective)
-        got = _enumerate_minima(grid, env, F)
-        want = [per_toll_enumeration(points, env, f) for f in F]
+        levels = _levels(points, points, objective)
+        got = _enumerate_minima(grid, env, levels)
+        want = [per_toll_enumeration(points, env, lv) for lv in levels]
         assert got == want, (env, objective)
 
 
-def test_pass_offer_breaks_ties_by_support_then_masses():
+def test_pass_offer_breaks_ties_by_usage_then_cube():
     points = np.array([0.0, 1.0, 2.0, 3.0])
-    f = np.array([1.0 + 1e-9, 1.0, 1.0, 1.0])  # objective 1 + xa * 1e-9
-    # one support, masses in table order A, B, C, and a dearer D: within
-    # _TIE_TOL the smallest xa wins, then the smallest xb
-    idx = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [2, 2, 2, 2]], dtype=np.uint8)
-    x = np.array([[0.3, 0.25, 0.25, 0.1], [0.4, 0.5, 0.45, 0.4], [0.3, 0.25, 0.3, 1.5]])
-    objective, support, masses = _pass_offer(idx, x, points, f)
-    assert (support, masses) == ([0.0, 1.0, 2.0], [0.25, 0.45, 0.3])
-    assert objective == pytest.approx(1.0, abs=_TIE_TOL)
-    # equal masses on supports that differ only in the middle point: the
-    # smaller middle point wins, whatever the table order
-    idx = np.array([[0, 0], [2, 1], [3, 3]], dtype=np.uint8)
-    x = np.array([[0.2, 0.2], [0.5, 0.5], [0.3, 0.3]])
-    for order in ([0, 1], [1, 0]):
-        _, support, _ = _pass_offer(idx[:, order], x[:, order], points, np.ones(4))
-        assert support == [0.0, 1.0, 3.0], order
+    f = np.array([1.0, 1.0, 1.0, 1.0])
+    f_dear = np.array([1.0 + 3e-9, 1.0, 1.0, 1.0])  # xa * 3e-9 dearer
+    u = np.array([0.0, 0.0, 1.0, 1.0])  # usage: the mass on points 2 and 3
+    g = points**3 / 27.0
+    idx = np.array([[0, 0, 0, 1], [1, 1, 2, 2], [2, 3, 3, 3]], dtype=np.uint8)
+    x = np.array([[0.5, 0.6, 0.7, 0.2], [0.2, 0.3, 0.1, 0.7], [0.3, 0.1, 0.2, 0.1]])
+    cube = (x * g[idx]).sum(axis=0)
+    # usage 0.3, 0.1, 0.3, 0.8: the second candidate wins on usage alone,
+    # though its cube is not the lowest
+    objective, usage, best_cube, support, masses = _pass_offer(idx, x, cube, points, f, u)
+    assert (support, masses) == ([0.0, 1.0, 3.0], [0.6, 0.3, 0.1])
+    assert (objective, usage) == (pytest.approx(1.0), pytest.approx(0.1))
+    assert best_cube == pytest.approx((0.3 + 2.7) / 27.0)
+    # more than _TIE_TOL dearer, the low-usage candidate is out of the tie
+    objective, usage, _, support, _ = _pass_offer(idx, x, cube, points, f_dear, u)
+    assert support == [1.0, 2.0, 3.0] and objective == pytest.approx(1.0)
+    assert usage == pytest.approx(0.8)
+    # equal usage within _TIE_TOL: the lowest cube wins, whatever the order
+    u_flat = np.zeros(4)
+    for order in ([0, 1, 2, 3], [3, 2, 1, 0]):
+        _, _, best_cube, support, _ = _pass_offer(
+            idx[:, order], x[:, order], cube[order], points, f, u_flat
+        )
+        assert support == [0.0, 1.0, 2.0], order
+        assert best_cube == pytest.approx((0.2 + 0.3 * 8.0) / 27.0)
 
 
 def test_envelope_table_interleaved_keys():
@@ -333,12 +469,9 @@ def test_envelope_table_interleaved_keys():
     for r in coarse.points().tolist():
         for grid, env in ((fine, wide), (fine, narrow), (coarse, wide), (fine, wide)):
             points = grid.points()
-            f = _objective_vector(points, r, "ufn")
-            assert _enumerate_minimum(grid, env, f) == per_toll_enumeration(points, env, f), (
-                grid,
-                env,
-                r,
-            )
+            (levels,) = _levels(points, r, "ufn")
+            want = per_toll_enumeration(points, env, levels)
+            assert _enumerate_minimum(grid, env, levels) == want, (grid, env, r)
 
 
 def test_simplex_solves_b_changed_in_place():
@@ -379,13 +512,13 @@ def test_mutating_a_solution_leaves_the_next_solve_unchanged():
             again = solve_nature_ufn(grid, env, r)
             assert again.distribution.support.tolist() == support
             assert again.distribution.mass.tolist() == mass
-        f = _objective_vector(grid.points(), 20.0, "ufn")
+        (levels,) = _levels(grid.points(), 20.0, "ufn")
         path = _simplex_minimum if env.u_lower == env.u_upper else _enumerate_minimum
-        value, support, masses = path(grid, env, f)
+        value, support, masses = path(grid, env, levels)
         want = (value, list(support), list(masses))
         support.append(99.0)
         masses[0] = -1.0
-        assert path(grid, env, f) == want
+        assert path(grid, env, levels) == want
     A = np.vstack([np.ones(5), np.arange(5.0)])
     x, _ = lp.simplex_solve(np.arange(5.0), A, np.array([1.0, 2.0]), senses="==")
     want = x.tolist()
@@ -483,17 +616,16 @@ def test_zero_variance_band_collapses_to_point():
 
 
 def test_toll_at_grid_floor_everyone_pays():
-    # At r = q every feasible distribution yields the same objective; the
-    # enumeration path's canonical tie-break then returns the smallest
-    # support, i.e. the point mass at the band floor.
-    sol = solve_on_path(_enumerate_minimum, WIDE, WIDE_ENV, 0.0, "ufn")
-    assert list(sol.distribution.support) == [500.0]
-    assert sol.objective_value == 0.0
-    assert sol.usage_probability == 1.0
-    # the fast path agrees on the value even if its tie-break differs
+    # At r = q every feasible distribution yields the same objective and
+    # usage 1; the lowest E[s^3] at a fixed mean is the point mass at the
+    # mean (Jensen), on both paths.
+    for path in (_enumerate_minimum, _simplex_minimum):
+        sol = solve_on_path(path, WIDE, WIDE_ENV, 0.0, "ufn")
+        assert list(sol.distribution.support) == [500.0]
+        assert sol.objective_value == 0.0
+        assert sol.usage_probability == 1.0
     auto = solve_nature_ufn(WIDE, WIDE_ENV, 0.0)
-    assert auto.objective_value == 0.0
-    assert auto.usage_probability == 1.0
+    assert list(auto.distribution.support) == [500.0]
 
 
 def test_infeasible_envelope_errors():

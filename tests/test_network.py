@@ -189,6 +189,38 @@ def test_undirected_search_refuses_a_negative_arc_before_searching():
     assert state_shortest_path_costs(net, free_only=True, undirected=True).tolist() == [1.0, 1.0]
 
 
+def test_directed_search_refuses_a_negative_cycle_before_searching():
+    # D -> X -> D costs -1e-9 in state 1: the cycle lies beyond the
+    # destination, so the search would pop D before it reached it, and
+    # return a finite cost; it is refused whatever the pair.  Only usable
+    # arcs count: without the toll arc X -> D there is no cycle.
+    arcs = (Arc("O", "D", False), Arc("D", "X", False), Arc("X", "D", True))
+    net = TollNetwork(arcs, "O", "D", [[1.0, 1.0, 0.0], [1.0, -1e-9, 0.0]])
+    for origin, destination in (("O", "D"), ("O", "X"), ("X", "O")):
+        with pytest.raises(ValueError, match="state 1: the usable arcs close a negative-cost"):
+            state_shortest_path_costs(net, origin, destination)
+    assert state_shortest_path_costs(net, free_only=True).tolist() == [1.0, 1.0]
+    with pytest.raises(ValueError, match="state 1: .*negative-cost cycle"):
+        state_margin_series(two_road_network_with_cycle(), (0,))
+    # a negative arc on no cycle is searched as before
+    acyclic = TollNetwork(arcs[:2], "O", "X", [[1.0, 1.0], [1.0, -1e-9]])
+    assert state_shortest_path_costs(acyclic).tolist() == [2.0, 1.0 - 1e-9]
+
+
+def two_road_network_with_cycle():
+    """A toll road O -> D, a free road O -> A -> D, and free arcs D -> B ->
+    D closing a cycle of cost -1e-9 in state 1, beyond the destination."""
+    arcs = (
+        Arc("O", "D", True),
+        Arc("O", "A", False),
+        Arc("A", "D", False),
+        Arc("D", "B", False),
+        Arc("B", "D", False),
+    )
+    costs = [[0.0, 5.0, 5.0, 1.0, 1.0], [0.0, 5.0, 5.0, -1e-9, 0.0]]
+    return TollNetwork(arcs, "O", "D", costs)
+
+
 def string_keyed_shortest_paths(net, origin, destination, free_only, undirected):
     """Reference: Dijkstra on node names, with dict distances and numpy costs."""
     arc_ids = net.free_arcs if free_only else tuple(range(len(net.arcs)))
