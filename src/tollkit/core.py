@@ -279,6 +279,24 @@ class MomentEnvelope:
         return self.kappa_bar * mean
 
 
+def _checked_masses(support: np.ndarray, mass: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """A distribution's rule, checked on every row of the (K, W) arrays at
+    once (row ``k`` is its first ``sizes[k]`` entries): strictly increasing
+    support, masses not below ``-MASS_TOL`` and an ``fsum`` total within
+    ``MASS_TOL`` of 1.  Returns every row's masses clipped at 0 and
+    divided by its total, the padding too."""
+    live = np.arange(support.shape[1]) < np.asarray(sizes)[:, None]
+    if np.any(live[:, 1:] & (np.diff(support, axis=1) <= 0)):
+        raise ValueError("support points must be strictly increasing")
+    if np.any(live & (mass < -MASS_TOL)):
+        raise ValueError("masses must be non-negative")
+    totals = [math.fsum(row[:n]) for row, n in zip(mass.tolist(), sizes)]
+    for total in totals:
+        if abs(total - 1.0) > MASS_TOL:
+            raise ValueError(f"masses sum to {total}, expected 1 within {MASS_TOL}")
+    return np.clip(mass, 0.0, None) / np.array(totals)[:, None]
+
+
 class DiscreteDistribution:
     """Finite-support probability distribution over money values.
 
@@ -294,16 +312,27 @@ class DiscreteDistribution:
         m = np.asarray(mass, dtype=float)
         if sup.ndim != 1 or m.ndim != 1 or sup.size != m.size or sup.size == 0:
             raise ValueError("support and mass must be equally sized 1-d, nonempty")
-        if np.any(np.diff(sup) <= 0):
-            raise ValueError("support points must be strictly increasing")
-        if np.any(m < -MASS_TOL):
-            raise ValueError("masses must be non-negative")
-        total = math.fsum(m.tolist())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"masses sum to {total}, expected 1 within {MASS_TOL}")
-        m = np.clip(m, 0.0, None) / total
         self.support = sup
-        self.mass = m
+        self.mass = _checked_masses(sup[None], m[None], [sup.size])[0]
+
+    @classmethod
+    def from_rows(
+        cls, support: np.ndarray, mass: np.ndarray, sizes: Sequence[int]
+    ) -> tuple[list["DiscreteDistribution"], np.ndarray]:
+        """One distribution per row of the (K, W) arrays ``support`` and
+        ``mass``, row ``k`` holding ``sizes[k]`` entries and then padding.
+
+        Every row gets the constructor's checks and renormalization in one
+        array pass.  Returns the distributions, each owning its arrays, and
+        the renormalized (K, W) masses, where zero padding stays zero.
+        """
+        masses = _checked_masses(support, mass, sizes)
+        dists = []
+        for sup, m, n in zip(support, masses, sizes):
+            dist = cls.__new__(cls)
+            dist.support, dist.mass = sup[:n].copy(), m[:n].copy()
+            dists.append(dist)
+        return dists, masses
 
     @classmethod
     def point_mass(cls, value: float) -> "DiscreteDistribution":
@@ -507,12 +536,18 @@ def expected_user_cost(dist: DiscreteDistribution, r: float) -> float:
     Also evaluated as ``r - E[max(r - c, 0)]``; the two forms must agree to
     1e-12 (checked under debug assertions).
     """
-    primary = math.fsum(
-        (dist.mass * np.minimum(dist.support, r)).tolist()
+    return user_cost_from_terms(
+        (dist.mass * np.minimum(dist.support, r)).tolist(),
+        (dist.mass * np.maximum(r - dist.support, 0.0)).tolist(),
+        r,
     )
-    alternate = r - math.fsum(
-        (dist.mass * np.maximum(r - dist.support, 0.0)).tolist()
-    )
+
+
+def user_cost_from_terms(capped: list[float], shortfall: list[float], r: float) -> float:
+    """E[min(c, r)] as the ``fsum`` of its terms ``m * min(c, r)``, checked
+    against ``r`` minus the ``fsum`` of the terms ``m * max(r - c, 0)``."""
+    primary = math.fsum(capped)
+    alternate = r - math.fsum(shortfall)
     assert abs(primary - alternate) <= IDENTITY_TOL * max(1.0, abs(r)), (
         primary,
         alternate,

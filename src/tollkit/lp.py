@@ -12,7 +12,8 @@ basis and pivots from there; a single objective is a walk of length one.
 This is the parametric-objective simplex of Gass & Saaty (1955).  Each
 optimal tableau is rebuilt from A and b by one solve with its basis, so
 an objective's x is a function of its final basis alone and no pivot
-error carries along the walk.
+error carries along the walk.  The solve runs only when the basis has
+moved since the last rebuild; otherwise that rebuild's rows are put back.
 
 An objective may stack several levels, solved lexicographically: level l
 enters only columns whose reduced costs at every earlier level are within
@@ -148,13 +149,16 @@ def simplex_solve(
     tab[:m] = rows
     cost = np.zeros((L, body.shape[1]))
     x = np.zeros((K, n))
+    rebuilt = None  # the basis of the last rebuild
     for k in range(K):
         cost[:, :n] = walk[k]
         tab[m:] = cost - cost[:, basis] @ tab[:m]
         _iterate(tab, basis, n_cols)
         # rebuilt from the starting rows: x, and the next objective's
         # start, depend on the basis alone, not on the pivots that found it
-        tab[:m] = np.linalg.solve(body[:, basis], body)
+        if basis.tolist() != rebuilt:
+            rows, rebuilt = np.linalg.solve(body[:, basis], body), basis.tolist()
+        tab[:m] = rows
         structural = basis < n
         x[k, basis[structural]] = tab[:m, -1][structural]
     objective = np.array([float(np.dot(ck[0], xk)) for ck, xk in zip(walk, x)])

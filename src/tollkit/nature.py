@@ -27,7 +27,11 @@ enumerates the supports exactly: one table per call (``_envelope_table``)
 holds the feasible singletons, pairs and variance-tight triples, the
 triples solved at the two band edges only, and each toll prices it.  Only
 the objective depends on the toll, so either way a call pays the
-toll-independent half once, and nothing is kept between calls.
+toll-independent half once, and nothing is kept between calls.  The call
+then packages all its tolls in one array pass (``_solutions``): the
+distributions are checked together, and each toll's moments, usage and
+objective are ``fsum`` over its own products, so every float is the one a
+per-toll packaging would give.
 
 ``solve_nature_two_point`` is the heuristic search over integer-period
 two-point responses; its per-count table (``first_feasible_lower``) and
@@ -51,6 +55,7 @@ from .core import (
     expected_revenue,
     expected_user_cost,
     require_finite,
+    user_cost_from_terms,
 )
 from .lp import LpInfeasible, simplex_solve
 
@@ -192,9 +197,9 @@ def _moment_tols(scale: float) -> tuple[float, float]:
     return mean_tol, var_tol
 
 
-def _feasible_moments(
-    mean: float, var: float, env: MomentEnvelope, scale: float = 1.0
-) -> bool:
+def _feasible_moments(mean: float, var: float, env: MomentEnvelope, scale: float) -> bool:
+    """Whether the moments meet ``env`` within ``_moment_tols(scale)``,
+    ``scale`` being the grid's largest magnitude."""
     mean_tol, var_tol = _moment_tols(scale)
     if mean < env.u_lower - mean_tol or mean > env.u_upper + mean_tol:
         return False
@@ -456,26 +461,55 @@ def _minimize_worst_case(
     return [minimum[1:] for minimum in minima]
 
 
-def _package(
-    support: Sequence[float],
-    masses: Sequence[float],
+def _solutions(
+    grid: PriceGrid,
     env: MomentEnvelope,
-    r: float,
+    minima: Sequence[tuple[Sequence[float], Sequence[float]]],
+    tolls: list[float],
     objective: str,
-) -> NatureSolution:
-    dist = DiscreteDistribution.from_pairs(zip(support, masses))
-    mean, var = dist.mean(), dist.variance()
-    scale = max(abs(c) for c in dist.support)
-    if not _feasible_moments(mean, var, env, scale):
-        raise AssertionError(
-            f"solver produced an infeasible distribution: mean={mean}, var={var}"
-        )
-    return NatureSolution(
-        distribution=dist,
-        objective_value=_recompute_objective(dist, r, objective),
-        usage_probability=dist.usage_probability(r),
-        active_constraints=_active_constraints(mean, var, env),
-    )
+) -> tuple[NatureSolution, ...]:
+    """Nature's ``(support, masses)`` at each toll as a ``NatureSolution``,
+    every toll packaged in one array pass.
+
+    Masses of at most 1e-15 are dropped, as ``from_pairs`` drops them; the
+    rows are checked and renormalized together
+    (``DiscreteDistribution.from_rows``), and each row's moments, usage
+    and objective are the ``math.fsum`` of its own products.  Each row is
+    re-checked against the envelope within ``_moment_tols`` of the grid's
+    scale, the slack that admitted it.
+    """
+    rows = [[(c, m) for c, m in zip(*minimum) if m > 1e-15] for minimum in minima]
+    if not rows:
+        return ()
+    if not all(rows):
+        raise ValueError("no positive mass")
+    sizes = [len(row) for row in rows]
+    pad = [(0.0, 0.0)] * max(sizes)
+    table = np.array([row + pad[len(row):] for row in rows])
+    support, r = table[..., 0], np.array(tolls)[:, None]
+    dists, mass = DiscreteDistribution.from_rows(support, table[..., 1], sizes)
+    first = (mass * support).tolist()
+    second = (mass * (support * support)).tolist()
+    paid = np.where(support >= r, mass, 0.0).tolist()
+    if objective == "ufn":
+        capped = (mass * np.minimum(support, r)).tolist()
+        shortfall = (mass * np.maximum(r - support, 0.0)).tolist()
+    scale = float(np.max(np.abs(grid.points())))
+    solutions = []
+    for k, (dist, n, toll) in enumerate(zip(dists, sizes, tolls)):
+        mean = math.fsum(first[k][:n])
+        var = math.fsum(second[k][:n]) - mean * mean
+        if not _feasible_moments(mean, var, env, scale):
+            raise AssertionError(
+                f"solver produced an infeasible distribution: mean={mean}, var={var}"
+            )
+        usage = math.fsum(paid[k][:n])
+        if objective == "ufn":
+            value = user_cost_from_terms(capped[k][:n], shortfall[k][:n], toll)
+        else:
+            value = toll * usage
+        solutions.append(NatureSolution(dist, value, usage, _active_constraints(mean, var, env)))
+    return tuple(solutions)
 
 
 def _solve_nature(
@@ -488,10 +522,8 @@ def _solve_nature(
     for toll in tolls:
         grid.require_toll(toll)
     levels = _levels(grid.points(), tolls, objective)
-    solutions = tuple(
-        _package(support, masses, env, toll, objective)
-        for (support, masses), toll in zip(_minimize_worst_case(grid, env, levels), tolls)
-    )
+    minima = _minimize_worst_case(grid, env, levels)
+    solutions = _solutions(grid, env, minima, tolls, objective)
     return solutions if np.ndim(r) else solutions[0]
 
 
@@ -711,7 +743,7 @@ def brute_force_nature(
         raise ValueError(
             "no grid-supported distribution satisfies the moment envelope"
         )
-    return _package(best.support, best.masses, env, r, objective)
+    return _solutions(grid, env, [(best.support, best.masses)], [r], objective)[0]
 
 
 def pick_worst(

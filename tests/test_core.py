@@ -184,6 +184,36 @@ def test_distribution_validation():
         DiscreteDistribution([1.0, 2.0], [-0.1, 1.1])
 
 
+def test_from_rows_matches_one_row_construction():
+    # Padded rows of sizes 1-5: each distribution is the constructor's on
+    # its own row, byte for byte, and owns its arrays.
+    rng = np.random.default_rng(SEED + 1)
+    g = PriceGrid(0.0, 100.0, 1.0)
+    rows = [random_distribution(rng, g) for _ in range(40)]
+    sizes = [len(d) for d in rows]
+    support, mass = np.zeros((2, len(rows), max(sizes)))
+    for k, d in enumerate(rows):
+        # unnormalized masses, within the 1e-9 tolerance
+        support[k, : len(d)], mass[k, : len(d)] = d.support, d.mass * (1 + 1e-10)
+    dists, masses = DiscreteDistribution.from_rows(support, mass, sizes)
+    for k, (d, n) in enumerate(zip(dists, sizes)):
+        want = DiscreteDistribution(support[k, :n].tolist(), mass[k, :n].tolist())
+        assert d.support.tolist() == want.support.tolist()
+        assert d.mass.tolist() == want.mass.tolist() == masses[k, :n].tolist()
+        assert d.support.base is None and d.mass.base is None
+        assert (masses[k, n:] == 0).all()
+    # a bad row among good ones raises the constructor's error
+    bad = (([1.0, 1.0], [0.5, 0.5]), ([1.0, 2.0], [0.7, 0.7]), ([1.0, 2.0], [-0.1, 1.1]))
+    for bad_support, bad_mass in bad:
+        with pytest.raises(ValueError) as want:
+            DiscreteDistribution(bad_support, bad_mass)
+        support[3, :2], mass[3, :2] = bad_support, bad_mass
+        sizes[3] = 2
+        with pytest.raises(ValueError) as got:
+            DiscreteDistribution.from_rows(support, mass, sizes)
+        assert str(got.value) == str(want.value)
+
+
 def test_from_pairs_merges_duplicates():
     d = DiscreteDistribution.from_pairs([(5.0, 0.25), (5.0, 0.25), (9.0, 0.5)])
     assert list(d.support) == [5.0, 9.0]

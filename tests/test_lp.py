@@ -217,6 +217,30 @@ def test_levels_choose_among_the_earlier_optima():
     assert value.tolist() == [0.0, -1.0]
 
 
+def test_walk_rebuilds_only_when_its_basis_moves(monkeypatch):
+    # K copies of one objective: the first pivots to the optimal basis and
+    # rebuilds its rows, the rest make no pivot and reuse that rebuild, and
+    # every x is a lone solve's x, byte for byte.
+    rng = np.random.default_rng(SEED + 3)
+    rebuilds = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(lp.np.linalg, "solve", lambda *args: rebuilds.append(1) or solve(*args))
+    walked = 0
+    for trial in range(12):
+        C, levels, A, b, senses = moment_lp(rng)
+        for c in (C[0], levels[0]):
+            lone = walk_or_infeasible(c[None], A, b, senses)
+            if lone is None:
+                continue
+            rebuilds.clear()
+            X, objective = lp.simplex_solve(np.stack([c] * 5), A, b, senses)
+            assert len(rebuilds) == 1, trial
+            assert all(x.tolist() == lone[0][0].tolist() for x in X), trial
+            assert objective.tolist() == [lone[1][0]] * 5, trial
+            walked += 1
+    assert walked > 10
+
+
 def test_small_lps_match_scalar_reference():
     # General small LPs, some entries 1e-15, three objectives walked in turn:
     # each reaches the reference's optimal value at a feasible x.

@@ -22,9 +22,10 @@ from tollkit.nature import (
     _enumerate_minima,
     _levels,
     _moment_tols,
-    _package,
+    _minimize_worst_case,
     _pass_offer,
     _simplex_minima,
+    _solutions,
     brute_force_nature,
     first_feasible_lower,
     pick_worst,
@@ -75,7 +76,8 @@ def solve_on_path(path, grid, env, r, objective):
     ``_simplex_minimum``), packaged as the public solvers package it."""
     (levels,) = _levels(grid.points(), r, objective)
     _, support, masses = path(grid, env, levels)
-    return _package(support, masses, env, r, objective)
+    (solution,) = _solutions(grid, env, [(support, masses)], [r], objective)
+    return solution
 
 
 def assert_same_pick(got, want, context):
@@ -166,7 +168,8 @@ def test_walk_matches_lone_solves_in_any_order():
                 back = shuffled[np.flatnonzero(order == k)[0]]
                 assert walk[k][1:] == lone[1:] == back[1:], (grid, env, objective, r)
                 usage = [
-                    _package(*m[1:], env, r, objective).usage_probability for m in (walk[k], lone)
+                    sol.usage_probability
+                    for sol in _solutions(grid, env, [walk[k][1:], lone[1:]], [r, r], objective)
                 ]
                 assert usage[0] == usage[1]
                 cases += 1
@@ -212,7 +215,7 @@ def test_walk_matches_highs_lexicographic_oracle():
                     assert isinstance(walk, str)
                     break
                 r = float(points[k])
-                got = _package(*walk[k][1:], env, r, objective)
+                (got,) = _solutions(grid, env, [walk[k][1:]], [r], objective)
                 assert abs(got.objective_value - float(levels[k, 0] @ x)) <= 1e-7, (env, r)
                 assert abs(got.usage_probability - float(levels[k, 1] @ x)) <= 1e-7, (env, r)
                 assert walk[k][1] == points[x > 1e-7].tolist(), (env, objective, r)
@@ -563,6 +566,107 @@ def test_wide_grid_anchor_values():
 def test_brute_force_guard():
     with pytest.raises(ValueError, match="limited"):
         brute_force_nature(WIDE, WIDE_ENV, 400.0)  # 101 points > default cap
+
+
+# --- packaging a call's solutions ------------------------------------------------
+
+
+def package_reference(support, masses, env, r, objective, scale):
+    """One toll packaged on its own, the way every solution was packaged
+    before a call's tolls went through one array pass: a validated
+    ``from_pairs`` distribution, its ``fsum`` moments, the feasibility
+    re-check (within the tolerances of ``scale``, the grid's), and the
+    objective and usage from the distribution's own methods."""
+    dist = DiscreteDistribution.from_pairs(zip(support, masses))
+    mean, var = dist.mean(), dist.variance()
+    if not nature._feasible_moments(mean, var, env, scale):
+        raise AssertionError(
+            f"solver produced an infeasible distribution: mean={mean}, var={var}"
+        )
+    value = expected_user_cost(dist, r) if objective == "ufn" else expected_revenue(dist, r)
+    return dist, value, dist.usage_probability(r), nature._active_constraints(mean, var, env)
+
+
+def assert_packaged_as_reference(got, want, context):
+    dist, value, usage, active = want
+    for a, b in ((got.distribution.support, dist.support), (got.distribution.mass, dist.mass)):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), context
+        assert a.base is None, context  # every solution owns its arrays
+    assert got.objective_value == value and got.usage_probability == usage, context
+    assert got.active_constraints == active, context
+
+
+def test_packager_matches_per_toll_reference():
+    # Point and interval bands, both objectives, whole curves, subsets and
+    # lone tolls; each row also once with a 1e-16 atom appended, which the
+    # packager drops as from_pairs does.
+    rng = np.random.default_rng(SEED + 11)
+    cases = 0
+    for trial in range(30):
+        grid, env = random_table_instance(rng)
+        points = grid.points()
+        scale = float(np.max(np.abs(points)))
+        for objective in ("ufn", "an"):
+            for tolls in (points, rng.choice(points, 5), rng.choice(points, 1)):
+                tolls = tolls.tolist()
+                minima = outcome(_minimize_worst_case, grid, env, _levels(points, tolls, objective))
+                if isinstance(minima, str):
+                    continue
+                minima = [*minima, *((s + [s[-1] + 1.0], m + [1e-16]) for s, m in minima)]
+                tolls = tolls + tolls
+                got = _solutions(grid, env, minima, tolls, objective)
+                assert len(got) == len(tolls)
+                for sol, (s, m), r in zip(got, minima, tolls):
+                    want = package_reference(s, m, env, r, objective, scale)
+                    assert_packaged_as_reference(sol, want, (trial, env, objective, r))
+                    cases += 1
+    assert cases > 2000
+    # an empty toll array packages to no solutions, on either path
+    assert _solutions(grid, env, [], [], "ufn") == ()
+    grid = PriceGrid(0.0, 40.0, 1.0)
+    for env in (MomentEnvelope(17.0, 17.0, 3.0), MomentEnvelope(15.0, 19.0, 3.0)):
+        assert solve_nature_ufn(grid, env, np.array([])) == ()
+        assert solve_nature_an(grid, env, []) == ()
+
+
+def test_packager_raises_as_the_per_toll_reference():
+    # One bad row among good ones raises the reference's error and message.
+    grid = PriceGrid(0.0, 40.0, 1.0)
+    env = MomentEnvelope(17.0, 17.0, 3.0)
+    good = [([10.0, 24.0], [0.5, 0.5]), ([17.0], [1.0]), ([10.0, 17.0, 24.0], [0.25, 0.5, 0.25])]
+    assert len(_solutions(grid, env, good, [17.0] * len(good), "ufn")) == len(good)
+    bad = (
+        ([12.0], [0.0]),  # no positive mass
+        ([12.0, 13.0], [1e-16, 0.0]),  # no positive mass after the drop
+        ([30.0], [1.0]),  # mean outside the band
+        ([0.0, 40.0], [0.5, 0.5]),  # variance over the cap
+        ([16.0, 18.0], [0.5, 0.6]),  # masses do not sum to 1
+    )
+    for row in bad:
+        for at in range(len(good) + 1):
+            minima = [*good[:at], row, *good[at:]]
+            tolls = [17.0] * len(minima)
+            for objective in ("ufn", "an"):
+                with pytest.raises((ValueError, AssertionError)) as want:
+                    for s, m in minima:
+                        package_reference(s, m, env, 17.0, objective, 40.0)
+                with pytest.raises(want.type) as got:
+                    _solutions(grid, env, minima, tolls, objective)
+                assert str(got.value) == str(want.value), (row, at)
+
+
+def test_interval_band_at_the_variance_cap_edge_matches_brute_force():
+    # The pair {56, 132} exceeds the variance cap by 1.9e-5: inside the slack
+    # of the grid's scale (200), by which the table and the oracle admit
+    # candidates, and outside that of its own largest point (132), by which
+    # the package re-check once judged it and raised.
+    grid = PriceGrid(0.0, 200.0, 4.0)
+    env = MomentEnvelope(129.89590180984226, 146.94644634139593, 1.1969909130927772)
+    got = solve_nature_ufn(grid, env, 96.0)
+    want = brute_force_nature(grid, env, 96.0)
+    assert got.distribution.support.tolist() == want.distribution.support.tolist() == [56.0, 132.0]
+    assert_same_pick(got, want, env)
+    assert got.active_constraints == want.active_constraints
 
 
 # --- structural properties of worst cases ------------------------------------
