@@ -22,16 +22,18 @@ solutions carry at most three support points.  ``solve_nature_ufn`` /
 ``solve_nature_an`` take one grid toll or a 1-D array of them (one solution
 per toll).  A point mean band is solved by ``lp``'s dense simplex with the
 tie rule as two more lexicographic levels, in one walk over the call's
-tolls, each toll warm from the last one's basis.  An interval band
-enumerates the supports exactly: one table per call (``_envelope_table``)
-holds the feasible singletons, pairs and variance-tight triples, the
-triples solved at the two band edges only, and each toll prices it.  Only
-the objective depends on the toll, so either way a call pays the
-toll-independent half once, and nothing is kept between calls.  The call
-then packages all its tolls in one array pass (``_solutions``): the
-distributions are checked together, and each toll's moments, usage and
-objective are ``fsum`` over its own products, so every float is the one a
-per-toll packaging would give.
+tolls, each toll warm from the last one's basis.  On an interval band,
+where one basis stays optimal nature's value is concave in the mean, so
+its minimum lies at a band edge or at a basis change, which is a
+singleton or a variance-tight pair.  So an interval band is the point
+band at each of its two edges, one walk each, plus one table per call
+(``_envelope_table``) of the feasible singletons and pairs, and each toll
+takes the tie rule's pick among them.  Only the objective depends on the
+toll, so a call pays the toll-independent half once, and nothing is kept
+between calls.  The call then packages all its tolls in one array pass
+(``_solutions``): the distributions are checked together, and each toll's
+moments, usage and objective are ``fsum`` over its own products, so every
+float is the one a per-toll packaging would give.
 
 ``solve_nature_two_point`` is the heuristic search over integer-period
 two-point responses; its per-count table (``first_feasible_lower``) and
@@ -70,10 +72,6 @@ __all__ = [
     "brute_force_nature",
     "pick_worst",
 ]
-
-# Above this many grid points, exact support enumeration of an interval
-# mean band is refused.
-ENUM_CAP = 256
 
 # Masses below this are numerical artifacts of the small linear solves, not
 # genuine support atoms; candidates are cleaned before evaluation.
@@ -207,28 +205,28 @@ def _feasible_moments(mean: float, var: float, env: MomentEnvelope, scale: float
 
 
 # ---------------------------------------------------------------------------
-# exact support enumeration
+# exact solutions
 # ---------------------------------------------------------------------------
 #
 # Basic feasible solutions of the three-row moment LP have <= 3 support
-# points.  With the mean free in a band, every optimum is still found among:
+# points.  A point band is that LP with the mean pinned at mu, solved by
+# ``lp``'s simplex walk over the call's tolls (``_simplex_minima``).  With
+# the mean free in a band, take a stretch of the band on which one basis
+# stays optimal: there nature's value is y.b(mu), with right side
+# b(mu) = (1, mu, mu^2 + kappa*mu) and the variance row's dual y2 <= 0, so
+# it is concave in mu, and its minimum over the stretch lies at a band
+# edge or where the basis changes.  At a basis change a mass or the
+# variance slack reaches 0, and the solution there is a singleton in the
+# band or a variance-tight pair.  So every optimum is found among:
 #   * singletons inside the band;
 #   * pairs at a mean edge or on the variance boundary;
-#   * variance-tight triples at the two band edges: x(mu) solves a 3x3
-#     Vandermonde system with right side (1, mu, mu^2 + kappa*mu).  Where a
-#     triple's basis is optimal its objective y.b(mu) has y2 <= 0, so it is
-#     concave in mu and its minimum over a stretch of the band lies at a
-#     band edge or at a root of a mass (parametric right-hand side).
-#     A mass root needs no candidate of its own: there the triple is a
-#     variance-tight pair, which the pairs already offer.
-#
-# None of the candidates depends on the objective, so ``_envelope_table``
-# builds every feasible one once per call, and ``_enumerate_minima`` prices
-# them for each toll, with one offer per array pass.
+#   * the point-band LP's optimum at each band edge: one walk per edge.
+# The singletons and pairs do not depend on the objective, so
+# ``_envelope_table`` builds every feasible one once per call; each toll
+# takes the tie rule's pick among the table's offers and the edges'.
 
 _TIE_TOL = 1e-9
-# triple candidates per array pass, which bounds the memory of a solve
-_CHUNK = 1 << 15
+_NO_FIT = "no grid-supported distribution satisfies the moment envelope"
 
 
 class _Best:
@@ -264,11 +262,9 @@ class _Best:
 def _envelope_table(
     points: np.ndarray, env: MomentEnvelope
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every feasible support candidate of one envelope, in array passes of
+    """Every feasible singleton and pair of one envelope, in array passes of
     ``(indices, masses)``, each of shape (support size, candidates): the
-    singletons in the band, then the pairs in (pair, candidate) order, then
-    the triples in (triple, band edge) order, in passes of whole blocks (a
-    block shares its lowest point) of at most ``_CHUNK`` candidates."""
+    singletons in the band, then the pairs in (pair, candidate) order."""
     n = points.size
     kappa = env.kappa_bar
     ul, uu = env.u_lower, env.u_upper
@@ -305,46 +301,6 @@ def _envelope_table(
     if pp.size:
         tv = t[pp, qq]
         passes.append((np.stack([I[pp], J[pp]]).astype(point_type), np.stack([tv, 1.0 - tv])))
-
-    # a wide band on a fine grid has about half a million triple
-    # candidates: store them compactly
-    mu = np.array([ul, uu])  # a triple's masses are solved at the band edges
-    m2 = mu * mu + kappa * mu
-    pending: list[tuple[np.ndarray, np.ndarray]] = []
-    size = 0
-    for a in range(n - 2):
-        jj, kk = np.triu_indices(n - a - 1, k=1)
-        ib, ic = a + 1 + jj, a + 1 + kk
-        ca, cb, cc = float(points[a]), points[ib][:, None], points[ic][:, None]
-        # the Vandermonde system's solution in Lagrange form
-        xa = (m2 - (cb + cc) * mu + cb * cc) / ((ca - cb) * (ca - cc))
-        xb = (m2 - (ca + cc) * mu + ca * cc) / ((cb - ca) * (cb - cc))
-        xc = (m2 - (ca + cb) * mu + ca * cb) / ((cc - ca) * (cc - cb))
-        pos = (xa > 1e-12) & (xb > 1e-12) & (xc > 1e-12)
-        # numerical re-verification of the moments
-        ssum = xa + xb + xc
-        mean = xa * ca + xb * cb + xc * cc
-        msq = xa * ca * ca + xb * (cb * cb) + xc * (cc * cc)
-        var = msq - mean * mean
-        row, col = np.nonzero(
-            pos
-            & (np.abs(ssum - 1.0) <= 1e-9)
-            & (mean >= ul - mean_tol)
-            & (mean <= uu + mean_tol)
-            & (var <= kappa * mean + var_tol)
-        )
-        if row.size == 0:
-            continue
-        if pending and size + row.size > _CHUNK:
-            passes.append(tuple(np.concatenate(part, axis=1) for part in zip(*pending)))
-            pending, size = [], 0
-        pending.append((
-            np.stack([np.full(row.size, a), ib[row], ic[row]]).astype(point_type),
-            np.stack([xa[row, col], xb[row, col], xc[row, col]]),
-        ))
-        size += row.size
-    if pending:
-        passes.append(tuple(np.concatenate(part, axis=1) for part in zip(*pending)))
     return passes
 
 
@@ -374,91 +330,113 @@ def _pass_offer(
     return float(lowest), float(usage), float(cube[e]), points[at].tolist(), masses
 
 
-def _enumerate_minima(
-    grid: PriceGrid, env: MomentEnvelope, levels: np.ndarray
-) -> list[tuple[float, list[float], list[float]]]:
-    """``(objective, support, masses)`` for each toll's ``levels``, all tolls
-    priced on one table of the feasible support candidates."""
-    points = grid.points()
-    passes = _envelope_table(points, env)
-    minima = []
-    for k, (f, u, g) in enumerate(levels):
-        if k == 0:  # the cube level is the same at every toll
-            cubes = [(x * g[idx]).sum(axis=0) for idx, x in passes]
-        best = _Best()
-        for (idx, x), cube in zip(passes, cubes):
-            best.offer(*_pass_offer(idx, x, cube, points, f, u))
-        if best.objective is None:
-            raise ValueError(
-                "no grid-supported distribution satisfies the moment envelope"
-            )
-        minima.append((best.objective, best.support, best.masses))
-    return minima
-
-
-def _point_band_masses(support: list[float], mu: float, m2: float) -> list[float]:
-    """The masses of a basic support with mean ``mu`` and, on three
-    points, second moment ``m2``, by the formulas ``_envelope_table`` uses,
-    so they depend on the support alone and not on the pivots that found
+def _point_band_masses(c: np.ndarray, sizes: np.ndarray, mu: float, m2: float) -> np.ndarray:
+    """The masses of basic supports with mean ``mu`` and, on three points,
+    second moment ``m2``: column k of ``c``, shape (3, supports), holds a
+    support in its first ``sizes[k]`` entries, and its masses are zero past
+    them.  The Vandermonde system's solution in Lagrange form, so the
+    masses depend on the support alone and not on the pivots that found
     it."""
-    if len(support) == 1:
-        return [1.0]
-    if len(support) == 2:
-        ci, cj = support
-        t = (cj - mu) / (cj - ci)
-        return [t, 1.0 - t]
-    ca, cb, cc = support
-    return [
+    x = np.zeros(c.shape)
+    x[0, sizes == 1] = 1.0
+    ci, cj, _ = c[:, sizes == 2]
+    t = (cj - mu) / (cj - ci)
+    x[:2, sizes == 2] = t, 1.0 - t
+    ca, cb, cc = c[:, sizes == 3]
+    x[:, sizes == 3] = (
         (m2 - (cb + cc) * mu + cb * cc) / ((ca - cb) * (ca - cc)),
         (m2 - (ca + cc) * mu + ca * cc) / ((cb - ca) * (cb - cc)),
         (m2 - (ca + cb) * mu + ca * cb) / ((cc - ca) * (cc - cb)),
-    ]
+    )
+    return x
 
 
 def _simplex_minima(
     grid: PriceGrid, env: MomentEnvelope, levels: np.ndarray
-) -> list[tuple[float, list[float], list[float]]]:
-    """``(objective, support, masses)`` for each toll's ``levels``, all tolls
-    in one ``simplex_solve`` walk, in the order given."""
+) -> list[tuple[float, float, float, list[float], list[float]] | None]:
+    """Nature's pick at each toll's ``levels`` on a point band, all tolls in
+    one ``simplex_solve`` walk, in the order given, as the offer
+    ``(objective, usage, cube, support, masses)`` that ``_Best`` takes.
+
+    A toll offers None when no distribution has the band's mean, or when
+    its pick fails the tests the table applies to its own candidates (every
+    mass over 1e-12, a mass total within 1e-9 of 1, and moments within
+    ``_moment_tols`` of the grid's scale): phase 1 accepts a residual
+    looser than those.
+    """
     if abs(env.u_upper - env.u_lower) > 1e-12:
         raise ValueError("simplex path requires a point mean band")
     points = grid.points()
-    mu = env.u_lower
-    cap = mu * mu + env.kappa_bar * mu
-    scale1 = 1.0 / max(1.0, float(np.max(np.abs(points))))
+    mu, kappa = env.u_lower, env.kappa_bar
+    cap = mu * mu + kappa * mu
+    scale = float(np.max(np.abs(points)))
+    scale1 = 1.0 / max(1.0, scale)
     scale2 = scale1 * scale1
     A = np.vstack([np.ones_like(points), points * scale1, points * points * scale2])
     b = np.array([1.0, mu * scale1, cap * scale2])
     try:
-        X, objs = simplex_solve(levels, A, b, senses="==<")
-    except LpInfeasible as exc:
-        raise ValueError(
-            "no grid-supported distribution satisfies the moment envelope"
-        ) from exc
-    minima = []
-    for x, obj in zip(X, objs.tolist()):
-        support = points[x > 1e-11].tolist()
-        minima.append((obj, support, _point_band_masses(support, mu, cap)))
-    return minima
+        X, _ = simplex_solve(levels, A, b, senses="==<")
+    except LpInfeasible:
+        return [None] * len(levels)
+    # each toll's support as a column of (3, tolls) grid indices, padded
+    # with index 0 (a basic solution has at most three positive entries)
+    rows, cols = np.nonzero(X > 1e-11)
+    sizes = np.bincount(rows, minlength=len(levels))
+    idx = np.zeros((3, len(levels)), dtype=np.intp)
+    idx[np.arange(rows.size) - (np.cumsum(sizes) - sizes)[rows], rows] = cols
+    c = points[idx]
+    x = _point_band_masses(c, sizes, mu, cap)
+    mean = (x * c).sum(axis=0)
+    var = (x * (c * c)).sum(axis=0) - mean * mean
+    mean_tol, var_tol = _moment_tols(scale)
+    admitted = (
+        ((x > 1e-12).sum(axis=0) == sizes)
+        & (np.abs(x.sum(axis=0) - 1.0) <= 1e-9)
+        & (mean >= env.u_lower - mean_tol)
+        & (mean <= env.u_upper + mean_tol)
+        & (var <= kappa * mean + var_tol)
+    )
+    keys = (x[..., None] * levels[np.arange(len(levels)), :, idx]).sum(axis=0)
+    return [
+        (*key, support[:n], masses[:n]) if ok else None
+        for key, support, masses, n, ok in zip(
+            keys.tolist(), c.T.tolist(), x.T.tolist(), sizes.tolist(), admitted.tolist()
+        )
+    ]
 
 
 def _minimize_worst_case(
     grid: PriceGrid, env: MomentEnvelope, levels: np.ndarray
 ) -> list[tuple[list[float], list[float]]]:
-    """Nature's ``(support, masses)`` for each toll's ``levels``."""
-    env.validate_against(grid)
-    n = grid.n_points
+    """Nature's ``(support, masses)`` for each toll's ``levels``: a point
+    band's walk picks, or on an interval band the tie rule's pick among the
+    table's singleton and pair passes and the two band edges' walk picks,
+    offered in that order."""
     if abs(env.u_upper - env.u_lower) <= 1e-12:
-        minima = _simplex_minima(grid, env, levels)
-    elif n > ENUM_CAP:
-        raise ValueError(
-            f"grid has {n} points; exact support enumeration is capped at "
-            f"{ENUM_CAP}. Coarsen the grid, or pin the mean band to a "
-            f"point to use the simplex path."
-        )
-    else:
-        minima = _enumerate_minima(grid, env, levels)
-    return [minimum[1:] for minimum in minima]
+        offers = _simplex_minima(grid, env, levels)
+        if None in offers:
+            raise ValueError(_NO_FIT)
+        return [offer[3:] for offer in offers]
+    points = grid.points()
+    passes = _envelope_table(points, env)
+    # the cube level is the same at every toll
+    cubes = [(x * levels[0, 2][idx]).sum(axis=0) for idx, x in passes]
+    edges = [
+        _simplex_minima(grid, MomentEnvelope(mu, mu, env.kappa_bar), levels)
+        for mu in (env.u_lower, env.u_upper)
+    ]
+    minima = []
+    for k, (f, u, _) in enumerate(levels):
+        best = _Best()
+        for (idx, x), cube in zip(passes, cubes):
+            best.offer(*_pass_offer(idx, x, cube, points, f, u))
+        for offers in edges:
+            if offers[k] is not None:
+                best.offer(*offers[k])
+        if best.objective is None:
+            raise ValueError(_NO_FIT)
+        minima.append((best.support, best.masses))
+    return minima
 
 
 def _solutions(
@@ -521,6 +499,9 @@ def _solve_nature(
     tolls = tolls.reshape(-1).tolist()
     for toll in tolls:
         grid.require_toll(toll)
+    env.validate_against(grid)
+    if not tolls:
+        return ()
     levels = _levels(grid.points(), tolls, objective)
     minima = _minimize_worst_case(grid, env, levels)
     solutions = _solutions(grid, env, minima, tolls, objective)
@@ -740,9 +721,7 @@ def brute_force_nature(
                     consider(trio, x.tolist())
 
     if best.objective is None:
-        raise ValueError(
-            "no grid-supported distribution satisfies the moment envelope"
-        )
+        raise ValueError(_NO_FIT)
     return _solutions(grid, env, [(best.support, best.masses)], [r], objective)[0]
 
 

@@ -296,6 +296,23 @@ def test_non_finite_toll_or_big_m_exits_2(tmp_path, capsys, argv, name):
     assert not (out / "model.lp").exists() and not (out / "nature.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["nature", "--toll", "100.25"], ["price", "--method", "sweep"]],
+    ids=["nature", "price-sweep"],
+)
+def test_near_infeasible_point_band_exits_2(tmp_path, capsys, argv):
+    # kappa_bar 0 and a mean just off the 0.25 grid: no distribution fits.
+    # The run ends with one error line, not a traceback from the solver.
+    cfg = write_config(tmp_path / "run.cfg", q=100, Q=105.5, step=0.25, kappa_bar=0)
+    mean = "100.24168104378761"
+    out = tmp_path / "out"
+    code = main(argv + ["--config", cfg, "--u-lower", mean, "--u-upper", mean, "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: no grid-supported distribution satisfies the moment envelope"]
+
+
 # Every CSV a subcommand reads: a valid text, and the column each bad value
 # goes into on the file's line 3.
 CSV_INPUTS = {

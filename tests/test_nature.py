@@ -1,5 +1,7 @@
-"""Worst-case nature solvers: exact enumeration, the simplex walk, brute
-force, the HiGHS lexicographic oracle, and the sample two-point search."""
+"""Worst-case nature solvers: the exact solver (the simplex walk, and on
+an interval band the singleton and pair table plus the two band edges'
+walks) against a per-toll enumeration, brute force and HiGHS, and the
+sample two-point search."""
 
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from tollkit.core import (
 )
 from tollkit.nature import (
     _TIE_TOL,
+    _NO_FIT,
     _Best,
-    _enumerate_minima,
     _levels,
     _moment_tols,
     _minimize_worst_case,
@@ -61,21 +63,29 @@ def random_instance(rng: np.random.Generator):
 
 def _simplex_minimum(grid, env, levels):
     """One toll's levels through the simplex walk, a walk of length one."""
-    (minimum,) = _simplex_minima(grid, env, levels[None])
+    (offer,) = _simplex_minima(grid, env, levels[None])
+    if offer is None:
+        raise ValueError(_NO_FIT)
+    return offer[3:]
+
+
+def _lone_minimum(grid, env, levels):
+    """One toll's levels through the exact solver."""
+    (minimum,) = _minimize_worst_case(grid, env, levels[None])
     return minimum
 
 
-def _enumerate_minimum(grid, env, levels):
-    """One toll's levels through the enumeration path."""
-    (minimum,) = _enumerate_minima(grid, env, levels[None])
-    return minimum
+def _reference_minimum(grid, env, levels):
+    """One toll's levels through the test-local per-toll enumeration."""
+    return per_toll_enumeration(grid.points(), env, levels)[1:]
 
 
 def solve_on_path(path, grid, env, r, objective):
-    """Nature's solution with the LP path pinned (``_enumerate_minimum`` or
-    ``_simplex_minimum``), packaged as the public solvers package it."""
+    """Nature's solution with the path pinned (``_lone_minimum``,
+    ``_simplex_minimum`` or ``_reference_minimum``), packaged as the public
+    solvers package it."""
     (levels,) = _levels(grid.points(), r, objective)
-    _, support, masses = path(grid, env, levels)
+    support, masses = path(grid, env, levels)
     (solution,) = _solutions(grid, env, [(support, masses)], [r], objective)
     return solution
 
@@ -93,21 +103,22 @@ def assert_same_pick(got, want, context):
 
 
 def test_exact_matches_brute_force_randomized():
-    # Under the tie rule the oracle and the enumeration pick the same
+    # Under the tie rule the oracle and the exact solver pick the same
     # distribution, not only the same value.
     rng = np.random.default_rng(SEED)
     for trial in range(60):
         grid, env, r = random_instance(rng)
         for objective in ("ufn", "an"):
-            got = solve_on_path(_enumerate_minimum, grid, env, r, objective)
+            got = solve_on_path(_lone_minimum, grid, env, r, objective)
             ref = brute_force_nature(grid, env, r, objective=objective)
             assert_same_pick(got, ref, (trial, objective, env, r))
 
 
 def test_simplex_matches_enumeration_randomized():
-    # On a point mean band the simplex walk, the enumeration and the oracle
-    # pick one distribution; the walk's masses come from its support by the
-    # table's formulas, so its support and usage equal the table's.
+    # On a point mean band the simplex walk, the per-toll enumeration and
+    # the oracle pick one distribution; the walk's masses come from its
+    # support by the enumeration's formulas, so its support and usage equal
+    # the enumeration's.
     rng = np.random.default_rng(SEED + 1)
     for trial in range(40):
         n = int(rng.integers(8, 26))
@@ -116,7 +127,7 @@ def test_simplex_matches_enumeration_randomized():
         env = MomentEnvelope(mu, mu, float(rng.choice([0.25, 1.0, 3.0])))
         r = float(rng.choice(grid.points()))
         for objective in ("ufn", "an"):
-            a = solve_on_path(_enumerate_minimum, grid, env, r, objective)
+            a = solve_on_path(_reference_minimum, grid, env, r, objective)
             b = solve_on_path(_simplex_minimum, grid, env, r, objective)
             assert_same_pick(b, a, (trial, objective))
             assert b.distribution.support.tolist() == a.distribution.support.tolist()
@@ -157,19 +168,19 @@ def test_walk_matches_lone_solves_in_any_order():
         points = grid.points()
         for objective in ("ufn", "an"):
             levels = _levels(points, points, objective)
-            walk = outcome(_simplex_minima, grid, env, levels)
+            walk = outcome(_minimize_worst_case, grid, env, levels)
             if isinstance(walk, str):
                 assert walk == outcome(_simplex_minimum, grid, env, levels[0])
                 continue
             order = rng.permutation(points.size)
-            shuffled = _simplex_minima(grid, env, levels[order])
+            shuffled = _minimize_worst_case(grid, env, levels[order])
             for k, r in enumerate(points.tolist()):
                 lone = _simplex_minimum(grid, env, levels[k])
                 back = shuffled[np.flatnonzero(order == k)[0]]
-                assert walk[k][1:] == lone[1:] == back[1:], (grid, env, objective, r)
+                assert walk[k] == lone == back, (grid, env, objective, r)
                 usage = [
                     sol.usage_probability
-                    for sol in _solutions(grid, env, [walk[k][1:], lone[1:]], [r, r], objective)
+                    for sol in _solutions(grid, env, [walk[k], lone], [r, r], objective)
                 ]
                 assert usage[0] == usage[1]
                 cases += 1
@@ -208,22 +219,54 @@ def test_walk_matches_highs_lexicographic_oracle():
         points = grid.points()
         for objective in ("ufn", "an"):
             levels = _levels(points, points, objective)
-            walk = outcome(_simplex_minima, grid, env, levels)
+            walk = outcome(_minimize_worst_case, grid, env, levels)
             for k in rng.choice(points.size, min(12, points.size), replace=False).tolist():
                 x = highs_lexicographic(points, env.u_lower, env.kappa_bar, levels[k])
                 if x is None:
                     assert isinstance(walk, str)
                     break
                 r = float(points[k])
-                (got,) = _solutions(grid, env, [walk[k][1:]], [r], objective)
+                (got,) = _solutions(grid, env, [walk[k]], [r], objective)
                 assert abs(got.objective_value - float(levels[k, 0] @ x)) <= 1e-7, (env, r)
                 assert abs(got.usage_probability - float(levels[k, 1] @ x)) <= 1e-7, (env, r)
-                assert walk[k][1] == points[x > 1e-7].tolist(), (env, objective, r)
+                assert walk[k][0] == points[x > 1e-7].tolist(), (env, objective, r)
                 checked += 1
     assert checked > 250
 
 
-# --- the candidate table against a per-toll enumeration ------------------------
+def test_interval_band_matches_highs_on_wide_grids():
+    # Grids of 201 and 301 points, beyond the reach of the brute-force
+    # oracle and the per-toll enumeration.  At each checked toll, nature's
+    # value is HiGHS's point-band optimum at the returned distribution's
+    # mean, and no mean on a 25-point scan of the band beats it.
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(SEED + 12)
+    checked = 0
+    for grid, env in (
+        (PriceGrid(0.0, 200.0, 1.0), MomentEnvelope(100.0, 110.0, 1.0)),
+        (PriceGrid(50.0, 350.0, 1.0), MomentEnvelope(120.5, 190.25, 20.0)),
+    ):
+        points = grid.points()
+        assert points.size in (201, 301)
+        for objective, solver in (("ufn", solve_nature_ufn), ("an", solve_nature_an)):
+            curve = solver(grid, env, points)
+            levels = _levels(points, points, objective)
+            for k in rng.choice(points.size, 6, replace=False).tolist():
+                value = curve[k].objective_value
+
+                def highs(mu):
+                    x = highs_lexicographic(points, mu, env.kappa_bar, levels[k, :1])
+                    return math.inf if x is None else float(levels[k, 0] @ x)
+
+                at_mean = highs(curve[k].distribution.mean())
+                assert abs(value - at_mean) <= 1e-7, (env, objective, points[k])
+                for mu in np.linspace(env.u_lower, env.u_upper, 25).tolist():
+                    assert highs(mu) >= value - 1e-7, (env, objective, points[k], mu)
+                checked += 1
+    assert checked == 24
+
+
+# --- the exact solver against a per-toll enumeration ---------------------------
 
 
 def rule_pick(obj, usage, cube):
@@ -389,33 +432,60 @@ def random_table_instance(rng: np.random.Generator):
     return grid, MomentEnvelope(lo, hi, kappa)
 
 
+def assert_matches_reference(grid, env, objective, context):
+    """The exact solver's picks on a whole curve equal the per-toll
+    enumeration's supports and masses, and each packaged value is within
+    the tie tolerance of the enumeration's lowest objective; an infeasible
+    envelope fails every toll with the same error."""
+    points = grid.points()
+    levels = _levels(points, points, objective)
+    got = outcome(_minimize_worst_case, grid, env, levels)
+    want = [outcome(per_toll_enumeration, points, env, lv) for lv in levels]
+    if isinstance(got, str):
+        assert want == [got] * len(levels), context
+        return
+    assert got == [w[1:] for w in want], context
+    for sol, (value, _, _) in zip(_solutions(grid, env, got, points.tolist(), objective), want):
+        assert abs(sol.objective_value - value) <= _TIE_TOL + 1e-12 * max(1.0, abs(value)), context
+
+
+# Fixed inputs where the interval band's two sources of candidates meet.
+EDGE_PITFALLS = (
+    # κ = 0 and no grid point at the lower edge: that edge's point band is
+    # infeasible by less than phase 1's slack, and the walk's pick there
+    # (the pair {100, 100.25}, variance 0.002) must be refused
+    (PriceGrid(100.0, 105.5, 0.25), MomentEnvelope(100.2417, 100.4293, 0.0)),
+    # the pair {0, 12} is both pinned at the mean 11 and variance-tight; its
+    # masses by the two formulas differ in the last bit, and the table's
+    # mean-pinned pair comes first
+    (PriceGrid(0.0, 21.0, 0.5), MomentEnvelope(11.0, 18.5, 1.0)),
+)
+
+
 def test_envelope_table_matches_per_toll_enumeration():
     rng = np.random.default_rng(SEED + 7)
-    for trial in range(16):
-        grid, env = random_table_instance(rng)
-        points = grid.points()
+    instances = [random_table_instance(rng) for _ in range(16)]
+    for trial, (grid, env) in enumerate([*instances, *EDGE_PITFALLS]):
         for objective in ("ufn", "an"):
-            levels = _levels(points, points, objective)
-            got = outcome(_enumerate_minima, grid, env, levels)
-            if isinstance(got, str):  # an infeasible envelope fails every toll
-                got = [got] * len(levels)
-            want = [outcome(per_toll_enumeration, points, env, lv) for lv in levels]
-            assert got == want, (trial, grid, env, objective)
+            assert_matches_reference(grid, env, objective, (trial, grid, env, objective))
 
 
-def test_envelope_table_in_small_passes(monkeypatch):
-    # Grids of a few dozen points fit one array pass; shrink the pass to 60
-    # candidates so that blocks are grouped and split across passes as on a
-    # fine grid.
-    monkeypatch.setattr(nature, "_CHUNK", 60)
-    rng = np.random.default_rng(SEED + 8)
-    for trial in range(6):
-        grid, env = random_table_instance(rng)
-        points = grid.points()
-        for r in points[::3].tolist():
-            (levels,) = _levels(points, r, "ufn")
-            got = outcome(_enumerate_minimum, grid, env, levels)
-            assert got == outcome(per_toll_enumeration, points, env, levels), (trial, r)
+def test_edge_pitfalls_match_brute_force():
+    # The oracle agrees with the solver on the fixed inputs: across the κ-0
+    # band's grid, and where the mean-pinned pair is the pick.
+    checks = (
+        (EDGE_PITFALLS[0], [(obj, r) for obj in ("ufn", "an") for r in (100.0, 100.25, 102.0, 105.5)]),
+        (EDGE_PITFALLS[1], [("ufn", 6.0), ("an", 0.5)]),
+    )
+    for (grid, env), cases in checks:
+        for objective, r in cases:
+            solver = solve_nature_ufn if objective == "ufn" else solve_nature_an
+            got = solver(grid, env, r)
+            want = brute_force_nature(grid, env, r, objective=objective)
+            assert_same_pick(got, want, (env, objective, r))
+    got = solve_nature_ufn(*EDGE_PITFALLS[1], 6.0)
+    assert got.distribution.support.tolist() == [0.0, 12.0]
+    assert got.distribution.mass.tolist() == [1.0 / 12.0, 1.0 - 1.0 / 12.0]
 
 
 def test_envelope_table_on_sweep_interval_bands():
@@ -423,14 +493,10 @@ def test_envelope_table_on_sweep_interval_bands():
     # every toll of a curve in one call.
     rng = np.random.default_rng(SEED + 9)
     grid = PriceGrid(0.0, 200.0, 4.0)
-    points = grid.points()
     for objective in ("ufn", "an"):
         centre, half = rng.uniform(40.0, 160.0), rng.uniform(1.0, 10.0)
         env = MomentEnvelope(centre - half, centre + half, rng.uniform(0.5, 2.0))
-        levels = _levels(points, points, objective)
-        got = _enumerate_minima(grid, env, levels)
-        want = [per_toll_enumeration(points, env, lv) for lv in levels]
-        assert got == want, (env, objective)
+        assert_matches_reference(grid, env, objective, (env, objective))
 
 
 def test_pass_offer_breaks_ties_by_usage_then_cube():
@@ -474,7 +540,7 @@ def test_envelope_table_interleaved_keys():
             points = grid.points()
             (levels,) = _levels(points, r, "ufn")
             want = per_toll_enumeration(points, env, levels)
-            assert _enumerate_minimum(grid, env, levels) == want, (grid, env, r)
+            assert _lone_minimum(grid, env, levels) == want[1:], (grid, env, r)
 
 
 def test_simplex_solves_b_changed_in_place():
@@ -502,8 +568,8 @@ def test_simplex_solves_b_changed_in_place():
 
 def test_mutating_a_solution_leaves_the_next_solve_unchanged():
     cases = (
-        (PriceGrid(0.0, 30.0, 1.0), MomentEnvelope(10.0, 14.0, 2.0)),  # enumeration
-        (PriceGrid(0.0, 60.0, 1.0), MomentEnvelope(30.0, 30.0, 2.0)),  # simplex
+        (PriceGrid(0.0, 30.0, 1.0), MomentEnvelope(10.0, 14.0, 2.0)),  # interval band
+        (PriceGrid(0.0, 60.0, 1.0), MomentEnvelope(30.0, 30.0, 2.0)),  # point band
     )
     for grid, env in cases:
         for r in (9.0, 20.0, 27.0):
@@ -516,9 +582,9 @@ def test_mutating_a_solution_leaves_the_next_solve_unchanged():
             assert again.distribution.support.tolist() == support
             assert again.distribution.mass.tolist() == mass
         (levels,) = _levels(grid.points(), 20.0, "ufn")
-        path = _simplex_minimum if env.u_lower == env.u_upper else _enumerate_minimum
-        value, support, masses = path(grid, env, levels)
-        want = (value, list(support), list(masses))
+        path = _simplex_minimum if env.u_lower == env.u_upper else _lone_minimum
+        support, masses = path(grid, env, levels)
+        want = (list(support), list(masses))
         support.append(99.0)
         masses[0] = -1.0
         assert path(grid, env, levels) == want
@@ -722,8 +788,8 @@ def test_zero_variance_band_collapses_to_point():
 def test_toll_at_grid_floor_everyone_pays():
     # At r = q every feasible distribution yields the same objective and
     # usage 1; the lowest E[s^3] at a fixed mean is the point mass at the
-    # mean (Jensen), on both paths.
-    for path in (_enumerate_minimum, _simplex_minimum):
+    # mean (Jensen), on the walk and on the per-toll enumeration.
+    for path in (_reference_minimum, _simplex_minimum):
         sol = solve_on_path(path, WIDE, WIDE_ENV, 0.0, "ufn")
         assert list(sol.distribution.support) == [500.0]
         assert sol.objective_value == 0.0
@@ -738,6 +804,49 @@ def test_infeasible_envelope_errors():
     env = MomentEnvelope(3.25, 3.75, 0.0)
     with pytest.raises(ValueError, match="no grid-supported distribution"):
         solve_nature_ufn(grid, env, 5.0)
+
+
+def test_near_infeasible_point_band_raises_as_the_oracle():
+    # κ = 0 and a mean just off the grid: no distribution fits, but phase 1
+    # accepts a residual that leaves the walk a pick of variance about
+    # 0.002.  The solver refuses it with the oracle's error, at one toll and
+    # on a whole curve, where an internal AssertionError once escaped.
+    for grid, m in (
+        (PriceGrid(100.0, 105.5, 0.25), 100.24168104378761),
+        (PriceGrid(100.0, 112.5, 0.25), 108.24304887996028),
+    ):
+        env = MomentEnvelope(m, m, 0.0)
+        with pytest.raises(ValueError) as want:
+            brute_force_nature(grid, env, 100.25)
+        for solver in (solve_nature_ufn, solve_nature_an):
+            for tolls in (100.25, grid.points()):
+                with pytest.raises(ValueError) as got:
+                    solver(grid, env, tolls)
+                assert str(got.value) == str(want.value) == _NO_FIT, (m, solver)
+
+
+def test_empty_toll_array_solves_nothing(monkeypatch):
+    # Point and interval bands, feasible and infeasible: an empty toll array
+    # gives no solutions and runs no walk and no table.  The envelope is
+    # still checked against the grid.
+    grid = PriceGrid(0.0, 40.0, 1.0)
+    feasible = (MomentEnvelope(17.0, 17.0, 3.0), MomentEnvelope(15.0, 19.0, 3.0))
+    infeasible = (MomentEnvelope(17.5, 17.5, 0.0), MomentEnvelope(17.25, 17.75, 0.0))
+    for env in infeasible:
+        with pytest.raises(ValueError, match=_NO_FIT):
+            solve_nature_ufn(grid, env, [17.0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty toll array reached a solver")
+
+    monkeypatch.setattr(nature, "simplex_solve", refuse)
+    monkeypatch.setattr(nature, "_envelope_table", refuse)
+    for env in (*feasible, *infeasible):
+        for solver in (solve_nature_ufn, solve_nature_an):
+            assert solver(grid, env, np.array([])) == ()
+            assert solver(grid, env, []) == ()
+    with pytest.raises(ValueError, match="does not meet the support range"):
+        solve_nature_ufn(grid, MomentEnvelope(50.0, 60.0, 1.0), [])
 
 
 def test_off_grid_toll_rejected():
