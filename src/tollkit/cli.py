@@ -60,7 +60,7 @@ _LIBRARY = {
         ),
         "ingest": ("ingest_to_network", "parse_traffic_records", "skeleton_to_network"),
         "nature": ("solve_nature_an", "solve_nature_ufn"),
-        "network": ("allocate_arc_tolls", "load_network", "read_arcs", "write_network"),
+        "network": ("allocate_arc_tolls", "load_network", "write_network"),
         "pricing": (
             "emit_nature_miqp",
             "epsilon_sweep_robust_toll",
@@ -360,23 +360,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _network_endpoints(arcs_path: str) -> tuple[str, str]:
-    """First and last node name (sorted) from an arcs CSV."""
-    arcs = _this.read_arcs(arcs_path)
-    nodes = sorted({arc.tail for arc in arcs} | {arc.head for arc in arcs})
-    if len(nodes) < 2:
-        raise ValueError(f"{arcs_path}: fewer than two nodes")
-    return nodes[0], nodes[-1]
-
-
 def _cmd_real_exp(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     out_dir = _resolve_out_dir(args)
     origin, destination = args.origin, args.destination
-    if origin is None or destination is None:
-        first, last = _network_endpoints(args.arcs)
-        origin = origin or first
-        destination = destination or last
+    if origin is None or destination is None:  # then an empty one defaults too
+        origin, destination = origin or None, destination or None
     net = _this.load_network(args.arcs, args.states, origin, destination)
     n_states = net.state_costs.shape[0]
     history_cut = args.history_cut or max(1, int(0.8 * n_states))
@@ -427,8 +416,8 @@ def _cmd_real_exp(args: argparse.Namespace) -> int:
         [
             ("arcs", args.arcs),
             ("states", args.states),
-            ("origin", origin),
-            ("destination", destination),
+            ("origin", net.origin),
+            ("destination", net.destination),
             ("pairs", args.pairs),
             ("history_cut", history_cut),
         ],

@@ -20,7 +20,7 @@ import io
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -51,6 +51,8 @@ DEFAULT_CROSSING_TOL = 1e-4  # ingest segment crossing tolerance
 MASS_TOL = 1e-9
 # Identity tolerance for the two user-cost formulas.
 IDENTITY_TOL = 1e-12
+# Share of a cost history clamped into the price grid above which it warns.
+CLAMP_WARN_RATE = 0.05
 
 
 def require_finite(**values: float) -> None:
@@ -419,13 +421,12 @@ class CostHistory:
         grid: PriceGrid | None = None,
         T: int | None = None,
         windows: int = 1,
-        clamp_warn_threshold: float = 0.05,
     ) -> "CostHistory":
         """Read ``state,arc,cost`` rows. Every (state, arc) cell must appear,
         and only once.
 
         With a grid, costs are clamped into [q, Q]; a clamp rate above
-        ``clamp_warn_threshold`` warns.
+        ``CLAMP_WARN_RATE`` warns.
         """
         table = read_rows(source, "state,arc,cost", (int, int, float))
         states, arcs, costs = table.columns
@@ -447,7 +448,7 @@ class CostHistory:
             n_clamped = int(np.sum(clamped != matrix))
             if n_clamped:
                 rate = n_clamped / matrix.size
-                if rate > clamp_warn_threshold:
+                if rate > CLAMP_WARN_RATE:
                     warnings.warn(
                         f"clamped {n_clamped}/{matrix.size} history costs "
                         f"({100 * rate:.1f}%) into [{grid.q}, {grid.Q}]",
@@ -479,8 +480,7 @@ class TollQuote:
     toll: float
     usage_count: float
     worst_case_revenue: float
-    response: DiscreteDistribution | None = None
-    horizon: int | None = field(default=None)
+    horizon: int | None = None
 
     def __post_init__(self) -> None:
         if self.usage_count < -1e-9:

@@ -551,19 +551,12 @@ def skeleton_to_network(
     costs: np.ndarray,
     origin: int,
     destination: int,
-    toll_flags=None,
 ) -> TollNetwork:
     """Materialize a skeleton as a TollNetwork with node names n0, n1, ...
-    All arcs are toll-free unless flags are given."""
-    flags = [False] * len(skeleton.arcs) if toll_flags is None else list(toll_flags)
+    and every arc toll-free."""
     arcs = tuple(
-        Arc(
-            tail=f"n{a.tail}",
-            head=f"n{a.head}",
-            toll_flag=bool(flags[i]),
-            length=a.length,
-        )
-        for i, a in enumerate(skeleton.arcs)
+        Arc(tail=f"n{a.tail}", head=f"n{a.head}", toll_flag=False, length=a.length)
+        for a in skeleton.arcs
     )
     return TollNetwork(
         arcs=arcs,

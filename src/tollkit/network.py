@@ -427,12 +427,19 @@ def read_arcs(arcs_path) -> tuple[Arc, ...]:
 
 
 def load_network(
-    arcs_path, states_path, origin: str, destination: str
+    arcs_path, states_path, origin: str | None = None, destination: str | None = None
 ) -> TollNetwork:
     """Read a network from an arcs CSV (`tail,head,toll_flag,length`) and a
     states CSV (`state,arc,cost`, arc = row index in the arcs file).  Every
-    (state, arc) pair must be present exactly once."""
+    (state, arc) pair must be present exactly once.  An origin or
+    destination of None is the first or last node name in sorted order."""
     arcs = read_arcs(arcs_path)
+    if origin is None or destination is None:
+        nodes = sorted({arc.tail for arc in arcs} | {arc.head for arc in arcs})
+        if len(nodes) < 2:
+            raise ValueError(f"{arcs_path}: fewer than two nodes")
+        origin = nodes[0] if origin is None else origin
+        destination = nodes[-1] if destination is None else destination
     table = read_rows(states_path, "state,arc,cost", (int, int, float))
     state_col, arc_col, cost_col = table.columns
     if not state_col:

@@ -14,7 +14,9 @@ Three pricing routes over a shared worst-case model:
 ``emit_nature_miqp`` serializes the exact sample-path worst-case model
 (binary skip indicators, big-M linearization, one quadratic variance row)
 for an external solver; ``solve_nature_miqp_exact`` solves the same model
-in-process for small horizons by scanning skip-count classes.
+in-process at any horizon, in closed form per skip count.  The model
+relaxes the grid and the pinned mean, so its per-period value is a lower
+bound on the two-point response's per-period user cost.
 """
 
 from __future__ import annotations
@@ -53,9 +55,6 @@ __all__ = [
     "quote_for_result",
     "write_br_curve",
 ]
-
-MIQP_EXACT_MAX_T = 12
-
 
 @dataclass(frozen=True)
 class RobustTollResult:
@@ -215,17 +214,12 @@ def deterministic_toll(alternative_costs) -> float:
     return float(arr.min())
 
 
-def quote_for_result(
-    result: RobustTollResult, T: int, horizon: int | None = None
-) -> TollQuote:
-    """Package a pricing result as a quote with an integer usage count."""
+def quote_for_result(result: RobustTollResult, T: int) -> TollQuote:
+    """Package a pricing result as a quote with an integer usage count over
+    the horizon T."""
     usage = int(round(result.epsilon * T))
     return TollQuote(
-        toll=result.toll,
-        usage_count=usage,
-        worst_case_revenue=result.toll * usage,
-        response=None,
-        horizon=horizon if horizon is not None else T,
+        toll=result.toll, usage_count=usage, worst_case_revenue=result.toll * usage, horizon=T
     )
 
 
@@ -372,120 +366,80 @@ def emit_nature_miqp(
     return model, "\n".join(lines) + "\n"
 
 
-def _quad_roots(fn, lo: float, hi: float) -> list[float]:
-    """Real roots of a quadratic given by evaluation at 0, 1, 2 (exact
-    interpolation), filtered to [lo, hi] padded by a small tolerance."""
-    g0, g1, g2 = fn(0.0), fn(1.0), fn(2.0)
-    a = 0.5 * (g2 - 2.0 * g1 + g0)
-    b = g1 - g0 - a
-    c = g0
-    out: list[float] = []
-    if abs(a) < 1e-13:
-        if abs(b) > 1e-13:
-            out.append(-c / b)
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc >= 0:
-            s = math.sqrt(disc)
-            out.extend(((-b - s) / (2.0 * a), (-b + s) / (2.0 * a)))
-    pad = 1e-7 * max(1.0, abs(lo), abs(hi))
-    return [x for x in out if lo - pad <= x <= hi + pad]
-
-
 def solve_nature_miqp_exact(
     grid: PriceGrid, env: MomentEnvelope, T: int, r: float
 ) -> tuple[float, TwoPointResponse]:
-    """Solve the emitted sample model in-process for small horizons.
+    """Solve the emitted sample model in-process, at any horizon.
 
     Periods split into a paying class (cost >= toll) and a skipping class
     (cost <= toll carrying shortfall z = r - c); the feasible set is convex
     and permutation-symmetric within each class, so some optimum places each
-    class at a single value.  Only the class size matters: for every skip
-    count the two-value subproblem is solved by enumerating active-constraint
-    pairs (box edges, mean-band edges, the variance boundary and its
-    tangency), which are all closed-form quadratics.  Returns the per-period
-    objective value and the optimal response.
+    class at a single value: lam skipping periods at ``a`` in [q, r] and
+    n = T - lam paying ones at ``b`` in [r, Q].  With s = lam*a + n*b the
+    variance row is lam*n*(b - a)**2 - kappa*(T-1)*s, so every pair of
+    active constraints (box edges, mean-band edges, the variance boundary
+    and its tangent b - a = kappa*(T-1)/(2*lam)) has closed-form roots, and
+    all of them, for every skip count, are scored in one array pass.  Ties
+    go to the larger skip count, then the lower a, then the lower b.
+    Returns the per-period objective value and the optimal response.
     """
     env.validate_against(grid)
     grid.require_toll(r)
     if T < 1:
         raise ValueError("T must be >= 1")
-    if T > MIQP_EXACT_MAX_T:
-        raise ValueError(
-            f"in-process exact solve is limited to T <= {MIQP_EXACT_MAX_T}; "
-            "emit the model for an external solver instead"
-        )
     q, Q = grid.q, grid.Q
     ul, uu = env.u_lower, env.u_upper
-    kap = env.kappa_bar
-    S_lo, S_hi = T * ul, T * uu
+    K = env.kappa_bar * (T - 1)
     tol = 1e-7 * max(1.0, Q)
-
-    def spread(a: float, b: float, lam: int) -> float:
-        s = lam * a + (T - lam) * b
-        return T * (lam * a * a + (T - lam) * b * b) - s * s - kap * (T - 1) * s
-
     gtol = 1e-8 * max(1.0, T * Q * Q)
-    best: tuple[float, int, float, float] | None = None  # (obj, -lam, a, b)
+    offers = []  # (objective, -lam, a, b)
+    # all periods paying (lam = 0) or all skipping (lam = T): one value
+    b0, a0 = max(r, ul), max(q, ul)
+    if b0 <= min(Q, uu) + 1e-12 and -K * T * b0 <= gtol:
+        offers.append((r, 0, b0, b0))
+    if a0 <= min(r, uu) + 1e-12 and -K * T * a0 <= gtol:
+        offers.append((r - T * (r - a0) / T, -T, a0, a0))
 
-    def offer(lam: int, a: float, b: float) -> None:
-        nonlocal best
-        obj = r - lam * (r - a) / T
-        key = (obj, -lam, a, b)
-        if best is None or key < best:
-            best = key
-
-    # all periods paying: any single value in the band clipped to [r, Q]
-    b0 = max(r, ul)
-    if b0 <= min(Q, uu) + 1e-12 and spread(b0, b0, 0) <= gtol:
-        offer(0, b0, b0)
-    # all periods skipping
-    a0 = max(q, ul)
-    if a0 <= min(r, uu) + 1e-12 and spread(a0, a0, T) <= gtol:
-        offer(T, a0, a0)
-
-    for lam in range(1, T):
-        n1, n2 = lam, T - lam
-        cands: list[tuple[float, float]] = []
-        for a in (q, r):
-            for b in (r, Q):
-                cands.append((a, b))
-            for S in (S_lo, S_hi):
-                cands.append((a, (S - n1 * a) / n2))
-            cands.extend((a, b) for b in _quad_roots(lambda b: spread(a, b, lam), r, Q))
-        for b in (r, Q):
-            for S in (S_lo, S_hi):
-                cands.append(((S - n2 * b) / n1, b))
-            cands.extend((a, b) for a in _quad_roots(lambda a: spread(a, b, lam), q, r))
-        for S in (S_lo, S_hi):
-            bb = lambda a: (S - n1 * a) / n2
-            cands.extend(
-                (a, bb(a)) for a in _quad_roots(lambda a: spread(a, bb(a), lam), q, r)
-            )
-        # variance boundary tangent to the mean direction
-        shift = kap * (T - 1) / (2.0 * n1)
-        cands.extend(
-            (a, a + shift)
-            for a in _quad_roots(lambda a: spread(a, a + shift, lam), q, r)
+    # every 0 < lam < T against four pairs of each family, as columns
+    lam = np.arange(1.0, T)[:, None]
+    n = T - lam
+    ln = lam * n
+    a_edge, b_edge = np.repeat([q, r], 2), np.repeat([r, Q], 2)
+    S = T * np.array([ul, uu])
+    band, band2, pm = np.tile(S, 2), np.repeat(S, 2), np.tile([-1.0, 1.0], 2)
+    with np.errstate(invalid="ignore"):  # no real root: NaN, filtered below
+        # d = b - a on the variance boundary with a, b or s held fixed
+        d_a = (K * n + pm * np.sqrt((K * n) ** 2 + 4 * ln * K * T * a_edge)) / (2 * ln)
+        d_b = (pm * np.sqrt((K * lam) ** 2 + 4 * ln * K * T * b_edge) - K * lam) / (2 * ln)
+        d_s = pm * np.sqrt(K * band2 / ln)
+    a_s = (band2 - n * d_s) / T
+    a_t = -n * K / (4 * lam * T)
+    a, b = (
+        np.concatenate(np.broadcast_arrays(*cols), axis=1)
+        for cols in zip(
+            (a_edge, np.tile([r, Q], 2)),  # box corners
+            (a_edge, (band - lam * a_edge) / n),  # box edge and mean-band edge
+            ((band - n * b_edge) / lam, b_edge),
+            (a_edge, a_edge + d_a),  # box edge and variance boundary
+            (b_edge - d_b, b_edge),
+            (a_s, a_s + d_s),  # mean-band edge and variance boundary
+            (a_t, a_t + K / (2 * lam)),  # variance boundary's tangent
         )
+    )
+    ok = (q - tol <= a) & (a <= r + tol) & (r - tol <= b) & (b <= Q + tol)
+    a, b = np.clip(a, q, r), np.clip(b, r, Q)
+    s = lam * a + n * b
+    ok &= (S[0] - tol * T <= s) & (s <= S[1] + tol * T)
+    ok &= ln * (b - a) ** 2 - K * s <= gtol
+    lam, a, b = np.broadcast_to(lam, ok.shape)[ok], a[ok], b[ok]
+    obj = r - lam * (r - a) / T
+    if obj.size:
+        i = np.lexsort((b, a, -lam, obj))[0]
+        offers.append((float(obj[i]), -int(lam[i]), float(a[i]), float(b[i])))
 
-        for a, b in cands:
-            if not (math.isfinite(a) and math.isfinite(b)):
-                continue
-            if not (q - tol <= a <= r + tol and r - tol <= b <= Q + tol):
-                continue
-            a = min(max(a, q), r)
-            b = min(max(b, r), Q)
-            s = n1 * a + n2 * b
-            if not (S_lo - tol * T <= s <= S_hi + tol * T):
-                continue
-            if spread(a, b, lam) > gtol:
-                continue
-            offer(lam, a, b)
-
-    if best is None:
+    if not offers:
         raise ValueError("no feasible sample path for the envelope at this horizon")
-    obj, neg_lam, a, b = best
+    obj, neg_lam, a, b = min(offers)
     lam = -neg_lam
     if lam in (0, T):
         resp = TwoPointResponse(lower=a, upper=a, low_count=0, mean=a)

@@ -623,6 +623,18 @@ def test_real_exp_negative_cycle_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "real_regret.csv").exists()
 
 
+def test_real_exp_needs_two_nodes_to_default_an_endpoint(tmp_path, capsys):
+    arcs = tmp_path / "arcs.csv"
+    arcs.write_text("tail,head,toll_flag,length\na,a,0,1\n")
+    states = tmp_path / "states.csv"
+    states.write_text("state,arc,cost\n0,0,1\n")
+    argv = ["real-exp", "--arcs", str(arcs), "--states", str(states), "--pairs", "1"]
+    for endpoints in ([], ["--origin", "a"], ["--destination", ""]):
+        assert main(argv + endpoints + ["--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {arcs}: fewer than two nodes\n"
+        assert not (tmp_path / "out" / "real_regret.csv").exists()
+
+
 # --- simulate -----------------------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,12 @@ from tollkit.core import (
     expected_revenue,
     expected_user_cost,
 )
-from tollkit.nature import solve_nature_an, solve_nature_two_point, solve_nature_ufn
+from tollkit.nature import (
+    TwoPointResponse,
+    solve_nature_an,
+    solve_nature_two_point,
+    solve_nature_ufn,
+)
 from tollkit.pricing import (
     RobustTollResult,
     deterministic_toll,
@@ -328,11 +334,14 @@ def test_revenue_peaks_on_support_and_user_cost_is_concave():
 
 
 def test_exact_small_model_anchor_values():
+    # Each optimum has the mean on the band and the variance row tight:
+    # b - a = sqrt(K*S/(lam*n)) with S = 8*500, K = 60*7, n = 8 - lam, and
+    # a = (S - n*(b - a))/8, here evaluated to 50 digits and rounded.
     expected = {
-        350.0: 315.1674118766978,
-        400.0: 354.84392399490036,
-        450.0: 390.31312251315336,
-        500.0: 418.9907412699017,
+        350.0: 315.16741187661796,
+        400.0: 354.8439239979886,
+        450.0: 390.3131225124304,
+        500.0: 418.9907412699018,
     }
     for r, want in expected.items():
         value, resp = solve_nature_miqp_exact(WIDE, WIDE_ENV, 8, r)
@@ -358,9 +367,219 @@ def test_exact_model_never_exceeds_grid_restricted_response():
         assert value <= resp.objective(T, r) / T + 1e-7
 
 
-def test_exact_model_horizon_guard():
-    with pytest.raises(ValueError, match="limited to T <= 12"):
-        solve_nature_miqp_exact(WIDE, WIDE_ENV, 13, 400.0)
+def test_exact_model_is_feasible_at_any_horizon():
+    q, Q = WIDE.q, WIDE.Q
+    for T in (13, 50, 200):
+        gtol = 1e-8 * max(1.0, T * Q * Q)
+        for r in WIDE.points()[::5]:
+            r = float(r)
+            value, resp = solve_nature_miqp_exact(WIDE, WIDE_ENV, T, r)
+            lam, a, b = resp.low_count, resp.lower, resp.upper
+            assert 0 < lam < T
+            assert q <= a <= r <= b <= Q
+            s = lam * a + (T - lam) * b
+            assert WIDE_ENV.u_lower * T - 1e-6 <= s <= WIDE_ENV.u_upper * T + 1e-6
+            spread = T * (lam * a * a + (T - lam) * b * b) - s * s
+            assert spread - WIDE_ENV.kappa_bar * (T - 1) * s <= gtol
+            assert value == pytest.approx(r - lam * (r - a) / T, abs=1e-9 * Q)
+
+
+def _quad_roots(fn, lo: float, hi: float) -> list[float]:
+    """Real roots of a quadratic given by evaluation at 0, 1, 2 (exact
+    interpolation), filtered to [lo, hi] padded by a small tolerance."""
+    g0, g1, g2 = fn(0.0), fn(1.0), fn(2.0)
+    a = 0.5 * (g2 - 2.0 * g1 + g0)
+    b = g1 - g0 - a
+    c = g0
+    out: list[float] = []
+    if abs(a) < 1e-13:
+        if abs(b) > 1e-13:
+            out.append(-c / b)
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc >= 0:
+            s = math.sqrt(disc)
+            out.extend(((-b - s) / (2.0 * a), (-b + s) / (2.0 * a)))
+    pad = 1e-7 * max(1.0, abs(lo), abs(hi))
+    return [x for x in out if lo - pad <= x <= hi + pad]
+
+
+def reference_miqp_exact(
+    grid: PriceGrid, env: MomentEnvelope, T: int, r: float
+) -> tuple[float, TwoPointResponse]:
+    """The exact sample-model solve as a scalar loop: per skip count, up to
+    26 (lower, upper) candidates, each active-constraint quadratic recovered
+    by evaluation at 0, 1 and 2 (``_quad_roots``).
+
+    Periods split into a paying class (cost >= toll) and a skipping class
+    (cost <= toll carrying shortfall z = r - c); the feasible set is convex
+    and permutation-symmetric within each class, so some optimum places each
+    class at a single value.  Only the class size matters: for every skip
+    count the two-value subproblem is solved by enumerating active-constraint
+    pairs (box edges, mean-band edges, the variance boundary and its
+    tangency), which are all closed-form quadratics.  Returns the per-period
+    objective value and the optimal response.
+    """
+    env.validate_against(grid)
+    grid.require_toll(r)
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    q, Q = grid.q, grid.Q
+    ul, uu = env.u_lower, env.u_upper
+    kap = env.kappa_bar
+    S_lo, S_hi = T * ul, T * uu
+    tol = 1e-7 * max(1.0, Q)
+
+    def spread(a: float, b: float, lam: int) -> float:
+        s = lam * a + (T - lam) * b
+        return T * (lam * a * a + (T - lam) * b * b) - s * s - kap * (T - 1) * s
+
+    gtol = 1e-8 * max(1.0, T * Q * Q)
+    best: tuple[float, int, float, float] | None = None  # (obj, -lam, a, b)
+
+    def offer(lam: int, a: float, b: float) -> None:
+        nonlocal best
+        obj = r - lam * (r - a) / T
+        key = (obj, -lam, a, b)
+        if best is None or key < best:
+            best = key
+
+    # all periods paying: any single value in the band clipped to [r, Q]
+    b0 = max(r, ul)
+    if b0 <= min(Q, uu) + 1e-12 and spread(b0, b0, 0) <= gtol:
+        offer(0, b0, b0)
+    # all periods skipping
+    a0 = max(q, ul)
+    if a0 <= min(r, uu) + 1e-12 and spread(a0, a0, T) <= gtol:
+        offer(T, a0, a0)
+
+    for lam in range(1, T):
+        n1, n2 = lam, T - lam
+        cands: list[tuple[float, float]] = []
+        for a in (q, r):
+            for b in (r, Q):
+                cands.append((a, b))
+            for S in (S_lo, S_hi):
+                cands.append((a, (S - n1 * a) / n2))
+            cands.extend((a, b) for b in _quad_roots(lambda b: spread(a, b, lam), r, Q))
+        for b in (r, Q):
+            for S in (S_lo, S_hi):
+                cands.append(((S - n2 * b) / n1, b))
+            cands.extend((a, b) for a in _quad_roots(lambda a: spread(a, b, lam), q, r))
+        for S in (S_lo, S_hi):
+            bb = lambda a: (S - n1 * a) / n2
+            cands.extend(
+                (a, bb(a)) for a in _quad_roots(lambda a: spread(a, bb(a), lam), q, r)
+            )
+        # variance boundary tangent to the mean direction
+        shift = kap * (T - 1) / (2.0 * n1)
+        cands.extend(
+            (a, a + shift)
+            for a in _quad_roots(lambda a: spread(a, a + shift, lam), q, r)
+        )
+
+        for a, b in cands:
+            if not (math.isfinite(a) and math.isfinite(b)):
+                continue
+            if not (q - tol <= a <= r + tol and r - tol <= b <= Q + tol):
+                continue
+            a = min(max(a, q), r)
+            b = min(max(b, r), Q)
+            s = n1 * a + n2 * b
+            if not (S_lo - tol * T <= s <= S_hi + tol * T):
+                continue
+            if spread(a, b, lam) > gtol:
+                continue
+            offer(lam, a, b)
+
+    if best is None:
+        raise ValueError("no feasible sample path for the envelope at this horizon")
+    obj, neg_lam, a, b = best
+    lam = -neg_lam
+    if lam in (0, T):
+        resp = TwoPointResponse(lower=a, upper=a, low_count=0, mean=a)
+    else:
+        resp = TwoPointResponse(
+            lower=a, upper=b, low_count=lam, mean=(lam * a + (T - lam) * b) / T
+        )
+    return obj, resp
+
+
+def test_exact_matches_scalar_reference_randomized():
+    # Grids of 4-60 points (steps 0.5, 1 and 5, floors 0 and 3), point and
+    # interval bands that sometimes miss the grid, kappa 0-40, T 1-12 and
+    # some T 13-50: the same inputs raise, and the same skip count, lower,
+    # upper and objective come back.
+    rng = np.random.default_rng(SEED + 3)
+    raised = 0
+    for _ in range(2000):
+        step = float(rng.choice([0.5, 1.0, 5.0]))
+        q = float(rng.choice([0.0, 3.0]))
+        grid = PriceGrid(q, q + step * int(rng.integers(3, 60)), step)
+        lo = float(rng.uniform(q - 2 * step, grid.Q + 2 * step))
+        hi = lo if rng.random() < 0.5 else lo + float(rng.uniform(0.0, (grid.Q - q) / 3))
+        kappa = float(rng.choice([0.0, 0.5, 1.0, 5.0, 40.0, rng.uniform(0.0, 40.0)]))
+        T = int(rng.integers(1, 13)) if rng.random() < 0.9 else int(rng.integers(13, 51))
+        args = (grid, MomentEnvelope(lo, hi, kappa), T, float(rng.choice(grid.points())))
+        try:
+            want, ref = reference_miqp_exact(*args)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                solve_nature_miqp_exact(*args)
+            raised += 1
+            continue
+        value, resp = solve_nature_miqp_exact(*args)
+        assert resp.low_count == ref.low_count
+        assert resp.lower == pytest.approx(ref.lower, abs=1e-6)
+        assert resp.upper == pytest.approx(ref.upper, abs=1e-6)
+        assert value == pytest.approx(want, rel=0, abs=1e-9 * max(1.0, abs(want)))
+    assert 0 < raised < 500
+
+
+@pytest.mark.parametrize(
+    "grid, env, T, r, lam, a, b",
+    [
+        # skip at the floor, pay at the toll
+        (PriceGrid(-1.0, 3.0), MomentEnvelope(-1.0, 3.0, 10.0), 2, 2.0, 1, -1.0, 2.0),
+        # skip at the floor, pay on the variance boundary: (b + 1)^2 - 10(b + 1) + 20 = 0
+        (PriceGrid(-1.0, 2.0), MomentEnvelope(-1.0, 3.0, 10.0), 2, 0.0, 1, -1.0, 4.0 - 5**0.5),
+        # pay at the ceiling, skip on the variance boundary: d^2 + 20d - 60 = 0, a = 2 - d
+        (PriceGrid(-1.0, 2.0), MomentEnvelope(0.0, 3.0, 10.0), 3, 0.0, 2, 12.0 - 4 * 10**0.5, 2.0),
+        # only the variance row is active: b - a = K/(2*lam), a = -n*K/(4*lam*T)
+        (PriceGrid(-1.0, 2.0), MomentEnvelope(0.0, 1.0, 2.0), 2, 0.0, 1, -0.25, 0.75),
+    ],
+    ids=["corner", "box-edge-variance", "variance-box-edge", "tangent"],
+)
+def test_exact_negative_floor_optima(grid, env, T, r, lam, a, b):
+    # On a floor of 0 or more these candidate families never decide an
+    # optimum (the others tie or beat them); below 0 each decides one.
+    value, resp = solve_nature_miqp_exact(grid, env, T, r)
+    assert (resp.low_count, resp.lower, resp.upper) == (
+        lam,
+        pytest.approx(a, abs=1e-12),
+        pytest.approx(b, abs=1e-12),
+    )
+    assert value == pytest.approx(r - lam * (r - a) / T, abs=1e-12)
+
+
+def test_two_point_never_beats_exact_at_long_horizons():
+    # The exact continuous model relaxes the grid and the pinned mean, so
+    # its per-period value bounds the two-point response's from below.
+    rng = np.random.default_rng(SEED + 4)
+    for _ in range(300):
+        step = float(rng.choice([0.5, 1.0, 5.0]))
+        q = float(rng.choice([0.0, 3.0]))
+        grid = PriceGrid(q, q + step * int(rng.integers(5, 120)), step)
+        points = grid.points()
+        lo = float(rng.choice(points[1:-1]))
+        hi = lo if rng.random() < 0.5 else float(rng.uniform(lo, grid.Q))
+        env = MomentEnvelope(lo, hi, float(rng.uniform(0.5, 40.0)))
+        T = int(rng.choice([13, 25, 50, 100]))
+        for r in rng.choice(points, size=3):
+            r = float(r)
+            value, _ = solve_nature_miqp_exact(grid, env, T, r)
+            resp = solve_nature_two_point(grid, lo, env.kappa_bar, T, r)
+            assert resp.objective(T, r) / T >= value - 1e-9 * max(1.0, grid.Q)
 
 
 # --- model emission -----------------------------------------------------------------
