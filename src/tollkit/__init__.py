@@ -71,7 +71,6 @@ _EXPORTS = {
         "pricing": (
             "MiqpModel",
             "RobustTollResult",
-            "deterministic_toll",
             "emit_nature_miqp",
             "epsilon_sweep_robust_toll",
             "optimal_toll_for_realized_costs",

@@ -363,10 +363,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_real_exp(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     out_dir = _resolve_out_dir(args)
-    origin, destination = args.origin, args.destination
-    if origin is None or destination is None:  # then an empty one defaults too
-        origin, destination = origin or None, destination or None
-    net = _this.load_network(args.arcs, args.states, origin, destination)
+    # an empty endpoint takes its default, like an omitted one
+    net = _this.load_network(args.arcs, args.states, args.origin or None, args.destination or None)
     n_states = net.state_costs.shape[0]
     history_cut = args.history_cut or max(1, int(0.8 * n_states))
     result = _this.run_real_data_experiment(
@@ -557,8 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--arcs", required=True, help="arcs CSV (tail,head,toll_flag,length)")
     p.add_argument("--states", required=True, help="states CSV (state,arc,cost)")
-    p.add_argument("--origin", help="network origin node (default: first node)")
-    p.add_argument("--destination", help="network destination node (default: last)")
+    p.add_argument("--origin", help="a node of the arcs file (default: first node name)")
+    p.add_argument("--destination", help="a node of the arcs file (default: last node name)")
     p.add_argument("--pairs", type=int, default=20, help="random node pairs to price")
     p.add_argument(
         "--history-cut",

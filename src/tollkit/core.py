@@ -37,6 +37,8 @@ __all__ = [
     "read_rows",
     "format_cell",
     "write_rows",
+    "read_cost_table",
+    "write_cost_table",
 ]
 
 # Constants the command-line parser needs, kept here so that building it
@@ -179,6 +181,63 @@ def write_rows(destination, header: Sequence[str], rows, lineterminator: str = "
         writer = csv.writer(stream, lineterminator=lineterminator)
         writer.writerow(header)
         writer.writerows([format_cell(value) for value in row] for row in rows)
+
+
+COST_TABLE_HEADER = "state,arc,cost"
+
+
+def read_cost_table(source, n_arcs: int | None = None) -> tuple[str, np.ndarray]:
+    """Read a ``state,arc,cost`` table, a path or a text stream, into its
+    dense (states x arcs) cost matrix.
+
+    State ids run from 0 with no gap, and so do arc ids: up to
+    ``n_arcs - 1`` when the caller knows the arc count, else up to the
+    largest arc id.  Every (state, arc) cell appears exactly once.  Returns
+    the input's name, as ``read_rows`` gives it, and the matrix; every
+    error is a ``ValueError`` that starts with that name.
+    """
+    table = read_rows(source, COST_TABLE_HEADER, (int, int, float))
+    states, arcs, costs = table.columns
+    if not states:
+        raise ValueError(f"{table.where}: no cost rows")
+    if n_arcs is None:
+        n_arcs = max(arcs) + 1
+    n_states = max(states) + 1
+    # In range, and as many rows as cells: then the cells are all filled
+    # exactly when no row repeats a cell, which the NaN test sees.
+    in_range = min(states) >= 0 and min(arcs) >= 0 and max(arcs) < n_arcs
+    if in_range and len(states) == n_states * n_arcs:
+        matrix = np.full(n_states * n_arcs, np.nan)
+        matrix[np.array(states) * n_arcs + np.array(arcs)] = costs
+        if not np.isnan(matrix).any():
+            return table.where, matrix.reshape(n_states, n_arcs)
+    # Only a failure scans rows for its line.
+    for row, (s, a) in enumerate(zip(states, arcs)):
+        if s < 0 or a < 0:
+            raise table.error(row, f"state and arc must be >= 0, got {s}, {a}")
+        if a >= n_arcs:
+            raise table.error(row, f"arc {a} out of range for {n_arcs} arcs")
+    keys = list(zip(states, arcs))
+    table.reject_duplicates(keys, "cost for state {}, arc {}".format)
+    # Fewer distinct cells than n_states * n_arcs: one is missing among the
+    # first len(keys) + 1 in state-major order.
+    present = set(keys)
+    s, a = next((s, a) for s in range(n_states) for a in range(n_arcs) if (s, a) not in present)
+    raise ValueError(
+        f"{table.where}: missing a cost for state {s}, arc {a} "
+        "(state and arc ids run from 0 with no gap)"
+    )
+
+
+def write_cost_table(destination, costs: np.ndarray) -> None:
+    """Write a (states x arcs) cost matrix as ``state,arc,cost`` rows,
+    state-major, with LF line ends."""
+    write_rows(
+        destination,
+        COST_TABLE_HEADER.split(","),
+        ((s, a, cost) for s, row in enumerate(costs.tolist()) for a, cost in enumerate(row)),
+        lineterminator="\n",
+    )
 
 
 @dataclass(frozen=True)
@@ -403,13 +462,6 @@ class CostHistory:
                 f"{self.T * self.windows}"
             )
 
-    @property
-    def n_arcs(self) -> int:
-        return int(self.states.shape[1])
-
-    def arc_series(self, arc: int) -> np.ndarray:
-        return self.states[:, arc]
-
     def state_minima(self) -> np.ndarray:
         """Per-state minimum cost across arcs (the best free alternative)."""
         return self.states.min(axis=1)
@@ -422,26 +474,21 @@ class CostHistory:
         T: int | None = None,
         windows: int = 1,
     ) -> "CostHistory":
-        """Read ``state,arc,cost`` rows. Every (state, arc) cell must appear,
-        and only once.
+        """Read a ``state,arc,cost`` table through ``read_cost_table``: state
+        and arc ids from 0 with no gap, and every (state, arc) cell once.
 
-        With a grid, costs are clamped into [q, Q]; a clamp rate above
-        ``CLAMP_WARN_RATE`` warns.
+        The states must fill ``windows`` windows of ``T`` states each (a run
+        config's ``T`` and ``H``; ``T`` defaults to the state count over
+        ``windows``).  With a grid, costs are clamped into [q, Q]; a clamp
+        rate above ``CLAMP_WARN_RATE`` warns.
         """
-        table = read_rows(source, "state,arc,cost", (int, int, float))
-        states, arcs, costs = table.columns
-        if not states:
-            raise ValueError(f"{table.where}: history CSV has no data rows")
-        for row, (s, a) in enumerate(zip(states, arcs)):
-            if s < 0 or a < 0:
-                raise table.error(row, f"state and arc must be >= 0, got {s}, {a}")
-        table.reject_duplicates(list(zip(states, arcs)), "cost for state {}, arc {}".format)
-        matrix = np.full((max(states) + 1, max(arcs) + 1), np.nan)
-        matrix[states, arcs] = costs
-        if np.isnan(matrix).any():
-            s, a = np.argwhere(np.isnan(matrix))[0]
+        where, matrix = read_cost_table(source)
+        n_states = matrix.shape[0]
+        if T is None:
+            T = n_states // windows
+        if n_states != T * windows:
             raise ValueError(
-                f"{table.where}: history is missing a cost for state {s}, arc {a}"
+                f"{where}: {n_states} states, expected T*H = {T}*{windows} = {T * windows}"
             )
         if grid is not None:
             clamped = np.clip(matrix, grid.q, grid.Q)
@@ -455,22 +502,10 @@ class CostHistory:
                         stacklevel=2,
                     )
             matrix = clamped
-        if T is None:
-            if matrix.shape[0] % windows:
-                raise ValueError("row count not divisible by windows")
-            T = matrix.shape[0] // windows
         return cls(states=matrix, T=T, windows=windows)
 
     def to_csv(self, destination: str | io.TextIOBase) -> None:
-        write_rows(
-            destination,
-            ("state", "arc", "cost"),
-            (
-                (s, a, cost)
-                for s, row in enumerate(self.states.tolist())
-                for a, cost in enumerate(row)
-            ),
-        )
+        write_cost_table(destination, self.states)
 
 
 @dataclass(frozen=True)

@@ -134,22 +134,11 @@ class RecordColumns:
 class ObservationGrid:
     """Per-segment speed series aligned to a shared timestamp axis.
 
-    Missing observations are NaN; ``coverage`` marks observed cells.
+    Missing observations are NaN.
     """
 
     timestamps: tuple[float, ...]
     speeds: dict[str, np.ndarray]
-
-    @property
-    def segments(self) -> tuple[str, ...]:
-        return tuple(sorted(self.speeds))
-
-    @property
-    def coverage(self) -> dict[str, np.ndarray]:
-        return {seg: ~np.isnan(series) for seg, series in self.speeds.items()}
-
-    def fully_observed(self) -> bool:
-        return all(not np.isnan(s).any() for s in self.speeds.values())
 
 
 @dataclass(frozen=True)

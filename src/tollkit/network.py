@@ -24,7 +24,9 @@ from .core import (
     PriceGrid,
     estimate_moment_envelope,
     flag,
+    read_cost_table,
     read_rows,
+    write_cost_table,
     write_rows,
 )
 
@@ -430,32 +432,22 @@ def load_network(
     arcs_path, states_path, origin: str | None = None, destination: str | None = None
 ) -> TollNetwork:
     """Read a network from an arcs CSV (`tail,head,toll_flag,length`) and a
-    states CSV (`state,arc,cost`, arc = row index in the arcs file).  Every
-    (state, arc) pair must be present exactly once.  An origin or
-    destination of None is the first or last node name in sorted order."""
+    states CSV (`state,arc,cost`, arc = row index in the arcs file), read by
+    ``read_cost_table``: state ids from 0 with no gap, arcs in range, and
+    every (state, arc) cell once.  The origin and destination must be nodes
+    of the arcs file; None takes the first or last node name in sorted
+    order."""
     arcs = read_arcs(arcs_path)
+    nodes = sorted({arc.tail for arc in arcs} | {arc.head for arc in arcs})
     if origin is None or destination is None:
-        nodes = sorted({arc.tail for arc in arcs} | {arc.head for arc in arcs})
         if len(nodes) < 2:
             raise ValueError(f"{arcs_path}: fewer than two nodes")
         origin = nodes[0] if origin is None else origin
         destination = nodes[-1] if destination is None else destination
-    table = read_rows(states_path, "state,arc,cost", (int, int, float))
-    state_col, arc_col, cost_col = table.columns
-    if not state_col:
-        raise ValueError(f"{table.where}: no state costs")
-    for row, a in enumerate(arc_col):
-        if not 0 <= a < len(arcs):
-            raise table.error(row, f"arc {a} out of range")
-    keys = list(zip(state_col, arc_col))
-    table.reject_duplicates(keys, "cost for state {}, arc {}".format)
-    states = sorted(set(state_col))
-    if len(keys) < len(states) * len(arcs):
-        present = set(keys)
-        s, a = next((s, a) for s in states for a in range(len(arcs)) if (s, a) not in present)
-        raise ValueError(f"{table.where}: missing cost for state {s}, arc {a}")
-    costs = np.empty((len(states), len(arcs)))
-    costs[np.searchsorted(states, state_col), arc_col] = cost_col
+    for name, node in (("origin", origin), ("destination", destination)):
+        if node not in nodes:
+            raise ValueError(f"{arcs_path}: {name} {node!r} is not a node of the arcs file")
+    _, costs = read_cost_table(states_path, len(arcs))
     return TollNetwork(
         arcs=arcs, origin=origin, destination=destination, state_costs=costs
     )
@@ -468,13 +460,4 @@ def write_network(net: TollNetwork, arcs_path, states_path) -> None:
         ((a.tail, a.head, int(a.toll_flag), float(a.length)) for a in net.arcs),
         lineterminator="\n",
     )
-    write_rows(
-        states_path,
-        ("state", "arc", "cost"),
-        (
-            (s, a, cost)
-            for s, row in enumerate(net.state_costs.tolist())
-            for a, cost in enumerate(row)
-        ),
-        lineterminator="\n",
-    )
+    write_cost_table(states_path, net.state_costs)

@@ -1,15 +1,13 @@
 """Robust toll selection.
 
-Three pricing routes over a shared worst-case model:
+Two pricing routes over a shared worst-case model:
 
 * ``two_point_robust_toll`` — quadratic-time scan pairing every grid toll
   with nature's best two-point sample response (mean pinned to the envelope
   floor) and maximizing the revenue the response actually pays;
 * ``epsilon_sweep_robust_toll`` — for each usage level eps in {1/T, ..., 1},
   find the largest toll nature cannot push usage below eps, then take the
-  best guaranteed revenue eps * r_eps;
-* ``deterministic_toll`` — the certainty rule: price at the cheapest
-  alternative.
+  best guaranteed revenue eps * r_eps.
 
 ``emit_nature_miqp`` serializes the exact sample-path worst-case model
 (binary skip indicators, big-M linearization, one quadratic variance row)
@@ -51,7 +49,6 @@ __all__ = [
     "solve_nature_miqp_exact",
     "optimal_toll_for_realized_costs",
     "realized_revenue_table",
-    "deterministic_toll",
     "quote_for_result",
     "write_br_curve",
 ]
@@ -204,14 +201,6 @@ def optimal_toll_for_realized_costs(
     revenue = realized_revenue_table(np.asarray(costs, dtype=float)[None], grid)[0]
     idx = int(np.argmax(revenue))
     return float(grid.points()[idx]), float(revenue[idx])
-
-
-def deterministic_toll(alternative_costs) -> float:
-    """Certainty pricing for a parallel network: toll = least alternative cost."""
-    arr = np.asarray(alternative_costs, dtype=float)
-    if arr.size == 0:
-        raise ValueError("no alternative costs")
-    return float(arr.min())
 
 
 def quote_for_result(result: RobustTollResult, T: int) -> TollQuote:

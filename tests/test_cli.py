@@ -8,12 +8,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import tollkit
 import tollkit.cli as cli
 from tollkit.cli import main
+from tollkit.core import CostHistory
 from tollkit.ingest import RECORD_HEADER
+from tollkit.network import load_network
 
 SEED = 20260819
 
@@ -113,7 +116,7 @@ def test_price_requires_an_envelope(tmp_path, capsys):
     assert "error: provide --history" in capsys.readouterr().err
 
 
-def test_price_from_history_csv(tmp_path):
+def test_price_from_history_csv(tmp_path, capsys):
     history = tmp_path / "history.csv"
     lines = ["state,arc,cost"]
     for state in range(50):
@@ -124,6 +127,11 @@ def test_price_from_history_csv(tmp_path):
     assert code == 0
     manifest = (out / "run_manifest.txt").read_text()
     assert f"history = {history}" in manifest
+    # 49 states do not fill T*H = 50 periods
+    history.write_text("\n".join(lines[:-1]) + "\n")
+    assert main(["price", "--history", str(history), "--out-dir", str(tmp_path / "bad")]) == 2
+    assert capsys.readouterr().err == f"error: {history}: 49 states, expected T*H = 50*1 = 50\n"
+    assert not (tmp_path / "bad" / "price.csv").exists()
 
 
 # --- exit codes and config handling -------------------------------------------------
@@ -318,7 +326,7 @@ def test_near_infeasible_point_band_exits_2(tmp_path, capsys, argv):
 CSV_INPUTS = {
     "history": (
         "state,arc,cost\n" + "".join(f"{s},0,{100 + s % 2}\n" for s in range(50)),
-        {"text": 2, "nan": 2, "inf": 2},
+        {"text": 2, "nan": 2, "inf": 2, "negative": 0},
     ),
     "feed": (
         f"{RECORD_HEADER}\n0,ne,30,0,0,1,1\n900,ne,40,0,0,1,1\n0,nw,35,1,0,0,1\n",
@@ -331,7 +339,7 @@ CSV_INPUTS = {
     "states": (
         "state,arc,cost\n"
         + "".join(f"{s},{a},{5 + s + a}\n" for s in range(6) for a in range(4)),
-        {"text": 2, "nan": 2, "inf": 2},
+        {"text": 2, "nan": 2, "inf": 2, "negative": 0},
     ),
     "bounds": ("path,bound\np1,10\np2,8\np3,5\n", {"text": 1, "nan": 1, "inf": 1}),
     "incidence": (
@@ -339,10 +347,13 @@ CSV_INPUTS = {
         {"text": 2, "nan": 2, "inf": 2, "flag": 2},
     ),
 }
-BAD_VALUES = {"text": "abc", "nan": "nan", "inf": "inf", "flag": "7"}
+BAD_VALUES = {"text": "abc", "nan": "nan", "inf": "inf", "flag": "7", "negative": "-3"}
 # Inputs whose key columns may not repeat: the "duplicate" case copies line 2
 # onto line 3.
 KEYED = ("history", "states", "bounds", "incidence")
+# state,arc,cost tables, whose state ids run from 0 with no gap: the "gap"
+# case moves the last state up by one, so the one before it is missing.
+STATE_TABLES = ("history", "states")
 
 
 def csv_command(name, paths):
@@ -363,7 +374,9 @@ def csv_command(name, paths):
     [
         (name, case)
         for name, (_, columns) in CSV_INPUTS.items()
-        for case in ("header", "fields", *columns) + (("duplicate",) if name in KEYED else ())
+        for case in ("header", "fields", *columns)
+        + (("duplicate",) if name in KEYED else ())
+        + (("gap",) if name in STATE_TABLES else ())
     ],
     ids=lambda value: value,
 )
@@ -377,6 +390,13 @@ def test_bad_csv_input_exits_2(tmp_path, capsys, name, case):
         lines[0], line = "bogus," + lines[0], 1
     elif case == "duplicate":
         lines[2], line = lines[1], 3
+    elif case == "gap":
+        last = lines[-1].split(",")[0]
+        lines[1:] = [
+            f"{int(last) + 1}{text[len(last):]}" if text.startswith(last + ",") else text
+            for text in lines[1:]
+        ]
+        line = None
     else:
         fields, line = lines[2].split(","), 3
         if case == "fields":
@@ -388,7 +408,10 @@ def test_bad_csv_input_exits_2(tmp_path, capsys, name, case):
     code = main(csv_command(name, paths) + ["--out-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2, err
-    assert err.startswith(f"error: {paths[name]}:{line}: "), err
+    if line is None:
+        assert err.startswith(f"error: {paths[name]}: missing a cost for state "), err
+    else:
+        assert err.startswith(f"error: {paths[name]}:{line}: "), err
     if case == "duplicate":
         assert err.rstrip().endswith("; first at line 2"), err
 
@@ -530,6 +553,11 @@ def test_ingest_then_real_exp(tmp_path, capsys):
     assert "crossing splits: 2" in report
     assert "nodes: 5" in report
     capsys.readouterr()
+    # the network and a cost history read states.csv to one matrix
+    net = load_network(ingest_dir / "arcs.csv", ingest_dir / "states.csv")
+    history = CostHistory.from_csv(ingest_dir / "states.csv")
+    assert net.state_costs.shape == (2, 4)
+    assert np.array_equal(history.states, net.state_costs)
 
     exp_dir = tmp_path / "exp"
     args = [
@@ -633,6 +661,29 @@ def test_real_exp_needs_two_nodes_to_default_an_endpoint(tmp_path, capsys):
         assert main(argv + endpoints + ["--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {arcs}: fewer than two nodes\n"
         assert not (tmp_path / "out" / "real_regret.csv").exists()
+
+
+def test_real_exp_endpoints_must_be_nodes_of_the_arcs_file(tmp_path, capsys):
+    arcs = tmp_path / "arcs.csv"
+    arcs.write_text("tail,head,toll_flag,length\na,b,0,1\nb,c,1,1\nc,d,0,1\na,d,0,1\n")
+    states = tmp_path / "states.csv"
+    states.write_text(
+        "state,arc,cost\n" + "".join(f"{s},{a},1\n" for s in range(2) for a in range(4))
+    )
+    argv = ["real-exp", "--arcs", str(arcs), "--states", str(states), "--pairs", "2"]
+    out = tmp_path / "out"
+    for endpoints, message in (
+        (["--origin", "nowhere", "--destination", "alsonowhere"], "origin 'nowhere'"),
+        (["--destination", "alsonowhere"], "destination 'alsonowhere'"),
+        (["--origin", "", "--destination", "e"], "destination 'e'"),
+    ):
+        assert main(argv + endpoints + ["--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {arcs}: {message} is not a node of the arcs file\n"
+        assert not (out / "real_regret.csv").exists()
+    # an empty endpoint takes its default, whether or not the other is given
+    assert main(argv + ["--origin", "", "--destination", "c", "--out-dir", str(out)]) == 0
+    assert "origin = a\ndestination = c\n" in (out / "run_manifest.txt").read_text()
 
 
 # --- simulate -----------------------------------------------------------------------------
@@ -830,3 +881,5 @@ def test_package_exports_are_the_submodule_objects():
     assert len(set(tollkit.__all__)) == len(tollkit.__all__)
     with pytest.raises(AttributeError, match="no attribute 'relative_regret'"):
         tollkit.relative_regret
+    with pytest.raises(AttributeError, match="no attribute 'deterministic_toll'"):
+        tollkit.deterministic_toll

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tollkit.core import CostHistory, flag, read_rows
+from tollkit.core import CostHistory, flag, read_cost_table, read_rows
 from tollkit.ingest import SegmentRecord, parse_traffic_records, write_traffic_records
 from tollkit.network import Arc, TollNetwork, load_network, write_network
 
@@ -103,6 +103,35 @@ def test_history_rejects_negative_indices():
         CostHistory.from_csv(io.StringIO("state,arc,cost\n0,0,1\n-1,0,2\n"))
 
 
+GAP = " (state and arc ids run from 0 with no gap)"
+
+
+@pytest.mark.parametrize(
+    "rows, n_arcs, message",
+    [
+        ("", None, "<stream>: no cost rows"),
+        ("0,0,1\n5,0,2\n", None, "<stream>: missing a cost for state 1, arc 0" + GAP),
+        ("0,0,1\n0,2,1\n", None, "<stream>: missing a cost for state 0, arc 1" + GAP),
+        ("0,0,1\n1,0,2\n", 2, "<stream>: missing a cost for state 0, arc 1" + GAP),
+        ("0,0,1\n0,-3,2\n", None, "<stream>:3: state and arc must be >= 0, got 0, -3"),
+        ("0,0,1\n0,1,2\n", 1, "<stream>:3: arc 1 out of range for 1 arcs"),
+        ("0,0,1\n0,0,2\n", 1, "<stream>:3: duplicate cost for state 0, arc 0; first at line 2"),
+        # wrapped around as array indices, -1 would fill the last state's cells
+        (
+            "0,0,1\n0,1,1\n1,0,1\n-1,1,1\n",
+            2,
+            "<stream>:5: state and arc must be >= 0, got -1, 1",
+        ),
+        ("0,0,1\n" + "9" * 30 + ",0,1\n", 1, "<stream>: missing a cost for state 1, arc 0" + GAP),
+    ],
+    ids=["empty", "state-gap", "arc-gap", "short", "negative", "range", "repeat", "wrap", "huge"],
+)
+def test_cost_table_rule(rows, n_arcs, message):
+    with pytest.raises(ValueError) as info:
+        read_cost_table(io.StringIO("state,arc,cost\n" + rows), n_arcs)
+    assert str(info.value) == message
+
+
 # --- writer/reader round trips --------------------------------------------------------
 
 
@@ -136,24 +165,26 @@ def corrupt(text: str, line: int, column: int, value: str) -> str:
         min_size=1,
         max_size=5,
         unique_by=lambda arc: arc[:2],
-    ),
+    ).filter(lambda arcs: len({name for arc in arcs for name in arc[:2]}) > 1),
     n_states=st.integers(1, 4),
     data=st.data(),
 )
 def test_network_round_trip(arcs, n_states, data):
     size = n_states * len(arcs)
     matrix = data.draw(st.lists(costs, min_size=size, max_size=size))
+    nodes = sorted({name for arc in arcs for name in arc[:2]})
     net = TollNetwork(
         arcs=tuple(Arc(*arc) for arc in arcs),
-        origin="O",
-        destination="D",
+        origin=nodes[0],
+        destination=nodes[-1],
         state_costs=np.reshape(matrix, (n_states, len(arcs))),
     )
     with tempfile.TemporaryDirectory() as tmp:
         arcs_csv, states_csv = os.path.join(tmp, "arcs.csv"), os.path.join(tmp, "states.csv")
         write_network(net, arcs_csv, states_csv)
-        again = load_network(arcs_csv, states_csv, "O", "D")
+        again = load_network(arcs_csv, states_csv)
         assert again.arcs == net.arcs
+        assert (again.origin, again.destination) == (net.origin, net.destination)
         assert np.array_equal(again.state_costs, net.state_costs)
 
         path, column = data.draw(st.sampled_from([(arcs_csv, 3), (states_csv, 2)]))
@@ -163,7 +194,7 @@ def test_network_round_trip(arcs, n_states, data):
         with open(path, "w") as fh:
             fh.write(corrupt(text, line, column, data.draw(non_finite)))
         with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: \\w+ must be finite"):
-            load_network(arcs_csv, states_csv, "O", "D")
+            load_network(arcs_csv, states_csv)
 
 
 @PROPERTY

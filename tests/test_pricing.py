@@ -23,7 +23,6 @@ from tollkit.nature import (
 )
 from tollkit.pricing import (
     RobustTollResult,
-    deterministic_toll,
     emit_nature_miqp,
     epsilon_sweep_robust_toll,
     optimal_toll_for_realized_costs,
@@ -300,12 +299,6 @@ def test_revenue_table_rejects_nan_and_bad_shapes():
         realized_revenue_table([1.0, 2.0], grid)
     with pytest.raises(ValueError, match="empty"):
         realized_revenue_table(np.empty((3, 0)), grid)
-
-
-def test_deterministic_toll():
-    assert deterministic_toll([9.0, 7.0, 12.0]) == 7.0
-    with pytest.raises(ValueError):
-        deterministic_toll([])
 
 
 # --- fixed-distribution revenue structure ----------------------------------------
