@@ -51,7 +51,6 @@ _EXPORTS = {
         "nature": (
             "NatureSolution",
             "TwoPointResponse",
-            "brute_force_nature",
             "pick_worst",
             "solve_nature_an",
             "solve_nature_two_point",

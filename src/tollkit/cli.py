@@ -366,7 +366,7 @@ def _cmd_real_exp(args: argparse.Namespace) -> int:
     # an empty endpoint takes its default, like an omitted one
     net = _this.load_network(args.arcs, args.states, args.origin or None, args.destination or None)
     n_states = net.state_costs.shape[0]
-    history_cut = args.history_cut or max(1, int(0.8 * n_states))
+    history_cut = max(1, int(0.8 * n_states)) if args.history_cut is None else args.history_cut
     result = _this.run_real_data_experiment(
         net,
         args.pairs,

@@ -49,7 +49,6 @@ from .core import (
     MomentEnvelope,
     PriceGrid,
     estimate_moment_envelope,
-    format_cell,
     require_finite,
     write_rows,
 )
@@ -58,7 +57,6 @@ from .pricing import (
     optimal_toll_for_realized_costs,
     realized_revenue_table,
     two_point_robust_toll,
-    write_br_curve,
 )
 
 __all__ = [
@@ -74,10 +72,8 @@ __all__ = [
     "run_mixed_distribution_experiment",
     "run_dynamic_cumulative_regret",
     "run_real_data_experiment",
-    "format_cell",
     "write_rows",
     "write_regret_summary",
-    "write_br_curve",
     "write_cumulative_regret",
     "write_toll_ratio",
 ]

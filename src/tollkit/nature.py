@@ -69,14 +69,8 @@ __all__ = [
     "solve_nature_two_point",
     "first_feasible_lower",
     "two_point_responses",
-    "brute_force_nature",
     "pick_worst",
 ]
-
-# Masses below this are numerical artifacts of the small linear solves, not
-# genuine support atoms; candidates are cleaned before evaluation.
-_ATOM_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class NatureSolution:
@@ -608,121 +602,8 @@ def solve_nature_two_point(
 
 
 # ---------------------------------------------------------------------------
-# oracles and restricted choice
+# restricted choice
 # ---------------------------------------------------------------------------
-
-
-def brute_force_nature(
-    grid: PriceGrid,
-    env: MomentEnvelope,
-    r: float,
-    objective: str = "ufn",
-    max_points: int = 64,
-) -> NatureSolution:
-    """Exhaustive reference solver over all supports of size <= 3.
-
-    Solves each support's small linear systems directly (plain loops, no
-    vectorization) and returns the global minimum under nature's tie rule.
-    Guarded to ``max_points`` grid points; raise the cap explicitly for
-    larger checks.
-    """
-    env.validate_against(grid)
-    grid.require_toll(r)
-    points = grid.points()
-    n = points.size
-    if n > max_points:
-        raise ValueError(
-            f"brute-force oracle limited to {max_points} grid points, got {n}"
-        )
-    kappa = env.kappa_bar
-    ul, uu = env.u_lower, env.u_upper
-    scale = float(np.max(np.abs(points))) if n else 1.0
-    fvec, uvec, gvec = _levels(points, r, objective)[0]
-    best = _Best()
-
-    def consider(support: list[float], masses: list[float]) -> None:
-        if any(m < -1e-9 for m in masses):
-            return
-        # Drop solver-noise atoms *before* judging moments: a 1e-11 mass from
-        # an LU solve would otherwise let a strictly infeasible candidate
-        # slide through the feasibility slack and shave the objective.
-        pairs = [(c, mm) for c, mm in zip(support, masses) if mm > _ATOM_TOL]
-        if not pairs:
-            return
-        total = math.fsum(mm for _, mm in pairs)
-        if abs(total - 1.0) > 1e-9 or total <= 0:
-            return
-        values = [c for c, _ in pairs]
-        weights = [mm / total for _, mm in pairs]
-        mean = math.fsum(w * c for c, w in zip(values, weights))
-        var = math.fsum(w * c * c for c, w in zip(values, weights)) - mean * mean
-        if not _feasible_moments(mean, var, env, scale):
-            return
-        at = [int(round((c - grid.q) / grid.step)) for c in values]
-        best.offer(
-            *(math.fsum(w * vec[i] for i, w in zip(at, weights)) for vec in (fvec, uvec, gvec)),
-            values,
-            weights,
-        )
-
-    for i in range(n):
-        consider([float(points[i])], [1.0])
-
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            ci, cj = float(points[i]), float(points[j])
-            d = cj - ci
-            cands = {0.0, 1.0, (cj - ul) / d, (cj - uu) / d}
-            bq = 1.0 + kappa / d
-            disc = bq * bq - 4.0 * kappa * cj / (d * d)
-            if disc >= 0:
-                sq = math.sqrt(disc)
-                cands.add(0.5 * (bq - sq))
-                cands.add(0.5 * (bq + sq))
-            for t in sorted(cands):
-                if -1e-9 <= t <= 1 + 1e-9:
-                    t = min(max(t, 0.0), 1.0)
-                    consider([ci, cj], [t, 1.0 - t])
-
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0])
-    e3 = np.array([0.0, 0.0, 1.0])
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            for k in range(j + 1, n):
-                trio = [float(points[i]), float(points[j]), float(points[k])]
-                M = np.array(
-                    [[1.0, 1.0, 1.0], trio, [c * c for c in trio]]
-                )
-                w0 = np.linalg.solve(M, e1)
-                w1 = np.linalg.solve(M, e2)
-                w2 = np.linalg.solve(M, e3)
-                # x(mu) = w0 + mu*(w1 + kappa*w2) + mu^2*w2
-                lin = w1 + kappa * w2
-                mu_cands = [ul, uu]
-                a2 = float(np.dot(fvec[[i, j, k]], w2))
-                a1 = float(np.dot(fvec[[i, j, k]], lin))
-                if abs(a2) > 1e-14:
-                    mu_cands.append(-a1 / (2.0 * a2))
-                for m in range(3):
-                    qa, qb, qc = w2[m], lin[m], w0[m]
-                    if abs(qa) > 1e-14:
-                        disc = qb * qb - 4.0 * qa * qc
-                        if disc >= 0:
-                            sq = math.sqrt(disc)
-                            mu_cands.append((-qb - sq) / (2.0 * qa))
-                            mu_cands.append((-qb + sq) / (2.0 * qa))
-                    elif abs(qb) > 1e-14:
-                        mu_cands.append(-qc / qb)
-                for mu in mu_cands:
-                    if not (ul - MASS_TOL * scale <= mu <= uu + MASS_TOL * scale):
-                        continue
-                    x = w0 + mu * lin + mu * mu * w2
-                    consider(trio, x.tolist())
-
-    if best.objective is None:
-        raise ValueError(_NO_FIT)
-    return _solutions(grid, env, [(best.support, best.masses)], [r], objective)[0]
 
 
 def pick_worst(

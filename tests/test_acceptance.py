@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracle import brute_force_nature
 from tollkit.cli import main as cli_main
 from tollkit.core import (
     DiscreteDistribution,
@@ -43,7 +44,6 @@ from tollkit.ingest import (
 )
 from tollkit.nature import (
     TwoPointResponse,
-    brute_force_nature,
     pick_worst,
     solve_nature_an,
     solve_nature_two_point,
@@ -208,9 +208,10 @@ def test_criterion_03_oracle_equivalence():
         rng = np.random.default_rng(SEED + 3)
         for trial in range(100):
             grid, env, T, r = _random_small_instance(rng)
-            for objective, solver in (("ufn", solve_nature_ufn), ("an", solve_nature_an)):
+            slows = brute_force_nature(grid, env, [(r, "ufn"), (r, "an")])
+            solvers = (("ufn", solve_nature_ufn), ("an", solve_nature_an))
+            for (objective, solver), slow in zip(solvers, slows):
                 fast = solver(grid, env, r)
-                slow = brute_force_nature(grid, env, r, objective, max_points=32)
                 assert abs(fast.objective_value - slow.objective_value) <= 1e-9, (
                     trial,
                     objective,

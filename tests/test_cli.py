@@ -681,6 +681,12 @@ def test_real_exp_endpoints_must_be_nodes_of_the_arcs_file(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == f"error: {arcs}: {message} is not a node of the arcs file\n"
         assert not (out / "real_regret.csv").exists()
+    # a history cut of 0 is refused like any other outside the 2 states
+    for cut in ("0", "-1", "3"):
+        assert main(argv + ["--history-cut", cut, "--out-dir", str(out)]) == 2, cut
+        err = capsys.readouterr().err
+        assert err == f"error: history cut {cut} outside the 2 available states\n"
+        assert not (out / "real_regret.csv").exists()
     # an empty endpoint takes its default, whether or not the other is given
     assert main(argv + ["--origin", "", "--destination", "c", "--out-dir", str(out)]) == 0
     assert "origin = a\ndestination = c\n" in (out / "run_manifest.txt").read_text()
@@ -881,5 +887,7 @@ def test_package_exports_are_the_submodule_objects():
     assert len(set(tollkit.__all__)) == len(tollkit.__all__)
     with pytest.raises(AttributeError, match="no attribute 'relative_regret'"):
         tollkit.relative_regret
+    with pytest.raises(AttributeError, match="no attribute 'brute_force_nature'"):
+        tollkit.brute_force_nature
     with pytest.raises(AttributeError, match="no attribute 'deterministic_toll'"):
         tollkit.deterministic_toll

@@ -20,13 +20,12 @@ from tollkit.experiments import (
     run_mixed_distribution_experiment,
     run_real_data_experiment,
     sample_costs,
-    write_br_curve,
     write_cumulative_regret,
     write_regret_summary,
     write_toll_ratio,
 )
 from tollkit.network import Arc, TollNetwork, state_shortest_path_costs
-from tollkit.pricing import RobustTollResult, two_point_robust_toll
+from tollkit.pricing import RobustTollResult, two_point_robust_toll, write_br_curve
 
 SEED = 20260819
 

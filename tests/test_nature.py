@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from oracle import brute_force_nature
 from tollkit import lp, nature
 from tollkit.core import (
     DiscreteDistribution,
@@ -28,7 +29,6 @@ from tollkit.nature import (
     _pass_offer,
     _simplex_minima,
     _solutions,
-    brute_force_nature,
     first_feasible_lower,
     pick_worst,
     solve_nature_an,
@@ -108,9 +108,9 @@ def test_exact_matches_brute_force_randomized():
     rng = np.random.default_rng(SEED)
     for trial in range(60):
         grid, env, r = random_instance(rng)
-        for objective in ("ufn", "an"):
+        refs = brute_force_nature(grid, env, [(r, "ufn"), (r, "an")])
+        for objective, ref in zip(("ufn", "an"), refs):
             got = solve_on_path(_lone_minimum, grid, env, r, objective)
-            ref = brute_force_nature(grid, env, r, objective=objective)
             assert_same_pick(got, ref, (trial, objective, env, r))
 
 
@@ -133,7 +133,7 @@ def test_simplex_matches_enumeration_randomized():
             assert b.distribution.support.tolist() == a.distribution.support.tolist()
             assert b.usage_probability == a.usage_probability, (trial, objective)
             if trial % 4 == 0:
-                ref = brute_force_nature(grid, env, r, objective=objective)
+                (ref,) = brute_force_nature(grid, env, [(r, objective)])
                 assert_same_pick(b, ref, (trial, objective))
 
 
@@ -473,19 +473,62 @@ def test_envelope_table_matches_per_toll_enumeration():
 def test_edge_pitfalls_match_brute_force():
     # The oracle agrees with the solver on the fixed inputs: across the κ-0
     # band's grid, and where the mean-pinned pair is the pick.
+    tolls = (100.0, 100.25, 102.0, 105.5)
     checks = (
-        (EDGE_PITFALLS[0], [(obj, r) for obj in ("ufn", "an") for r in (100.0, 100.25, 102.0, 105.5)]),
-        (EDGE_PITFALLS[1], [("ufn", 6.0), ("an", 0.5)]),
+        (EDGE_PITFALLS[0], [(r, obj) for obj in ("ufn", "an") for r in tolls]),
+        (EDGE_PITFALLS[1], [(6.0, "ufn"), (0.5, "an")]),
     )
-    for (grid, env), cases in checks:
-        for objective, r in cases:
+    for (grid, env), rows in checks:
+        for (r, objective), want in zip(rows, brute_force_nature(grid, env, rows)):
             solver = solve_nature_ufn if objective == "ufn" else solve_nature_an
             got = solver(grid, env, r)
-            want = brute_force_nature(grid, env, r, objective=objective)
             assert_same_pick(got, want, (env, objective, r))
     got = solve_nature_ufn(*EDGE_PITFALLS[1], 6.0)
     assert got.distribution.support.tolist() == [0.0, 12.0]
     assert got.distribution.mass.tolist() == [1.0 / 12.0, 1.0 - 1.0 / 12.0]
+
+
+def solution_fields(solution):
+    return (
+        solution.distribution.support.tolist(),
+        solution.distribution.mass.tolist(),
+        solution.objective_value,
+        solution.usage_probability,
+        solution.active_constraints,
+    )
+
+
+def test_oracle_rows_in_one_call_match_one_row_calls():
+    # The oracle enumerates an envelope's supports once per call and offers
+    # them to each row: a row's solution does not depend on the call's other
+    # rows or their order.
+    rng = np.random.default_rng(SEED + 11)
+    instances = [random_instance(rng)[:2] for _ in range(3)]
+    for trial, (grid, env) in enumerate([*EDGE_PITFALLS, *instances]):
+        points = grid.points()
+        rows = [(float(rng.choice(points)), objective) for objective in ("ufn", "an")]
+        rows.append((rows[0][0], "an"))  # a toll twice, under both objectives
+        order = rng.permutation(len(rows))
+        together = brute_force_nature(grid, env, [rows[k] for k in order])
+        assert len(together) == len(rows)
+        for k, got in zip(order, together):
+            (alone,) = brute_force_nature(grid, env, [rows[k]])
+            assert solution_fields(got) == solution_fields(alone), (trial, rows[k])
+
+
+def test_oracle_infeasible_envelope_raises_for_any_rows():
+    # No support fits, whatever the rows ask: one error text for one row,
+    # for several, and for tolls and objectives in any mix.
+    m = 100.24168104378761
+    for grid, env in (
+        (PriceGrid(0.0, 10.0, 1.0), MomentEnvelope(3.25, 3.75, 0.0)),
+        (PriceGrid(100.0, 105.5, 0.25), MomentEnvelope(m, m, 0.0)),
+    ):
+        low, high = grid.q, grid.Q
+        for rows in ([(low, "ufn")], [(high, "an"), (low, "ufn")], [(high, "an")] * 3):
+            with pytest.raises(ValueError) as got:
+                brute_force_nature(grid, env, rows)
+            assert str(got.value) == _NO_FIT, (env, rows)
 
 
 def test_envelope_table_on_sweep_interval_bands():
@@ -605,14 +648,10 @@ def test_simplex_rejects_interval_mean_band():
 
 def test_wide_grid_examples_against_brute_force():
     # 101-point grid, a scale where naive absolute tolerances break down.
-    for r, solver, objective in (
-        (400.0, solve_nature_ufn, "ufn"),
-        (450.0, solve_nature_ufn, "ufn"),
-        (400.0, solve_nature_an, "an"),
-        (450.0, solve_nature_an, "an"),
-    ):
+    rows = [(400.0, "ufn"), (450.0, "ufn"), (400.0, "an"), (450.0, "an")]
+    for (r, objective), ref in zip(rows, brute_force_nature(WIDE, WIDE_ENV, rows)):
+        solver = solve_nature_ufn if objective == "ufn" else solve_nature_an
         got = solver(WIDE, WIDE_ENV, r)
-        ref = brute_force_nature(WIDE, WIDE_ENV, r, objective=objective, max_points=128)
         assert abs(got.objective_value - ref.objective_value) <= 1e-6, (r, objective)
 
 
@@ -627,11 +666,6 @@ def test_wide_grid_anchor_values():
 
     an400 = solve_nature_an(WIDE, WIDE_ENV, 400.0)
     assert an400.objective_value == pytest.approx(114.979757085, abs=1e-6)
-
-
-def test_brute_force_guard():
-    with pytest.raises(ValueError, match="limited"):
-        brute_force_nature(WIDE, WIDE_ENV, 400.0)  # 101 points > default cap
 
 
 # --- packaging a call's solutions ------------------------------------------------
@@ -729,7 +763,7 @@ def test_interval_band_at_the_variance_cap_edge_matches_brute_force():
     grid = PriceGrid(0.0, 200.0, 4.0)
     env = MomentEnvelope(129.89590180984226, 146.94644634139593, 1.1969909130927772)
     got = solve_nature_ufn(grid, env, 96.0)
-    want = brute_force_nature(grid, env, 96.0)
+    (want,) = brute_force_nature(grid, env, [(96.0, "ufn")])
     assert got.distribution.support.tolist() == want.distribution.support.tolist() == [56.0, 132.0]
     assert_same_pick(got, want, env)
     assert got.active_constraints == want.active_constraints
@@ -817,7 +851,7 @@ def test_near_infeasible_point_band_raises_as_the_oracle():
     ):
         env = MomentEnvelope(m, m, 0.0)
         with pytest.raises(ValueError) as want:
-            brute_force_nature(grid, env, 100.25)
+            brute_force_nature(grid, env, [(100.25, "ufn")])
         for solver in (solve_nature_ufn, solve_nature_an):
             for tolls in (100.25, grid.points()):
                 with pytest.raises(ValueError) as got:
@@ -852,7 +886,10 @@ def test_empty_toll_array_solves_nothing(monkeypatch):
 def test_off_grid_toll_rejected():
     with pytest.raises(ValueError, match="not on the price grid"):
         solve_nature_ufn(WIDE, WIDE_ENV, 405.0)
-    for solver in (solve_nature_ufn, solve_nature_an, brute_force_nature):
+    def oracle(grid, env, r):
+        return brute_force_nature(grid, env, [(400.0, "an"), (r, "ufn")])
+
+    for solver in (solve_nature_ufn, solve_nature_an, oracle):
         with pytest.raises(ValueError, match="toll must be finite"):
             solver(WIDE, WIDE_ENV, math.nan)
     with pytest.raises(ValueError, match="toll must be finite"):
