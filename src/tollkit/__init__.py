@@ -48,6 +48,7 @@ _EXPORTS = {
             "parse_traffic_records",
             "travel_cost_states",
         ),
+        "miqp": ("MiqpModel", "emit_nature_miqp"),
         "nature": (
             "NatureSolution",
             "TwoPointResponse",
@@ -68,9 +69,7 @@ _EXPORTS = {
             "write_network",
         ),
         "pricing": (
-            "MiqpModel",
             "RobustTollResult",
-            "emit_nature_miqp",
             "epsilon_sweep_robust_toll",
             "optimal_toll_for_realized_costs",
             "quote_for_result",

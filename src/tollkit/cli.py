@@ -17,8 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _lazy_getattr
 from .config import RunConfig, parse_config
@@ -37,6 +36,9 @@ from .core import (
     read_rows,
     write_rows,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["build_parser", "main"]
 
@@ -59,10 +61,10 @@ _LIBRARY = {
             "write_toll_ratio",
         ),
         "ingest": ("ingest_to_network", "parse_traffic_records", "skeleton_to_network"),
+        "miqp": ("emit_nature_miqp",),
         "nature": ("solve_nature_an", "solve_nature_ufn"),
         "network": ("allocate_arc_tolls", "load_network", "write_network"),
         "pricing": (
-            "emit_nature_miqp",
             "epsilon_sweep_robust_toll",
             "quote_for_result",
             "two_point_robust_toll",
@@ -226,6 +228,8 @@ def _cmd_emit_mip(args: argparse.Namespace) -> int:
 
 
 def _load_bounds(path: str) -> tuple[list[str], np.ndarray]:
+    import numpy as np
+
     table = read_rows(path, "path,bound", (str.strip, float))
     names, bounds = table.columns
     if not names:
@@ -235,6 +239,8 @@ def _load_bounds(path: str) -> tuple[list[str], np.ndarray]:
 
 
 def _load_incidence(path: str, path_names: list[str]) -> tuple[list[str], np.ndarray]:
+    import numpy as np
+
     table = read_rows(path, "path,arc,used", (str.strip, str.strip, flag))
     names, arcs, used = table.columns
     if not names:
@@ -284,9 +290,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         merge_tolerance=args.merge_tol,
         crossing_tolerance=args.crossing_tol,
     )
-    if len(skeleton.node_coords) < 2:
+    # a node whose only arcs were dropped as zero-length is on no arc
+    ends = sorted({node for arc in skeleton.arcs for node in (arc.tail, arc.head)})
+    if len(ends) < 2:
         raise ValueError("ingested network has fewer than two nodes")
-    net = _this.skeleton_to_network(skeleton, costs, 0, len(skeleton.node_coords) - 1)
+    net = _this.skeleton_to_network(skeleton, costs, ends[0], ends[-1])
     _this.write_network(
         net, os.path.join(out_dir, "arcs.csv"), os.path.join(out_dir, "states.csv")
     )

@@ -21,9 +21,13 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-import numpy as np
+# The array half of this module imports numpy where it is used, so that a
+# process that computes with no array (``emit-mip``, a rejected config,
+# ``--help``) never pays numpy's import.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PriceGrid",
@@ -170,14 +174,18 @@ def format_cell(value):
     return "%.12g" % value if isinstance(value, float) else value
 
 
+def _output(destination):
+    """A context manager for a text stream, or for a path opened to write
+    with no newline translation."""
+    if hasattr(destination, "write"):
+        return contextlib.nullcontext(destination)
+    return open(destination, "w", newline="")
+
+
 def write_rows(destination, header: Sequence[str], rows, lineterminator: str = "\r\n") -> None:
     """The one CSV writer, to a path or a text stream: ``header``, then
     ``rows`` with every cell through ``format_cell``."""
-    if hasattr(destination, "write"):
-        handle = contextlib.nullcontext(destination)
-    else:
-        handle = open(destination, "w", newline="")
-    with handle as stream:
+    with _output(destination) as stream:
         writer = csv.writer(stream, lineterminator=lineterminator)
         writer.writerow(header)
         writer.writerows([format_cell(value) for value in row] for row in rows)
@@ -196,6 +204,8 @@ def read_cost_table(source, n_arcs: int | None = None) -> tuple[str, np.ndarray]
     the input's name, as ``read_rows`` gives it, and the matrix; every
     error is a ``ValueError`` that starts with that name.
     """
+    import numpy as np
+
     table = read_rows(source, COST_TABLE_HEADER, (int, int, float))
     states, arcs, costs = table.columns
     if not states:
@@ -230,14 +240,13 @@ def read_cost_table(source, n_arcs: int | None = None) -> tuple[str, np.ndarray]
 
 
 def write_cost_table(destination, costs: np.ndarray) -> None:
-    """Write a (states x arcs) cost matrix as ``state,arc,cost`` rows,
-    state-major, with LF line ends."""
-    write_rows(
-        destination,
-        COST_TABLE_HEADER.split(","),
-        ((s, a, cost) for s, row in enumerate(costs.tolist()) for a, cost in enumerate(row)),
-        lineterminator="\n",
-    )
+    """Write a (states x arcs) float cost matrix as ``state,arc,cost`` rows,
+    state-major, with LF line ends: the bytes ``write_rows`` would write,
+    formatted a state at a time (no cell needs ``csv`` quoting)."""
+    with _output(destination) as stream:
+        stream.write(COST_TABLE_HEADER + "\n")
+        for s, row in enumerate(costs.tolist()):
+            stream.write("".join(["%d,%d,%.12g\n" % (s, a, cost) for a, cost in enumerate(row)]))
 
 
 @dataclass(frozen=True)
@@ -272,6 +281,8 @@ class PriceGrid:
 
     def points(self) -> np.ndarray:
         """All grid values, ascending."""
+        import numpy as np
+
         return self.q + self.step * np.arange(self.n_points)
 
     def value(self, index: int) -> float:
@@ -290,6 +301,8 @@ class PriceGrid:
 
     def snap_array(self, values: np.ndarray) -> np.ndarray:
         """``snap`` of every value, with the same clamp and floor arithmetic."""
+        import numpy as np
+
         clamped = np.minimum(np.maximum(values, self.q), self.Q)
         return self.q + self.step * np.floor((clamped - self.q) / self.step + 0.5)
 
@@ -346,6 +359,8 @@ def _checked_masses(support: np.ndarray, mass: np.ndarray, sizes: Sequence[int])
     support, masses not below ``-MASS_TOL`` and an ``fsum`` total within
     ``MASS_TOL`` of 1.  Returns every row's masses clipped at 0 and
     divided by its total, the padding too."""
+    import numpy as np
+
     live = np.arange(support.shape[1]) < np.asarray(sizes)[:, None]
     if np.any(live[:, 1:] & (np.diff(support, axis=1) <= 0)):
         raise ValueError("support points must be strictly increasing")
@@ -369,6 +384,8 @@ class DiscreteDistribution:
     __slots__ = ("support", "mass")
 
     def __init__(self, support: Sequence[float], mass: Sequence[float]):
+        import numpy as np
+
         sup = np.asarray(support, dtype=float)
         m = np.asarray(mass, dtype=float)
         if sup.ndim != 1 or m.ndim != 1 or sup.size != m.size or sup.size == 0:
@@ -450,6 +467,8 @@ class CostHistory:
     windows: int = 1
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         arr = np.asarray(self.states, dtype=float)
         object.__setattr__(self, "states", arr)
         if arr.ndim != 2:
@@ -482,6 +501,8 @@ class CostHistory:
         ``windows``).  With a grid, costs are clamped into [q, Q]; a clamp
         rate above ``CLAMP_WARN_RATE`` warns.
         """
+        import numpy as np
+
         where, matrix = read_cost_table(source)
         n_states = matrix.shape[0]
         if T is None:
@@ -542,6 +563,8 @@ def estimate_moment_envelope(
     [q, Q].  A single observation or a zero-variance series collapses the band
     to the sample mean.
     """
+    import numpy as np
+
     arr = np.asarray(series, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("no history: cannot estimate a moment envelope")
@@ -571,6 +594,8 @@ def expected_user_cost(dist: DiscreteDistribution, r: float) -> float:
     Also evaluated as ``r - E[max(r - c, 0)]``; the two forms must agree to
     1e-12 (checked under debug assertions).
     """
+    import numpy as np
+
     return user_cost_from_terms(
         (dist.mass * np.minimum(dist.support, r)).tolist(),
         (dist.mass * np.maximum(r - dist.support, 0.0)).tolist(),

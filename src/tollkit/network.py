@@ -56,12 +56,18 @@ class Arc:
     length: float = 1.0
 
 
+def _arc_nodes(arcs) -> list[str]:
+    """The tails and heads of ``arcs``, in sorted order."""
+    return sorted({a.tail for a in arcs} | {a.head for a in arcs})
+
+
 @dataclass(frozen=True)
 class TollNetwork:
     """Directed network with per-state non-toll arc costs.
 
     ``state_costs[s, a]`` is the base (non-toll) cost of arc ``a`` in state
-    ``s``; toll arcs carry their base cost here and the toll on top.
+    ``s``; toll arcs carry their base cost here and the toll on top.  The
+    origin and destination are nodes of the arcs.
     """
 
     arcs: tuple[Arc, ...]
@@ -72,6 +78,10 @@ class TollNetwork:
     def __post_init__(self) -> None:
         if self.origin == self.destination:
             raise ValueError("origin and destination must differ")
+        nodes = self.nodes
+        for name, node in (("origin", self.origin), ("destination", self.destination)):
+            if node not in nodes:
+                raise ValueError(f"{name} {node!r} is not a node of the arcs")
         costs = np.asarray(self.state_costs, dtype=float)
         if costs.ndim != 2 or costs.shape[1] != len(self.arcs):
             raise ValueError(
@@ -92,11 +102,7 @@ class TollNetwork:
 
     @property
     def nodes(self) -> tuple[str, ...]:
-        names = {self.origin, self.destination}
-        for a in self.arcs:
-            names.add(a.tail)
-            names.add(a.head)
-        return tuple(sorted(names))
+        return tuple(_arc_nodes(self.arcs))
 
     @property
     def toll_arcs(self) -> tuple[int, ...]:
@@ -438,7 +444,7 @@ def load_network(
     of the arcs file; None takes the first or last node name in sorted
     order."""
     arcs = read_arcs(arcs_path)
-    nodes = sorted({arc.tail for arc in arcs} | {arc.head for arc in arcs})
+    nodes = _arc_nodes(arcs)
     if origin is None or destination is None:
         if len(nodes) < 2:
             raise ValueError(f"{arcs_path}: fewer than two nodes")

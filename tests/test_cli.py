@@ -600,6 +600,19 @@ def test_ingest_report_counts_dropped_duplicates(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ingest_endpoints_are_nodes_on_arcs(tmp_path, capsys):
+    # Segment a is shorter than the merge tolerance: its arc is dropped, and
+    # its node, the last by coordinates, is on no arc.
+    records = tmp_path / "records.csv"
+    records.write_text(f"{RECORD_HEADER}\n0,b,30,0,0,1,0\n0,a,30,5,5,5.00002,5\n")
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="1 zero-length"):
+        assert main(["ingest", "--records", str(records), "--out-dir", str(out)]) == 0
+    assert (out / "arcs.csv").read_text() == "tail,head,toll_flag,length\nn0,n1,0,1\n"
+    assert "nodes: 3\n" in (out / "ingest_report.txt").read_text()
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [
@@ -829,27 +842,32 @@ def test_subcommands_call_the_names_set_on_the_module(
 
 
 # Runs one subcommand and prints the tollkit modules it loaded, last.
+# The tollkit modules a process loaded, and ``numpy`` when it loaded numpy.
 FOOTPRINT = """
 import sys
 from tollkit.cli import main
-code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("tollkit.")))
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else None
+print(code, *sorted(m for m in sys.modules if m.startswith("tollkit.") or m == "numpy"))
 """
 
 
 def loaded_modules(tmp_path, argv):
+    """Run ``argv`` through the CLI in a new process; no ``argv`` only
+    imports ``tollkit.cli``."""
     src = os.path.dirname(os.path.dirname(tollkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    if argv:
+        argv = [*argv, "--out-dir", str(tmp_path / "out")]
     done = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT, *argv, "--out-dir", str(tmp_path / "out")],
+        [sys.executable, "-c", FOOTPRINT, *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     code, *modules = done.stdout.splitlines()[-1].split()
-    return int(code), {m.removeprefix("tollkit.") for m in modules}
+    return None if code == "None" else int(code), {m.removeprefix("tollkit.") for m in modules}
 
 
 def test_each_subcommand_imports_only_what_it_uses(tmp_path):
@@ -862,17 +880,30 @@ def test_each_subcommand_imports_only_what_it_uses(tmp_path):
     code, modules = loaded_modules(
         tmp_path, ["nature", "--u-lower", "100", "--u-upper", "100", "--toll", "80"]
     )
-    assert (code, modules) == (0, {"cli", "config", "core", "lp", "nature"})
+    assert (code, modules) == (0, {"cli", "config", "core", "lp", "nature", "numpy"})
     code, modules = loaded_modules(tmp_path, ["price", "--u-lower", "100", "--u-upper", "110"])
-    assert (code, modules) == (0, {"cli", "config", "core", "lp", "nature", "pricing"})
+    assert (code, modules) == (0, {"cli", "config", "core", "lp", "nature", "pricing", "numpy"})
     code, modules = loaded_modules(
         tmp_path, ["ingest", "--records", crossing_feed(tmp_path / "records.csv")]
     )
-    assert (code, modules) == (0, {"cli", "config", "core", "ingest", "network"})
+    assert (code, modules) == (0, {"cli", "config", "core", "ingest", "network", "numpy"})
+    # Processes that compute with no array load no numpy.
+    assert loaded_modules(tmp_path, []) == (None, {"cli", "config", "core"})
+    assert loaded_modules(tmp_path, ["--help"]) == (0, {"cli", "config", "core"})
+    code, modules = loaded_modules(
+        tmp_path,
+        ["emit-mip", "--u-lower", "100", "--u-upper", "110", "--toll", "80", "--epsilon", "0.5"],
+    )
+    assert (code, modules) == (0, {"cli", "config", "core", "miqp"})
     cfg = tmp_path / "nan.cfg"
     cfg.write_text("kappa_bar = nan\n")
     code, modules = loaded_modules(
         tmp_path, ["price", "--config", str(cfg), "--u-lower", "100", "--u-upper", "110"]
+    )
+    assert (code, modules) == (2, {"cli", "config", "core"})
+    code, modules = loaded_modules(
+        tmp_path,
+        ["nature", "--config", str(cfg), "--u-lower", "100", "--u-upper", "110", "--toll", "100"],
     )
     assert (code, modules) == (2, {"cli", "config", "core"})
 

@@ -15,7 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tollkit.core import CostHistory, flag, read_cost_table, read_rows
+from tollkit.core import (
+    CostHistory,
+    flag,
+    format_cell,
+    read_cost_table,
+    read_rows,
+    write_cost_table,
+    write_rows,
+)
 from tollkit.ingest import SegmentRecord, parse_traffic_records, write_traffic_records
 from tollkit.network import Arc, TollNetwork, load_network, write_network
 
@@ -219,6 +227,38 @@ def test_history_round_trip(T, windows, n_arcs, data):
     bad = corrupt(text, line, 2, data.draw(non_finite))
     with pytest.raises(ValueError, match=f"^<stream>:{line}: cost must be finite"):
         CostHistory.from_csv(io.StringIO(bad), T=T, windows=windows)
+
+
+# Cells whose text is easy to get wrong: signed zeros, a cost just below
+# zero, integral costs and values at 12 significant digits, among any float.
+cost_cells = (
+    st.sampled_from([0.0, -0.0, -1e-9, 1e-9, 7.0, 1e12, 123456789012.0, 1.23456789012e-5, 0.1 + 0.2])
+    | st.floats()
+)
+
+
+@PROPERTY
+@given(n_arcs=st.integers(1, 4), n_states=st.integers(1, 4), data=st.data())
+def test_cost_table_writer_matches_write_rows(n_arcs, n_states, data):
+    cells = data.draw(st.lists(cost_cells, min_size=n_arcs * n_states, max_size=n_arcs * n_states))
+    matrix = np.reshape(cells, (n_states, n_arcs))
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        write_cost_table(got, matrix)
+        write_rows(
+            want,
+            ["state", "arc", "cost"],
+            ((s, a, cost) for s, row in enumerate(matrix.tolist()) for a, cost in enumerate(row)),
+            lineterminator="\n",
+        )
+        with open(got, "rb") as fh, open(want, "rb") as ref:
+            assert fh.read() == ref.read()
+
+
+@PROPERTY
+@given(st.floats())
+def test_format_cell_gives_numpy_floats_the_text_of_python_floats(x):
+    assert format_cell(np.float64(x)) == format_cell(x)
 
 
 coordinates = st.tuples(st.floats(-180.0, 180.0).map(written), st.floats(-90.0, 90.0).map(written))

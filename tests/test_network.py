@@ -59,6 +59,11 @@ def diamond_network(state_costs, toll_flags=(True, False, False, False)):
 def test_network_validation():
     with pytest.raises(ValueError, match="must differ"):
         TollNetwork((Arc("O", "O", False),), "O", "O", np.zeros((1, 1)))
+    # an endpoint on no arc: a search from it would only find no path
+    with pytest.raises(ValueError, match="^destination 'Z' is not a node of the arcs$"):
+        TollNetwork((Arc("A", "B", True, 1.0),), "A", "Z", np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="^origin 'Z' is not a node of the arcs$"):
+        TollNetwork((Arc("A", "B", True, 1.0),), "Z", "B", np.zeros((1, 1)))
     with pytest.raises(ValueError, match="non-negative"):
         two_road_network([-1.0], [1.0])
     with pytest.raises(ValueError, match="states x"):
@@ -128,7 +133,7 @@ def test_enumerate_preserves_state_minima():
 
 def test_enumerate_disconnected_errors():
     net = TollNetwork(
-        (Arc("O", "A", False),), "O", "D", np.zeros((1, 1))
+        (Arc("O", "A", False), Arc("B", "D", False)), "O", "D", np.zeros((1, 2))
     )
     with pytest.raises(ValueError, match="disconnected"):
         enumerate_paths(net)
@@ -275,7 +280,8 @@ def test_shortest_paths_match_string_keyed_reference(undirected, free_only):
             forward = np.array([names.index(a.tail) < names.index(a.head) for a in arcs])
             costs[(rng.uniform(size=costs.shape) < 0.3) & forward] = -1e-9
             costs[(costs == 0.0) & ~forward] = 0.1
-        net = TollNetwork(tuple(arcs), names[0], names[1], costs)
+        nodes = sorted({name for arc in arcs for name in (arc.tail, arc.head)})
+        net = TollNetwork(tuple(arcs), nodes[0], nodes[-1], costs)
         ends = names + ["elsewhere"]  # isolated nodes and an unknown name: unreachable
         for origin, destination in itertools.product(ends, ends):
             got = state_shortest_path_costs(net, origin, destination, free_only, undirected)
