@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "config": ("RunConfig", "parse_config", "write_config"),
+        "config": ("RunConfig", "parse_config"),
         "core": (
             "CostHistory",
             "DiscreteDistribution",

@@ -138,13 +138,10 @@ def _cmd_price(args: argparse.Namespace) -> int:
     grid = cfg.grid()
     out_dir = _resolve_out_dir(args)
     env = _resolve_envelope(args, cfg, grid)
-    method = args.method or "two-point"
-    if method == "two-point":
+    if args.method == "two-point":
         result = _this.two_point_robust_toll(grid, env, cfg.T)
-    elif method == "sweep":
-        result = _this.epsilon_sweep_robust_toll(grid, env, cfg.T)
     else:
-        raise ValueError(f"unknown pricing method {method!r}: use two-point or sweep")
+        result = _this.epsilon_sweep_robust_toll(grid, env, cfg.T)
     quote = _this.quote_for_result(result, cfg.T)
     write_rows(
         os.path.join(out_dir, "price.csv"),
@@ -161,7 +158,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
     )
     _this.write_br_curve(result, os.path.join(out_dir, "br_curve.csv"))
     _write_manifest(
-        out_dir, "price", cfg, _envelope_extras(args) + [("method", method)]
+        out_dir, "price", cfg, _envelope_extras(args) + [("method", args.method)]
     )
     print(
         f"toll {quote.toll:g}: usage {quote.usage_count}/{cfg.T} periods, "
@@ -464,7 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
         "price", parents=[common], help="compute a robust toll and its BR curve"
     )
     _add_envelope_flags(p)
-    p.add_argument("--method", help="pricing route: two-point (default) or sweep")
+    p.add_argument(
+        "--method",
+        choices=["two-point", "sweep"],
+        default="two-point",
+        help="pricing route: the two-point search or the usage-level sweep",
+    )
     p.set_defaults(handler=_cmd_price)
 
     p = sub.add_parser(

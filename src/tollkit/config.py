@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 
 from .core import PriceGrid, require_finite
 
-__all__ = ["RunConfig", "parse_config", "write_config"]
+__all__ = ["RunConfig", "parse_config"]
 
 _INT_KEYS = {"T", "H", "seed"}
 _FLOAT_KEYS = {"q", "Q", "step", "kappa_bar", "confidence_z"}
@@ -102,17 +102,3 @@ def parse_config(source: str | io.TextIOBase, **overrides: object) -> RunConfig:
             raise
         raise ValueError(f"{where}:{max(at)}: {exc}") from None
 
-
-def write_config(cfg: RunConfig, destination: str | io.TextIOBase) -> None:
-    close = False
-    if isinstance(destination, (str, bytes)):
-        handle = open(destination, "w")
-        close = True
-    else:
-        handle = destination
-    try:
-        for key, value in cfg.items():
-            handle.write(f"{key} = {value}\n")
-    finally:
-        if close:
-            handle.close()

@@ -565,9 +565,13 @@ def estimate_moment_envelope(
     """
     import numpy as np
 
+    require_finite(confidence_z=confidence_z)
     arr = np.asarray(series, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("no history: cannot estimate a moment envelope")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"series must be finite, got {arr[bad[0]]} at index {bad[0]}")
     if confidence_z < 0:
         raise ValueError("confidence_z must be >= 0")
     mean = float(np.mean(arr))

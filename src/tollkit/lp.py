@@ -15,7 +15,7 @@ an objective's x is a function of its final basis alone and no pivot
 error carries along the walk.  The solve runs only when the basis has
 moved since the last rebuild; otherwise that rebuild's rows are put back.
 
-An objective may stack several levels, solved lexicographically: level l
+An objective stacks one or more levels, solved lexicographically: level l
 enters only columns whose reduced costs at every earlier level are within
 ``EPS`` of 0, so it moves among the earlier levels' optima without leaving
 them.  A pivot enters the most negative reduced cost, or after a
@@ -113,22 +113,15 @@ def _phase_one(
     return body, basis, tab[:m]
 
 
-def simplex_solve(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    senses: str,
-) -> tuple[np.ndarray, float | np.ndarray]:
+def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, senses: str) -> np.ndarray:
     """Solve min c.x, rows typed by `senses` ('=' or '<'), x >= 0, b >= 0.
 
-    ``c`` is one objective of shape (n,), a walk of K objectives (K, n), or
-    a walk of K lexicographic objectives (K, L, n), level 0 first.  The walk
-    takes the objectives in the order given, each from the last one's
-    optimal basis.  Returns (x, objective): x (n,) and a float for one
-    objective, else x (K, n) and an array of the K level-0 objectives.
-    Raises LpInfeasible when no feasible point exists or an objective is
-    unbounded, and ValueError on a non-finite input or a ``c`` whose last
-    dimension is not A's column count.
+    ``c`` is a walk of K lexicographic objectives, shape (K, L, n), level 0
+    first.  The walk takes the objectives in the order given, each from
+    the last one's optimal basis.  Returns x, shape (K, n).  Raises
+    LpInfeasible when no feasible point exists or an objective is
+    unbounded, and ValueError on a non-finite input or a ``c`` of another
+    shape than (K, L, n) with n A's column count.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -137,21 +130,20 @@ def simplex_solve(
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
     m, n = A.shape
-    if c.ndim not in (1, 2, 3) or c.shape[-1] != n:
-        raise ValueError(f"c has shape {c.shape}; need ({n},), (K, {n}) or (K, L, {n}) to match A")
+    if c.ndim != 3 or c.shape[-1] != n:
+        raise ValueError(f"c has shape {c.shape}; need (K, L, {n}) to match A")
     if np.any(b < 0):
         raise ValueError("rows must be normalized to b >= 0")
     body, basis, rows = _phase_one(A, b, senses)
     n_cols = n + senses.count("<")
-    walk = c if c.ndim == 3 else c.reshape(-1, 1, n)
-    K, L, _ = walk.shape
+    K, L, _ = c.shape
     tab = np.empty((m + L, body.shape[1]))
     tab[:m] = rows
     cost = np.zeros((L, body.shape[1]))
     x = np.zeros((K, n))
     rebuilt = None  # the basis of the last rebuild
     for k in range(K):
-        cost[:, :n] = walk[k]
+        cost[:, :n] = c[k]
         tab[m:] = cost - cost[:, basis] @ tab[:m]
         _iterate(tab, basis, n_cols)
         # rebuilt from the starting rows: x, and the next objective's
@@ -161,7 +153,4 @@ def simplex_solve(
         tab[:m] = rows
         structural = basis < n
         x[k, basis[structural]] = tab[:m, -1][structural]
-    objective = np.array([float(np.dot(ck[0], xk)) for ck, xk in zip(walk, x)])
-    if c.ndim == 1:
-        return x[0], float(objective[0])
-    return x, objective
+    return x

@@ -14,7 +14,9 @@ against the toll-setter (the pessimistic bilevel convention): among those
 within ``_TIE_TOL`` of it, the lowest usage ``P(c >= r)``, then the lowest
 ``E[s^3]`` with ``s`` the grid scaled onto [0, 1].  Both levels are linear,
 and the last one has a single minimizer, so every solver path returns the
-same distribution.
+same distribution.  Where nature chooses among candidates, the rule is
+applied once per toll over all of them together (``_tie_pick``), so the
+pick does not depend on their order.
 
 On a finite price grid the problem is a small linear program once the mean
 is pinned: three rows (total mass, mean, second moment), so optimal basic
@@ -28,12 +30,13 @@ its minimum lies at a band edge or at a basis change, which is a
 singleton or a variance-tight pair.  So an interval band is the point
 band at each of its two edges, one walk each, plus one table per call
 (``_envelope_table``) of the feasible singletons and pairs, and each toll
-takes the tie rule's pick among them.  Only the objective depends on the
-toll, so a call pays the toll-independent half once, and nothing is kept
-between calls.  The call then packages all its tolls in one array pass
-(``_solutions``): the distributions are checked together, and each toll's
-moments, usage and objective are ``fsum`` over its own products, so every
-float is the one a per-toll packaging would give.
+takes the tie rule's one pick among the table and the two edge picks.
+Only the objective depends on the toll, so a call pays the
+toll-independent half once, and nothing is kept between calls.  The call
+then packages all its tolls in one array pass (``_solutions``): the
+distributions are checked together, and each toll's moments, usage and
+objective are ``fsum`` over its own products, so every float is the one a
+per-toll packaging would give.
 
 ``solve_nature_two_point`` is the heuristic search over integer-period
 two-point responses; its per-count table (``first_feasible_lower``) and
@@ -217,59 +220,34 @@ def _feasible_moments(mean: float, var: float, env: MomentEnvelope, scale: float
 #   * the point-band LP's optimum at each band edge: one walk per edge.
 # The singletons and pairs do not depend on the objective, so
 # ``_envelope_table`` builds every feasible one once per call; each toll
-# takes the tie rule's pick among the table's offers and the edges'.
+# takes one ``_tie_pick`` over the table's candidates and the edges'.
 
 _TIE_TOL = 1e-9
 _NO_FIT = "no grid-supported distribution satisfies the moment envelope"
 
 
-class _Best:
-    """Tracks the lowest objective offered and nature's pick under the tie
-    rule: among offers within ``_TIE_TOL`` of it, the lowest usage, within
-    ``_TIE_TOL`` the lowest cube."""
-
-    def __init__(self) -> None:
-        self.objective: float | None = None
-        self.usage = self.cube = 0.0
-        self.support: list[float] | None = None
-        self.masses: list[float] | None = None
-
-    def offer(
-        self,
-        objective: float,
-        usage: float,
-        cube: float,
-        support: Sequence[float],
-        masses: Sequence[float],
-    ) -> None:
-        if self.objective is not None and objective >= self.objective - _TIE_TOL:
-            if objective > self.objective + _TIE_TOL or not (
-                usage < self.usage - _TIE_TOL
-                or (usage <= self.usage + _TIE_TOL and cube < self.cube)
-            ):
-                return
-            objective = min(objective, self.objective)
-        self.objective, self.usage, self.cube = objective, usage, cube
-        self.support, self.masses = list(support), list(masses)
+def _tie_pick(objective: np.ndarray, usage: np.ndarray, cube: np.ndarray) -> int:
+    """Nature's pick among flat candidate arrays: of those within
+    ``_TIE_TOL`` of the lowest objective, then within ``_TIE_TOL`` of the
+    lowest usage among them, the index of the lowest cube, the first on an
+    exact tie.  Only the tied candidates' usage is read."""
+    ties = np.flatnonzero(objective <= objective.min() + _TIE_TOL)
+    usage = usage[ties]
+    low = ties[usage <= usage.min() + _TIE_TOL]
+    return int(low[cube[low].argmin()])
 
 
-def _envelope_table(
-    points: np.ndarray, env: MomentEnvelope
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every feasible singleton and pair of one envelope, in array passes of
-    ``(indices, masses)``, each of shape (support size, candidates): the
-    singletons in the band, then the pairs in (pair, candidate) order."""
+def _envelope_table(points: np.ndarray, env: MomentEnvelope) -> tuple[np.ndarray, np.ndarray]:
+    """Every feasible singleton and pair of one envelope as ``(indices,
+    masses)``, each of shape (2, candidates): the singletons in the band,
+    padded with index 0 at mass 0, then the pairs in (pair, candidate)
+    order."""
     n = points.size
     kappa = env.kappa_bar
     ul, uu = env.u_lower, env.u_upper
     mean_tol, var_tol = _moment_tols(float(np.max(np.abs(points))))
-    point_type = np.min_scalar_type(n)
-    passes = []
 
     single = np.flatnonzero((points >= ul - mean_tol) & (points <= uu + mean_tol))
-    if single.size:
-        passes.append((single[None].astype(point_type), np.ones((1, single.size))))
-
     I, J = np.triu_indices(n, k=1)
     ci, cj = points[I], points[J]
     d = cj - ci
@@ -292,36 +270,17 @@ def _envelope_table(
         & (var <= kappa * mu + var_tol)
     )
     pp, qq = np.nonzero(feas)
-    if pp.size:
-        tv = t[pp, qq]
-        passes.append((np.stack([I[pp], J[pp]]).astype(point_type), np.stack([tv, 1.0 - tv])))
-    return passes
+    tv = t[pp, qq]
+    idx = np.hstack([[single, np.zeros_like(single)], [I[pp], J[pp]]])
+    x = np.hstack([[np.ones(single.size), np.zeros(single.size)], [tv, 1.0 - tv]])
+    return idx.astype(np.min_scalar_type(n)), x
 
 
-def _pass_offer(
-    idx: np.ndarray,
-    x: np.ndarray,
-    cube: np.ndarray,
-    points: np.ndarray,
-    f: np.ndarray,
-    u: np.ndarray,
-):
-    """One pass's offer at one toll, whose cost and usage per point are
-    ``f`` and ``u`` (``cube`` is each candidate's toll-independent E[s^3]):
-    the pass's lowest objective and, among the candidates within
-    ``_TIE_TOL`` of it, the one the tie rule picks, as
-    ``(lowest objective, usage, cube, support, masses)``."""
-    obj = (x * f[idx]).sum(axis=0)
-    lowest = obj.min()
-    ties = np.flatnonzero(obj <= lowest + _TIE_TOL)
-    e = int(ties[0])
-    if ties.size > 1:  # the usage is scored on the tied candidates only
-        usage = (x[:, ties] * u[idx[:, ties]]).sum(axis=0)
-        low = ties[usage <= usage.min() + _TIE_TOL]
-        e = int(low[cube[low].argmin()])
-    at, masses = idx[:, e].tolist(), x[:, e].tolist()
-    usage = sum(m * u[i] for i, m in zip(at, masses))
-    return float(lowest), float(usage), float(cube[e]), points[at].tolist(), masses
+def _atoms(support: np.ndarray, masses: np.ndarray) -> tuple[list[float], list[float]]:
+    """One candidate's support and masses as lists, without the zero-mass
+    padding at the end."""
+    n = np.count_nonzero(masses)
+    return support[:n].tolist(), masses[:n].tolist()
 
 
 def _point_band_masses(c: np.ndarray, sizes: np.ndarray, mu: float, m2: float) -> np.ndarray:
@@ -347,13 +306,15 @@ def _point_band_masses(c: np.ndarray, sizes: np.ndarray, mu: float, m2: float) -
 
 def _simplex_minima(
     grid: PriceGrid, env: MomentEnvelope, levels: np.ndarray
-) -> list[tuple[float, float, float, list[float], list[float]] | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nature's pick at each toll's ``levels`` on a point band, all tolls in
-    one ``simplex_solve`` walk, in the order given, as the offer
-    ``(objective, usage, cube, support, masses)`` that ``_Best`` takes.
+    one ``simplex_solve`` walk, in the order given, as arrays ``(keys,
+    support, masses, admitted)``: the levels' values at the pick, shape
+    (tolls, 3), its support and masses, each (3, tolls) and padded with
+    index 0 at mass 0, and whether it is admitted.
 
-    A toll offers None when no distribution has the band's mean, or when
-    its pick fails the tests the table applies to its own candidates (every
+    A toll's pick is refused when no distribution has the band's mean, or
+    when it fails the tests the table applies to its own candidates (every
     mass over 1e-12, a mass total within 1e-9 of 1, and moments within
     ``_moment_tols`` of the grid's scale): phase 1 accepts a residual
     looser than those.
@@ -369,9 +330,9 @@ def _simplex_minima(
     A = np.vstack([np.ones_like(points), points * scale1, points * points * scale2])
     b = np.array([1.0, mu * scale1, cap * scale2])
     try:
-        X, _ = simplex_solve(levels, A, b, senses="==<")
-    except LpInfeasible:
-        return [None] * len(levels)
+        X = simplex_solve(levels, A, b, senses="==<")
+    except LpInfeasible:  # no mass at all: every toll's pick is refused
+        X = np.zeros((len(levels), points.size))
     # each toll's support as a column of (3, tolls) grid indices, padded
     # with index 0 (a basic solution has at most three positive entries)
     rows, cols = np.nonzero(X > 1e-11)
@@ -391,45 +352,42 @@ def _simplex_minima(
         & (var <= kappa * mean + var_tol)
     )
     keys = (x[..., None] * levels[np.arange(len(levels)), :, idx]).sum(axis=0)
-    return [
-        (*key, support[:n], masses[:n]) if ok else None
-        for key, support, masses, n, ok in zip(
-            keys.tolist(), c.T.tolist(), x.T.tolist(), sizes.tolist(), admitted.tolist()
-        )
-    ]
+    return keys, c, x, admitted
 
 
 def _minimize_worst_case(
     grid: PriceGrid, env: MomentEnvelope, levels: np.ndarray
 ) -> list[tuple[list[float], list[float]]]:
     """Nature's ``(support, masses)`` for each toll's ``levels``: a point
-    band's walk picks, or on an interval band the tie rule's pick among the
-    table's singleton and pair passes and the two band edges' walk picks,
-    offered in that order."""
+    band's walk picks, or on an interval band ``_tie_pick`` over the
+    table's candidates, then the lower and the upper band edge's admitted
+    walk picks."""
     if abs(env.u_upper - env.u_lower) <= 1e-12:
-        offers = _simplex_minima(grid, env, levels)
-        if None in offers:
+        _, support, masses, admitted = _simplex_minima(grid, env, levels)
+        if not admitted.all():
             raise ValueError(_NO_FIT)
-        return [offer[3:] for offer in offers]
+        return [_atoms(*column) for column in zip(support.T, masses.T)]
     points = grid.points()
-    passes = _envelope_table(points, env)
-    # the cube level is the same at every toll
-    cubes = [(x * levels[0, 2][idx]).sum(axis=0) for idx, x in passes]
+    idx, x = _envelope_table(points, env)
     edges = [
         _simplex_minima(grid, MomentEnvelope(mu, mu, env.kappa_bar), levels)
         for mu in (env.u_lower, env.u_upper)
     ]
+    # per toll, the edge picks' keys as two more columns; a refused one
+    # never ties, at an infinite objective
+    edge_keys = np.stack([keys for keys, *_ in edges], axis=2)
+    edge_keys[:, 0][~np.stack([admitted for *_, admitted in edges], axis=1)] = np.inf
+    if not idx.shape[1] and np.isinf(edge_keys[:, 0].min(axis=1)).any():
+        raise ValueError(_NO_FIT)
     minima = []
-    for k, (f, u, _) in enumerate(levels):
-        best = _Best()
-        for (idx, x), cube in zip(passes, cubes):
-            best.offer(*_pass_offer(idx, x, cube, points, f, u))
-        for offers in edges:
-            if offers[k] is not None:
-                best.offer(*offers[k])
-        if best.objective is None:
-            raise ValueError(_NO_FIT)
-        minima.append((best.support, best.masses))
+    for k, (level, keys) in enumerate(zip(levels, edge_keys)):
+        e = _tie_pick(*np.hstack([(x * level[:, idx]).sum(axis=1), keys]))
+        if e < x.shape[1]:
+            column = points[idx[:, e]], x[:, e]
+        else:
+            _, support, masses, _ = edges[e - x.shape[1]]
+            column = support[:, k], masses[:, k]
+        minima.append(_atoms(*column))
     return minima
 
 
@@ -611,6 +569,8 @@ def pick_worst(
 ) -> tuple[int, float]:
     """Nature restricted to an explicit menu: index and value of the
     objective-minimizing distribution (ties break to the lowest index)."""
+    if objective not in ("ufn", "an"):
+        raise ValueError(f"unknown objective {objective!r}")
     if not candidates:
         raise ValueError("no candidate distributions")
     values = [_recompute_objective(d, r, objective) for d in candidates]

@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from tollkit.core import MASS_TOL
-from tollkit.nature import _NO_FIT, _Best, _feasible_moments, _levels, _solutions
+from tollkit.nature import _NO_FIT, _feasible_moments, _levels, _solutions, _tie_pick
 
 # Masses below this are numerical artifacts of the small linear solves, not
 # genuine support atoms; candidates are cleaned before evaluation.
@@ -20,8 +20,8 @@ def brute_force_nature(grid, env, rows):
     """Nature's solution at each ``(toll, objective)`` of ``rows``, one
     ``NatureSolution`` per row.  The supports, their masses and their
     admission do not depend on the row, so they are enumerated once per
-    call; each row offers the admitted candidates to its own ``_Best`` in
-    enumeration order, and only a triple's stationary mean, where the row's
+    call; each row scores its admitted candidates and takes ``_tie_pick``
+    over all of them, and only a triple's stationary mean, where the row's
     objective on it is flat in the mean, is found per row."""
     env.validate_against(grid)
     for toll, _ in rows:
@@ -69,12 +69,16 @@ def brute_force_nature(grid, env, rows):
                 t = min(max(t, 0.0), 1.0)
                 entries.append(admit([ci, cj], [t, 1.0 - t]))
     trios = np.array(list(combinations(range(points.size), 3)), dtype=np.intp).reshape(-1, 3)
-    W, E = np.empty((len(trios), 3, 3)), np.eye(3)  # per triple: w0, lin = w1 + kappa*w2, w2
-    for t, trio in enumerate(points[trios].tolist()):
-        M = np.array([[1.0, 1.0, 1.0], trio, [c * c for c in trio]])
-        w0, w1, w2 = (np.linalg.solve(M, e) for e in E)
-        W[t] = w0, w1 + kappa * w2, w2
-        w, roots = W[t].tolist(), []  # roots: the means at which one mass is zero
+    C = points[trios]
+    M = np.stack([np.ones_like(C), C, C * C], axis=1)  # per triple: rows 1, c, c^2
+    # one stacked solve per unit column; a (triples, 3, 1) right side gives
+    # each triple the lone solve(M, e) of its own matrix
+    w0, w1, w2 = (
+        np.linalg.solve(M, np.broadcast_to(e[:, None], (len(M), 3, 1)))[..., 0] for e in np.eye(3)
+    )
+    W = np.stack([w0, w1 + kappa * w2, w2], axis=1)  # per triple: w0, lin = w1 + kappa*w2, w2
+    for t, (trio, w) in enumerate(zip(C.tolist(), W.tolist())):
+        roots = []  # the means at which one mass is zero
         for qc, qb, qa in zip(*w):
             if abs(qa) > 1e-14:
                 disc = qb * qb - 4.0 * qa * qc
@@ -90,7 +94,7 @@ def brute_force_nature(grid, env, rows):
     solutions = []
     for (toll, objective), (f, u, _) in zip(rows, levels):
         F, fs, us = f[trios], f.tolist(), u.tolist()
-        best = _Best()
+        keys, picks = [], []  # per admitted candidate: (objective, usage, cube), (support, masses)
         for entry in entries:
             if type(entry) is int:  # a triple: its mean where the row's objective is flat
                 a2 = float(np.dot(F[entry], W[entry, 2]))
@@ -102,8 +106,11 @@ def brute_force_nature(grid, env, rows):
                     continue
             at, values, weights, g = entry
             obj = math.fsum(w * fs[i] for i, w in zip(at, weights))
-            best.offer(obj, math.fsum(w * us[i] for i, w in zip(at, weights)), g, values, weights)
-        if best.objective is None:
+            usage = math.fsum(w * us[i] for i, w in zip(at, weights))
+            keys.append((obj, usage, g))
+            picks.append((values, weights))
+        if not keys:
             raise ValueError(_NO_FIT)
-        solutions += _solutions(grid, env, [(best.support, best.masses)], [toll], objective)
+        pick = picks[_tie_pick(*np.array(keys).T)]
+        solutions += _solutions(grid, env, [pick], [toll], objective)
     return tuple(solutions)

@@ -100,6 +100,14 @@ def test_price_sweep_method(tmp_path):
     assert rows[1][4] == "epsilon-sweep"
 
 
+def test_price_rejects_an_unknown_method_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["price", "--u-lower", "120", "--u-upper", "120", "--out-dir", str(out)]
+    assert main(args + ["--method", "sweeps"]) == 2
+    assert "invalid choice: 'sweeps'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_price_reruns_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path / "run.cfg")
     args = ["price", "--config", cfg, "--u-lower", "90", "--u-upper", "110"]
@@ -922,3 +930,5 @@ def test_package_exports_are_the_submodule_objects():
         tollkit.brute_force_nature
     with pytest.raises(AttributeError, match="no attribute 'deterministic_toll'"):
         tollkit.deterministic_toll
+    with pytest.raises(AttributeError, match="no attribute 'write_config'"):
+        tollkit.write_config

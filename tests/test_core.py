@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,26 @@ def test_envelope_empty_series_errors():
     g = PriceGrid(0.0, 10.0, 1.0)
     with pytest.raises(ValueError, match="no history"):
         estimate_moment_envelope([], g)
+
+
+@pytest.mark.parametrize(
+    "series, confidence_z, message",
+    [
+        ([1.0, math.nan, 3.0], 1.96, r"series must be finite, got nan at index 1"),
+        ([1.0, math.inf], 1.96, r"series must be finite, got inf at index 1"),
+        ([-math.inf, 2.0], 1.96, r"series must be finite, got -inf at index 0"),
+        ([5.0], math.nan, r"confidence_z must be finite, got nan"),
+        ([5.0, 6.0], math.inf, r"confidence_z must be finite, got inf"),
+    ],
+    ids=["nan-cost", "inf-cost", "minus-inf-cost", "nan-z", "inf-z"],
+)
+def test_envelope_rejects_non_finite_input_by_name(series, confidence_z, message):
+    # Raised at entry, before any mean or spread is computed: no numpy
+    # RuntimeWarning and no message about the band it would have made
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_moment_envelope(series, PriceGrid(0.0, 10.0, 1.0), confidence_z=confidence_z)
 
 
 # --- DiscreteDistribution ----------------------------------------------------

@@ -152,22 +152,18 @@ def test_walk_matches_scalar_reference():
     solved = 0
     for trial in range(14):
         C, _, A, b, senses = moment_lp(rng)
-        got = walk_or_infeasible(C, A, b, senses)
+        X = walk_or_infeasible(C[:, None], A, b, senses)
         try:
             want = [scalar_simplex(c, A, b, senses) for c in C]
         except lp.LpInfeasible:
-            assert got is None, trial
+            assert X is None, trial
             continue
-        X, objective = got
-        assert X.shape == C.shape and objective.shape == (len(C),)
+        assert X.shape == C.shape
         for k, (_, value) in enumerate(want):
-            assert abs(objective[k] - value) <= 1e-9 * max(1.0, abs(value)), (trial, k)
-            assert objective[k] == float(np.dot(C[k], X[k]))
+            assert abs(float(C[k] @ X[k]) - value) <= 1e-9 * max(1.0, abs(value)), (trial, k)
             assert (X[k] >= -1e-12).all() and np.allclose(A[:2] @ X[k], b[:2], atol=1e-9)
             gap = A[2] @ X[k] - b[2]
             assert gap <= 1e-9 if senses == "==<" else abs(gap) <= 1e-9
-        alone, alone_value = lp.simplex_solve(C[0], A, b, senses)
-        assert type(alone_value) is float and alone.shape == C[0].shape
         solved += len(C)
     assert solved > 150
 
@@ -181,19 +177,17 @@ def test_lexicographic_walk_matches_vertex_enumeration():
     for trial in range(24):
         _, levels, A, b, senses = moment_lp(rng, sizes=(6, 16))
         want = [vertex_enumeration(lv, A, b, senses) for lv in levels]
-        got = walk_or_infeasible(levels, A, b, senses)
+        X = walk_or_infeasible(levels, A, b, senses)
         if want[0] is None:
-            assert got is None, trial
+            assert X is None, trial
             continue
         order = rng.permutation(len(levels))
-        shuffled, _ = lp.simplex_solve(levels[order], A, b, senses)
-        X, objective = got
+        shuffled = lp.simplex_solve(levels[order], A, b, senses)
         for k, x in enumerate(want):
-            alone, _ = lp.simplex_solve(levels[k : k + 1], A, b, senses)
+            alone = lp.simplex_solve(levels[k : k + 1], A, b, senses)
             for y in (X[k], shuffled[np.flatnonzero(order == k)[0]], alone[0]):
                 assert np.allclose(y, x, atol=1e-9), (trial, k)
                 assert np.array_equal(y > 1e-11, X[k] > 1e-11), (trial, k)
-            assert objective[k] == float(np.dot(levels[k, 0], X[k]))
         solved += len(levels)
     assert solved > 150
 
@@ -204,17 +198,16 @@ def test_levels_choose_among_the_earlier_optima():
     cost = np.array([0.0, 0.0, 1.0, 0.0])  # ties between columns 0, 1 and 3
     usage = np.array([1.0, 0.0, 0.0, 0.0])
     cube = np.array([0.0, 3.0, -5.0, 2.0])
-    x, value = lp.simplex_solve(np.stack([cost, usage, cube])[None], A, b, "=")
+    x = lp.simplex_solve(np.stack([cost, usage, cube])[None], A, b, "=")
     # the cube's best column 2 is not optimal at level 0, and column 0 loses
     # on usage: column 3 wins
-    assert x.tolist() == [[0.0, 0.0, 0.0, 1.0]] and value.tolist() == [0.0]
-    x, _ = lp.simplex_solve(np.stack([cost, cube, usage])[None], A, b, "=")
+    assert x.tolist() == [[0.0, 0.0, 0.0, 1.0]]
+    x = lp.simplex_solve(np.stack([cost, cube, usage])[None], A, b, "=")
     assert x.tolist() == [[1.0, 0.0, 0.0, 0.0]]
     # a walk: each objective starts where the last one ended
     walk = np.stack([np.stack([cost, usage, cube]), np.stack([-cost, cube, usage])])
-    x, value = lp.simplex_solve(walk, A, b, "=")
+    x = lp.simplex_solve(walk, A, b, "=")
     assert x.tolist() == [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]]
-    assert value.tolist() == [0.0, -1.0]
 
 
 def test_walk_rebuilds_only_when_its_basis_moves(monkeypatch):
@@ -228,15 +221,14 @@ def test_walk_rebuilds_only_when_its_basis_moves(monkeypatch):
     walked = 0
     for trial in range(12):
         C, levels, A, b, senses = moment_lp(rng)
-        for c in (C[0], levels[0]):
+        for c in (C[0, None], levels[0]):
             lone = walk_or_infeasible(c[None], A, b, senses)
             if lone is None:
                 continue
             rebuilds.clear()
-            X, objective = lp.simplex_solve(np.stack([c] * 5), A, b, senses)
+            X = lp.simplex_solve(np.stack([c] * 5), A, b, senses)
             assert len(rebuilds) == 1, trial
-            assert all(x.tolist() == lone[0][0].tolist() for x in X), trial
-            assert objective.tolist() == [lone[1][0]] * 5, trial
+            assert all(x.tolist() == lone[0].tolist() for x in X), trial
             walked += 1
     assert walked > 10
 
@@ -257,10 +249,10 @@ def test_small_lps_match_scalar_reference():
             want = [scalar_simplex(c, A, b, senses) for c in C]
         except lp.LpInfeasible:
             continue
-        X, objective = lp.simplex_solve(C, A, b, senses)
+        X = lp.simplex_solve(C[:, None], A, b, senses)
         eq = np.array([s == "=" for s in senses])
         for k, (_, value) in enumerate(want):
-            assert abs(objective[k] - value) <= 1e-9 * max(1.0, abs(value)), (trial, k)
+            assert abs(float(C[k] @ X[k]) - value) <= 1e-9 * max(1.0, abs(value)), (trial, k)
             row = A @ X[k]
             assert (X[k] >= -1e-12).all(), (trial, k)
             assert np.allclose(row[eq], b[eq], atol=1e-9) and (row[~eq] <= b[~eq] + 1e-9).all()
@@ -270,14 +262,14 @@ def test_small_lps_match_scalar_reference():
 
 def test_empty_stack():
     A = np.vstack([np.ones(4), np.arange(4.0)])
-    x, objective = lp.simplex_solve(np.zeros((0, 4)), A, np.array([1.0, 1.5]), "==")
-    assert x.shape == (0, 4) and objective.shape == (0,)
+    x = lp.simplex_solve(np.zeros((0, 1, 4)), A, np.array([1.0, 1.5]), "==")
+    assert x.shape == (0, 4)
 
 
 def test_unbounded_objective_raises():
     A = np.array([[1.0, -1.0]])
     with pytest.raises(lp.LpInfeasible, match="unbounded"):
-        lp.simplex_solve(np.array([[0.0, 1.0], [-1.0, 0.0]]), A, np.array([1.0]), "=")
+        lp.simplex_solve(np.array([[[0.0, 1.0]], [[-1.0, 0.0]]]), A, np.array([1.0]), "=")
 
 
 # --- input checks -------------------------------------------------------------
@@ -285,22 +277,35 @@ def test_unbounded_objective_raises():
 
 A3 = np.vstack([np.ones(5), np.arange(5.0), np.arange(5.0) ** 2])
 B3 = np.array([1.0, 2.0, 5.0])
-C5 = np.arange(5.0)
+C5 = np.arange(5.0).reshape(1, 1, 5)
 
 
 @pytest.mark.parametrize(
     "c, A, b, message",
     [
-        (np.array([0.0, np.nan, 2.0, 3.0, 4.0]), A3, B3, "c must be finite"),
-        (np.where(np.arange(15.0).reshape(3, 5) == 7.0, np.inf, 0.0), A3, B3, "c must be finite"),
+        (np.array([[[0.0, np.nan, 2.0, 3.0, 4.0]]]), A3, B3, "c must be finite"),
+        (np.where(np.arange(15.0).reshape(3, 1, 5) == 7, np.inf, 0.0), A3, B3, "c must be finite"),
         (C5, np.where(A3 == 4.0, np.inf, A3), B3, "A must be finite"),
         (C5, A3, np.array([1.0, np.nan, 5.0]), "b must be finite"),
-        (np.arange(4.0), A3, B3, r"c has shape \(4,\)"),
+        (np.arange(4.0).reshape(1, 1, 4), A3, B3, r"c has shape \(1, 1, 4\)"),
         (np.zeros((2, 6)), A3, B3, r"c has shape \(2, 6\)"),
         (np.zeros((2, 2, 6)), A3, B3, r"c has shape \(2, 2, 6\)"),
         (np.zeros((1, 2, 2, 5)), A3, B3, r"c has shape \(1, 2, 2, 5\)"),
+        (np.arange(5.0), A3, B3, r"c has shape \(5,\); need \(K, L, 5\)"),
+        (np.zeros((2, 5)), A3, B3, r"c has shape \(2, 5\); need \(K, L, 5\)"),
     ],
-    ids=["nan-c", "inf-c-stack", "inf-A", "nan-b", "short-c", "wide-c-stack", "3d-c", "4d-c"],
+    ids=[
+        "nan-c",
+        "inf-c-stack",
+        "inf-A",
+        "nan-b",
+        "short-c",
+        "wide-c-stack",
+        "3d-c",
+        "4d-c",
+        "1d-c",
+        "2d-c",
+    ],
 )
 def test_bad_input_raises_value_error(c, A, b, message):
     with pytest.raises(ValueError, match=message):

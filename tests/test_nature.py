@@ -5,6 +5,7 @@ sample two-point search."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -22,13 +23,13 @@ from tollkit.core import (
 from tollkit.nature import (
     _TIE_TOL,
     _NO_FIT,
-    _Best,
+    _atoms,
     _levels,
     _moment_tols,
     _minimize_worst_case,
-    _pass_offer,
     _simplex_minima,
     _solutions,
+    _tie_pick,
     first_feasible_lower,
     pick_worst,
     solve_nature_an,
@@ -63,10 +64,10 @@ def random_instance(rng: np.random.Generator):
 
 def _simplex_minimum(grid, env, levels):
     """One toll's levels through the simplex walk, a walk of length one."""
-    (offer,) = _simplex_minima(grid, env, levels[None])
-    if offer is None:
+    _, support, masses, (admitted,) = _simplex_minima(grid, env, levels[None])
+    if not admitted:
         raise ValueError(_NO_FIT)
-    return offer[3:]
+    return _atoms(support[:, 0], masses[:, 0])
 
 
 def _lone_minimum(grid, env, levels):
@@ -270,9 +271,9 @@ def test_interval_band_matches_highs_on_wide_grids():
 
 
 def rule_pick(obj, usage, cube):
-    """The index the tie rule picks among flat candidates (``obj`` inf where
-    infeasible): within _TIE_TOL of the lowest objective, the lowest usage,
-    within _TIE_TOL the lowest cube."""
+    """The index the tie rule picks among flat candidates: within _TIE_TOL
+    of the lowest objective, the lowest usage, within _TIE_TOL the lowest
+    cube, the first on an exact tie."""
     ties = obj <= obj.min() + _TIE_TOL
     low = ties & (usage <= usage[ties].min() + _TIE_TOL)
     return int(np.flatnonzero(low)[cube[low].argmin()])
@@ -280,22 +281,23 @@ def rule_pick(obj, usage, cube):
 
 def per_toll_enumeration(points, env, levels):
     """Every support candidate rebuilt from scratch for one toll's levels,
-    the objective's stationary point on each triple included: the
-    enumeration as it ran before its toll-independent half was tabulated."""
+    the objective's stationary point on each triple included, and
+    ``rule_pick`` over all of them: the enumeration as it ran before its
+    toll-independent half was tabulated.  Returns the lowest objective and
+    the pick's support and masses."""
     f, u, g = levels
     n = points.size
     kappa = env.kappa_bar
     ul, uu = env.u_lower, env.u_upper
     mean_tol, var_tol = _moment_tols(float(np.max(np.abs(points))) if n else 1.0)
-    best = _Best()
+    # per block of feasible candidates: objective, usage, cube, and each
+    # candidate's support and masses as a row
+    blocks = []
 
     mask = (points >= ul - mean_tol) & (points <= uu + mean_tol)
     if mask.any():
         idx = np.flatnonzero(mask)
-        winner = idx[rule_pick(f[idx], u[idx], g[idx])]
-        best.offer(
-            float(f[idx].min()), float(u[winner]), float(g[winner]), [float(points[winner])], [1.0]
-        )
+        blocks.append((f[idx], u[idx], g[idx], points[idx][:, None], np.ones((idx.size, 1))))
 
     if n >= 2:
         I, J = np.triu_indices(n, k=1)
@@ -315,26 +317,22 @@ def per_toll_enumeration(points, env, levels):
         t = np.clip(cand, 0.0, 1.0)
         mu = cj[:, None] - t * d[:, None]
         var = t * (1.0 - t) * (d * d)[:, None]
-        feas = (
+        p, q = np.nonzero(
             interior
             & (mu >= ul - mean_tol)
             & (mu <= uu + mean_tol)
             & (var <= kappa * mu + var_tol)
         )
-        if feas.any():
-            obj = t * fi[:, None] + (1.0 - t) * fj[:, None]
-            usage = t * u[I][:, None] + (1.0 - t) * u[J][:, None]
-            cube = t * g[I][:, None] + (1.0 - t) * g[J][:, None]
-            masked = np.where(feas, obj, np.inf)
-            pick = rule_pick(masked.ravel(), usage.ravel(), cube.ravel())
-            p, q = np.unravel_index(pick, t.shape)
-            tv = float(t[p, q])
-            best.offer(
-                float(masked.min()),
-                float(usage[p, q]),
-                float(cube[p, q]),
-                [float(ci[p]), float(cj[p])],
-                [tv, 1.0 - tv],
+        if p.size:
+            tv = t[p, q]
+            blocks.append(
+                (
+                    tv * fi[p] + (1.0 - tv) * fj[p],
+                    tv * u[I][p] + (1.0 - tv) * u[J][p],
+                    tv * g[I][p] + (1.0 - tv) * g[J][p],
+                    np.stack([ci[p], cj[p]], axis=1),
+                    np.stack([tv, 1.0 - tv], axis=1),
+                )
             )
 
     for a in range(n - 2):
@@ -376,7 +374,7 @@ def per_toll_enumeration(points, env, levels):
         mean = xa * ca + xb * cb[:, None] + xc * cc[:, None]
         msq = xa * ca * ca + xb * (cb * cb)[:, None] + xc * (cc * cc)[:, None]
         var = msq - mean * mean
-        feas = (
+        p, q = np.nonzero(
             ok
             & pos
             & (np.abs(ssum - 1.0) <= 1e-9)
@@ -384,27 +382,32 @@ def per_toll_enumeration(points, env, levels):
             & (mean <= uu + mean_tol)
             & (var <= kappa * mean + var_tol)
         )
-        if not feas.any():
+        if not p.size:
             continue
-        obj = xa * fa + xb * fb[:, None] + xc * fc[:, None]
-        masked = np.where(feas, obj, np.inf)
-        if best.objective is not None and masked.min() > best.objective + _TIE_TOL:
+        xa, xb, xc = xa[p, q], xb[p, q], xc[p, q]
+        obj = xa * fa + xb * fb[p] + xc * fc[p]
+        # a block more than _TIE_TOL above a lower objective cannot tie
+        if blocks and obj.min() > min(b[0].min() for b in blocks) + _TIE_TOL:
             continue
-        ib, ic = a + 1 + jj, a + 1 + kk
-        usage = xa * u[a] + xb * u[ib][:, None] + xc * u[ic][:, None]
-        cube = xa * g[a] + xb * g[ib][:, None] + xc * g[ic][:, None]
-        p, q = np.unravel_index(rule_pick(masked.ravel(), usage.ravel(), cube.ravel()), mu.shape)
-        best.offer(
-            float(masked.min()),
-            float(usage[p, q]),
-            float(cube[p, q]),
-            [ca, float(cb[p]), float(cc[p])],
-            [float(xa[p, q]), float(xb[p, q]), float(xc[p, q])],
+        ib, ic = a + 1 + jj[p], a + 1 + kk[p]
+        blocks.append(
+            (
+                obj,
+                xa * u[a] + xb * u[ib] + xc * u[ic],
+                xa * g[a] + xb * g[ib] + xc * g[ic],
+                np.stack([np.full(p.size, ca), cb[p], cc[p]], axis=1),
+                np.stack([xa, xb, xc], axis=1),
+            )
         )
 
-    if best.objective is None:
+    if not blocks:
         raise ValueError("no grid-supported distribution satisfies the moment envelope")
-    return best.objective, best.support, best.masses
+    objective, usage, cube = (np.concatenate(keys) for keys in list(zip(*blocks))[:3])
+    e = rule_pick(objective, usage, cube)
+    for *_, support, masses in blocks:
+        if e < len(support):
+            return float(objective.min()), support[e].tolist(), masses[e].tolist()
+        e -= len(support)
 
 
 def outcome(solve, *args):
@@ -542,7 +545,7 @@ def test_envelope_table_on_sweep_interval_bands():
         assert_matches_reference(grid, env, objective, (env, objective))
 
 
-def test_pass_offer_breaks_ties_by_usage_then_cube():
+def test_tie_pick_breaks_ties_by_usage_then_cube():
     points = np.array([0.0, 1.0, 2.0, 3.0])
     f = np.array([1.0, 1.0, 1.0, 1.0])
     f_dear = np.array([1.0 + 3e-9, 1.0, 1.0, 1.0])  # xa * 3e-9 dearer
@@ -551,24 +554,59 @@ def test_pass_offer_breaks_ties_by_usage_then_cube():
     idx = np.array([[0, 0, 0, 1], [1, 1, 2, 2], [2, 3, 3, 3]], dtype=np.uint8)
     x = np.array([[0.5, 0.6, 0.7, 0.2], [0.2, 0.3, 0.1, 0.7], [0.3, 0.1, 0.2, 0.1]])
     cube = (x * g[idx]).sum(axis=0)
+
+    def pick(f, u, order=slice(None)):
+        keys = (x[:, order] * np.stack([f, u, g])[:, idx[:, order]]).sum(axis=1)
+        e = _tie_pick(*keys)
+        return points[idx[:, order][:, e]].tolist(), keys[:, e]
+
     # usage 0.3, 0.1, 0.3, 0.8: the second candidate wins on usage alone,
     # though its cube is not the lowest
-    objective, usage, best_cube, support, masses = _pass_offer(idx, x, cube, points, f, u)
-    assert (support, masses) == ([0.0, 1.0, 3.0], [0.6, 0.3, 0.1])
+    support, (objective, usage, best_cube) = pick(f, u)
+    assert support == [0.0, 1.0, 3.0]
     assert (objective, usage) == (pytest.approx(1.0), pytest.approx(0.1))
-    assert best_cube == pytest.approx((0.3 + 2.7) / 27.0)
+    assert best_cube == pytest.approx((0.3 + 2.7) / 27.0) != cube.min()
     # more than _TIE_TOL dearer, the low-usage candidate is out of the tie
-    objective, usage, _, support, _ = _pass_offer(idx, x, cube, points, f_dear, u)
+    support, (objective, usage, _) = pick(f_dear, u)
     assert support == [1.0, 2.0, 3.0] and objective == pytest.approx(1.0)
     assert usage == pytest.approx(0.8)
     # equal usage within _TIE_TOL: the lowest cube wins, whatever the order
-    u_flat = np.zeros(4)
     for order in ([0, 1, 2, 3], [3, 2, 1, 0]):
-        _, _, best_cube, support, _ = _pass_offer(
-            idx[:, order], x[:, order], cube[order], points, f, u_flat
-        )
+        support, (_, _, best_cube) = pick(f, np.zeros(4), order)
         assert support == [0.0, 1.0, 2.0], order
         assert best_cube == pytest.approx((0.2 + 0.3 * 8.0) / 27.0)
+
+
+def test_tie_pick_is_the_rule_in_any_order():
+    # Against rule_pick on random candidates whose objectives and usages
+    # often tie or nearly tie, and on a near-tie chain whose ends are 1.5e-9
+    # apart.  As in nature, candidates with one cube are one candidate
+    # offered more than once.  The pick is the same candidate under every
+    # permutation, the first of its copies.
+    rng = np.random.default_rng(SEED + 13)
+    chain = np.array([[0.0, 0.9e-9, 1.5e-9], [1.0, 1.0, 0.0], [0.5, 0.2, 0.0]])
+    cases = [chain]
+    for _ in range(200):
+        size = int(rng.integers(1, 5))
+        keys = np.stack(
+            [
+                rng.integers(0, 4, size) * rng.choice([0.6e-9, 1e-9, 0.3]),
+                rng.integers(0, 4, size) * rng.choice([0.6e-9, 1e-9, 0.3]),
+                rng.permutation(size) * 0.1,
+            ]
+        )
+        copies = rng.integers(0, size, int(rng.integers(0, 6 - size)))
+        cases.append(np.hstack([keys, keys[:, copies]]))
+    for k, keys in enumerate(cases):
+        want = keys[:, rule_pick(*keys)]
+        for order in itertools.permutations(range(keys.shape[1])):
+            shuffled = keys[:, list(order)]
+            e = _tie_pick(*shuffled)
+            assert e == rule_pick(*shuffled), (k, keys, order)
+            assert (shuffled[:, e] == want).all(), (k, keys, order)
+            assert not (shuffled[:, :e] == want[:, None]).all(axis=0).any(), (k, keys, order)
+    # the chain: 0 and 0.9e-9 tie, 1.5e-9 does not, though its usage is lowest
+    assert _tie_pick(*chain) == 1
 
 
 def test_envelope_table_interleaved_keys():
@@ -596,8 +634,8 @@ def test_simplex_solves_b_changed_in_place():
         return np.array([1.0, mu / 60.0, (mu * mu + kappa * mu) / 3600.0])
 
     def fresh(b):
-        x, obj = lp.simplex_solve(c, A, b, senses="==<")
-        return x.tolist(), obj
+        (x,) = lp.simplex_solve(c[None, None], A, b, senses="==<")
+        return x.tolist(), float(c @ x)
 
     moments = ((30.0, 2.0), (30.0, 5.0), (12.5, 2.0), (30.0, 2.0))
     want = [fresh(rhs(*m)) for m in moments]
@@ -605,8 +643,8 @@ def test_simplex_solves_b_changed_in_place():
     b = rhs(*moments[0])
     for m, expected in zip(moments, want):
         b[:] = rhs(*m)  # a new b in the same array, under the same A
-        x, obj = lp.simplex_solve(c, A, b, senses="==<")
-        assert (x.tolist(), obj) == expected, m
+        (x,) = lp.simplex_solve(c[None, None], A, b, senses="==<")
+        assert (x.tolist(), float(c @ x)) == expected, m
 
 
 def test_mutating_a_solution_leaves_the_next_solve_unchanged():
@@ -632,10 +670,11 @@ def test_mutating_a_solution_leaves_the_next_solve_unchanged():
         masses[0] = -1.0
         assert path(grid, env, levels) == want
     A = np.vstack([np.ones(5), np.arange(5.0)])
-    x, _ = lp.simplex_solve(np.arange(5.0), A, np.array([1.0, 2.0]), senses="==")
+    c = np.arange(5.0)[None, None]
+    x = lp.simplex_solve(c, A, np.array([1.0, 2.0]), senses="==")
     want = x.tolist()
     x[:] = 7.0
-    x, _ = lp.simplex_solve(np.arange(5.0), A, np.array([1.0, 2.0]), senses="==")
+    x = lp.simplex_solve(c, A, np.array([1.0, 2.0]), senses="==")
     assert x.tolist() == want
 
 
@@ -931,6 +970,13 @@ def test_pick_worst_tie_breaks_low_index():
 def test_pick_worst_empty_errors():
     with pytest.raises(ValueError):
         pick_worst([], 10.0)
+
+
+def test_pick_worst_unknown_objective_errors():
+    d = DiscreteDistribution.point_mass(50.0)
+    for objective in ("typo", "AN", ""):
+        with pytest.raises(ValueError, match=f"unknown objective {objective!r}"):
+            pick_worst([d], 2.0, objective)
 
 
 # --- two-point sample search ---------------------------------------------------
