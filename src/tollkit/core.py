@@ -589,6 +589,7 @@ def estimate_moment_envelope(
 
 def expected_revenue(dist: DiscreteDistribution, r: float) -> float:
     """Expected toll revenue r * P(c >= r); a tie at c = r pays the toll."""
+    require_finite(toll=r)
     return r * dist.usage_probability(r)
 
 
@@ -598,6 +599,7 @@ def expected_user_cost(dist: DiscreteDistribution, r: float) -> float:
     Also evaluated as ``r - E[max(r - c, 0)]``; the two forms must agree to
     1e-12 (checked under debug assertions).
     """
+    require_finite(toll=r)
     import numpy as np
 
     return user_cost_from_terms(

@@ -16,12 +16,16 @@ error carries along the walk.  The solve runs only when the basis has
 moved since the last rebuild; otherwise that rebuild's rows are put back.
 
 An objective stacks one or more levels, solved lexicographically: level l
-enters only columns whose reduced costs at every earlier level are within
-``EPS`` of 0, so it moves among the earlier levels' optima without leaving
-them.  A pivot enters the most negative reduced cost, or after a
-degenerate pivot the lowest-index negative one (Bland's rule): a cycle is
-all degenerate pivots, so it would be all Bland pivots, which cannot
-cycle.  The module keeps no state between calls.
+enters only columns whose reduced costs at every earlier level are at
+most ``EPS``, so it moves among the earlier levels' optima without leaving
+them.  Each pivot masks the level's reduced-cost row once, zeroing every
+column an earlier level rules out (level 0 rules out none), and enters
+the row's argmin, or after a degenerate pivot its lowest-index entry
+below -EPS (Bland's rule): a cycle is all degenerate pivots, so it would
+be all Bland pivots, which cannot cycle.  The level is optimal when the
+picked entry is not below -EPS.  Each objective's final basis and
+right-hand side are kept, and x is gathered from them after the walk.
+The module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -48,19 +52,21 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 def _iterate(tab: np.ndarray, basis: np.ndarray, n_cols: int) -> None:
     """Pivots until every cost row below the ``len(basis)`` constraint rows
-    is optimal in turn.  A cost row enters, among the first ``n_cols``
-    columns whose reduced costs in the earlier cost rows are at most EPS,
-    its most negative reduced cost below -EPS, or the lowest-index one
-    after a degenerate pivot; the leaving row has the lowest ratio, within
-    EPS the lowest basis index."""
+    is optimal in turn.  A cost row's reduced costs over the first
+    ``n_cols`` columns are masked to 0 where an earlier cost row's exceed
+    EPS; the row enters the masked row's argmin, or its lowest-index entry
+    below -EPS after a degenerate pivot, if that entry is below -EPS.  The
+    leaving row has the lowest ratio, within EPS the lowest basis index."""
     m = basis.size
     degenerate = False
     for level in range(m, tab.shape[0]):
         while True:
             reduced = tab[level, :n_cols]
-            enter = (tab[m:level, :n_cols] <= EPS).all(axis=0) & (reduced < -EPS)
-            col = int(enter.argmax() if degenerate else np.where(enter, reduced, 0.0).argmin())
-            if not enter[col]:
+            if level > m:
+                eligible = np.logical_and.reduce(tab[m:level, :n_cols] <= EPS, axis=0)
+                reduced = np.where(eligible, reduced, 0.0)
+            col = int((reduced < -EPS).argmax() if degenerate else reduced.argmin())
+            if not reduced[col] < -EPS:
                 break
             row, best = -1, 0.0
             column, rhs = tab[:m, col].tolist(), tab[:m, -1].tolist()
@@ -120,8 +126,9 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, senses: str) -> n
     first.  The walk takes the objectives in the order given, each from
     the last one's optimal basis.  Returns x, shape (K, n).  Raises
     LpInfeasible when no feasible point exists or an objective is
-    unbounded, and ValueError on a non-finite input or a ``c`` of another
-    shape than (K, L, n) with n A's column count.
+    unbounded, and ValueError on a non-finite input, an ``A`` that is not
+    2-D, or a ``c``, ``b`` or ``senses`` whose shape does not match A's
+    (m, n): c (K, L, n), b (m,) and one sense per row.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -129,9 +136,15 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, senses: str) -> n
     for name, value in (("c", c), ("A", A), ("b", b)):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
+    if A.ndim != 2:
+        raise ValueError(f"A has shape {A.shape}; need (m, n)")
     m, n = A.shape
     if c.ndim != 3 or c.shape[-1] != n:
         raise ValueError(f"c has shape {c.shape}; need (K, L, {n}) to match A")
+    if b.shape != (m,):
+        raise ValueError(f"b has shape {b.shape}; need ({m},) to match A")
+    if len(senses) != m:
+        raise ValueError(f"senses {senses!r} has {len(senses)} rows; need {m} to match A")
     if np.any(b < 0):
         raise ValueError("rows must be normalized to b >= 0")
     body, basis, rows = _phase_one(A, b, senses)
@@ -140,7 +153,8 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, senses: str) -> n
     tab = np.empty((m + L, body.shape[1]))
     tab[:m] = rows
     cost = np.zeros((L, body.shape[1]))
-    x = np.zeros((K, n))
+    bases = np.empty((K, m), dtype=basis.dtype)
+    rhs = np.empty((K, m))
     rebuilt = None  # the basis of the last rebuild
     for k in range(K):
         cost[:, :n] = c[k]
@@ -151,6 +165,9 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, senses: str) -> n
         if basis.tolist() != rebuilt:
             rows, rebuilt = np.linalg.solve(body[:, basis], body), basis.tolist()
         tab[:m] = rows
-        structural = basis < n
-        x[k, basis[structural]] = tab[:m, -1][structural]
+        bases[k] = basis
+        rhs[k] = rows[:, -1]
+    x = np.zeros((K, n))
+    structural = bases < n
+    x[np.nonzero(structural)[0], bases[structural]] = rhs[structural]
     return x

@@ -569,6 +569,7 @@ def pick_worst(
 ) -> tuple[int, float]:
     """Nature restricted to an explicit menu: index and value of the
     objective-minimizing distribution (ties break to the lowest index)."""
+    require_finite(toll=r)
     if objective not in ("ufn", "an"):
         raise ValueError(f"unknown objective {objective!r}")
     if not candidates:

@@ -1,5 +1,6 @@
-"""The warm-walking dense simplex against a one-objective scalar reference
-and an enumeration of every basis, and its input checks."""
+"""The warm-walking dense simplex against a one-objective scalar reference,
+an enumeration of every basis and a plainly written walk that it must
+match bit for bit, and its input checks."""
 
 from __future__ import annotations
 
@@ -89,6 +90,60 @@ def scalar_simplex(c, A, b, senses):
     return x, float(np.dot(c, x))
 
 
+def reference_iterate(tab, basis, n_cols):
+    # lp's pivot rule written plainly: a boolean mask of the columns that
+    # may enter, then the most negative of them, or Bland's first one
+    m = basis.size
+    degenerate = False
+    for level in range(m, tab.shape[0]):
+        while True:
+            reduced = tab[level, :n_cols]
+            enter = (tab[m:level, :n_cols] <= EPS).all(axis=0) & (reduced < -EPS)
+            col = int(enter.argmax() if degenerate else np.where(enter, reduced, 0.0).argmin())
+            if not enter[col]:
+                break
+            row, best = -1, 0.0
+            column, rhs = tab[:m, col].tolist(), tab[:m, -1].tolist()
+            for i in range(m):
+                if column[i] > EPS:
+                    ratio = rhs[i] / column[i]
+                    if row < 0 or ratio < best - EPS or (
+                        ratio < best + EPS and basis[i] < basis[row]
+                    ):
+                        row, best = i, ratio
+            if row < 0:
+                raise lp.LpInfeasible("unbounded")
+            degenerate = best <= EPS
+            lp._pivot(tab, basis, row, col)
+
+
+def reference_walk(c, A, b, senses):
+    """lp's walk written plainly: phase 1 and every objective pivot by
+    ``reference_iterate``, and each objective's x is written as the walk
+    reaches it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_iterate", reference_iterate)
+        body, basis, rows = lp._phase_one(A, b, senses)
+    m, n = A.shape
+    n_cols = n + senses.count("<")
+    K, L, _ = c.shape
+    tab = np.empty((m + L, body.shape[1]))
+    tab[:m] = rows
+    cost = np.zeros((L, body.shape[1]))
+    x = np.zeros((K, n))
+    rebuilt = None
+    for k in range(K):
+        cost[:, :n] = c[k]
+        tab[m:] = cost - cost[:, basis] @ tab[:m]
+        reference_iterate(tab, basis, n_cols)
+        if basis.tolist() != rebuilt:
+            rows, rebuilt = np.linalg.solve(body[:, basis], body), basis.tolist()
+        tab[:m] = rows
+        structural = basis < n
+        x[k, basis[structural]] = tab[:m, -1][structural]
+    return x
+
+
 def moment_lp(rng, sizes=(41, 121)):
     """A nature-shaped 3-row LP and a walk of objectives: tolls in random
     order, either objective, either sense pattern.  Returns the one-level
@@ -98,18 +153,29 @@ def moment_lp(rng, sizes=(41, 121)):
     points = np.arange(n) * float(rng.choice([0.25, 1.0, 2.5, 5.0]))
     mu = float(rng.choice(points[1:-1]))
     kappa = float(rng.choice([0.0, 0.25, 1.0, 4.0, 40.0]))
-    s1 = 1.0 / max(1.0, float(points[-1]))
-    A = np.vstack([np.ones(n), points * s1, points * points * s1 * s1])
-    b = np.array([1.0, mu * s1, (mu * mu + kappa * mu) * s1 * s1])
     senses = str(rng.choice(["==<", "==="]))
-    tolls = rng.permutation(points)[: int(rng.integers(1, 40))][:, None]
-    if rng.uniform() < 0.5:
+    tolls = rng.permutation(points)[: int(rng.integers(1, 40))]
+    objective = "ufn" if rng.uniform() < 0.5 else "an"
+    return (*moment_walk(points, mu, kappa, tolls, objective), senses)
+
+
+def moment_walk(points, mu, kappa, tolls, objective):
+    """Nature's moment LP on ``points`` (mass, mean ``mu``, second moment
+    at most or exactly ``mu**2 + kappa * mu``, rows scaled as nature
+    scales them) and its objectives at ``tolls``, in the order given.
+    Returns the one-level costs (K, n), the three-level walk (K, 3, n) of
+    cost, usage and cube, A and b."""
+    s1 = 1.0 / max(1.0, float(points[-1]))
+    A = np.vstack([np.ones_like(points), points * s1, points * points * s1 * s1])
+    b = np.array([1.0, mu * s1, (mu * mu + kappa * mu) * s1 * s1])
+    tolls = np.asarray(tolls)[:, None]
+    if objective == "ufn":
         C = np.minimum(points, tolls)
     else:
         C = np.where(points >= tolls, tolls, 0.0)
     cube = np.broadcast_to((points * s1) ** 3, C.shape)
     levels = np.stack([C, (points >= tolls) * 1.0, cube], axis=1)
-    return C, levels, A, b, senses
+    return C, levels, A, b
 
 
 def walk_or_infeasible(C, A, b, senses):
@@ -233,6 +299,58 @@ def test_walk_rebuilds_only_when_its_basis_moves(monkeypatch):
     assert walked > 10
 
 
+def matches_reference_walk(c, A, b, senses):
+    """Whether the walk's x equals the reference walk's byte for byte, or
+    both raise LpInfeasible (then False: nothing was walked)."""
+    try:
+        want = reference_walk(c, A, b, senses)
+    except lp.LpInfeasible:
+        with pytest.raises(lp.LpInfeasible):
+            lp.simplex_solve(c, A, b, senses)
+        return False
+    assert np.array_equal(lp.simplex_solve(c, A, b, senses), want)
+    return True
+
+
+def test_walk_matches_reference_walk_bit_for_bit():
+    # Every toll of a grid, walked in grid order and shuffled, under both
+    # objectives and both sense patterns, gives the reference walk's x
+    # byte for byte.  Half the grids start at 100 with step 0.25, where the
+    # basis is ill-conditioned and any change to the rebuild's arithmetic
+    # shows in x.
+    rng = np.random.default_rng(SEED + 4)
+    walked = 0
+    for trial in range(12):
+        n = int(rng.integers(8, 41))
+        q, step = (100.0, 0.25) if trial % 2 else (0.0, float(rng.choice([1.0, 2.5, 5.0])))
+        points = q + step * np.arange(n)
+        mu = float(rng.choice(points[1:-1]) if rng.uniform() < 0.5 else rng.uniform(q, points[-1]))
+        kappa = float(rng.choice([0.0, 0.25, 1.0, 4.0, 40.0, rng.uniform(0.0, 40.0)]))
+        for objective in ("ufn", "an"):
+            _, levels, A, b = moment_walk(points, mu, kappa, points, objective)
+            for senses in ("==<", "==="):
+                for order in (np.arange(n), rng.permutation(n)):
+                    walked += matches_reference_walk(levels[order], A, b, senses)
+    assert walked > 60
+
+
+def test_degenerate_walks_match_reference_walk_bit_for_bit():
+    # Small LPs with zeros in b and three objectives walked in turn:
+    # degenerate pivots are common, and Bland's rule decides where the walk
+    # goes next.
+    rng = np.random.default_rng(SEED + 5)
+    walked = 0
+    for _ in range(300):
+        m, n = int(rng.integers(3, 5)), int(rng.integers(6, 10))
+        A = rng.integers(0, 3, (m, n)).astype(float)
+        A[rng.uniform(size=A.shape) < 0.1] = 1e-15
+        b = rng.integers(0, 3, m).astype(float)
+        C = rng.integers(-3, 4, (3, 1, n)).astype(float)
+        senses = "".join(rng.choice(["=", "<"], m))
+        walked += matches_reference_walk(C, A, b, senses)
+    assert walked > 100
+
+
 def test_small_lps_match_scalar_reference():
     # General small LPs, some entries 1e-15, three objectives walked in turn:
     # each reaches the reference's optimal value at a feasible x.
@@ -281,18 +399,28 @@ C5 = np.arange(5.0).reshape(1, 1, 5)
 
 
 @pytest.mark.parametrize(
-    "c, A, b, message",
+    "c, A, b, senses, message",
     [
-        (np.array([[[0.0, np.nan, 2.0, 3.0, 4.0]]]), A3, B3, "c must be finite"),
-        (np.where(np.arange(15.0).reshape(3, 1, 5) == 7, np.inf, 0.0), A3, B3, "c must be finite"),
-        (C5, np.where(A3 == 4.0, np.inf, A3), B3, "A must be finite"),
-        (C5, A3, np.array([1.0, np.nan, 5.0]), "b must be finite"),
-        (np.arange(4.0).reshape(1, 1, 4), A3, B3, r"c has shape \(1, 1, 4\)"),
-        (np.zeros((2, 6)), A3, B3, r"c has shape \(2, 6\)"),
-        (np.zeros((2, 2, 6)), A3, B3, r"c has shape \(2, 2, 6\)"),
-        (np.zeros((1, 2, 2, 5)), A3, B3, r"c has shape \(1, 2, 2, 5\)"),
-        (np.arange(5.0), A3, B3, r"c has shape \(5,\); need \(K, L, 5\)"),
-        (np.zeros((2, 5)), A3, B3, r"c has shape \(2, 5\); need \(K, L, 5\)"),
+        (np.array([[[0.0, np.nan, 2.0, 3.0, 4.0]]]), A3, B3, "==<", "c must be finite"),
+        (
+            np.where(np.arange(15.0).reshape(3, 1, 5) == 7, np.inf, 0.0),
+            A3,
+            B3,
+            "==<",
+            "c must be finite",
+        ),
+        (C5, np.where(A3 == 4.0, np.inf, A3), B3, "==<", "A must be finite"),
+        (C5, A3, np.array([1.0, np.nan, 5.0]), "==<", "b must be finite"),
+        (np.arange(4.0).reshape(1, 1, 4), A3, B3, "==<", r"c has shape \(1, 1, 4\)"),
+        (np.zeros((2, 6)), A3, B3, "==<", r"c has shape \(2, 6\)"),
+        (np.zeros((2, 2, 6)), A3, B3, "==<", r"c has shape \(2, 2, 6\)"),
+        (np.zeros((1, 2, 2, 5)), A3, B3, "==<", r"c has shape \(1, 2, 2, 5\)"),
+        (np.arange(5.0), A3, B3, "==<", r"c has shape \(5,\); need \(K, L, 5\)"),
+        (np.zeros((2, 5)), A3, B3, "==<", r"c has shape \(2, 5\); need \(K, L, 5\)"),
+        (C5, A3, B3, "==<<", r"senses '==<<' has 4 rows; need 3"),
+        (C5, A3, B3, "=<", r"senses '=<' has 2 rows; need 3"),
+        (C5, np.arange(5.0), B3, "==<", r"A has shape \(5,\); need \(m, n\)"),
+        (C5, A3, B3[:2], "==<", r"b has shape \(2,\); need \(3,\)"),
     ],
     ids=[
         "nan-c",
@@ -305,8 +433,12 @@ C5 = np.arange(5.0).reshape(1, 1, 5)
         "4d-c",
         "1d-c",
         "2d-c",
+        "long-senses",
+        "short-senses",
+        "1d-A",
+        "short-b",
     ],
 )
-def test_bad_input_raises_value_error(c, A, b, message):
+def test_bad_input_raises_value_error(c, A, b, senses, message):
     with pytest.raises(ValueError, match=message):
-        lp.simplex_solve(c, A, b, "==<")
+        lp.simplex_solve(c, A, b, senses)

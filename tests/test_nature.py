@@ -979,6 +979,17 @@ def test_pick_worst_unknown_objective_errors():
             pick_worst([d], 2.0, objective)
 
 
+def test_non_finite_toll_raises_value_error():
+    d = DiscreteDistribution.point_mass(50.0)
+    for r in (math.nan, math.inf, -math.inf):
+        for objective in ("ufn", "an"):
+            with pytest.raises(ValueError, match="toll must be finite"):
+                pick_worst([d], r, objective)
+        for value in (expected_user_cost, expected_revenue):
+            with pytest.raises(ValueError, match="toll must be finite"):
+                value(d, r)
+
+
 # --- two-point sample search ---------------------------------------------------
 
 
