@@ -18,6 +18,7 @@ import contextlib
 import csv
 import io
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -67,6 +68,15 @@ def require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def require_horizon(T, minimum: int) -> None:
+    """Reject a horizon that is not a whole number of periods (a float or
+    a bool, even 50.0), or is below ``minimum``, by name."""
+    if isinstance(T, bool) or not isinstance(T, numbers.Integral):
+        raise ValueError(f"T must be an integer, got {T}")
+    if T < minimum:
+        raise ValueError(f"T must be >= {minimum}")
 
 
 def flag(text: str) -> bool:

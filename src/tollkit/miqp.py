@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import MomentEnvelope, PriceGrid, require_finite
+from .core import MomentEnvelope, PriceGrid, require_finite, require_horizon
 
 __all__ = ["MiqpModel", "emit_nature_miqp"]
 
@@ -67,8 +67,7 @@ def emit_nature_miqp(
     text with deterministic ordering, suitable for CPLEX/Gurobi/SCIP.
     """
     env.validate_against(grid)
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    require_horizon(T, 1)
     if r is not None:
         grid.require_toll(r)
     if epsilon is not None and not (0.0 < epsilon <= 1.0):

@@ -15,8 +15,8 @@ within ``_TIE_TOL`` of it, the lowest usage ``P(c >= r)``, then the lowest
 ``E[s^3]`` with ``s`` the grid scaled onto [0, 1].  Both levels are linear,
 and the last one has a single minimizer, so every solver path returns the
 same distribution.  Where nature chooses among candidates, the rule is
-applied once per toll over all of them together (``_tie_pick``), so the
-pick does not depend on their order.
+applied to all of them together, one row of candidates per toll
+(``_tie_pick``), so the pick does not depend on their order.
 
 On a finite price grid the problem is a small linear program once the mean
 is pinned: three rows (total mass, mean, second moment), so optimal basic
@@ -29,14 +29,20 @@ where one basis stays optimal nature's value is concave in the mean, so
 its minimum lies at a band edge or at a basis change, which is a
 singleton or a variance-tight pair.  So an interval band is the point
 band at each of its two edges, one walk each, plus one table per call
-(``_envelope_table``) of the feasible singletons and pairs, and each toll
-takes the tie rule's one pick among the table and the two edge picks.
-Only the objective depends on the toll, so a call pays the
-toll-independent half once, and nothing is kept between calls.  The call
-then packages all its tolls in one array pass (``_solutions``): the
-distributions are checked together, and each toll's moments, usage and
-objective are ``fsum`` over its own products, so every float is the one a
-per-toll packaging would give.
+(``_envelope_table``) of the feasible singletons and pairs.  The tie rule
+then picks among the table and the two edge picks for a block of tolls at
+once: the block's objective is priced on every candidate in one array
+pass, the usage only on each toll's ties, and the cube only on the ties
+that remain.  A block holds at most ``_PICK_CELLS`` tolls x candidates, so
+the pick's working set stays bounded on fine grids.  Only the objective
+depends on the toll, so a call pays the toll-independent half once, and
+nothing is kept between calls.  A call whose levels (tolls x points) or
+pair table would pass ``_MAX_LEVEL_CELLS`` or ``_MAX_PAIRS`` is refused
+before either is built.  The call then packages all its tolls' picks, as
+(tolls, 3) support and mass arrays, in one array pass (``_solutions``):
+the distributions are checked together, and each toll's moments, usage
+and objective are ``fsum`` over its own products, so every float is the
+one a per-toll packaging would give.
 
 ``solve_nature_two_point`` is the heuristic search over integer-period
 two-point responses; its per-count table (``first_feasible_lower``) and
@@ -60,6 +66,7 @@ from .core import (
     expected_revenue,
     expected_user_cost,
     require_finite,
+    require_horizon,
     user_cost_from_terms,
 )
 from .lp import LpInfeasible, simplex_solve
@@ -219,22 +226,76 @@ def _feasible_moments(mean: float, var: float, env: MomentEnvelope, scale: float
 #   * pairs at a mean edge or on the variance boundary;
 #   * the point-band LP's optimum at each band edge: one walk per edge.
 # The singletons and pairs do not depend on the objective, so
-# ``_envelope_table`` builds every feasible one once per call; each toll
-# takes one ``_tie_pick`` over the table's candidates and the edges'.
+# ``_envelope_table`` builds every feasible one once per call, and each
+# block of tolls takes one ``_tie_pick`` over the table's candidates and
+# the edges'.
 
 _TIE_TOL = 1e-9
+# The largest call solved: a whole curve on a 4,001-point grid.  On an
+# interval band it takes 36 s and 2.1 GiB traced, most of it the pair
+# table (UFN, band [100, 110], kappa 1, grid 0..200, on a 2-core VM).  A
+# larger call is refused by name before anything is built.
+_MAX_LEVEL_CELLS = 4001 * 4001  # tolls x grid points
+_MAX_PAIRS = 4001 * 4000 // 2  # an interval band's pair table
+# An interval band's pick prices blocks of at most this many tolls x
+# candidates (at least one toll), in two float arrays and one bool array.
+_PICK_CELLS = 1 << 20
 _NO_FIT = "no grid-supported distribution satisfies the moment envelope"
 
 
-def _tie_pick(objective: np.ndarray, usage: np.ndarray, cube: np.ndarray) -> int:
-    """Nature's pick among flat candidate arrays: of those within
-    ``_TIE_TOL`` of the lowest objective, then within ``_TIE_TOL`` of the
-    lowest usage among them, the index of the lowest cube, the first on an
-    exact tie.  Only the tied candidates' usage is read."""
-    ties = np.flatnonzero(objective <= objective.min() + _TIE_TOL)
-    usage = usage[ties]
-    low = ties[usage <= usage.min() + _TIE_TOL]
-    return int(low[cube[low].argmin()])
+def _tie_pick(objective: np.ndarray, usage, cube) -> np.ndarray | int:
+    """Nature's pick in each row of ``objective``, shape (rows,
+    candidates): of the candidates within ``_TIE_TOL`` of the row's lowest
+    objective, then within ``_TIE_TOL`` of the lowest usage among them, the
+    index of the lowest cube, the first on an exact tie.  ``usage`` and
+    ``cube`` index as (rows, candidates) arrays do, and are read only on
+    the cells ``[rows, cols]`` the rule reaches: usage on each row's ties,
+    the cube on the ties that also tie on usage.  Flat key arrays are one
+    row, and give one int."""
+    if objective.ndim == 1:
+        return int(_tie_pick(objective[None], usage[None], cube[None])[0])
+    ties = objective <= objective.min(axis=1, keepdims=True) + _TIE_TOL
+    rows, cols = np.divmod(np.flatnonzero(ties), objective.shape[1])
+    # each row's cells are ordered by column, and every row has one, so
+    # each key's lowest per row is a reduceat over the rows' starts
+    usage = usage[rows, cols]
+    low = usage <= np.minimum.reduceat(usage, _starts(rows))[rows] + _TIE_TOL
+    rows, cols = rows[low], cols[low]
+    cube = cube[rows, cols]
+    lowest = np.flatnonzero(cube == np.minimum.reduceat(cube, _starts(rows))[rows])
+    return cols[lowest[_starts(rows[lowest])]]
+
+
+def _starts(rows: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of ``rows`` starts."""
+    return np.flatnonzero(np.diff(rows, prepend=-1))
+
+
+class _Priced:
+    """One level of a block of tolls, ``level`` of shape (tolls, points),
+    priced on the candidates ``(idx, x)``: the cell of a toll and a
+    candidate is ``x[0] * level[idx[0]] + x[1] * level[idx[1]]``, the float
+    the sum of the candidate's two terms gives.  ``[rows, cols]`` prices
+    only the cells asked for; ``all`` prices every cell."""
+
+    def __init__(self, level: np.ndarray, idx: np.ndarray, x: np.ndarray):
+        self.level, self.idx, self.x = level, idx, x
+
+    def __getitem__(self, cells):
+        rows, cols = cells
+        level, idx, x = self.level, self.idx, self.x
+        return x[0, cols] * level[rows, idx[0, cols]] + x[1, cols] * level[rows, idx[1, cols]]
+
+    def all(self, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+        """Every cell, written to ``out`` of shape (tolls, candidates), with
+        ``term`` of that shape as scratch.  (``take`` writes straight into
+        ``out`` in ``clip`` mode; the default mode buffers.)"""
+        np.take(self.level, self.idx[0], axis=1, out=out, mode="clip")
+        out *= self.x[0]
+        np.take(self.level, self.idx[1], axis=1, out=term, mode="clip")
+        term *= self.x[1]
+        out += term
+        return out
 
 
 def _envelope_table(points: np.ndarray, env: MomentEnvelope) -> tuple[np.ndarray, np.ndarray]:
@@ -273,14 +334,7 @@ def _envelope_table(points: np.ndarray, env: MomentEnvelope) -> tuple[np.ndarray
     tv = t[pp, qq]
     idx = np.hstack([[single, np.zeros_like(single)], [I[pp], J[pp]]])
     x = np.hstack([[np.ones(single.size), np.zeros(single.size)], [tv, 1.0 - tv]])
-    return idx.astype(np.min_scalar_type(n)), x
-
-
-def _atoms(support: np.ndarray, masses: np.ndarray) -> tuple[list[float], list[float]]:
-    """One candidate's support and masses as lists, without the zero-mass
-    padding at the end."""
-    n = np.count_nonzero(masses)
-    return support[:n].tolist(), masses[:n].tolist()
+    return idx, x
 
 
 def _point_band_masses(c: np.ndarray, sizes: np.ndarray, mu: float, m2: float) -> np.ndarray:
@@ -309,9 +363,9 @@ def _simplex_minima(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nature's pick at each toll's ``levels`` on a point band, all tolls in
     one ``simplex_solve`` walk, in the order given, as arrays ``(keys,
-    support, masses, admitted)``: the levels' values at the pick, shape
-    (tolls, 3), its support and masses, each (3, tolls) and padded with
-    index 0 at mass 0, and whether it is admitted.
+    support, masses, admitted)``: the levels' values at the pick, its
+    support and masses, each of shape (tolls, 3) and the last two with
+    their atoms first and zero padding after, and whether it is admitted.
 
     A toll's pick is refused when no distribution has the band's mean, or
     when it fails the tests the table applies to its own candidates (every
@@ -339,7 +393,7 @@ def _simplex_minima(
     sizes = np.bincount(rows, minlength=len(levels))
     idx = np.zeros((3, len(levels)), dtype=np.intp)
     idx[np.arange(rows.size) - (np.cumsum(sizes) - sizes)[rows], rows] = cols
-    c = points[idx]
+    c = np.where(np.arange(3)[:, None] < sizes, points[idx], 0.0)
     x = _point_band_masses(c, sizes, mu, cap)
     mean = (x * c).sum(axis=0)
     var = (x * (c * c)).sum(axis=0) - mean * mean
@@ -352,72 +406,85 @@ def _simplex_minima(
         & (var <= kappa * mean + var_tol)
     )
     keys = (x[..., None] * levels[np.arange(len(levels)), :, idx]).sum(axis=0)
-    return keys, c, x, admitted
+    return keys, c.T, x.T, admitted
 
 
 def _minimize_worst_case(
     grid: PriceGrid, env: MomentEnvelope, levels: np.ndarray
-) -> list[tuple[list[float], list[float]]]:
-    """Nature's ``(support, masses)`` for each toll's ``levels``: a point
-    band's walk picks, or on an interval band ``_tie_pick`` over the
-    table's candidates, then the lower and the upper band edge's admitted
-    walk picks."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nature's pick at each toll's ``levels`` as ``(support, masses)``,
+    each of shape (tolls, 3) with the atoms first and zero padding after:
+    a point band's walk picks, or on an interval band one ``_tie_pick`` per
+    block of tolls over the table's candidates, then the lower and the
+    upper band edge's admitted walk picks."""
     if abs(env.u_upper - env.u_lower) <= 1e-12:
         _, support, masses, admitted = _simplex_minima(grid, env, levels)
         if not admitted.all():
             raise ValueError(_NO_FIT)
-        return [_atoms(*column) for column in zip(support.T, masses.T)]
+        return support, masses
     points = grid.points()
+    n = points.size
     idx, x = _envelope_table(points, env)
+    table = x.shape[1]
     edges = [
         _simplex_minima(grid, MomentEnvelope(mu, mu, env.kappa_bar), levels)
         for mu in (env.u_lower, env.u_upper)
     ]
-    # per toll, the edge picks' keys as two more columns; a refused one
-    # never ties, at an infinite objective
+    # per toll, the edge picks' keys as two more level columns; a refused
+    # one never ties, at an infinite objective
     edge_keys = np.stack([keys for keys, *_ in edges], axis=2)
     edge_keys[:, 0][~np.stack([admitted for *_, admitted in edges], axis=1)] = np.inf
-    if not idx.shape[1] and np.isinf(edge_keys[:, 0].min(axis=1)).any():
+    if not table and np.isinf(edge_keys[:, 0].min(axis=1)).any():
         raise ValueError(_NO_FIT)
-    minima = []
-    for k, (level, keys) in enumerate(zip(levels, edge_keys)):
-        e = _tie_pick(*np.hstack([(x * level[:, idx]).sum(axis=1), keys]))
-        if e < x.shape[1]:
-            column = points[idx[:, e]], x[:, e]
-        else:
-            _, support, masses, _ = edges[e - x.shape[1]]
-            column = support[:, k], masses[:, k]
-        minima.append(_atoms(*column))
-    return minima
+    # and the edge picks as two more candidates, each its own column at
+    # weight 1, so that 1 * key + 0 * level is the key itself
+    idx = np.hstack([idx, [[n, n + 1], [0, 0]]])
+    x = np.hstack([x, [[1.0, 1.0], [0.0, 0.0]]])
+    picks = np.empty(len(levels), dtype=np.intp)
+    block = max(1, _PICK_CELLS // x.shape[1])
+    # every block's objective is priced into the same two arrays
+    scratch = np.empty((2, min(block, len(levels)), x.shape[1]))
+    for start in range(0, len(levels), block):
+        rows = slice(start, start + block)
+        keys = np.concatenate([levels[rows], edge_keys[rows]], axis=2)
+        objective, usage, cube = (_Priced(keys[:, k], idx, x) for k in range(3))
+        picks[rows] = _tie_pick(objective.all(*scratch[:, : len(keys)]), usage, cube)
+    support, masses = np.zeros((2, len(levels), 3))
+    won = picks < table
+    support[won, :2] = points[idx[:, picks[won]]].T
+    masses[won, :2] = x[:, picks[won]].T
+    for e, (_, edge_support, edge_masses, _) in enumerate(edges, start=table):
+        won = picks == e
+        support[won], masses[won] = edge_support[won], edge_masses[won]
+    return np.where(masses > 0.0, support, 0.0), masses
 
 
 def _solutions(
     grid: PriceGrid,
     env: MomentEnvelope,
-    minima: Sequence[tuple[Sequence[float], Sequence[float]]],
+    support: np.ndarray,
+    masses: np.ndarray,
     tolls: list[float],
     objective: str,
 ) -> tuple[NatureSolution, ...]:
-    """Nature's ``(support, masses)`` at each toll as a ``NatureSolution``,
-    every toll packaged in one array pass.
+    """Nature's pick at each toll as a ``NatureSolution``, every toll
+    packaged in one array pass: row k of the (tolls, width) arrays
+    ``support`` and ``masses`` is toll k's distribution, its atoms first.
 
-    Masses of at most 1e-15 are dropped, as ``from_pairs`` drops them; the
-    rows are checked and renormalized together
+    Masses of at most 1e-15 end a row's atoms, and are dropped as
+    ``from_pairs`` drops them; the rows are checked and renormalized together
     (``DiscreteDistribution.from_rows``), and each row's moments, usage
     and objective are the ``math.fsum`` of its own products.  Each row is
     re-checked against the envelope within ``_moment_tols`` of the grid's
     scale, the slack that admitted it.
     """
-    rows = [[(c, m) for c, m in zip(*minimum) if m > 1e-15] for minimum in minima]
-    if not rows:
+    if not tolls:
         return ()
-    if not all(rows):
+    sizes = (masses > 1e-15).sum(axis=1).tolist()
+    if not all(sizes):
         raise ValueError("no positive mass")
-    sizes = [len(row) for row in rows]
-    pad = [(0.0, 0.0)] * max(sizes)
-    table = np.array([row + pad[len(row):] for row in rows])
-    support, r = table[..., 0], np.array(tolls)[:, None]
-    dists, mass = DiscreteDistribution.from_rows(support, table[..., 1], sizes)
+    r = np.array(tolls)[:, None]
+    dists, mass = DiscreteDistribution.from_rows(support, masses, sizes)
     first = (mass * support).tolist()
     second = (mass * (support * support)).tolist()
     paid = np.where(support >= r, mass, 0.0).tolist()
@@ -454,9 +521,20 @@ def _solve_nature(
     env.validate_against(grid)
     if not tolls:
         return ()
+    n = grid.n_points
+    if len(tolls) * n > _MAX_LEVEL_CELLS:
+        raise ValueError(
+            f"{len(tolls)} tolls on a grid of {n} points exceed the bound of "
+            f"{_MAX_LEVEL_CELLS} tolls x points"
+        )
+    if abs(env.u_upper - env.u_lower) > 1e-12 and n * (n - 1) // 2 > _MAX_PAIRS:
+        raise ValueError(
+            f"an interval mean band on a grid of {n} points needs {n * (n - 1) // 2} "
+            f"support pairs, over the bound of {_MAX_PAIRS}"
+        )
     levels = _levels(grid.points(), tolls, objective)
-    minima = _minimize_worst_case(grid, env, levels)
-    solutions = _solutions(grid, env, minima, tolls, objective)
+    support, masses = _minimize_worst_case(grid, env, levels)
+    solutions = _solutions(grid, env, support, masses, tolls, objective)
     return solutions if np.ndim(r) else solutions[0]
 
 
@@ -543,8 +621,7 @@ def solve_nature_two_point(
     on ties.  With no feasible pair, the degenerate point mass at the mean
     is returned.
     """
-    if T < 2:
-        raise ValueError("T must be >= 2")
+    require_horizon(T, 2)
     if not (grid.q - 1e-9 <= mu <= grid.Q + 1e-9):
         raise ValueError(f"mean {mu} outside the support range")
     require_finite(kappa_bar=kappa_bar)

@@ -31,6 +31,7 @@ from .core import (
     MomentEnvelope,
     PriceGrid,
     TollQuote,
+    require_horizon,
     write_rows,
 )
 from .nature import (
@@ -95,8 +96,7 @@ def two_point_robust_toll(grid: PriceGrid, env: MomentEnvelope, T: int) -> Robus
     every other worst case collapses to zero.
     """
     env.validate_against(grid)
-    if T < 2:
-        raise ValueError("T must be >= 2")
+    require_horizon(T, 2)
     mu = env.u_lower
     points = grid.points()
     table = first_feasible_lower(points[points < mu], mu, env.kappa_bar, T, grid.Q)
@@ -133,8 +133,7 @@ def epsilon_sweep_robust_toll(
     Every toll is solved, including those below where the walk stops.
     """
     env.validate_against(grid)
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    require_horizon(T, 1)
     points = grid.points()
     usage = [sol.usage_probability for sol in nature(grid, env, points)]
 
@@ -253,8 +252,7 @@ def solve_nature_miqp_exact(
     """
     env.validate_against(grid)
     grid.require_toll(r)
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    require_horizon(T, 1)
     q, Q = grid.q, grid.Q
     ul, uu = env.u_lower, env.u_upper
     K = env.kappa_bar * (T - 1)

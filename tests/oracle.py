@@ -111,6 +111,7 @@ def brute_force_nature(grid, env, rows):
             picks.append((values, weights))
         if not keys:
             raise ValueError(_NO_FIT)
-        pick = picks[_tie_pick(*np.array(keys).T)]
-        solutions += _solutions(grid, env, [pick], [toll], objective)
+        support, masses = picks[_tie_pick(*np.array(keys).T)]
+        support, masses = np.array([support]), np.array([masses])
+        solutions += _solutions(grid, env, support, masses, [toll], objective)
     return tuple(solutions)

@@ -329,6 +329,32 @@ def test_near_infeasible_point_band_exits_2(tmp_path, capsys, argv):
     assert err.splitlines() == ["error: no grid-supported distribution satisfies the moment envelope"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["nature", "--grid-step", "0.01", "--u-lower", "100", "--u-upper", "110"]
+            + ["--toll", "100"],
+            "an interval mean band on a grid of 20001 points needs 200010000 support pairs, "
+            "over the bound of 8002000",
+        ),
+        (
+            ["price", "--grid-step", "0.001", "--u-lower", "100", "--u-upper", "100"]
+            + ["--method", "sweep"],
+            "200001 tolls on a grid of 200001 points exceed the bound of 16008001 tolls x points",
+        ),
+    ],
+    ids=["nature-pair-table", "price-sweep-levels"],
+)
+def test_grid_too_fine_to_finish_exits_2(tmp_path, capsys, argv, message):
+    # Calls whose arrays could not be built are refused before any is: one
+    # error line naming the grid's point count and the bound.
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (out / "nature.csv").exists() and not (out / "price.csv").exists()
+
+
 # Every CSV a subcommand reads: a valid text, and the column each bad value
 # goes into on the file's line 3.
 CSV_INPUTS = {

@@ -23,7 +23,6 @@ from tollkit.core import (
 from tollkit.nature import (
     _TIE_TOL,
     _NO_FIT,
-    _atoms,
     _levels,
     _moment_tols,
     _minimize_worst_case,
@@ -62,17 +61,47 @@ def random_instance(rng: np.random.Generator):
     return grid, env, r
 
 
+def atoms(support, masses):
+    """Each row of the solver's (tolls, 3) arrays as lists ``(support,
+    masses)``, without the padding; each row holds its atoms first and
+    zeros after."""
+    live = masses != 0.0
+    assert (live[:, :-1] >= live[:, 1:]).all() and not support[~live].any()
+    sizes = np.count_nonzero(masses, axis=1)
+    return [(s[:n].tolist(), m[:n].tolist()) for s, m, n in zip(support, masses, sizes)]
+
+
+def padded(minima):
+    """Rows of ``(support, masses)`` lists as the two zero-padded (rows,
+    width) arrays that ``_solutions`` takes."""
+    table = np.zeros((2, len(minima), max([len(s) for s, _ in minima], default=0)))
+    for k, (support, masses) in enumerate(minima):
+        table[:, k, : len(support)] = support, masses
+    return table[0], table[1]
+
+
+def worst_cases(grid, env, levels):
+    """The exact solver's picks, one ``(support, masses)`` row per toll."""
+    return atoms(*_minimize_worst_case(grid, env, levels))
+
+
+def package(grid, env, minima, tolls, objective):
+    """``(support, masses)`` rows packaged by ``_solutions``."""
+    return _solutions(grid, env, *padded(minima), tolls, objective)
+
+
 def _simplex_minimum(grid, env, levels):
     """One toll's levels through the simplex walk, a walk of length one."""
     _, support, masses, (admitted,) = _simplex_minima(grid, env, levels[None])
     if not admitted:
         raise ValueError(_NO_FIT)
-    return _atoms(support[:, 0], masses[:, 0])
+    (minimum,) = atoms(support, masses)
+    return minimum
 
 
 def _lone_minimum(grid, env, levels):
     """One toll's levels through the exact solver."""
-    (minimum,) = _minimize_worst_case(grid, env, levels[None])
+    (minimum,) = worst_cases(grid, env, levels[None])
     return minimum
 
 
@@ -86,8 +115,7 @@ def solve_on_path(path, grid, env, r, objective):
     ``_simplex_minimum`` or ``_reference_minimum``), packaged as the public
     solvers package it."""
     (levels,) = _levels(grid.points(), r, objective)
-    support, masses = path(grid, env, levels)
-    (solution,) = _solutions(grid, env, [(support, masses)], [r], objective)
+    (solution,) = package(grid, env, [path(grid, env, levels)], [r], objective)
     return solution
 
 
@@ -169,19 +197,19 @@ def test_walk_matches_lone_solves_in_any_order():
         points = grid.points()
         for objective in ("ufn", "an"):
             levels = _levels(points, points, objective)
-            walk = outcome(_minimize_worst_case, grid, env, levels)
+            walk = outcome(worst_cases, grid, env, levels)
             if isinstance(walk, str):
                 assert walk == outcome(_simplex_minimum, grid, env, levels[0])
                 continue
             order = rng.permutation(points.size)
-            shuffled = _minimize_worst_case(grid, env, levels[order])
+            shuffled = worst_cases(grid, env, levels[order])
             for k, r in enumerate(points.tolist()):
                 lone = _simplex_minimum(grid, env, levels[k])
                 back = shuffled[np.flatnonzero(order == k)[0]]
                 assert walk[k] == lone == back, (grid, env, objective, r)
                 usage = [
                     sol.usage_probability
-                    for sol in _solutions(grid, env, [walk[k], lone], [r, r], objective)
+                    for sol in package(grid, env, [walk[k], lone], [r, r], objective)
                 ]
                 assert usage[0] == usage[1]
                 cases += 1
@@ -220,14 +248,14 @@ def test_walk_matches_highs_lexicographic_oracle():
         points = grid.points()
         for objective in ("ufn", "an"):
             levels = _levels(points, points, objective)
-            walk = outcome(_minimize_worst_case, grid, env, levels)
+            walk = outcome(worst_cases, grid, env, levels)
             for k in rng.choice(points.size, min(12, points.size), replace=False).tolist():
                 x = highs_lexicographic(points, env.u_lower, env.kappa_bar, levels[k])
                 if x is None:
                     assert isinstance(walk, str)
                     break
                 r = float(points[k])
-                (got,) = _solutions(grid, env, [walk[k]], [r], objective)
+                (got,) = package(grid, env, [walk[k]], [r], objective)
                 assert abs(got.objective_value - float(levels[k, 0] @ x)) <= 1e-7, (env, r)
                 assert abs(got.usage_probability - float(levels[k, 1] @ x)) <= 1e-7, (env, r)
                 assert walk[k][0] == points[x > 1e-7].tolist(), (env, objective, r)
@@ -442,13 +470,13 @@ def assert_matches_reference(grid, env, objective, context):
     envelope fails every toll with the same error."""
     points = grid.points()
     levels = _levels(points, points, objective)
-    got = outcome(_minimize_worst_case, grid, env, levels)
+    got = outcome(worst_cases, grid, env, levels)
     want = [outcome(per_toll_enumeration, points, env, lv) for lv in levels]
     if isinstance(got, str):
         assert want == [got] * len(levels), context
         return
     assert got == [w[1:] for w in want], context
-    for sol, (value, _, _) in zip(_solutions(grid, env, got, points.tolist(), objective), want):
+    for sol, (value, _, _) in zip(package(grid, env, got, points.tolist(), objective), want):
         assert abs(sol.objective_value - value) <= _TIE_TOL + 1e-12 * max(1.0, abs(value)), context
 
 
@@ -543,6 +571,92 @@ def test_envelope_table_on_sweep_interval_bands():
         centre, half = rng.uniform(40.0, 160.0), rng.uniform(1.0, 10.0)
         env = MomentEnvelope(centre - half, centre + half, rng.uniform(0.5, 2.0))
         assert_matches_reference(grid, env, objective, (env, objective))
+
+
+def test_blocks_cannot_change_a_pick(monkeypatch):
+    # The interval band's pick runs over blocks of tolls of at most
+    # _PICK_CELLS cells: blocks of 1 toll, 7 tolls and the default give
+    # every field of one call with all tolls in one block.
+    rng = np.random.default_rng(SEED + 14)
+    instances = []
+    while len(instances) < 12:
+        grid, env = random_table_instance(rng)
+        if env.u_lower < env.u_upper:
+            instances.append((grid, env))
+    instances.append((PriceGrid(0.0, 200.0, 4.0), MomentEnvelope(95.0, 105.0, 1.5)))
+    default = nature._PICK_CELLS
+    checked = 0
+    for trial, (grid, env) in enumerate(instances):
+        points = grid.points()
+        candidates = nature._envelope_table(points, env)[1].shape[1] + 2
+        for solver in (solve_nature_ufn, solve_nature_an):
+            calls = {}
+            for name, cells in (("one", 1), ("seven", 7 * candidates), ("default", default)):
+                monkeypatch.setattr(nature, "_PICK_CELLS", cells)
+                calls[name] = outcome(solver, grid, env, points)
+            monkeypatch.setattr(nature, "_PICK_CELLS", points.size * candidates)
+            want = outcome(solver, grid, env, points)
+            for name, got in calls.items():
+                if isinstance(want, str):
+                    assert got == want, (trial, name)
+                    continue
+                assert [solution_fields(s) for s in got] == [
+                    solution_fields(s) for s in want
+                ], (trial, solver.__name__, name)
+                checked += len(got)
+    assert checked > 1000
+
+
+def test_fine_grid_curve_traced_peak():
+    # One whole curve on a 1,001-point grid: the pair table's build sets
+    # the peak, and the blocked pick stays under it (an unblocked objective
+    # matrix for these 120,610 candidates would need about 0.97 GB).
+    tracemalloc = pytest.importorskip("tracemalloc")
+    grid = PriceGrid(0.0, 1000.0, 1.0)
+    env = MomentEnvelope(300.0, 420.0, 5.0)
+    tracemalloc.start()
+    try:
+        curve = solve_nature_ufn(grid, env, grid.points())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curve) == 1001
+    assert peak <= 150 * 2**20, peak / 2**20
+
+
+def test_grid_too_fine_to_finish_is_refused_before_building(monkeypatch):
+    # A call is refused, naming its grid's point count and the bound, when
+    # its levels (tolls x points) or an interval band's pair table (n(n-1)/2
+    # pairs) would exceed the module's bounds; a call at the bounds solves.
+    grid = PriceGrid(0.0, 19.0, 1.0)  # 20 points, 190 pairs
+    interval, point = MomentEnvelope(8.0, 11.0, 2.0), MomentEnvelope(9.0, 9.0, 2.0)
+    monkeypatch.setattr(nature, "_MAX_PAIRS", 190)
+    monkeypatch.setattr(nature, "_MAX_LEVEL_CELLS", 20 * 20)
+    for env in (interval, point):
+        assert len(solve_nature_ufn(grid, env, grid.points())) == 20
+    built = nature._levels
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused call built its levels")
+
+    monkeypatch.setattr(nature, "_levels", refuse)
+    monkeypatch.setattr(nature, "_MAX_LEVEL_CELLS", 20 * 20 - 1)
+    for env in (interval, point):
+        with pytest.raises(ValueError) as got:
+            solve_nature_an(grid, env, grid.points())
+        assert str(got.value) == (
+            "20 tolls on a grid of 20 points exceed the bound of 399 tolls x points"
+        )
+    monkeypatch.setattr(nature, "_MAX_PAIRS", 189)
+    with pytest.raises(ValueError) as got:
+        solve_nature_ufn(grid, interval, 9.0)
+    assert str(got.value) == (
+        "an interval mean band on a grid of 20 points needs 190 support pairs, "
+        "over the bound of 189"
+    )
+    # a point band builds no pair table
+    monkeypatch.setattr(nature, "_levels", built)
+    assert solve_nature_ufn(grid, point, 9.0).distribution.mean() == pytest.approx(9.0)
 
 
 def test_tie_pick_breaks_ties_by_usage_then_cube():
@@ -748,12 +862,12 @@ def test_packager_matches_per_toll_reference():
         for objective in ("ufn", "an"):
             for tolls in (points, rng.choice(points, 5), rng.choice(points, 1)):
                 tolls = tolls.tolist()
-                minima = outcome(_minimize_worst_case, grid, env, _levels(points, tolls, objective))
+                minima = outcome(worst_cases, grid, env, _levels(points, tolls, objective))
                 if isinstance(minima, str):
                     continue
                 minima = [*minima, *((s + [s[-1] + 1.0], m + [1e-16]) for s, m in minima)]
                 tolls = tolls + tolls
-                got = _solutions(grid, env, minima, tolls, objective)
+                got = package(grid, env, minima, tolls, objective)
                 assert len(got) == len(tolls)
                 for sol, (s, m), r in zip(got, minima, tolls):
                     want = package_reference(s, m, env, r, objective, scale)
@@ -761,7 +875,7 @@ def test_packager_matches_per_toll_reference():
                     cases += 1
     assert cases > 2000
     # an empty toll array packages to no solutions, on either path
-    assert _solutions(grid, env, [], [], "ufn") == ()
+    assert package(grid, env, [], [], "ufn") == ()
     grid = PriceGrid(0.0, 40.0, 1.0)
     for env in (MomentEnvelope(17.0, 17.0, 3.0), MomentEnvelope(15.0, 19.0, 3.0)):
         assert solve_nature_ufn(grid, env, np.array([])) == ()
@@ -773,7 +887,7 @@ def test_packager_raises_as_the_per_toll_reference():
     grid = PriceGrid(0.0, 40.0, 1.0)
     env = MomentEnvelope(17.0, 17.0, 3.0)
     good = [([10.0, 24.0], [0.5, 0.5]), ([17.0], [1.0]), ([10.0, 17.0, 24.0], [0.25, 0.5, 0.25])]
-    assert len(_solutions(grid, env, good, [17.0] * len(good), "ufn")) == len(good)
+    assert len(package(grid, env, good, [17.0] * len(good), "ufn")) == len(good)
     bad = (
         ([12.0], [0.0]),  # no positive mass
         ([12.0, 13.0], [1e-16, 0.0]),  # no positive mass after the drop
@@ -790,7 +904,7 @@ def test_packager_raises_as_the_per_toll_reference():
                     for s, m in minima:
                         package_reference(s, m, env, 17.0, objective, 40.0)
                 with pytest.raises(want.type) as got:
-                    _solutions(grid, env, minima, tolls, objective)
+                    package(grid, env, minima, tolls, objective)
                 assert str(got.value) == str(want.value), (row, at)
 
 

@@ -616,3 +616,24 @@ def test_emit_validation():
             emit_nature_miqp(WIDE, WIDE_ENV, 3, r=bad)
         with pytest.raises(ValueError, match="toll must be finite"):
             solve_nature_miqp_exact(WIDE, WIDE_ENV, 3, bad)
+
+
+def test_non_integer_horizon_is_refused_by_name():
+    # A float or bool horizon, even a whole-valued one, is refused by every
+    # solver that takes T; a numpy integer is a whole number of periods.
+    env = MomentEnvelope(500.0, 500.0, 60.0)
+    solvers = {
+        "two-point search": lambda T: solve_nature_two_point(WIDE, 500.0, 60.0, T, 500.0),
+        "two-point toll": lambda T: two_point_robust_toll(WIDE, env, T),
+        "sweep": lambda T: epsilon_sweep_robust_toll(WIDE, env, T),
+        "exact model": lambda T: solve_nature_miqp_exact(WIDE, env, T, 500.0),
+        "emitted model": lambda T: emit_nature_miqp(WIDE, env, T),
+    }
+    for name, solve in solvers.items():
+        for T, shown in ((2.5, "2.5"), (50.0, "50.0"), (True, "True"), (np.float64(3.0), "3.0")):
+            with pytest.raises(ValueError) as got:
+                solve(T)
+            assert str(got.value) == f"T must be an integer, got {shown}", name
+        solve(np.int64(3))
+        with pytest.raises(ValueError, match=r"^T must be >= "):
+            solve(0)
