@@ -9,7 +9,8 @@ seed, so repeating a run with the same config and seed reproduces every
 artifact byte for byte.
 
 Exit codes: 0 success, 1 missing input file (path in the message),
-2 usage or value error.
+2 usage or value error.  A run that exits non-zero writes nothing, not
+even its output directory.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ _this = sys.modules[__name__]
 OUT_DIR_ENV = "TOLLKIT_OUT_DIR"
 
 def _resolve_out_dir(args: argparse.Namespace) -> str:
+    """Make the output directory; handlers call it only once their work is
+    done, so a failed run leaves no directory behind."""
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
     os.makedirs(out_dir, exist_ok=True)
     return out_dir
@@ -114,6 +117,8 @@ def _resolve_envelope(
 ) -> MomentEnvelope:
     """Envelope from an explicit mean band, or estimated from a history CSV."""
     if args.history is not None:
+        if args.u_lower is not None or args.u_upper is not None:
+            raise ValueError("--history excludes --u-lower and --u-upper")
         history = CostHistory.from_csv(args.history, grid, cfg.T, cfg.H)
         return estimate_moment_envelope(
             history.state_minima(), grid, cfg.confidence_z, cfg.kappa_bar
@@ -136,13 +141,13 @@ def _envelope_extras(args: argparse.Namespace) -> list[tuple[str, object]]:
 def _cmd_price(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     grid = cfg.grid()
-    out_dir = _resolve_out_dir(args)
     env = _resolve_envelope(args, cfg, grid)
     if args.method == "two-point":
         result = _this.two_point_robust_toll(grid, env, cfg.T)
     else:
         result = _this.epsilon_sweep_robust_toll(grid, env, cfg.T)
     quote = _this.quote_for_result(result, cfg.T)
+    out_dir = _resolve_out_dir(args)
     write_rows(
         os.path.join(out_dir, "price.csv"),
         ["format_version", "toll", "usage_count", "worst_case_revenue", "method"],
@@ -170,11 +175,11 @@ def _cmd_price(args: argparse.Namespace) -> int:
 def _cmd_nature(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     grid = cfg.grid()
-    out_dir = _resolve_out_dir(args)
     env = _resolve_envelope(args, cfg, grid)
     solver = _this.solve_nature_an if args.objective == "an" else _this.solve_nature_ufn
     solution = solver(grid, env, args.toll)
     dist = solution.distribution
+    out_dir = _resolve_out_dir(args)
     write_rows(
         os.path.join(out_dir, "nature.csv"),
         ["format_version", "support", "mass"],
@@ -198,11 +203,11 @@ def _cmd_nature(args: argparse.Namespace) -> int:
 def _cmd_emit_mip(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     grid = cfg.grid()
-    out_dir = _resolve_out_dir(args)
     env = _resolve_envelope(args, cfg, grid)
     model, text = _this.emit_nature_miqp(
         grid, env, cfg.T, r=args.toll, epsilon=args.epsilon, big_M=args.big_m
     )
+    out_dir = _resolve_out_dir(args)
     path = os.path.join(out_dir, "model.lp")
     with open(path, "w") as handle:
         handle.write(text)
@@ -255,10 +260,10 @@ def _load_incidence(path: str, path_names: list[str]) -> tuple[list[str], np.nda
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    out_dir = _resolve_out_dir(args)
     path_names, bounds = _load_bounds(args.bounds)
     arc_names, incidence = _load_incidence(args.incidence, path_names)
     tolls = _this.allocate_arc_tolls(bounds, incidence)
+    out_dir = _resolve_out_dir(args)
     write_rows(
         os.path.join(out_dir, "tolls.csv"),
         ["format_version", "arc", "toll"],
@@ -277,7 +282,6 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     grid = cfg.grid()
-    out_dir = _resolve_out_dir(args)
     records = _this.parse_traffic_records(args.records)
     skeleton, _, costs, report = _this.ingest_to_network(
         records,
@@ -292,6 +296,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if len(ends) < 2:
         raise ValueError("ingested network has fewer than two nodes")
     net = _this.skeleton_to_network(skeleton, costs, ends[0], ends[-1])
+    out_dir = _resolve_out_dir(args)
     _this.write_network(
         net, os.path.join(out_dir, "arcs.csv"), os.path.join(out_dir, "states.csv")
     )
@@ -315,7 +320,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    out_dir = _resolve_out_dir(args)
     eval_samples = args.eval_samples
     if eval_samples is None:
         eval_samples = 2500 if args.full_scale else 500
@@ -330,6 +334,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         grid=cfg.grid(),
         confidence_z=cfg.confidence_z,
     )
+    series = None
     if args.family == "all":
         rows = [
             _this.run_fixed_distribution_experiment(ecfg, _this.family_spec(fam, ecfg.grid))
@@ -342,6 +347,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         spec = _this.family_spec(args.family, ecfg.grid)
         rows = [_this.run_fixed_distribution_experiment(ecfg, spec)]
         series = _this.run_dynamic_cumulative_regret(ecfg, spec)
+    out_dir = _resolve_out_dir(args)
+    if series is not None:
         _this.write_cumulative_regret(
             series, os.path.join(out_dir, "cumulative_regret.csv")
         )
@@ -367,7 +374,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_real_exp(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    out_dir = _resolve_out_dir(args)
     # an empty endpoint takes its default, like an omitted one
     net = _this.load_network(args.arcs, args.states, args.origin or None, args.destination or None)
     n_states = net.state_costs.shape[0]
@@ -382,6 +388,7 @@ def _cmd_real_exp(args: argparse.Namespace) -> int:
         confidence_z=cfg.confidence_z,
         seed=cfg.seed,
     )
+    out_dir = _resolve_out_dir(args)
     write_rows(
         os.path.join(out_dir, "real_regret.csv"),
         [

@@ -625,9 +625,7 @@ def run_real_data_experiment(
         raise ValueError(
             f"history cut {history_cut} outside the {n_states} available states"
         )
-    nodes = net.nodes
-    if len(nodes) < 2:
-        raise ValueError("network has fewer than two nodes")
+    nodes = net.nodes  # at least two: the endpoints differ
 
     rng = _stream(seed, _KIND_PAIRS)
     margin_series: list[np.ndarray] = []

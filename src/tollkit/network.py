@@ -67,7 +67,9 @@ class TollNetwork:
 
     ``state_costs[s, a]`` is the base (non-toll) cost of arc ``a`` in state
     ``s``; toll arcs carry their base cost here and the toll on top.  The
-    origin and destination are nodes of the arcs.
+    origin and destination are nodes of the arcs.  Every cost is finite and
+    at least 0, and the network keeps a read-only copy of the matrix, so no
+    later write can make a cost negative.
     """
 
     arcs: tuple[Arc, ...]
@@ -82,14 +84,21 @@ class TollNetwork:
         for name, node in (("origin", self.origin), ("destination", self.destination)):
             if node not in nodes:
                 raise ValueError(f"{name} {node!r} is not a node of the arcs")
-        costs = np.asarray(self.state_costs, dtype=float)
+        costs = np.array(self.state_costs, dtype=float)
         if costs.ndim != 2 or costs.shape[1] != len(self.arcs):
             raise ValueError(
                 f"state_costs must be (states x {len(self.arcs)} arcs), "
                 f"got shape {costs.shape}"
             )
-        if not np.all(np.isfinite(costs)) or (costs < -1e-9).any():
-            raise ValueError("arc costs must be finite and non-negative")
+        bad = np.argwhere(~(np.isfinite(costs) & (costs >= 0)))
+        if bad.size:
+            s, i = bad[0].tolist()
+            arc = self.arcs[i]
+            raise ValueError(
+                f"state {s}, arc {i} ({arc.tail!r}-{arc.head!r}): "
+                f"cost {float(costs[s, i])!r} must be finite and non-negative"
+            )
+        costs.setflags(write=False)
         object.__setattr__(self, "state_costs", costs)
         parallel = Counter((a.tail, a.head) for a in self.arcs)
         worst = max(parallel.values(), default=0)
@@ -222,26 +231,11 @@ def state_shortest_path_costs(
     be traversed both ways (road segments recorded in arbitrary direction).
     Unreachable states come back as ``inf``.  Nodes are numbered in name
     order, so the heap breaks ties between equal distances by node name.
-
-    Costs may be as low as -1e-9.  Before any search runs, a negative-cost
-    cycle among the usable arcs raises ValueError naming the first such
-    state, wherever the cycle lies.  An undirected search can cross an arc
-    there and back, so there a negative arc is such a cycle; a directed
-    one is found by Bellman-Ford from every node at once, in the states
-    that have a negative usable arc.
+    Costs are finite and non-negative, as ``TollNetwork`` guarantees.
     """
     src = net.origin if origin is None else origin
     dst = net.destination if destination is None else destination
     arc_ids = net.free_arcs if free_only else range(len(net.arcs))
-    if undirected:
-        usable = set(arc_ids)
-        for s, i in np.argwhere(net.state_costs < 0).tolist():
-            if i in usable:
-                raise ValueError(
-                    f"state {s}: a negative-cost cycle: arc {i} ({net.arcs[i].tail!r}-"
-                    f"{net.arcs[i].head!r}) costs {float(net.state_costs[s, i])!r}, "
-                    "and an undirected search crosses it there and back"
-                )
     names = sorted({*net.nodes, src, dst})
     number = {name: k for k, name in enumerate(names)}
     adj: list[list[tuple[int, int]]] = [[] for _ in names]
@@ -250,14 +244,6 @@ def state_shortest_path_costs(
         adj[tail].append((head, i))
         if undirected:
             adj[head].append((tail, i))
-    if not undirected:
-        negative = net.state_costs[:, list(arc_ids)] < 0
-        for s in np.flatnonzero(negative.any(axis=1)).tolist():
-            if _has_negative_cycle(adj, net.state_costs[s].tolist()):
-                raise ValueError(
-                    f"state {s}: the usable arcs close a negative-cost cycle; "
-                    "shortest paths are undefined"
-                )
     start, goal = number[src], number[dst]
     result = np.full(net.n_states, math.inf)
     for s, w in enumerate(net.state_costs.tolist()):
@@ -277,23 +263,6 @@ def state_shortest_path_costs(
                     dist[head] = nd
                     heapq.heappush(heap, (nd, head))
     return result
-
-
-def _has_negative_cycle(adj: list[list[tuple[int, int]]], w: list[float]) -> bool:
-    """Bellman-Ford from every node at once (all distances 0): a pass that
-    still improves a distance after one pass per node means a
-    negative-cost cycle."""
-    dist = [0.0] * len(adj)
-    for _ in adj:
-        improved = False
-        for tail, arcs in enumerate(adj):
-            for head, i in arcs:
-                if dist[tail] + w[i] < dist[head]:
-                    dist[head] = dist[tail] + w[i]
-                    improved = True
-        if not improved:
-            return False
-    return True
 
 
 def _validate_path(net: TollNetwork, path) -> tuple[int, ...]:

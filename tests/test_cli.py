@@ -355,6 +355,45 @@ def test_grid_too_fine_to_finish_exits_2(tmp_path, capsys, argv, message):
     assert not (out / "nature.csv").exists() and not (out / "price.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["nature", "--grid-step", "0.01", "--u-lower", "100", "--u-upper", "110", "--toll", "100"], 2),
+        (["nature", "--config", "{cfg}", "--u-lower", "5.5", "--u-upper", "5.5", "--toll", "5"], 2),
+        (["simulate", "--links", "0"], 2),
+        (["real-exp", "--arcs", "{missing}", "--states", "{missing}"], 1),
+    ],
+    ids=["grid-too-fine", "infeasible-band", "no-links", "missing-arcs"],
+)
+def test_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, code):
+    # the output directory is made only once the work is done
+    cfg = write_config(tmp_path / "run.cfg", q=0, Q=10, kappa_bar=0)
+    argv = [arg.format(cfg=cfg, missing=tmp_path / "missing.csv") for arg in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "band",
+    [["--u-lower", "10"], ["--u-upper", "20"], ["--u-lower", "10", "--u-upper", "20"]],
+    ids=["lower", "upper", "both"],
+)
+@pytest.mark.parametrize(
+    "command", [["price"], ["nature", "--toll", "100"], ["emit-mip"]], ids=["price", "nature", "emit-mip"]
+)
+def test_history_excludes_the_band_flags(tmp_path, capsys, command, band):
+    # a run that took its envelope from the history would otherwise record
+    # band limits in its manifest that it never used
+    history = tmp_path / "history.csv"
+    history.write_text(CSV_INPUTS["history"][0])
+    out = tmp_path / "out"
+    assert main(command + ["--history", str(history), *band, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: --history excludes --u-lower and --u-upper"]
+    assert not out.exists()
+
+
 # Every CSV a subcommand reads: a valid text, and the column each bad value
 # goes into on the file's line 3.
 CSV_INPUTS = {
@@ -669,7 +708,8 @@ def test_ingest_bad_options_exit_2(tmp_path, capsys, flag, value, message):
 
 def test_real_exp_negative_cycle_exits_2(tmp_path, capsys):
     # real-exp searches undirected, so the arc a-d of cost -1e-9 in state 0
-    # is a negative cycle, whichever pairs are drawn.
+    # would be a negative cycle; the network refuses the cost where it is
+    # built, before any pair is drawn, and the run writes nothing.
     arcs = tmp_path / "arcs.csv"
     arcs.write_text("tail,head,toll_flag,length\na,b,0,1\nb,c,1,1\nc,d,0,1\na,d,0,1\n")
     states = tmp_path / "states.csv"
@@ -678,24 +718,14 @@ def test_real_exp_negative_cycle_exits_2(tmp_path, capsys):
         "state,arc,cost\n"
         + "".join(f"{s},{a},{c}\n" for s, row in enumerate(costs) for a, c in enumerate(row))
     )
+    out = tmp_path / "out"
     for pairs in ("1", "2", "6"):
         argv = ["real-exp", "--arcs", str(arcs), "--states", str(states), "--pairs", pairs]
-        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2, pairs
-        err = capsys.readouterr().err
-        assert "state 0: a negative-cost cycle: arc 3 ('a'-'d')" in err, pairs
-        assert not (tmp_path / "out" / "real_regret.csv").exists()
-    # the arcs a -> b -> c -> a close a directed cycle of cost -1e-9 in
-    # state 1: refused too, whichever pairs are drawn
-    arcs.write_text("tail,head,toll_flag,length\na,b,0,1\nb,c,0,1\nc,a,0,1\nc,d,1,1\n")
-    costs = ((1, 1, 1, 1), (-1e-9, 0, 0, 1))
-    states.write_text(
-        "state,arc,cost\n"
-        + "".join(f"{s},{a},{c}\n" for s, row in enumerate(costs) for a, c in enumerate(row))
-    )
-    argv = ["real-exp", "--arcs", str(arcs), "--states", str(states), "--pairs", "3"]
-    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
-    assert "error: state 1: a negative-cost cycle" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "real_regret.csv").exists()
+        assert main(argv + ["--out-dir", str(out)]) == 2, pairs
+        assert capsys.readouterr().err.splitlines() == [
+            "error: state 0, arc 3 ('a'-'d'): cost -1e-09 must be finite and non-negative"
+        ], pairs
+        assert not out.exists()
 
 
 def test_real_exp_needs_two_nodes_to_default_an_endpoint(tmp_path, capsys):
