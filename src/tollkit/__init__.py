@@ -21,7 +21,6 @@ _EXPORTS = {
             "DiscreteDistribution",
             "MomentEnvelope",
             "PriceGrid",
-            "TollQuote",
             "estimate_moment_envelope",
             "expected_revenue",
             "expected_user_cost",
@@ -72,7 +71,6 @@ _EXPORTS = {
             "RobustTollResult",
             "epsilon_sweep_robust_toll",
             "optimal_toll_for_realized_costs",
-            "quote_for_result",
             "solve_nature_miqp_exact",
             "two_point_robust_toll",
         ),

@@ -3,10 +3,15 @@
 Every subcommand reads the shared flat key-value config format, layers
 command-line overrides on top, and writes CSV artifacts plus a
 ``run_manifest.txt`` echoing the fully resolved configuration into the
-output directory.  Nothing is written outside the output directory, no
-artifact contains a timestamp, and all randomness flows from the resolved
-seed, so repeating a run with the same config and seed reproduces every
-artifact byte for byte.
+output directory.  Nothing is written outside the output directory, and
+all randomness flows from the resolved seed, so repeating a run with the
+same config and seed reproduces every artifact byte for byte.
+
+The library returns results; this module alone decides what goes into an
+artifact.  Every CSV artifact is written by ``_write_table``: a leading
+``format_version`` column, ``%.12g`` floats, CRLF line ends and no
+timestamps.  The files ``ingest`` writes are the network's own input
+formats, written by the modules that read them back.
 
 Exit codes: 0 success, 1 missing input file (path in the message),
 2 usage or value error.  A run that exits non-zero writes nothing, not
@@ -18,7 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import _lazy_getattr
 from .config import RunConfig, parse_config
@@ -57,20 +62,12 @@ _LIBRARY = {
             "run_fixed_distribution_experiment",
             "run_mixed_distribution_experiment",
             "run_real_data_experiment",
-            "write_cumulative_regret",
-            "write_regret_summary",
-            "write_toll_ratio",
         ),
         "ingest": ("ingest_to_network", "parse_traffic_records", "skeleton_to_network"),
         "miqp": ("emit_nature_miqp",),
         "nature": ("solve_nature_an", "solve_nature_ufn"),
         "network": ("allocate_arc_tolls", "load_network", "write_network"),
-        "pricing": (
-            "epsilon_sweep_robust_toll",
-            "quote_for_result",
-            "two_point_robust_toll",
-            "write_br_curve",
-        ),
+        "pricing": ("epsilon_sweep_robust_toll", "two_point_robust_toll"),
     }.items()
     for name in names
 }
@@ -98,13 +95,23 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**overrides)
 
 
+def _write_table(out_dir: str, name: str, header: Sequence[str], rows: Iterable) -> None:
+    """Write the CSV artifact ``name``: ``header`` and ``rows``, each behind
+    a leading ``format_version`` column."""
+    write_rows(
+        os.path.join(out_dir, name),
+        ["format_version", *header],
+        ([FORMAT_VERSION, *row] for row in rows),
+    )
+
+
 def _write_manifest(
-    out_dir: str, command: str, cfg: RunConfig, extras: list[tuple[str, object]]
+    out_dir: str, args: argparse.Namespace, cfg: RunConfig, extras: list[tuple[str, object]]
 ) -> None:
     """Echo the resolved configuration so any artifact can be re-created."""
     path = os.path.join(out_dir, "run_manifest.txt")
     with open(path, "w") as handle:
-        handle.write(f"command = {command}\n")
+        handle.write(f"command = {args.command}\n")
         for key, value in cfg.items():
             handle.write(f"{key} = {format_cell(value)}\n")
         for key, value in extras:
@@ -146,28 +153,22 @@ def _cmd_price(args: argparse.Namespace) -> int:
         result = _this.two_point_robust_toll(grid, env, cfg.T)
     else:
         result = _this.epsilon_sweep_robust_toll(grid, env, cfg.T)
-    quote = _this.quote_for_result(result, cfg.T)
+    usage = int(round(result.epsilon * cfg.T))
+    revenue = result.toll * usage
     out_dir = _resolve_out_dir(args)
-    write_rows(
-        os.path.join(out_dir, "price.csv"),
-        ["format_version", "toll", "usage_count", "worst_case_revenue", "method"],
-        [
-            (
-                FORMAT_VERSION,
-                quote.toll,
-                quote.usage_count,
-                quote.worst_case_revenue,
-                result.method,
-            )
-        ],
+    _write_table(
+        out_dir,
+        "price.csv",
+        ["toll", "usage_count", "worst_case_revenue", "method"],
+        [(result.toll, usage, revenue, result.method)],
     )
-    _this.write_br_curve(result, os.path.join(out_dir, "br_curve.csv"))
-    _write_manifest(
-        out_dir, "price", cfg, _envelope_extras(args) + [("method", args.method)]
+    _write_table(
+        out_dir, "br_curve.csv", ["toll", "worst_case_revenue"], sorted(result.br_curve.items())
     )
+    _write_manifest(out_dir, args, cfg, _envelope_extras(args) + [("method", args.method)])
     print(
-        f"toll {quote.toll:g}: usage {quote.usage_count}/{cfg.T} periods, "
-        f"worst-case revenue {quote.worst_case_revenue:g}"
+        f"toll {result.toll:g}: usage {usage}/{cfg.T} periods, "
+        f"worst-case revenue {revenue:g}"
     )
     return 0
 
@@ -180,14 +181,10 @@ def _cmd_nature(args: argparse.Namespace) -> int:
     solution = solver(grid, env, args.toll)
     dist = solution.distribution
     out_dir = _resolve_out_dir(args)
-    write_rows(
-        os.path.join(out_dir, "nature.csv"),
-        ["format_version", "support", "mass"],
-        [(FORMAT_VERSION, c, m) for c, m in zip(dist.support, dist.mass)],
-    )
+    _write_table(out_dir, "nature.csv", ["support", "mass"], zip(dist.support, dist.mass))
     _write_manifest(
         out_dir,
-        "nature",
+        args,
         cfg,
         _envelope_extras(args)
         + [("toll", args.toll), ("objective", args.objective)],
@@ -213,7 +210,7 @@ def _cmd_emit_mip(args: argparse.Namespace) -> int:
         handle.write(text)
     _write_manifest(
         out_dir,
-        "emit-mip",
+        args,
         cfg,
         _envelope_extras(args)
         + [
@@ -264,17 +261,10 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     arc_names, incidence = _load_incidence(args.incidence, path_names)
     tolls = _this.allocate_arc_tolls(bounds, incidence)
     out_dir = _resolve_out_dir(args)
-    write_rows(
-        os.path.join(out_dir, "tolls.csv"),
-        ["format_version", "arc", "toll"],
-        [(FORMAT_VERSION, arc, int(t)) for arc, t in zip(arc_names, tolls)],
+    _write_table(
+        out_dir, "tolls.csv", ["arc", "toll"], [(arc, int(t)) for arc, t in zip(arc_names, tolls)]
     )
-    _write_manifest(
-        out_dir,
-        "allocate",
-        cfg,
-        [("bounds", args.bounds), ("incidence", args.incidence)],
-    )
+    _write_manifest(out_dir, args, cfg, [("bounds", args.bounds), ("incidence", args.incidence)])
     print(f"total toll {int(tolls.sum())} across {len(arc_names)} arcs")
     return 0
 
@@ -304,7 +294,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         handle.write(report.to_text())
     _write_manifest(
         out_dir,
-        "ingest",
+        args,
         cfg,
         [
             ("records", args.records),
@@ -320,16 +310,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    eval_samples = args.eval_samples
-    if eval_samples is None:
-        eval_samples = 2500 if args.full_scale else 500
     ecfg = _this.ExperimentConfig(
         links=args.links,
         T=cfg.T,
         H=cfg.H,
         kappa_bar=cfg.kappa_bar,
         history_samples=args.history_samples,
-        eval_samples=eval_samples,
+        eval_samples=args.eval_samples,
         seed=cfg.seed,
         grid=cfg.grid(),
         confidence_z=cfg.confidence_z,
@@ -349,19 +336,44 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         series = _this.run_dynamic_cumulative_regret(ecfg, spec)
     out_dir = _resolve_out_dir(args)
     if series is not None:
-        _this.write_cumulative_regret(
-            series, os.path.join(out_dir, "cumulative_regret.csv")
+        _write_table(
+            out_dir,
+            "cumulative_regret.csv",
+            ["period", "cum_regret_pct"],
+            enumerate(series.tolist(), start=1),
         )
-    _this.write_regret_summary(rows, os.path.join(out_dir, "regret_summary.csv"))
+    _write_table(
+        out_dir,
+        "regret_summary.csv",
+        [
+            "family",
+            "avg_regret_pct",
+            "stdev_regret_pct",
+            "toll_stdev",
+            "avg_toll_regret_pct",
+            "avg_toll_stdev_pct",
+        ],
+        [
+            (
+                row.family,
+                row.average_pct,
+                row.stdev_pct,
+                row.toll_stdev,
+                row.averaged_toll_pct,
+                row.averaged_toll_stdev_pct,
+            )
+            for row in rows
+        ],
+    )
     _write_manifest(
         out_dir,
-        "simulate",
+        args,
         cfg,
         [
             ("family", args.family),
             ("links", args.links),
             ("history_samples", args.history_samples),
-            ("eval_samples", eval_samples),
+            ("eval_samples", args.eval_samples),
         ],
     )
     for row in rows:
@@ -389,10 +401,10 @@ def _cmd_real_exp(args: argparse.Namespace) -> int:
         seed=cfg.seed,
     )
     out_dir = _resolve_out_dir(args)
-    write_rows(
-        os.path.join(out_dir, "real_regret.csv"),
+    _write_table(
+        out_dir,
+        "real_regret.csv",
         [
-            "format_version",
             "method",
             "avg_regret_pct",
             "stdev_regret_pct",
@@ -401,7 +413,6 @@ def _cmd_real_exp(args: argparse.Namespace) -> int:
         ],
         [
             (
-                FORMAT_VERSION,
                 "robust",
                 result.robust_avg_pct,
                 result.robust_stdev_pct,
@@ -409,7 +420,6 @@ def _cmd_real_exp(args: argparse.Namespace) -> int:
                 result.n_skipped,
             ),
             (
-                FORMAT_VERSION,
                 "mean-toll",
                 result.mean_toll_avg_pct,
                 result.mean_toll_stdev_pct,
@@ -418,10 +428,12 @@ def _cmd_real_exp(args: argparse.Namespace) -> int:
             ),
         ],
     )
-    _this.write_toll_ratio(result.toll_ratios, os.path.join(out_dir, "toll_ratio.csv"))
+    _write_table(
+        out_dir, "toll_ratio.csv", ["pair", "ratio"], enumerate(result.toll_ratios, start=1)
+    )
     _write_manifest(
         out_dir,
-        "real-exp",
+        args,
         cfg,
         [
             ("arcs", args.arcs),
@@ -554,14 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--history-samples", type=int, default=50, help="history sample count"
     )
     p.add_argument(
-        "--eval-samples",
-        type=int,
-        help="evaluation sample count (default 500, or 2500 with --full-scale)",
-    )
-    p.add_argument(
-        "--full-scale",
-        action="store_true",
-        help="use the full 2500-evaluation-sample scale",
+        "--eval-samples", type=int, default=500, help="evaluation sample count"
     )
     p.set_defaults(handler=_cmd_simulate)
 

@@ -35,7 +35,6 @@ __all__ = [
     "MomentEnvelope",
     "DiscreteDistribution",
     "CostHistory",
-    "TollQuote",
     "estimate_moment_envelope",
     "expected_revenue",
     "expected_user_cost",
@@ -537,28 +536,6 @@ class CostHistory:
 
     def to_csv(self, destination: str | io.TextIOBase) -> None:
         write_cost_table(destination, self.states)
-
-
-@dataclass(frozen=True)
-class TollQuote:
-    """A priced toll: the toll, how often it is paid, and worst-case revenue."""
-
-    toll: float
-    usage_count: float
-    worst_case_revenue: float
-    horizon: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.usage_count < -1e-9:
-            raise ValueError("usage_count must be non-negative")
-        if self.horizon is not None and self.usage_count > self.horizon + 1e-9:
-            raise ValueError("usage_count exceeds horizon")
-        expected = self.toll * self.usage_count
-        if abs(self.worst_case_revenue - expected) > 1e-6 * max(1.0, abs(expected)):
-            raise ValueError(
-                f"worst_case_revenue {self.worst_case_revenue} != "
-                f"toll * usage_count = {expected}"
-            )
 
 
 def estimate_moment_envelope(

@@ -28,10 +28,6 @@ Regret is scored one way: ``pricing.realized_revenue_table`` gives every
 grid toll's revenue r * #{c >= r} on each realized sample (costs clamped
 into the grid), its row maximum is the hindsight optimum, and ``_regret``
 scores (opt - got) / opt clipped into [0, 1], 0 where opt <= 0.
-
-All CSV emitters write a leading ``format_version`` column, ``%.12g``
-floats, and no timestamps, so identical (config, seed) runs produce
-byte-identical files.
 """
 
 from __future__ import annotations
@@ -45,12 +41,10 @@ import numpy as np
 
 from .core import (
     FAMILIES,
-    FORMAT_VERSION,
     MomentEnvelope,
     PriceGrid,
     estimate_moment_envelope,
     require_finite,
-    write_rows,
 )
 from .network import TollNetwork, state_shortest_path_costs
 from .pricing import (
@@ -61,7 +55,6 @@ from .pricing import (
 
 __all__ = [
     "FAMILIES",
-    "FORMAT_VERSION",
     "DistributionSpec",
     "ExperimentConfig",
     "RegretRow",
@@ -72,10 +65,6 @@ __all__ = [
     "run_mixed_distribution_experiment",
     "run_dynamic_cumulative_regret",
     "run_real_data_experiment",
-    "write_rows",
-    "write_regret_summary",
-    "write_cumulative_regret",
-    "write_toll_ratio",
 ]
 
 # Substream kind codes (first entropy word after the master seed).  The
@@ -668,53 +657,4 @@ def run_real_data_experiment(
         toll_ratios=tuple(ratios.tolist()),
         n_pairs_used=len(margin_series),
         n_skipped=skipped,
-    )
-
-
-def write_regret_summary(rows: Sequence[RegretRow], path) -> None:
-    """One CSV row per family: percent regret summary plus toll spread."""
-    write_rows(
-        path,
-        (
-            "format_version",
-            "family",
-            "avg_regret_pct",
-            "stdev_regret_pct",
-            "toll_stdev",
-            "avg_toll_regret_pct",
-            "avg_toll_stdev_pct",
-        ),
-        (
-            (
-                FORMAT_VERSION,
-                row.family,
-                row.average_pct,
-                row.stdev_pct,
-                row.toll_stdev,
-                row.averaged_toll_pct,
-                row.averaged_toll_stdev_pct,
-            )
-            for row in rows
-        ),
-    )
-
-
-def write_cumulative_regret(series: np.ndarray, path) -> None:
-    """Cumulative percent regret per period (1-based periods)."""
-    write_rows(
-        path,
-        ("format_version", "period", "cum_regret_pct"),
-        (
-            (FORMAT_VERSION, period, float(value))
-            for period, value in enumerate(np.asarray(series, dtype=float), start=1)
-        ),
-    )
-
-
-def write_toll_ratio(ratios: Sequence[float], path) -> None:
-    """Robust-to-optimal toll ratio per usable pair (1-based pair index)."""
-    write_rows(
-        path,
-        ("format_version", "pair", "ratio"),
-        ((FORMAT_VERSION, idx, float(r)) for idx, r in enumerate(ratios, start=1)),
     )

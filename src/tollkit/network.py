@@ -50,10 +50,20 @@ MAX_ALLOC_ARCS = 12
 
 @dataclass(frozen=True)
 class Arc:
+    """A directed arc; its length is finite and at least 0, the rule the
+    network's costs keep."""
+
     tail: str
     head: str
     toll_flag: bool
     length: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.length) and self.length >= 0):
+            raise ValueError(
+                f"arc {self.tail!r}-{self.head!r}: "
+                f"length {self.length!r} must be finite and non-negative"
+            )
 
 
 def _arc_nodes(arcs) -> list[str]:
@@ -394,13 +404,20 @@ def allocate_arc_tolls(bounds, incidence) -> np.ndarray:
 
 
 def read_arcs(arcs_path) -> tuple[Arc, ...]:
-    """Read an arcs CSV (`tail,head,toll_flag,length`)."""
+    """Read an arcs CSV (`tail,head,toll_flag,length`); a length ``Arc``
+    refuses is an error at its line."""
     table = read_rows(
         arcs_path, "tail,head,toll_flag,length", (str.strip, str.strip, flag, float)
     )
     if not table.lines:
         raise ValueError(f"{table.where}: no arcs")
-    return tuple(map(Arc, *table.columns))
+    arcs = []
+    for row, fields in enumerate(zip(*table.columns)):
+        try:
+            arcs.append(Arc(*fields))
+        except ValueError as exc:
+            raise table.error(row, str(exc)) from None
+    return tuple(arcs)
 
 
 def load_network(

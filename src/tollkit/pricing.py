@@ -26,14 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lazy_getattr
-from .core import (
-    FORMAT_VERSION,
-    MomentEnvelope,
-    PriceGrid,
-    TollQuote,
-    require_horizon,
-    write_rows,
-)
+from .core import MomentEnvelope, PriceGrid, require_horizon
 from .nature import (
     TwoPointResponse,
     first_feasible_lower,
@@ -50,8 +43,6 @@ __all__ = [
     "solve_nature_miqp_exact",
     "optimal_toll_for_realized_costs",
     "realized_revenue_table",
-    "quote_for_result",
-    "write_br_curve",
 ]
 
 # The LP-text emitter lives in ``miqp``, which imports no numpy; its names
@@ -205,27 +196,6 @@ def optimal_toll_for_realized_costs(
     revenue = realized_revenue_table(np.asarray(costs, dtype=float)[None], grid)[0]
     idx = int(np.argmax(revenue))
     return float(grid.points()[idx]), float(revenue[idx])
-
-
-def quote_for_result(result: RobustTollResult, T: int) -> TollQuote:
-    """Package a pricing result as a quote with an integer usage count over
-    the horizon T."""
-    usage = int(round(result.epsilon * T))
-    return TollQuote(
-        toll=result.toll, usage_count=usage, worst_case_revenue=result.toll * usage, horizon=T
-    )
-
-
-def write_br_curve(result: RobustTollResult, path) -> None:
-    """Worst-case revenue by toll, ascending, from a robust-toll search."""
-    write_rows(
-        path,
-        ("format_version", "toll", "worst_case_revenue"),
-        (
-            (FORMAT_VERSION, toll, revenue)
-            for toll, revenue in sorted(result.br_curve.items())
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,20 @@ import pytest
 import tollkit
 import tollkit.cli as cli
 from tollkit.cli import main
-from tollkit.core import CostHistory
+from tollkit.config import RunConfig
+from tollkit.core import FAMILIES, CostHistory, MomentEnvelope
+from tollkit.experiments import (
+    ExperimentConfig,
+    family_spec,
+    run_dynamic_cumulative_regret,
+    run_fixed_distribution_experiment,
+    run_mixed_distribution_experiment,
+    run_real_data_experiment,
+)
 from tollkit.ingest import RECORD_HEADER
+from tollkit.nature import solve_nature_an, solve_nature_ufn
 from tollkit.network import load_network
+from tollkit.pricing import epsilon_sweep_robust_toll, two_point_robust_toll
 
 SEED = 20260819
 
@@ -407,7 +418,7 @@ CSV_INPUTS = {
     ),
     "arcs": (
         "tail,head,toll_flag,length\nO,A,1,1\nA,D,0,1\nO,B,0,1\nB,D,0,1\n",
-        {"text": 3, "nan": 3, "inf": 3, "flag": 2},
+        {"text": 3, "nan": 3, "inf": 3, "flag": 2, "negative": 3},
     ),
     "states": (
         "state,arc,cost\n"
@@ -481,6 +492,7 @@ def test_bad_csv_input_exits_2(tmp_path, capsys, name, case):
     code = main(csv_command(name, paths) + ["--out-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2, err
+    assert len(err.splitlines()) == 1, err
     if line is None:
         assert err.startswith(f"error: {paths[name]}: missing a cost for state "), err
     else:
@@ -824,6 +836,184 @@ def test_simulate_mixed_has_no_dynamic_series(tmp_path):
     rows = read_rows(out / "regret_summary.csv")
     assert rows[1][1] == "mixed"
     assert not (out / "cumulative_regret.csv").exists()
+
+
+# --- artifact bytes ------------------------------------------------------------------------
+
+# Every CSV artifact is a header line and one line per row, each led by a
+# format_version column of 1, with floats at 12 significant digits and CRLF
+# line ends.  The expected rows are built from what the library returns.
+# Tolls on this grid carry 12 significant digits, so a float written at any
+# other precision shows.
+FINE_GRID = {"q": 0.1234567891, "Q": 200.1234567891, "step": 1}
+FINE_BAND = (90.1234567891, 110.1234567891)
+
+
+def artifact(header, rows):
+    """The exact bytes of a CSV artifact with ``header`` and ``rows``."""
+    lines = [["format_version", *header]] + [
+        ["1", *("%.12g" % v if isinstance(v, float) else str(v) for v in row)] for row in rows
+    ]
+    return "".join(",".join(line) + "\r\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize(
+    "band", [FINE_BAND, (100.1234567891, 100.1234567891)], ids=["interval", "point"]
+)
+@pytest.mark.parametrize(
+    "method, search", [("two-point", two_point_robust_toll), ("sweep", epsilon_sweep_robust_toll)]
+)
+def test_price_artifact_bytes(tmp_path, capsys, band, method, search):
+    cfg = RunConfig(**FINE_GRID)
+    argv = ["price", "--config", write_config(tmp_path / "run.cfg", **FINE_GRID)]
+    argv += ["--u-lower", repr(band[0]), "--u-upper", repr(band[1]), "--method", method]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+    result = search(cfg.grid(), MomentEnvelope(*band, cfg.kappa_bar), cfg.T)
+    usage = round(result.epsilon * cfg.T)
+    assert (tmp_path / "out" / "price.csv").read_bytes() == artifact(
+        ["toll", "usage_count", "worst_case_revenue", "method"],
+        [(result.toll, usage, result.toll * usage, result.method)],
+    )
+    assert (tmp_path / "out" / "br_curve.csv").read_bytes() == artifact(
+        ["toll", "worst_case_revenue"], sorted(result.br_curve.items())
+    )
+    capsys.readouterr()
+
+
+def test_price_quotes_a_whole_usage_count(tmp_path, capsys):
+    # the chosen toll sustains 39 of 50 periods in the worst case
+    cfg = write_config(tmp_path / "run.cfg", Q=1000, step=10, kappa_bar=60)
+    argv = ["price", "--config", cfg, "--u-lower", "500", "--u-upper", "500"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "price.csv").read_bytes() == (
+        b"format_version,toll,usage_count,worst_case_revenue,method\r\n"
+        b"1,400,39,15600,two-point\r\n"
+    )
+    assert capsys.readouterr().out == "toll 400: usage 39/50 periods, worst-case revenue 15600\n"
+
+
+@pytest.mark.parametrize("objective, solver", [("ufn", solve_nature_ufn), ("an", solve_nature_an)])
+def test_nature_artifact_bytes(tmp_path, capsys, objective, solver):
+    cfg = RunConfig(**FINE_GRID)
+    argv = ["nature", "--config", write_config(tmp_path / "run.cfg", **FINE_GRID)]
+    argv += ["--u-lower", repr(FINE_BAND[0]), "--u-upper", repr(FINE_BAND[1])]
+    argv += ["--toll", "95.1234567891", "--objective", objective]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+    env = MomentEnvelope(*FINE_BAND, cfg.kappa_bar)
+    dist = solver(cfg.grid(), env, 95.1234567891).distribution
+    assert (tmp_path / "out" / "nature.csv").read_bytes() == artifact(
+        ["support", "mass"], zip(dist.support, dist.mass)
+    )
+    capsys.readouterr()
+
+
+def test_allocate_artifact_bytes(tmp_path, capsys):
+    bounds, incidence = allocation_fixture(tmp_path)
+    argv = ["allocate", "--bounds", bounds, "--incidence", incidence]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "tolls.csv").read_bytes() == (
+        b"format_version,arc,toll\r\n1,a1,5\r\n1,a2,0\r\n1,a3,10\r\n"
+    )
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("family", ["gamma", "all"])
+def test_simulate_artifact_bytes(tmp_path, capsys, family):
+    argv = ["simulate", "--family", family, "--links", "2", "--history-samples", "3"]
+    argv += ["--eval-samples", "12", "--seed", "5", "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    cfg = RunConfig(seed=5)
+    ecfg = ExperimentConfig(
+        links=2,
+        T=cfg.T,
+        H=cfg.H,
+        kappa_bar=cfg.kappa_bar,
+        history_samples=3,
+        eval_samples=12,
+        seed=cfg.seed,
+        grid=cfg.grid(),
+        confidence_z=cfg.confidence_z,
+    )
+    families = FAMILIES if family == "all" else (family,)
+    rows = [run_fixed_distribution_experiment(ecfg, family_spec(f, ecfg.grid)) for f in families]
+    if family == "all":
+        rows.append(run_mixed_distribution_experiment(ecfg))
+    assert (tmp_path / "out" / "regret_summary.csv").read_bytes() == artifact(
+        [
+            "family",
+            "avg_regret_pct",
+            "stdev_regret_pct",
+            "toll_stdev",
+            "avg_toll_regret_pct",
+            "avg_toll_stdev_pct",
+        ],
+        [
+            (
+                row.family,
+                row.average_pct,
+                row.stdev_pct,
+                row.toll_stdev,
+                row.averaged_toll_pct,
+                row.averaged_toll_stdev_pct,
+            )
+            for row in rows
+        ],
+    )
+    series = tmp_path / "out" / "cumulative_regret.csv"
+    if family == "all":
+        assert not series.exists()
+    else:
+        expected = run_dynamic_cumulative_regret(ecfg, family_spec(family, ecfg.grid))
+        assert series.read_bytes() == artifact(
+            ["period", "cum_regret_pct"], enumerate(expected.tolist(), start=1)
+        )
+    capsys.readouterr()
+
+
+def test_real_exp_artifact_bytes(tmp_path, capsys):
+    arcs = tmp_path / "arcs.csv"
+    arcs.write_text("tail,head,toll_flag,length\na,b,0,1\nb,c,1,1\nc,d,0,1\na,d,0,1\nb,d,0,1\n")
+    states = tmp_path / "states.csv"
+    states.write_text(
+        "state,arc,cost\n"
+        + "".join(f"{s},{a},{20 + 9 * math.sin(s + 2 * a)!r}\n" for s in range(20) for a in range(5))
+    )
+    argv = ["real-exp", "--arcs", str(arcs), "--states", str(states), "--pairs", "6"]
+    assert main(argv + ["--seed", "3", "--out-dir", str(tmp_path / "out")]) == 0
+    cfg = RunConfig(seed=3)
+    result = run_real_data_experiment(
+        load_network(arcs, states),
+        6,
+        16,
+        grid=cfg.grid(),
+        T=cfg.T,
+        kappa_bar=cfg.kappa_bar,
+        confidence_z=cfg.confidence_z,
+        seed=cfg.seed,
+    )
+    assert (tmp_path / "out" / "real_regret.csv").read_bytes() == artifact(
+        ["method", "avg_regret_pct", "stdev_regret_pct", "pairs_used", "pairs_skipped"],
+        [
+            (
+                "robust",
+                result.robust_avg_pct,
+                result.robust_stdev_pct,
+                result.n_pairs_used,
+                result.n_skipped,
+            ),
+            (
+                "mean-toll",
+                result.mean_toll_avg_pct,
+                result.mean_toll_stdev_pct,
+                result.n_pairs_used,
+                result.n_skipped,
+            ),
+        ],
+    )
+    assert (tmp_path / "out" / "toll_ratio.csv").read_bytes() == artifact(
+        ["pair", "ratio"], enumerate(result.toll_ratios, start=1)
+    )
+    capsys.readouterr()
 
 
 # --- output directory resolution -------------------------------------------------------------

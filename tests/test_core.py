@@ -15,7 +15,6 @@ from tollkit.core import (
     DiscreteDistribution,
     MomentEnvelope,
     PriceGrid,
-    TollQuote,
     estimate_moment_envelope,
     expected_revenue,
     expected_user_cost,
@@ -291,18 +290,6 @@ def test_user_cost_identity_randomized():
         # user cost = revenue + money spent on the free road
         free_side = math.fsum(m * c for c, m in zip(d.support, d.mass) if c < r)
         assert abs(direct - (expected_revenue(d, r) + free_side)) <= 1e-9
-
-
-# --- TollQuote ---------------------------------------------------------------
-
-
-def test_toll_quote_consistency():
-    q = TollQuote(toll=10.0, usage_count=5, worst_case_revenue=50.0, horizon=10)
-    assert q.worst_case_revenue == 50.0
-    with pytest.raises(ValueError):
-        TollQuote(toll=10.0, usage_count=5, worst_case_revenue=49.0, horizon=10)
-    with pytest.raises(ValueError):
-        TollQuote(toll=10.0, usage_count=11, worst_case_revenue=110.0, horizon=10)
 
 
 # --- CostHistory -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Monte-Carlo regret harnesses: sampling, reductions, and CSV output."""
+"""Monte-Carlo regret harnesses: sampling and reductions."""
 
 from __future__ import annotations
 
@@ -13,19 +13,15 @@ from tollkit.experiments import (
     DistributionSpec,
     ExperimentConfig,
     RealDataResult,
-    RegretRow,
     family_spec,
     run_dynamic_cumulative_regret,
     run_fixed_distribution_experiment,
     run_mixed_distribution_experiment,
     run_real_data_experiment,
     sample_costs,
-    write_cumulative_regret,
-    write_regret_summary,
-    write_toll_ratio,
 )
 from tollkit.network import Arc, TollNetwork, state_shortest_path_costs
-from tollkit.pricing import RobustTollResult, two_point_robust_toll, write_br_curve
+from tollkit.pricing import two_point_robust_toll
 
 SEED = 20260819
 
@@ -367,51 +363,3 @@ def test_real_data_validation():
         run_real_data_experiment(net, pairs=0, history_cut=5)
     with pytest.raises(ValueError, match="history cut"):
         run_real_data_experiment(net, pairs=2, history_cut=11)
-
-
-# --- CSV output ------------------------------------------------------------------------
-
-
-def test_write_regret_summary_golden(tmp_path):
-    row = RegretRow(
-        family="beta",
-        average_pct=7.5,
-        stdev_pct=1.25,
-        toll_stdev=3.0,
-        averaged_toll_pct=6.0,
-        averaged_toll_stdev_pct=0.5,
-    )
-    path = tmp_path / "regret_summary.csv"
-    write_regret_summary([row], path)
-    assert path.read_bytes() == (
-        b"format_version,family,avg_regret_pct,stdev_regret_pct,toll_stdev,"
-        b"avg_toll_regret_pct,avg_toll_stdev_pct\r\n"
-        b"1,beta,7.5,1.25,3,6,0.5\r\n"
-    )
-
-
-def test_write_br_curve_golden(tmp_path):
-    result = RobustTollResult(
-        toll=2.0, br_curve={2.0: 4.0, 1.0: 3.0}, epsilon=1.0, method="two-point"
-    )
-    path = tmp_path / "br_curve.csv"
-    write_br_curve(result, path)
-    assert path.read_bytes() == (
-        b"format_version,toll,worst_case_revenue\r\n1,1,3\r\n1,2,4\r\n"
-    )
-
-
-def test_write_cumulative_regret_golden(tmp_path):
-    path = tmp_path / "cumulative_regret.csv"
-    write_cumulative_regret(np.array([0.0, 12.5]), path)
-    assert path.read_bytes() == (
-        b"format_version,period,cum_regret_pct\r\n1,1,0\r\n1,2,12.5\r\n"
-    )
-
-
-def test_write_toll_ratio_golden(tmp_path):
-    path = tmp_path / "toll_ratio.csv"
-    write_toll_ratio([1.0, 1.12], path)
-    assert path.read_bytes() == (
-        b"format_version,pair,ratio\r\n1,1,1\r\n1,2,1.12\r\n"
-    )

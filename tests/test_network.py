@@ -76,6 +76,12 @@ def test_network_validation():
             TollNetwork(arcs, "a", "d", costs)
     net = two_road_network([-0.0], [1.0])  # a signed zero is not below zero
     assert state_shortest_path_costs(net).tolist() == [0.0]
+    # so must each arc length, which write_network writes for load_network
+    for bad in (math.nan, math.inf, -math.inf, -3.0, -1e-300):
+        message = f"arc 'a'-'d': length {bad!r} must be finite and non-negative"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TollNetwork(arcs[:3] + (Arc("a", "d", False, bad),), "a", "d", np.ones((1, 4)))
+    assert Arc("a", "d", False, -0.0).length == 0.0
     # the network keeps its own read-only copy: no later write makes a cost
     # negative, and the caller's array stays the caller's
     given = np.ones((1, 2))

@@ -26,7 +26,6 @@ from tollkit.pricing import (
     emit_nature_miqp,
     epsilon_sweep_robust_toll,
     optimal_toll_for_realized_costs,
-    quote_for_result,
     realized_revenue_table,
     solve_nature_miqp_exact,
     two_point_robust_toll,
@@ -202,15 +201,6 @@ def test_result_validation():
         RobustTollResult(toll=1.0, br_curve={}, epsilon=0.5, method="x")
     with pytest.raises(ValueError, match="epsilon"):
         RobustTollResult(toll=1.0, br_curve={1.0: 1.0}, epsilon=1.5, method="x")
-
-
-def test_quote_round_trip():
-    res = two_point_robust_toll(WIDE, WIDE_ENV, T50)
-    quote = quote_for_result(res, T50)
-    assert quote.toll == 400.0
-    assert quote.usage_count == 39
-    assert quote.worst_case_revenue == pytest.approx(15600.0)
-    assert quote.horizon == T50
 
 
 def test_sweep_warns_when_nothing_sells():
