@@ -40,7 +40,6 @@ _EXPORTS = {
         "ingest": (
             "NetworkSkeleton",
             "RecordColumns",
-            "SegmentRecord",
             "build_graph_from_segments",
             "ingest_to_network",
             "interpolate_missing",

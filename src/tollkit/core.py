@@ -320,6 +320,12 @@ class PriceGrid:
             return False
         return abs(self.snap(value) - value) <= tol
 
+    def require_cost_floor(self) -> None:
+        """Reject a floor ``q`` below 0 by name: nature's moment model and
+        the two-point search price non-negative costs."""
+        if self.q < 0:
+            raise ValueError(f"q must be >= 0, got {self.q}")
+
     def require_toll(self, r: float) -> None:
         """Reject a non-finite or off-grid toll by name."""
         require_finite(toll=r)

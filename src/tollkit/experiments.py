@@ -41,7 +41,6 @@ import numpy as np
 
 from .core import (
     FAMILIES,
-    MomentEnvelope,
     PriceGrid,
     estimate_moment_envelope,
     require_finite,

@@ -32,7 +32,6 @@ from .core import (
 from .network import Arc, TollNetwork
 
 __all__ = [
-    "SegmentRecord",
     "RecordColumns",
     "ObservationGrid",
     "NetworkSkeleton",
@@ -51,23 +50,6 @@ __all__ = [
 RECORD_HEADER = "timestamp,segment_id,speed,lon1,lat1,lon2,lat2"
 _BAD_SPEED = "speed must be positive when present"
 _ZERO_LENGTH = "segment endpoints must be distinct"
-
-
-@dataclass(frozen=True)
-class SegmentRecord:
-    """One feed row: the row view of :class:`RecordColumns`."""
-
-    timestamp: float
-    segment_id: str
-    speed: float | None
-    start: tuple[float, float]
-    end: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if self.speed is not None and self.speed <= 0:
-            raise ValueError(_BAD_SPEED)
-        if self.start == self.end:
-            raise ValueError(_ZERO_LENGTH)
 
 
 def _key_order(codes: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
@@ -91,8 +73,7 @@ class RecordColumns:
     ``speeds[i]`` (NaN for a blank) and end points ``ends[i] = (x1, y1, x2,
     y2)``.  ``names`` is sorted, so code order is segment order; rows that
     share a key keep the order they came in.  ``n_duplicates`` counts the
-    feed rows the parser dropped.  Iteration yields :class:`SegmentRecord`
-    rows and ``len`` is the row count.
+    feed rows the parser dropped, and ``len`` is the row count.
     """
 
     names: tuple[str, ...]
@@ -102,32 +83,8 @@ class RecordColumns:
     ends: np.ndarray
     n_duplicates: int = 0
 
-    @classmethod
-    def of(cls, records) -> RecordColumns:
-        """``records`` unchanged when they are columns; otherwise an iterable
-        of :class:`SegmentRecord`, stably sorted into columns."""
-        if isinstance(records, cls):
-            return records
-        records = list(records)
-        names = sorted({r.segment_id for r in records})
-        index = {name: code for code, name in enumerate(names)}
-        codes = np.array([index[r.segment_id] for r in records], dtype=np.intp)
-        timestamps = np.array([r.timestamp for r in records], dtype=float)
-        speeds = np.array([r.speed for r in records], dtype=float)  # None -> NaN
-        ends = np.array([(*r.start, *r.end) for r in records], dtype=float).reshape(-1, 4)
-        order = _key_order(codes, timestamps)
-        return cls(tuple(names), codes[order], timestamps[order], speeds[order], ends[order])
-
     def __len__(self) -> int:
         return len(self.codes)
-
-    def __iter__(self):
-        rows = zip(
-            self.codes.tolist(), self.timestamps.tolist(), self.speeds.tolist(), self.ends.tolist()
-        )
-        for code, timestamp, speed, (x1, y1, x2, y2) in rows:
-            speed = None if math.isnan(speed) else speed
-            yield SegmentRecord(timestamp, self.names[code], speed, (x1, y1), (x2, y2))
 
 
 @dataclass(frozen=True)
@@ -254,25 +211,18 @@ def parse_traffic_records(source) -> RecordColumns:
     )
 
 
-def write_traffic_records(records, destination) -> None:
-    write_rows(
-        destination,
-        RECORD_HEADER.split(","),
-        (
-            (
-                float(r.timestamp),
-                r.segment_id,
-                "" if r.speed is None else float(r.speed),
-                *map(float, (*r.start, *r.end)),
-            )
-            for r in records
-        ),
-        lineterminator="\n",
-    )
+def write_traffic_records(records: RecordColumns, destination) -> None:
+    """Write ``records`` as the feed CSV, one row each, a blank for a NaN
+    speed: the text ``parse_traffic_records`` reads back as the same
+    columns."""
+    names = [records.names[code] for code in records.codes.tolist()]
+    speeds = ["" if math.isnan(v) else v for v in records.speeds.tolist()]
+    rows = zip(records.timestamps.tolist(), names, speeds, *records.ends.T.tolist())
+    write_rows(destination, RECORD_HEADER.split(","), rows, lineterminator="\n")
 
 
 def grid_observations(
-    records, bucket_minutes: int = DEFAULT_BUCKET_MINUTES
+    records: RecordColumns, bucket_minutes: int = DEFAULT_BUCKET_MINUTES
 ) -> ObservationGrid:
     """Bucket record timestamps to a fixed interval and align every segment's
     speeds on the shared axis (the last present speed wins within a bucket;
@@ -280,21 +230,20 @@ def grid_observations(
     require_finite(bucket_minutes=bucket_minutes)
     if bucket_minutes < 1:
         raise ValueError(f"bucket_minutes must be at least 1, got {bucket_minutes}")
-    cols = RecordColumns.of(records)
     width = bucket_minutes * 60.0
-    stamps = np.floor(cols.timestamps / width) * width + 0.0  # no -0.0 bucket
+    stamps = np.floor(records.timestamps / width) * width + 0.0  # no -0.0 bucket
     buckets = np.array(sorted(set(stamps.tolist())))  # sorts the distinct buckets only
     column = np.searchsorted(buckets, stamps)
-    first = _segment_starts(cols.codes)
+    first = _segment_starts(records.codes)
     series = np.full((int(first.sum()), len(buckets)), np.nan)
     # rows come in (segment, bucket) order, so each cell's present speeds
     # are consecutive and the last of them is the one kept
-    have = ~np.isnan(cols.speeds)
+    have = ~np.isnan(records.speeds)
     cell = ((np.cumsum(first) - 1) * len(buckets) + column)[have]
     last = np.ones(len(cell), dtype=bool)
     last[:-1] = cell[1:] != cell[:-1]
-    series.reshape(-1)[cell[last]] = cols.speeds[have][last]
-    names = [cols.names[code] for code in cols.codes[first].tolist()]
+    series.reshape(-1)[cell[last]] = records.speeds[have][last]
+    names = [records.names[code] for code in records.codes[first].tolist()]
     return ObservationGrid(timestamps=tuple(buckets.tolist()), speeds=dict(zip(names, series)))
 
 
@@ -380,7 +329,7 @@ def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int]]:
 
 
 def build_graph_from_segments(
-    records,
+    records: RecordColumns,
     merge_tolerance: float = DEFAULT_MERGE_TOL,
     crossing_tolerance: float = DEFAULT_CROSSING_TOL,
 ) -> NetworkSkeleton:
@@ -396,12 +345,11 @@ def build_graph_from_segments(
     the work grows with the segments plus the near pairs.
     """
     _require_positive(merge_tolerance=merge_tolerance, crossing_tolerance=crossing_tolerance)
-    cols = RecordColumns.of(records)
     # a segment's geometry is its earliest record's, ties the first in
     # record order: the first of its rows in the stable key order
-    first = _segment_starts(cols.codes)
-    seg_ids = [cols.names[code] for code in cols.codes[first].tolist()]
-    ends = cols.ends[first]
+    first = _segment_starts(records.codes)
+    seg_ids = [records.names[code] for code in records.codes[first].tolist()]
+    ends = records.ends[first]
     geometry = [((x1, y1), (x2, y2)) for x1, y1, x2, y2 in ends.tolist()]
 
     def seg_len(k: int) -> float:
@@ -556,7 +504,7 @@ def skeleton_to_network(
 
 
 def ingest_to_network(
-    records,
+    records: RecordColumns,
     price_grid: PriceGrid,
     scale: float = 1.0,
     bucket_minutes: int = DEFAULT_BUCKET_MINUTES,
@@ -564,15 +512,12 @@ def ingest_to_network(
     crossing_tolerance: float = DEFAULT_CROSSING_TOL,
 ) -> tuple[NetworkSkeleton, ObservationGrid, np.ndarray, IngestReport]:
     """Full pipeline: records -> gridded speeds -> filled speeds -> graph ->
-    per-state costs, plus the ingestion report.  ``records`` are columns or
-    an iterable of :class:`SegmentRecord`.  The report's duplicate count is
-    the one ``parse_traffic_records`` dropped (0 for records from
-    elsewhere).  A non-finite or non-positive scale or tolerance, or a
-    bucket under a minute, is refused before any work."""
+    per-state costs, plus the ingestion report.  The report's duplicate
+    count is ``records.n_duplicates``.  A non-finite or non-positive scale
+    or tolerance, or a bucket under a minute, is refused before any work."""
     _require_positive(
         scale=scale, merge_tolerance=merge_tolerance, crossing_tolerance=crossing_tolerance
     )
-    records = RecordColumns.of(records)
     raw_grid = grid_observations(records, bucket_minutes=bucket_minutes)
     filled = interpolate_missing(raw_grid)
     never_observed = set(raw_grid.speeds) - set(filled.speeds)

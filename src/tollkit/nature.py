@@ -47,7 +47,9 @@ one a per-toll packaging would give.
 ``solve_nature_two_point`` is the heuristic search over integer-period
 two-point responses; its per-count table (``first_feasible_lower``) and
 per-toll choice (``two_point_responses``) are array passes that the
-BR-curve scan in ``pricing`` reuses for every toll at once.
+BR-curve scan in ``pricing`` reuses for every toll at once.  A table past
+``_MAX_LOWER_CELLS`` is refused before it is built, and the choice prices
+blocks of tolls, so its working set stays bounded on fine grids.
 """
 
 from __future__ import annotations
@@ -199,13 +201,16 @@ def _moment_tols(scale: float) -> tuple[float, float]:
     return mean_tol, var_tol
 
 
-def _feasible_moments(mean: float, var: float, env: MomentEnvelope, scale: float) -> bool:
+def _feasible_moments(mean, var, env: MomentEnvelope, scale: float):
     """Whether the moments meet ``env`` within ``_moment_tols(scale)``,
-    ``scale`` being the grid's largest magnitude."""
+    ``scale`` being the grid's largest magnitude: a bool for floats, a mask
+    for arrays."""
     mean_tol, var_tol = _moment_tols(scale)
-    if mean < env.u_lower - mean_tol or mean > env.u_upper + mean_tol:
-        return False
-    return var <= env.variance_cap(mean) + var_tol
+    return (
+        (mean >= env.u_lower - mean_tol)
+        & (mean <= env.u_upper + mean_tol)
+        & (var <= env.variance_cap(mean) + var_tol)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +242,14 @@ _TIE_TOL = 1e-9
 # larger call is refused by name before anything is built.
 _MAX_LEVEL_CELLS = 4001 * 4001  # tolls x grid points
 _MAX_PAIRS = 4001 * 4000 // 2  # an interval band's pair table
-# An interval band's pick prices blocks of at most this many tolls x
-# candidates (at least one toll), in two float arrays and one bool array.
+# The two-point table's skip counts x points below the mean: a 50-period
+# horizon with a million points below it (grid step 0.0001, mean 100)
+# takes 10 s and 1.5 GiB on a 2-core VM, and twice that dies under a 3 GB
+# address limit.  A larger table is refused by name before it is built.
+_MAX_LOWER_CELLS = 50_000_000
+# Nature's picks price blocks of at most this many tolls x candidates (at
+# least one toll): an interval band's in two float arrays and one bool
+# array, the two-point responses' in one float array.
 _PICK_CELLS = 1 << 20
 _NO_FIT = "no grid-supported distribution satisfies the moment envelope"
 
@@ -305,15 +316,14 @@ def _envelope_table(points: np.ndarray, env: MomentEnvelope) -> tuple[np.ndarray
     order."""
     n = points.size
     kappa = env.kappa_bar
-    ul, uu = env.u_lower, env.u_upper
-    mean_tol, var_tol = _moment_tols(float(np.max(np.abs(points))))
+    scale = float(np.max(np.abs(points)))
 
-    single = np.flatnonzero((points >= ul - mean_tol) & (points <= uu + mean_tol))
+    single = np.flatnonzero(_feasible_moments(points, 0.0, env, scale))
     I, J = np.triu_indices(n, k=1)
     ci, cj = points[I], points[J]
     d = cj - ci
-    t_mean_lo = (cj - ul) / d  # mean pinned at u_lower
-    t_mean_hi = (cj - uu) / d  # mean pinned at u_upper
+    t_mean_lo = (cj - env.u_lower) / d  # mean pinned at u_lower
+    t_mean_hi = (cj - env.u_upper) / d  # mean pinned at u_upper
     half = 0.5 * (1.0 + kappa / d)
     disc = half * half - kappa * cj / (d * d)
     sq = np.sqrt(np.where(disc >= 0, disc, np.nan))
@@ -324,13 +334,7 @@ def _envelope_table(points: np.ndarray, env: MomentEnvelope) -> tuple[np.ndarray
     interior = (t > 1e-12) & (t < 1 - 1e-12)
     mu = cj[:, None] - t * d[:, None]
     var = t * (1.0 - t) * (d * d)[:, None]
-    feas = (
-        interior
-        & (mu >= ul - mean_tol)
-        & (mu <= uu + mean_tol)
-        & (var <= kappa * mu + var_tol)
-    )
-    pp, qq = np.nonzero(feas)
+    pp, qq = np.nonzero(interior & _feasible_moments(mu, var, env, scale))
     tv = t[pp, qq]
     idx = np.hstack([[single, np.zeros_like(single)], [I[pp], J[pp]]])
     x = np.hstack([[np.ones(single.size), np.zeros(single.size)], [tv, 1.0 - tv]])
@@ -367,9 +371,10 @@ def _simplex_minima(
     support and masses, each of shape (tolls, 3) and the last two with
     their atoms first and zero padding after, and whether it is admitted.
 
-    A toll's pick is refused when no distribution has the band's mean, or
-    when it fails the tests the table applies to its own candidates (every
-    mass over 1e-12, a mass total within 1e-9 of 1, and moments within
+    A toll's pick is refused when no distribution has the band's mean (a
+    negative mean has none: the grid's floor is at least 0), or when it
+    fails the tests the table applies to its own candidates (every mass
+    over 1e-12, a mass total within 1e-9 of 1, and moments within
     ``_moment_tols`` of the grid's scale): phase 1 accepts a residual
     looser than those.
     """
@@ -384,6 +389,8 @@ def _simplex_minima(
     A = np.vstack([np.ones_like(points), points * scale1, points * points * scale2])
     b = np.array([1.0, mu * scale1, cap * scale2])
     try:
+        if mu < 0:  # no distribution on a grid of q >= 0 has this mean
+            raise LpInfeasible("negative mean")
         X = simplex_solve(levels, A, b, senses="==<")
     except LpInfeasible:  # no mass at all: every toll's pick is refused
         X = np.zeros((len(levels), points.size))
@@ -397,13 +404,10 @@ def _simplex_minima(
     x = _point_band_masses(c, sizes, mu, cap)
     mean = (x * c).sum(axis=0)
     var = (x * (c * c)).sum(axis=0) - mean * mean
-    mean_tol, var_tol = _moment_tols(scale)
     admitted = (
         ((x > 1e-12).sum(axis=0) == sizes)
         & (np.abs(x.sum(axis=0) - 1.0) <= 1e-9)
-        & (mean >= env.u_lower - mean_tol)
-        & (mean <= env.u_upper + mean_tol)
-        & (var <= kappa * mean + var_tol)
+        & _feasible_moments(mean, var, env, scale)
     )
     keys = (x[..., None] * levels[np.arange(len(levels)), :, idx]).sum(axis=0)
     return keys, c.T, x.T, admitted
@@ -512,6 +516,7 @@ def _solutions(
 def _solve_nature(
     grid: PriceGrid, env: MomentEnvelope, r, objective: str
 ) -> NatureSolution | tuple[NatureSolution, ...]:
+    grid.require_cost_floor()
     tolls = np.asarray(r, dtype=float)
     if tolls.ndim > 1:
         raise ValueError("tolls must be one toll or a 1-D array of tolls")
@@ -576,12 +581,20 @@ def first_feasible_lower(
     Both checks relax as the lower point rises toward the mean, so the first
     hit is the lowest feasible one; toll-independent, hence one table serves
     a whole BR curve.  Returns ``(counts, lower, upper)``, counts descending,
-    holding only the counts that have a feasible lower point.
+    holding only the counts that have a feasible lower point.  A table of
+    more than ``_MAX_LOWER_CELLS`` counts x points is refused before any of
+    it is built.
     """
+    lows = np.asarray(lows, dtype=float)
+    if (T - 1) * lows.size > _MAX_LOWER_CELLS:
+        raise ValueError(
+            f"{T - 1} skip counts x {lows.size} points below the mean exceed the bound of "
+            f"{_MAX_LOWER_CELLS} counts x points"
+        )
     counts = np.arange(T - 1, 0, -1)
     low = counts[:, None]
     high = T - low
-    ell = np.asarray(lows, dtype=float)[None, :]
+    ell = lows[None, :]
     upper = (mu * T - low * ell) / high
     spread = low * (ell - mu) ** 2 + high * (upper - mu) ** 2
     ok = (upper <= Q + 1e-9) & (spread <= kappa_bar * mu * (T - 1) + 1e-9)
@@ -599,14 +612,19 @@ def two_point_responses(
     minimizing ``count*lower + (T-count)*r`` wins; counts run from high to
     low, so ties go to the largest count.  With no feasible count the
     response is the point mass at the mean (count 0, lower = upper = mean).
-    Returns ``(low_count, lower, upper)``, one entry per toll.
+    Returns ``(low_count, lower, upper)``, one entry per toll.  The tolls
+    are priced in blocks of at most ``_PICK_CELLS`` counts x tolls.
     """
     counts, lower, upper = table
     tolls = np.asarray(tolls, dtype=float)
     if counts.size == 0:
         return np.zeros(tolls.size, dtype=int), np.full(tolls.size, mu), np.full(tolls.size, mu)
-    cost = counts[:, None] * lower[:, None] + (T - counts)[:, None] * tolls[None, :]
-    pick = cost.argmin(axis=0)
+    fixed, per_toll = counts[:, None] * lower[:, None], (T - counts)[:, None]
+    pick = np.empty(tolls.size, dtype=np.intp)
+    block = max(1, _PICK_CELLS // counts.size)
+    for start in range(0, tolls.size, block):
+        cols = slice(start, start + block)
+        pick[cols] = (fixed + per_toll * tolls[None, cols]).argmin(axis=0)
     return counts[pick], lower[pick], upper[pick]
 
 

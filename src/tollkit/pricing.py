@@ -86,6 +86,7 @@ def two_point_robust_toll(grid: PriceGrid, env: MomentEnvelope, T: int) -> Robus
     one guaranteed usage period so the argmax is well defined even when
     every other worst case collapses to zero.
     """
+    grid.require_cost_floor()
     env.validate_against(grid)
     require_horizon(T, 2)
     mu = env.u_lower

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -354,8 +355,13 @@ def test_near_infeasible_point_band_exits_2(tmp_path, capsys, argv):
             + ["--method", "sweep"],
             "200001 tolls on a grid of 200001 points exceed the bound of 16008001 tolls x points",
         ),
+        (
+            ["price", "--grid-step", "0.00005", "--u-lower", "100", "--u-upper", "110"],
+            "49 skip counts x 2000000 points below the mean exceed the bound of "
+            "50000000 counts x points",
+        ),
     ],
-    ids=["nature-pair-table", "price-sweep-levels"],
+    ids=["nature-pair-table", "price-sweep-levels", "price-two-point-table"],
 )
 def test_grid_too_fine_to_finish_exits_2(tmp_path, capsys, argv, message):
     # Calls whose arrays could not be built are refused before any is: one
@@ -364,6 +370,36 @@ def test_grid_too_fine_to_finish_exits_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (out / "nature.csv").exists() and not (out / "price.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["price"], ["price", "--method", "sweep"], ["nature", "--toll", "100"]]
+)
+def test_negative_grid_floor_exits_2(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path / "run.cfg", q=-50)
+    out = tmp_path / "out"
+    argv += ["--config", cfg, "--u-lower", "100", "--u-upper", "110", "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: q must be >= 0, got -50.0"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["price", "--method", "sweep"], ["nature", "--toll", "50"], ["nature", "--toll", "50", "--objective", "an"]],
+)
+def test_band_below_the_zero_floor_solves_as_the_band_from_zero(tmp_path, argv):
+    # no distribution on a grid from 0 has a negative mean, so a band that
+    # reaches below 0 writes the artifacts of the band clipped at 0
+    for lower in ("-5", "0"):
+        band = ["--u-lower", lower, "--u-upper", "100", "--out-dir", str(tmp_path / lower)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the sweep's zero-revenue fallback
+            assert main(argv + band) == 0
+    names = sorted(path.name for path in (tmp_path / "0").glob("*.csv"))
+    assert names == sorted(path.name for path in (tmp_path / "-5").glob("*.csv"))
+    for name in names:
+        assert (tmp_path / "-5" / name).read_bytes() == (tmp_path / "0" / name).read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import re
 import string
@@ -24,7 +25,7 @@ from tollkit.core import (
     write_cost_table,
     write_rows,
 )
-from tollkit.ingest import SegmentRecord, parse_traffic_records, write_traffic_records
+from tollkit.ingest import RECORD_HEADER, parse_traffic_records, write_traffic_records
 from tollkit.network import Arc, TollNetwork, load_network, write_network
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -262,8 +263,8 @@ def test_format_cell_gives_numpy_floats_the_text_of_python_floats(x):
 
 
 coordinates = st.tuples(st.floats(-180.0, 180.0).map(written), st.floats(-90.0, 90.0).map(written))
-records = st.builds(
-    lambda timestamp, segment_id, speed, ends: SegmentRecord(timestamp, segment_id, speed, *ends),
+# (timestamp, segment, speed or None, (start, end))
+records = st.tuples(
     signed,
     names,
     st.none() | st.floats(0.01, 1e3).map(written),
@@ -273,16 +274,24 @@ records = st.builds(
 
 @PROPERTY
 @given(
-    feed=st.lists(
-        records, min_size=1, max_size=8, unique_by=lambda r: (r.segment_id, r.timestamp)
-    ),
+    feed=st.lists(records, min_size=1, max_size=8, unique_by=lambda r: (r[1], r[0])),
     data=st.data(),
 )
 def test_traffic_records_round_trip(feed, data):
+    feed = sorted(feed, key=lambda r: (r[1], r[0]))  # the parser's (segment, timestamp) order
+    rows = [(t, seg, "" if v is None else v, *start, *end) for t, seg, v, (start, end) in feed]
     buf = io.StringIO()
-    write_traffic_records(feed, buf)
+    write_rows(buf, RECORD_HEADER.split(","), rows, lineterminator="\n")
     again = parse_traffic_records(io.StringIO(buf.getvalue()))
-    assert tuple(again) == tuple(sorted(feed, key=lambda r: (r.segment_id, r.timestamp)))
+    assert again.names == tuple(sorted({row[1] for row in rows})) and again.n_duplicates == 0
+    assert [again.names[code] for code in again.codes.tolist()] == [row[1] for row in rows]
+    assert again.timestamps.tolist() == [row[0] for row in rows]
+    speeds = [math.nan if row[2] == "" else row[2] for row in rows]
+    assert np.array_equal(again.speeds, speeds, equal_nan=True)
+    assert again.ends.tolist() == [list(row[3:]) for row in rows]
+    out = io.StringIO()
+    write_traffic_records(again, out)
+    assert out.getvalue() == buf.getvalue()
 
     line = data.draw(st.integers(2, len(feed) + 1))
     column = data.draw(st.sampled_from([0, 2, 3, 4, 5, 6]))

@@ -13,7 +13,6 @@ from tollkit.core import PriceGrid
 from tollkit.ingest import (
     RECORD_HEADER,
     NetworkSkeleton,
-    SegmentRecord,
     SkeletonArc,
     build_graph_from_segments,
     grid_observations,
@@ -27,37 +26,40 @@ from tollkit.ingest import (
 SEED = 20260819
 
 
-def rec(ts, seg, speed, start, end):
-    return SegmentRecord(timestamp=ts, segment_id=seg, speed=speed, start=start, end=end)
-
-
 def feed(rows):
     return io.StringIO("\n".join([RECORD_HEADER, *rows]) + "\n")
+
+
+def line(ts, seg, speed, start, end):
+    """One feed row as text, every float written exactly; None is a blank."""
+    speed = "" if speed is None else repr(float(speed))
+    return ",".join([repr(float(ts)), seg, speed, *(repr(float(v)) for v in (*start, *end))])
+
+
+def columns(rows):
+    """Feed rows, given as text, parsed."""
+    return parse_traffic_records(feed(rows))
 
 
 # --- parsing -------------------------------------------------------------------
 
 
 def test_parse_round_trip_is_byte_stable():
-    records = (
-        rec(0.0, "s1", 30.0, (0.0, 0.0), (1.0, 0.0)),
-        rec(900.0, "s1", 45.5, (0.0, 0.0), (1.0, 0.0)),
-        rec(0.0, "s2", None, (1.0, 0.0), (2.0, 0.0)),
-    )
-    buf = io.StringIO()
-    write_traffic_records(records, buf)
-    text = buf.getvalue()
+    text = RECORD_HEADER + "\n0,s1,30,0,0,1,0\n900,s1,45.5,0,0,1,0\n0,s2,,1,0,2,0\n"
     parsed = parse_traffic_records(io.StringIO(text))
-    assert tuple(parsed) == records
-    buf2 = io.StringIO()
-    write_traffic_records(parsed, buf2)
-    assert buf2.getvalue() == text
+    assert parsed.names == ("s1", "s2") and parsed.n_duplicates == 0
+    assert parsed.codes.tolist() == [0, 0, 1]
+    assert parsed.timestamps.tolist() == [0.0, 900.0, 0.0]
+    assert parsed.speeds[:2].tolist() == [30.0, 45.5] and np.isnan(parsed.speeds[2])
+    assert parsed.ends.tolist() == [[0, 0, 1, 0], [0, 0, 1, 0], [1, 0, 2, 0]]
+    buf = io.StringIO()
+    write_traffic_records(parsed, buf)
+    assert buf.getvalue() == text
 
 
 def test_parse_accepts_iso_timestamps():
-    rows = ["1970-01-01T00:15:00+00:00,s1,30,0,0,1,0"]
-    (record,) = parse_traffic_records(feed(rows))
-    assert record.timestamp == 900.0
+    parsed = parse_traffic_records(feed(["1970-01-01T00:15:00+00:00,s1,30,0,0,1,0"]))
+    assert parsed.timestamps.tolist() == [900.0]
 
 
 def test_parse_duplicate_keeps_last_with_warning():
@@ -66,8 +68,8 @@ def test_parse_duplicate_keeps_last_with_warning():
         "0,s1,50,0,0,1,0",
     ]
     with pytest.warns(UserWarning, match="duplicate"):
-        (record,) = parse_traffic_records(feed(rows))
-    assert record.speed == 50.0
+        parsed = parse_traffic_records(feed(rows))
+    assert parsed.speeds.tolist() == [50.0] and parsed.n_duplicates == 1
 
 
 def test_parse_errors_carry_line_numbers():
@@ -84,19 +86,15 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_rejects_degenerate_segments():
     with pytest.raises(ValueError, match=":2:"):
         parse_traffic_records(feed(["0,s1,30,1,1,1,1"]))  # zero-length geometry
-    with pytest.raises(ValueError, match="speed must be positive"):
-        rec(0.0, "s1", 0.0, (0.0, 0.0), (1.0, 0.0))
+    with pytest.raises(ValueError, match=":3: speed must be positive"):
+        parse_traffic_records(feed(["0,s1,30,0,0,1,0", "900,s1,0,0,0,1,0"]))
 
 
 # --- gridding and interpolation ---------------------------------------------------
 
 
 def test_grid_observations_buckets_and_alignment():
-    records = (
-        rec(0.0, "a", 30.0, (0.0, 0.0), (1.0, 0.0)),
-        rec(1800.0, "a", 50.0, (0.0, 0.0), (1.0, 0.0)),
-        rec(900.0, "b", 40.0, (1.0, 0.0), (2.0, 0.0)),
-    )
+    records = columns(["0,a,30,0,0,1,0", "1800,a,50,0,0,1,0", "900,b,40,1,0,2,0"])
     gridded = grid_observations(records, bucket_minutes=15)
     assert gridded.timestamps == (0.0, 900.0, 1800.0)
     assert gridded.speeds["a"].tolist() == pytest.approx([30.0, np.nan, 50.0], nan_ok=True)
@@ -104,31 +102,20 @@ def test_grid_observations_buckets_and_alignment():
 
 
 def test_interpolation_is_identity_when_complete():
-    records = tuple(
-        rec(900.0 * i, "a", s, (0.0, 0.0), (1.0, 0.0))
-        for i, s in enumerate([30.0, 40.0, 50.0])
-    )
+    records = columns(f"{900 * i},a,{s},0,0,1,0" for i, s in enumerate([30, 40, 50]))
     gridded = grid_observations(records)
     filled = interpolate_missing(gridded)
     assert filled.speeds["a"].tolist() == [30.0, 40.0, 50.0]
 
 
 def test_interpolation_fills_midpoint():
-    records = (
-        rec(0.0, "a", 30.0, (0.0, 0.0), (1.0, 0.0)),
-        rec(900.0, "a", None, (0.0, 0.0), (1.0, 0.0)),
-        rec(1800.0, "a", 50.0, (0.0, 0.0), (1.0, 0.0)),
-    )
+    records = columns(["0,a,30,0,0,1,0", "900,a,,0,0,1,0", "1800,a,50,0,0,1,0"])
     filled = interpolate_missing(grid_observations(records))
     assert filled.speeds["a"].tolist() == [30.0, 40.0, 50.0]
 
 
 def test_interpolation_extends_ends_and_drops_empty():
-    records = (
-        rec(0.0, "a", None, (0.0, 0.0), (1.0, 0.0)),
-        rec(900.0, "a", 42.0, (0.0, 0.0), (1.0, 0.0)),
-        rec(0.0, "b", None, (1.0, 0.0), (2.0, 0.0)),
-    )
+    records = columns(["0,a,,0,0,1,0", "900,a,42,0,0,1,0", "0,b,,1,0,2,0"])
     filled = interpolate_missing(grid_observations(records))
     assert filled.speeds["a"].tolist() == [42.0, 42.0]
     assert "b" not in filled.speeds  # never observed
@@ -141,8 +128,8 @@ def test_interpolation_recovers_affine_series_under_masking():
     for _ in range(10):
         mask = rng.random(24) < 0.2
         mask[0] = mask[-1] = False  # keep the ends anchored
-        records = tuple(
-            rec(float(ts), "a", None if m else float(v), (0.0, 0.0), (1.0, 0.0))
+        records = columns(
+            line(ts, "a", None if m else v, (0.0, 0.0), (1.0, 0.0))
             for ts, v, m in zip(t, speeds, mask)
         )
         filled = interpolate_missing(grid_observations(records))
@@ -153,15 +140,12 @@ def test_interpolation_recovers_affine_series_under_masking():
 
 
 def crossing_records():
-    """Two unit segments crossing at (0.5, 0.5), an X shape."""
-    return (
-        rec(0.0, "ne", 30.0, (0.0, 0.0), (1.0, 1.0)),
-        rec(0.0, "nw", 30.0, (1.0, 0.0), (0.0, 1.0)),
-    )
+    """Two unit segments crossing at (0.5, 0.5), an X shape, as feed rows."""
+    return ["0,ne,30,0,0,1,1", "0,nw,30,1,0,0,1"]
 
 
 def test_crossing_splits_into_five_nodes_four_arcs():
-    skel = build_graph_from_segments(crossing_records())
+    skel = build_graph_from_segments(columns(crossing_records()))
     assert len(skel.node_coords) == 5
     assert len(skel.arcs) == 4
     assert skel.n_splits == 2  # one cut on each segment
@@ -176,10 +160,7 @@ def test_crossing_splits_into_five_nodes_four_arcs():
 
 
 def test_shared_endpoint_merges_not_splits():
-    records = (
-        rec(0.0, "a", 30.0, (0.0, 0.0), (1.0, 0.0)),
-        rec(0.0, "b", 30.0, (1.0, 0.0), (2.0, 0.0)),
-    )
+    records = columns(["0,a,30,0,0,1,0", "0,b,30,1,0,2,0"])
     skel = build_graph_from_segments(records)
     assert len(skel.node_coords) == 3
     assert len(skel.arcs) == 2
@@ -187,10 +168,7 @@ def test_shared_endpoint_merges_not_splits():
 
 
 def test_disjoint_segments_unchanged():
-    records = (
-        rec(0.0, "a", 30.0, (0.0, 0.0), (1.0, 0.0)),
-        rec(0.0, "b", 30.0, (5.0, 5.0), (6.0, 5.0)),
-    )
+    records = columns(["0,a,30,0,0,1,0", "0,b,30,5,5,6,5"])
     skel = build_graph_from_segments(records)
     assert len(skel.node_coords) == 4
     assert len(skel.arcs) == 2
@@ -199,10 +177,7 @@ def test_disjoint_segments_unchanged():
 
 def test_near_coincident_endpoints_merge_to_fixpoint():
     eps = 2e-5  # below the 1e-4 merge tolerance
-    records = (
-        rec(0.0, "a", 30.0, (0.0, 0.0), (1.0, 0.0)),
-        rec(0.0, "b", 30.0, (1.0 + eps, eps), (2.0, 0.0)),
-    )
+    records = columns(["0,a,30,0,0,1,0", line(0.0, "b", 30.0, (1.0 + eps, eps), (2.0, 0.0))])
     skel = build_graph_from_segments(records)
     assert len(skel.node_coords) == 3
     # no two surviving nodes lie within the merge tolerance
@@ -212,11 +187,7 @@ def test_near_coincident_endpoints_merge_to_fixpoint():
 
 
 def test_zero_length_arcs_dropped_with_warning():
-    tiny = 2e-5
-    records = (
-        rec(0.0, "a", 30.0, (0.0, 0.0), (tiny, 0.0)),  # collapses into one node
-        rec(0.0, "b", 30.0, (0.0, 0.0), (1.0, 0.0)),
-    )
+    records = columns(["0,a,30,0,0,2e-5,0", "0,b,30,0,0,1,0"])  # a collapses into one node
     with pytest.warns(UserWarning, match="zero-length"):
         skel = build_graph_from_segments(records)
     assert skel.n_zero_length_dropped == 1
@@ -224,25 +195,24 @@ def test_zero_length_arcs_dropped_with_warning():
 
 
 def test_graph_is_record_order_invariant():
-    records = crossing_records() + (
-        rec(0.0, "c", 25.0, (1.0, 1.0), (2.0, 1.0)),
-    )
-    forward = build_graph_from_segments(records)
-    backward = build_graph_from_segments(tuple(reversed(records)))
+    rows = [*crossing_records(), "0,c,25,1,1,2,1"]
+    forward = build_graph_from_segments(columns(rows))
+    backward = build_graph_from_segments(columns(reversed(rows)))
     assert forward == backward
 
 
 def test_graph_tolerance_validation():
     with pytest.raises(ValueError, match="positive"):
-        build_graph_from_segments(crossing_records(), merge_tolerance=0.0)
+        build_graph_from_segments(columns(crossing_records()), merge_tolerance=0.0)
 
 
 def all_pairs_graph(records, merge_tolerance, crossing_tolerance):
     """Reference: the graph builder that tests every segment pair for a
-    crossing and every pair of cluster roots for a merge."""
+    crossing and every pair of cluster roots for a merge, on rows of
+    ``(timestamp, segment, speed, start, end)``."""
     geometry = {}
-    for r in sorted(records, key=lambda r: (r.segment_id, r.timestamp)):
-        geometry.setdefault(r.segment_id, (r.start, r.end))
+    for _, seg_id, _, start, end in sorted(records, key=lambda r: (r[1], r[0])):
+        geometry.setdefault(seg_id, (start, end))
     seg_ids = sorted(geometry)
 
     def seg_len(seg_id):
@@ -328,7 +298,8 @@ def random_segments(rng, tol):
     on a horizontal, a vertical and a diagonal line, T-junctions whose stem
     ends on, just past or just short of another segment, endpoint clusters
     inside the tolerance, and repeated records of one segment at later times
-    with other ends."""
+    with other ends; as ``(timestamp, segment, speed, start, end)`` rows in
+    a random order."""
     x0, y0 = rng.choice([0.0, -87.6]), rng.choice([0.0, 41.8])
     ends = []
 
@@ -357,9 +328,9 @@ def random_segments(rng, tol):
         start, end = (x0 + p[0], y0 + p[1]), (x0 + q[0], y0 + q[1])
         if start == end:
             continue
-        records.append(rec(float(rng.integers(0, 3) * 900), f"s{k}", 30.0, start, end))
+        records.append((float(rng.integers(0, 3) * 900), f"s{k}", 30.0, start, end))
         if rng.uniform() < 0.2:  # a later record of the same segment
-            records.append(rec(records[-1].timestamp + 900.0, f"s{k}", 20.0, end, start))
+            records.append((records[-1][0] + 900.0, f"s{k}", 20.0, end, start))
     order = rng.permutation(len(records))
     return [records[i] for i in order]
 
@@ -372,13 +343,13 @@ def test_graph_matches_all_pairs_reference(merge_tol, crossing_tol):
     rng = np.random.default_rng([SEED, int(merge_tol * 1e4), int(crossing_tol * 1e4)])
     for _ in range(40):
         records = random_segments(rng, max(merge_tol, crossing_tol))
-        fast = build_graph_from_segments(records, merge_tol, crossing_tol)
+        fast = build_graph_from_segments(columns(line(*r) for r in records), merge_tol, crossing_tol)
         assert fast == all_pairs_graph(records, merge_tol, crossing_tol)
 
 
 def lattice_records(blocks, spacing=0.01):
     """A street lattice of ``blocks`` x ``blocks`` blocks, one segment per
-    block side, with the nodes jittered well inside a block."""
+    block side, with the nodes jittered well inside a block, as feed rows."""
     rng = np.random.default_rng(SEED)
     n = blocks + 1
     node = (rng.uniform(-0.1, 0.1, (n, n, 2)) + np.dstack(np.mgrid[0:n, 0:n])) * spacing
@@ -389,8 +360,8 @@ def lattice_records(blocks, spacing=0.01):
             for di, dj in ((1, 0), (0, 1)):
                 if i + di < n and j + dj < n:
                     seg = f"{i}-{j}-{di}"
-                    records.append(rec(0.0, seg, 30.0, at(i, j), at(i + di, j + dj)))
-    return records
+                    records.append(line(0.0, seg, 30.0, at(i, j), at(i + di, j + dj)))
+    return columns(records)
 
 
 def test_crossing_tests_grow_with_near_pairs(monkeypatch):
@@ -414,7 +385,7 @@ def test_crossing_tests_grow_with_near_pairs(monkeypatch):
 
 
 def test_travel_cost_by_hand():
-    records = (rec(0.0, "a", 30.0, (0.0, 0.0), (60.0, 0.0)),)
+    records = columns(["0,a,30,0,0,60,0"])
     skel = build_graph_from_segments(records)
     gridded = interpolate_missing(grid_observations(records))
     grid = PriceGrid(0.0, 10.0, 1.0)
@@ -423,7 +394,7 @@ def test_travel_cost_by_hand():
 
 
 def test_travel_cost_rejects_bad_speeds():
-    records = (rec(0.0, "a", 30.0, (0.0, 0.0), (60.0, 0.0)),)
+    records = columns(["0,a,30,0,0,60,0"])
     skel = build_graph_from_segments(records)
     gridded = grid_observations(records)
     gridded.speeds["a"][0] = 0.0
@@ -435,12 +406,14 @@ def test_travel_cost_rejects_bad_speeds():
 
 
 def test_ingest_pipeline_end_to_end():
-    records = (
-        rec(0.0, "ne", 30.0, (0.0, 0.0), (1.0, 1.0)),
-        rec(900.0, "ne", 40.0, (0.0, 0.0), (1.0, 1.0)),
-        rec(0.0, "nw", 35.0, (1.0, 0.0), (0.0, 1.0)),
-        rec(900.0, "nw", None, (1.0, 0.0), (0.0, 1.0)),
-        rec(0.0, "far", None, (9.0, 9.0), (10.0, 9.0)),  # never observed
+    records = columns(
+        [
+            "0,ne,30,0,0,1,1",
+            "900,ne,40,0,0,1,1",
+            "0,nw,35,1,0,0,1",
+            "900,nw,,1,0,0,1",
+            "0,far,,9,9,10,9",  # never observed
+        ]
     )
     grid = PriceGrid(0.0, 10.0, 0.5)
     skeleton, filled, costs, report = ingest_to_network(records, grid, scale=100.0)
@@ -473,7 +446,7 @@ def test_ingest_pipeline_end_to_end():
     ],
 )
 def test_ingest_rejects_bad_options_by_name(option, value, message):
-    records = (rec(0.0, "a", 30.0, (0.0, 0.0), (1.0, 0.0)),)
+    records = columns(["0,a,30,0,0,1,0"])
     with pytest.raises(ValueError, match=f"^{message}$"):
         ingest_to_network(records, PriceGrid(0.0, 10.0, 1.0), **{option: value})
     if option == "bucket_minutes":
@@ -492,8 +465,3 @@ def test_parse_returns_columns_with_record_rows():
     assert parsed.timestamps.tolist() == [0.0, 0.0, 900.0]
     assert np.isnan(parsed.speeds[2]) and parsed.speeds[:2].tolist() == [35.0, 40.0]
     assert parsed.ends.tolist() == [[0, 0, 1, 0], [1, 0, 2, 0], [1, 0, 2, 0]]
-    assert tuple(parsed) == (
-        rec(0.0, "a", 35.0, (0.0, 0.0), (1.0, 0.0)),
-        rec(0.0, "b", 40.0, (1.0, 0.0), (2.0, 0.0)),
-        rec(900.0, "b", None, (1.0, 0.0), (2.0, 0.0)),
-    )

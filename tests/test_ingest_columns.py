@@ -1,6 +1,6 @@
 """The column ingest against a copy of the record pipeline it replaced.
 
-The reference below keeps one frozen ``SegmentRecord`` per row, a dict for
+The reference below keeps one ``Row`` tuple per feed row, a dict for
 duplicate keys and a sort per stage, as ``tollkit.ingest`` did before it
 worked on columns.  Feeds are generated text, so both sides read the same
 bytes; every record, warning, grid series, skeleton, cost and report must
@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from tollkit.ingest import (
     IngestReport,
     ObservationGrid,
     RecordColumns,
-    SegmentRecord,
     grid_observations,
     ingest_to_network,
     parse_traffic_records,
@@ -41,6 +41,14 @@ SCALE = 1000.0  # some costs land past the grid and clamp
 # --- the record pipeline ------------------------------------------------------------
 
 
+class Row(NamedTuple):
+    timestamp: float
+    segment_id: str
+    speed: float | None
+    start: tuple[float, float]
+    end: tuple[float, float]
+
+
 def reference_parse(source):
     table = read_rows(
         source,
@@ -49,10 +57,11 @@ def reference_parse(source):
     )
     seen = {}
     for row, (ts, segment, speed, x1, y1, x2, y2) in enumerate(zip(*table.columns)):
-        try:
-            seen[(segment, ts)] = SegmentRecord(ts, segment, speed, (x1, y1), (x2, y2))
-        except ValueError as exc:
-            raise table.error(row, str(exc)) from None
+        if speed is not None and speed <= 0:
+            raise table.error(row, "speed must be positive when present")
+        if (x1, y1) == (x2, y2):
+            raise table.error(row, "segment endpoints must be distinct")
+        seen[(segment, ts)] = Row(ts, segment, speed, (x1, y1), (x2, y2))
     if not seen:
         raise ValueError(f"{table.where}: no records")
     duplicates = len(table.lines) - len(seen)
@@ -157,36 +166,20 @@ def check_feed(text):
         return
     records, n_duplicates = want
     assert isinstance(got, RecordColumns)
-    assert len(got) == len(records)
-    assert repr(tuple(got)) == repr(tuple(records))  # the kept row's own timestamp
+    assert got.names == tuple(sorted({r.segment_id for r in records}))
+    assert [got.names[code] for code in got.codes.tolist()] == [r.segment_id for r in records]
+    # the kept row's own stamp, -0.0 included
+    assert repr(got.timestamps.tolist()) == repr([r.timestamp for r in records])
+    speeds = [math.nan if r.speed is None else r.speed for r in records]
+    assert repr(got.speeds.tolist()) == repr(speeds)
+    assert repr(got.ends.tolist()) == repr([[*r.start, *r.end] for r in records])
     assert got.n_duplicates == n_duplicates
-    assert list(got.names) == sorted({r.segment_id for r in records})
     same_grid(grid_observations(got), reference_grid(records))
 
     want, want_warnings = outcome(lambda: reference_ingest(records, n_duplicates))
     got_ingest, got_warnings = outcome(lambda: ingest_to_network(got, GRID, scale=SCALE))
     assert got_warnings == want_warnings
     same_ingest(got_ingest, want)
-
-    # the same rows as records in file order, duplicates and all: converted
-    # to columns at entry, stable in (segment, timestamp) order
-    rows = list(parse_rows(text))
-    want, want_warnings = outcome(lambda: reference_ingest(rows, 0))
-    got_ingest, got_warnings = outcome(lambda: ingest_to_network(rows, GRID, scale=SCALE))
-    assert got_warnings == want_warnings
-    same_ingest(got_ingest, want)
-    same_grid(grid_observations(rows), reference_grid(rows))
-
-
-def parse_rows(text):
-    """Every feed row as a record, in file order."""
-    table = read_rows(
-        io.StringIO(text),
-        RECORD_HEADER,
-        (ingest._parse_timestamp, str.strip, ingest._optional_float, float, float, float, float),
-    )
-    for ts, segment, speed, x1, y1, x2, y2 in zip(*table.columns):
-        yield SegmentRecord(ts, segment, speed, (x1, y1), (x2, y2))
 
 
 # --- feeds ---------------------------------------------------------------------------
@@ -252,8 +245,7 @@ def test_duplicate_keys_keep_the_last_row_and_its_own_stamp():
     check_feed(text)
     with pytest.warns(UserWarning, match="1 duplicate"):
         parsed = parse_traffic_records(io.StringIO(text))
-    first = next(iter(parsed))
-    assert (repr(first.timestamp), first.speed) == ("-0.0", 40.0)
+    assert (repr(parsed.timestamps.tolist()[0]), parsed.speeds[0]) == ("-0.0", 40.0)
     # one bucket: the blank at 600 is latest, but 450 is the last present speed
     assert grid_observations(parsed).speeds["a"].tolist() == [50.0]
 

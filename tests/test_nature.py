@@ -34,6 +34,7 @@ from tollkit.nature import (
     solve_nature_an,
     solve_nature_two_point,
     solve_nature_ufn,
+    two_point_responses,
 )
 
 SEED = 20260819
@@ -1233,3 +1234,55 @@ def test_first_feasible_lower_none_when_budget_zero():
     lows = grid.points()[grid.points() < 60.0]
     counts, lower, upper = first_feasible_lower(lows, 60.0, 0.0, 10, grid.Q)
     assert counts.size == lower.size == upper.size == 0
+
+
+def test_two_point_table_past_its_bound_is_refused(monkeypatch):
+    # 9 skip counts x 60 grid points below the mean: at the bound the search
+    # runs, one cell over it is refused with the sizes
+    grid = PriceGrid(0.0, 100.0, 1.0)
+    monkeypatch.setattr(nature, "_MAX_LOWER_CELLS", 9 * 60)
+    assert solve_nature_two_point(grid, 60.0, 1.0, 10, 70.0).low_count > 0
+    monkeypatch.setattr(nature, "_MAX_LOWER_CELLS", 9 * 60 - 1)
+    with pytest.raises(ValueError) as got:
+        solve_nature_two_point(grid, 60.0, 1.0, 10, 70.0)
+    assert str(got.value) == (
+        "9 skip counts x 60 points below the mean exceed the bound of 539 counts x points"
+    )
+
+
+def test_two_point_responses_in_blocks_match_one_block(monkeypatch):
+    grid = PriceGrid(0.0, 100.0, 0.5)
+    points = grid.points()
+    table = first_feasible_lower(points[points < 60.0], 60.0, 2.0, 12, grid.Q)
+    whole = two_point_responses(table, 60.0, 12, points)
+    monkeypatch.setattr(nature, "_PICK_CELLS", 3 * table[0].size + 1)  # blocks of 3 tolls
+    for got, want in zip(two_point_responses(table, 60.0, 12, points), whole):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("solver", [solve_nature_ufn, solve_nature_an])
+def test_band_below_a_zero_floor_solves_as_the_band_clipped_at_zero(solver):
+    # no distribution on the grid has a negative mean, so the lower edge
+    # offers nothing and only its active-constraint label differs
+    grid = PriceGrid(0.0, 60.0, 1.0)
+    points = grid.points()
+    below = solver(grid, MomentEnvelope(-5.0, 40.0, 3.0), points)
+    clipped = solver(grid, MomentEnvelope(0.0, 40.0, 3.0), points)
+    assert len(below) == len(clipped) == points.size
+    for got, want in zip(below, clipped):
+        assert got.distribution.support.tolist() == want.distribution.support.tolist()
+        assert got.distribution.mass.tolist() == want.distribution.mass.tolist()
+        assert (got.objective_value, got.usage_probability) == (
+            want.objective_value,
+            want.usage_probability,
+        )
+        labels = tuple(c for c in want.active_constraints if c != "mean-lower")
+        assert got.active_constraints == labels
+
+
+def test_negative_edge_mean_is_refused_without_the_walk(monkeypatch):
+    grid = PriceGrid(0.0, 60.0, 1.0)
+    monkeypatch.setattr(nature, "simplex_solve", None)  # never called
+    levels = _levels(grid.points(), grid.points(), "ufn")
+    *_, admitted = _simplex_minima(grid, MomentEnvelope(-5.0, -5.0, 3.0), levels)
+    assert admitted.tolist() == [False] * grid.n_points

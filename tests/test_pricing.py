@@ -627,3 +627,21 @@ def test_non_integer_horizon_is_refused_by_name():
         solve(np.int64(3))
         with pytest.raises(ValueError, match=r"^T must be >= "):
             solve(0)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda grid, env: two_point_robust_toll(grid, env, 50),
+        lambda grid, env: epsilon_sweep_robust_toll(grid, env, 50),
+        lambda grid, env: solve_nature_ufn(grid, env, 100.0),
+        lambda grid, env: solve_nature_an(grid, env, grid.points()),
+    ],
+    ids=["two-point", "sweep", "ufn", "an"],
+)
+def test_negative_grid_floor_is_refused_by_name(run):
+    # costs are non-negative: the search and nature's model are not built
+    # for a grid below 0
+    grid, env = PriceGrid(-50.0, 200.0), MomentEnvelope(100.0, 110.0, 1.0)
+    with pytest.raises(ValueError, match=r"^q must be >= 0, got -50\.0$"):
+        run(grid, env)
