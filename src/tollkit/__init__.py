@@ -15,6 +15,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
+        "allocation": ("allocate_arc_tolls",),
         "config": ("RunConfig", "parse_config"),
         "core": (
             "CostHistory",
@@ -59,7 +60,6 @@ _EXPORTS = {
             "Arc",
             "PathFamily",
             "TollNetwork",
-            "allocate_arc_tolls",
             "build_parallel_equivalent",
             "enumerate_paths",
             "load_network",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import _lazy_getattr
 from .config import RunConfig, parse_config
@@ -42,9 +42,6 @@ from .core import (
     read_rows,
     write_rows,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["build_parser", "main"]
 
@@ -66,7 +63,8 @@ _LIBRARY = {
         "ingest": ("ingest_to_network", "parse_traffic_records", "skeleton_to_network"),
         "miqp": ("emit_nature_miqp",),
         "nature": ("solve_nature_an", "solve_nature_ufn"),
-        "network": ("allocate_arc_tolls", "load_network", "write_network"),
+        "allocation": ("allocate_arc_tolls",),
+        "network": ("load_network", "write_network"),
         "pricing": ("epsilon_sweep_robust_toll", "two_point_robust_toll"),
     }.items()
     for name in names
@@ -226,20 +224,16 @@ def _cmd_emit_mip(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_bounds(path: str) -> tuple[list[str], np.ndarray]:
-    import numpy as np
-
+def _load_bounds(path: str) -> tuple[list[str], list[float]]:
     table = read_rows(path, "path,bound", (str.strip, float))
     names, bounds = table.columns
     if not names:
         raise ValueError(f"{table.where}: no path bounds")
     table.reject_duplicates(list(zip(names)), "path {!r}".format)
-    return names, np.asarray(bounds)
+    return names, bounds
 
 
-def _load_incidence(path: str, path_names: list[str]) -> tuple[list[str], np.ndarray]:
-    import numpy as np
-
+def _load_incidence(path: str, path_names: list[str]) -> tuple[list[str], list[list[bool]]]:
     table = read_rows(path, "path,arc,used", (str.strip, str.strip, flag))
     names, arcs, used = table.columns
     if not names:
@@ -249,9 +243,9 @@ def _load_incidence(path: str, path_names: list[str]) -> tuple[list[str], np.nda
             raise table.error(row, f"unknown path {name!r}")
     table.reject_duplicates(list(zip(names, arcs)), "row for path {!r}, arc {!r}".format)
     arc_names = list(dict.fromkeys(arcs))
-    matrix = np.zeros((len(path_names), len(arc_names)), dtype=int)
+    matrix = [[0] * len(arc_names) for _ in path_names]
     for name, arc, value in zip(names, arcs, used):
-        matrix[path_names.index(name), arc_names.index(arc)] = value
+        matrix[path_names.index(name)][arc_names.index(arc)] = value
     return arc_names, matrix
 
 
@@ -261,11 +255,9 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     arc_names, incidence = _load_incidence(args.incidence, path_names)
     tolls = _this.allocate_arc_tolls(bounds, incidence)
     out_dir = _resolve_out_dir(args)
-    _write_table(
-        out_dir, "tolls.csv", ["arc", "toll"], [(arc, int(t)) for arc, t in zip(arc_names, tolls)]
-    )
+    _write_table(out_dir, "tolls.csv", ["arc", "toll"], zip(arc_names, tolls))
     _write_manifest(out_dir, args, cfg, [("bounds", args.bounds), ("incidence", args.incidence)])
-    print(f"total toll {int(tolls.sum())} across {len(arc_names)} arcs")
+    print(f"total toll {sum(tolls)} across {len(arc_names)} arcs")
     return 0
 
 

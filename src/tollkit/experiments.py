@@ -616,31 +616,25 @@ def run_real_data_experiment(
     nodes = net.nodes  # at least two: the endpoints differ
 
     rng = _stream(seed, _KIND_PAIRS)
-    margin_series: list[np.ndarray] = []
-    skipped = 0
-    for _ in range(pairs):
-        i, j = rng.choice(len(nodes), size=2, replace=False)
-        margins = state_shortest_path_costs(
-            net, origin=nodes[i], destination=nodes[j], undirected=True
-        )
-        if not np.all(np.isfinite(margins)):
-            skipped += 1
-            continue
-        margin_series.append(margins)
-    if not margin_series:
+    ends = [
+        tuple(nodes[k] for k in rng.choice(len(nodes), size=2, replace=False))
+        for _ in range(pairs)
+    ]
+    margins = state_shortest_path_costs(net, ends, undirected=True)
+    margins = margins[np.isfinite(margins).all(axis=1)]  # the connected pairs
+    if not len(margins):
         raise ValueError("no connected node pairs found")
 
     if grid is None:
-        top = max(float(np.max(m)) for m in margin_series)
-        grid = PriceGrid(0.0, max(1.0, math.ceil(top)), 1.0)
+        grid = PriceGrid(0.0, max(1.0, math.ceil(float(margins.max()))), 1.0)
 
-    tolls = np.empty((len(margin_series), 2))  # robust, sample mean
-    for pair, margins in enumerate(margin_series):
-        history = margins[:history_cut]
+    tolls = np.empty((len(margins), 2))  # robust, sample mean
+    for pair, series in enumerate(margins):
+        history = series[:history_cut]
         env = estimate_moment_envelope(history, grid, confidence_z, kappa_bar)
         tolls[pair] = two_point_robust_toll(grid, env, T).toll, grid.snap(np.mean(history))
     points = grid.points()
-    revenue = realized_revenue_table(np.stack(margin_series), grid)
+    revenue = realized_revenue_table(margins, grid)
     opt = revenue.max(axis=1)
     got = np.take_along_axis(revenue, np.searchsorted(points, tolls), axis=1)
     robust_arr, mean_arr = _regret(opt, got.T)
@@ -654,6 +648,6 @@ def run_real_data_experiment(
         per_pair_robust=tuple(robust_arr.tolist()),
         per_pair_mean_toll=tuple(mean_arr.tolist()),
         toll_ratios=tuple(ratios.tolist()),
-        n_pairs_used=len(margin_series),
-        n_skipped=skipped,
+        n_pairs_used=len(margins),
+        n_skipped=pairs - len(margins),
     )

@@ -5,14 +5,12 @@ of per-state non-toll arc costs.  The pipeline here reduces a general
 network to parallel-road pricing instances: enumerate simple
 origin-destination paths (pruning ones that are never state-wise minimal),
 compute per-state margins of a toll path against its best toll-free
-alternative, wrap the margins in a moment envelope, and finally allocate a
-priced path bound back onto individual toll arcs with a small exact integer
-program.
+alternative, and wrap the margins in a moment envelope.  ``allocation``
+splits a priced path bound back onto individual toll arcs.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -45,7 +43,8 @@ __all__ = [
     "write_network",
 ]
 
-MAX_ALLOC_ARCS = 12
+# (row, node) labels one block of the shortest-path search holds at most
+_SEARCH_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -229,50 +228,76 @@ def enumerate_paths(net: TollNetwork, max_paths: int = 64) -> PathFamily:
 
 
 def state_shortest_path_costs(
-    net: TollNetwork,
-    origin: str | None = None,
-    destination: str | None = None,
-    free_only: bool = False,
-    undirected: bool = False,
+    net: TollNetwork, ends, free_only: bool = False, undirected: bool = False
 ) -> np.ndarray:
-    """Per-state shortest-path cost between two nodes (Dijkstra).
+    """Per-state shortest-path cost between each (origin, destination) pair
+    of ``ends``, as a (pairs, states) array (Dijkstra).
 
     ``free_only`` restricts to toll-free arcs; ``undirected`` lets every arc
     be traversed both ways (road segments recorded in arbitrary direction).
-    Unreachable states come back as ``inf``.  Nodes are numbered in name
-    order, so the heap breaks ties between equal distances by node name.
-    Costs are finite and non-negative, as ``TollNetwork`` guarantees.
+    An end need not be a node of the arcs; it is then isolated.  A pair
+    with no path comes back as ``inf``, and a pair of equal ends as 0.
+
+    One label-setting search runs every (pair, state) row in lockstep: each
+    step settles each live row's nearest open node and relaxes that node's
+    arcs, and a row retires when it settles its destination or when its
+    nearest open label is ``inf``.  Costs are finite and non-negative, as
+    ``TollNetwork`` guarantees, so rounded addition is monotone and never
+    makes a label smaller than the one it extends.  Each answer is then the
+    least left-to-right float sum of arc costs over the row's paths,
+    whatever order equal labels settle in, the same bits a one-row heap
+    search gives.  Rows run in blocks of at most ``_SEARCH_CELLS`` (row,
+    node) labels, so memory does not grow with the number of pairs.
     """
-    src = net.origin if origin is None else origin
-    dst = net.destination if destination is None else destination
-    arc_ids = net.free_arcs if free_only else range(len(net.arcs))
-    names = sorted({*net.nodes, src, dst})
+    ends = list(ends)
+    names = sorted({*net.nodes, *(name for pair in ends for name in pair)})
     number = {name: k for k, name in enumerate(names)}
+    n = len(names)
     adj: list[list[tuple[int, int]]] = [[] for _ in names]
-    for i in arc_ids:
+    for i in net.free_arcs if free_only else range(len(net.arcs)):
         tail, head = number[net.arcs[i].tail], number[net.arcs[i].head]
         adj[tail].append((head, i))
         if undirected:
             adj[head].append((tail, i))
-    start, goal = number[src], number[dst]
-    result = np.full(net.n_states, math.inf)
-    for s, w in enumerate(net.state_costs.tolist()):
-        dist = [math.inf] * len(names)
-        dist[start] = 0.0
-        heap = [(0.0, start)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node == goal:
-                result[s] = d
-                break
-            if d > dist[node]:
-                continue
-            for head, i in adj[node]:
-                nd = d + w[i]
-                if nd < dist[head]:
-                    dist[head] = nd
-                    heapq.heappush(heap, (nd, head))
-    return result
+    # Each node's (head, arc) slots; a node with fewer arcs pads with a
+    # self-loop, which only ever reaches a settled node.
+    width = max(map(len, adj))
+    heads = np.array(
+        [[h for h, _ in a] + [u] * (width - len(a)) for u, a in enumerate(adj)], dtype=np.intp
+    )
+    arcs = np.array([[i for _, i in a] + [0] * (width - len(a)) for a in adj], dtype=np.intp)
+    n_states, n_arcs = net.state_costs.shape
+    costs = net.state_costs.ravel()
+    pair_ends = np.array([[number[o], number[d]] for o, d in ends], dtype=np.intp).reshape(-1, 2)
+    out = np.full(len(ends) * n_states, math.inf)
+    block = max(1, _SEARCH_CELLS // n)
+    for lo in range(0, out.size, block):
+        row = np.arange(lo, min(lo + block, out.size))  # pair-major (pair, state)
+        offset = row % n_states * n_arcs  # where the row's state starts in costs
+        start, goal = pair_ends[row // n_states].T
+        label = np.full((row.size, n), math.inf)  # open labels; inf once settled
+        settled = np.zeros(label.shape, dtype=bool)
+        live = np.arange(row.size)
+        label[live, start] = 0.0
+        while live.size:
+            node = label.argmin(axis=1)[live]
+            dist = label[live, node]
+            done = (node == goal[live]) | np.isinf(dist)
+            if done.any():
+                out[row[live[done]]] = dist[done]
+                live, node, dist = live[~done], node[~done], dist[~done]
+                if 4 * live.size <= 3 * row.size:  # drop the retired rows
+                    label, settled, row, offset, goal = (
+                        x[live] for x in (label, settled, row, offset, goal)
+                    )
+                    live = np.arange(live.size)
+            label[live, node] = math.inf
+            settled[live, node] = True
+            to = (live * n)[:, None] + heads[node]  # cells of label.ravel()
+            step = dist[:, None] + costs[offset[live, None] + arcs[node]]
+            step[settled.ravel()[to]] = math.inf
+            np.minimum.at(label.ravel(), to, step)
+    return out.reshape(len(ends), n_states)
 
 
 def _validate_path(net: TollNetwork, path) -> tuple[int, ...]:
@@ -304,7 +329,7 @@ def state_margin_series(net: TollNetwork, toll_path, q: float = 0.0) -> np.ndarr
     the toll road supports no toll.
     """
     path = _validate_path(net, toll_path)
-    alt = state_shortest_path_costs(net, free_only=True)
+    alt = state_shortest_path_costs(net, [(net.origin, net.destination)], free_only=True)[0]
     if not np.all(np.isfinite(alt)):
         raise ValueError("no toll-free alternative path")
     base = net.state_costs[:, list(path)].sum(axis=1)
@@ -341,61 +366,10 @@ def build_parallel_equivalent(
 
 
 def allocate_arc_tolls(bounds, incidence) -> np.ndarray:
-    """Split path toll bounds into integer per-arc tolls.
+    """``allocation.allocate_arc_tolls``'s tolls as an integer array."""
+    from .allocation import allocate_arc_tolls
 
-    Maximizes the total arc toll subject to, for each path p,
-    sum of tolls on p's toll arcs <= bounds[p].  Exact depth-first
-    branch-and-bound; ties resolve to the lexicographically smallest toll
-    vector.  Guarded to 12 arcs.
-    """
-    sigma = np.asarray(bounds, dtype=float)
-    inc = np.asarray(incidence)
-    if inc.ndim != 2 or inc.shape[0] != sigma.size:
-        raise ValueError("incidence must be (paths x arcs) matching bounds")
-    bad = sigma[~np.isfinite(sigma)]
-    if bad.size:
-        raise ValueError(f"path bounds must be finite, got {bad.tolist()}")
-    if (sigma < 0).any():
-        raise ValueError("negative path bound")
-    n_arcs = inc.shape[1]
-    if n_arcs > MAX_ALLOC_ARCS:
-        raise ValueError(
-            f"instance too large for exact allocation ({n_arcs} > {MAX_ALLOC_ARCS} arcs)"
-        )
-    if n_arcs and not inc.any(axis=0).all():
-        raise ValueError("toll arc not covered by any path bound is unbounded")
-
-    rows_of = [np.flatnonzero(inc[:, a]) for a in range(n_arcs)]
-
-    def cap(a: int, residual: np.ndarray) -> int:
-        return int(math.floor(residual[rows_of[a]].min() + 1e-9))
-
-    best_total = -1
-    best_vec: list[int] | None = None
-    current = [0] * n_arcs
-
-    def optimistic(idx: int, residual: np.ndarray) -> int:
-        return sum(cap(a, residual) for a in range(idx, n_arcs))
-
-    def search(idx: int, residual: np.ndarray, total: int) -> None:
-        nonlocal best_total, best_vec
-        if idx == n_arcs:
-            if total > best_total:
-                best_total = total
-                best_vec = current.copy()
-            return
-        if total + optimistic(idx, residual) <= best_total:
-            return
-        for v in range(cap(idx, residual) + 1):  # ascending: lex-smallest wins ties
-            current[idx] = v
-            nxt = residual.copy()
-            nxt[rows_of[idx]] -= v
-            search(idx + 1, nxt, total + v)
-        current[idx] = 0
-
-    search(0, sigma.copy(), 0)
-    assert best_vec is not None
-    return np.array(best_vec, dtype=int)
+    return np.array(allocate_arc_tolls(bounds, incidence), dtype=int)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 import tollkit
 import tollkit.cli as cli
+from tollkit.allocation import MAX_ALLOC_NODES
 from tollkit.cli import main
 from tollkit.config import RunConfig
 from tollkit.core import FAMILIES, CostHistory, MomentEnvelope
@@ -628,6 +629,34 @@ def test_allocate_round_trip(tmp_path, capsys):
     assert "total toll 15 across 3 arcs" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "bounds, incidence",
+    [
+        ("p1,1e6\n", "p1,a1,1\np1,a2,1\n"),
+        (
+            "".join(f"p{p},1000\n" for p in range(5)),
+            "".join(f"p{p},a{a},{int(a in (p, p + 1))}\n" for p in range(5) for a in range(5)),
+        ),
+        ("p1,1e300\n", "p1,a1,1\n"),
+    ],
+    ids=["two-arcs", "five-bidiagonal", "1e300"],
+)
+def test_allocate_past_the_search_budget_exits_2(tmp_path, capsys, bounds, incidence):
+    # searches that once ran for seconds, minutes or forever are refused
+    # once they have visited the budget's nodes
+    (tmp_path / "bounds.csv").write_text("path,bound\n" + bounds)
+    (tmp_path / "incidence.csv").write_text("path,arc,used\n" + incidence)
+    out = tmp_path / "out"
+    argv = ["allocate", "--bounds", str(tmp_path / "bounds.csv")]
+    argv += ["--incidence", str(tmp_path / "incidence.csv"), "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: allocation search passed its budget of {MAX_ALLOC_NODES} nodes; "
+        "lower the path bounds or split the instance"
+    ]
+    assert not out.exists()
+
+
 def test_allocate_rejects_unknown_path(tmp_path, capsys):
     bounds = tmp_path / "bounds.csv"
     bounds.write_text("path,bound\np1,10\n")
@@ -1162,11 +1191,10 @@ def loaded_modules(tmp_path, argv):
 
 def test_each_subcommand_imports_only_what_it_uses(tmp_path):
     bounds, incidence = allocation_fixture(tmp_path)
-    solvers = {"lp", "nature", "pricing", "experiments", "ingest"}
     code, modules = loaded_modules(
         tmp_path, ["allocate", "--bounds", bounds, "--incidence", incidence]
     )
-    assert code == 0 and not modules & solvers, modules
+    assert (code, modules) == (0, {"cli", "config", "core", "allocation"})
     code, modules = loaded_modules(
         tmp_path, ["nature", "--u-lower", "100", "--u-upper", "100", "--toll", "80"]
     )
@@ -1177,6 +1205,15 @@ def test_each_subcommand_imports_only_what_it_uses(tmp_path):
         tmp_path, ["ingest", "--records", crossing_feed(tmp_path / "records.csv")]
     )
     assert (code, modules) == (0, {"cli", "config", "core", "ingest", "network", "numpy"})
+    code, modules = loaded_modules(
+        tmp_path,
+        ["real-exp", "--arcs", str(tmp_path / "out" / "arcs.csv"), "--pairs", "2"]
+        + ["--states", str(tmp_path / "out" / "states.csv")],
+    )
+    assert (code, modules) == (
+        0,
+        {"cli", "config", "core", "experiments", "lp", "nature", "network", "pricing", "numpy"},
+    )
     # Processes that compute with no array load no numpy.
     assert loaded_modules(tmp_path, []) == (None, {"cli", "config", "core"})
     assert loaded_modules(tmp_path, ["--help"]) == (0, {"cli", "config", "core"})

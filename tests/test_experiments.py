@@ -275,9 +275,8 @@ def ref_real_data(net, pairs, history_cut, grid=None, T=50, seed=0):
     series = []
     for _ in range(pairs):
         i, j = rng.choice(len(net.nodes), size=2, replace=False)
-        margins = state_shortest_path_costs(
-            net, origin=net.nodes[i], destination=net.nodes[j], undirected=True
-        )
+        # one search per pair, where the driver batches every pair in one
+        margins = state_shortest_path_costs(net, [(net.nodes[i], net.nodes[j])], undirected=True)[0]
         if np.all(np.isfinite(margins)):
             series.append(margins)
     if grid is None:

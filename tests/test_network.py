@@ -1,4 +1,5 @@
-"""Path enumeration, margins, parallel reduction, and arc-toll allocation."""
+"""Path enumeration, shortest paths, margins, parallel reduction, and
+arc-toll allocation."""
 
 from __future__ import annotations
 
@@ -6,16 +7,19 @@ import heapq
 import itertools
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import tollkit.allocation as allocation
+import tollkit.network as network
+from tollkit.allocation import allocate_arc_tolls
 from tollkit.core import PriceGrid
 from tollkit.network import (
     Arc,
     TollNetwork,
-    allocate_arc_tolls,
     build_parallel_equivalent,
     enumerate_paths,
     load_network,
@@ -75,7 +79,7 @@ def test_network_validation():
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TollNetwork(arcs, "a", "d", costs)
     net = two_road_network([-0.0], [1.0])  # a signed zero is not below zero
-    assert state_shortest_path_costs(net).tolist() == [0.0]
+    assert state_shortest_path_costs(net, [("O", "D")]).tolist() == [[0.0]]
     # so must each arc length, which write_network writes for load_network
     for bad in (math.nan, math.inf, -math.inf, -3.0, -1e-300):
         message = f"arc 'a'-'d': length {bad!r} must be finite and non-negative"
@@ -175,10 +179,10 @@ def test_enumerate_path_cap():
 def test_shortest_path_costs_by_hand():
     costs = [[1.0, 2.0, 2.0, 3.0], [4.0, 1.0, 2.0, 2.0]]
     net = diamond_network(costs, toll_flags=(True, False, False, False))
-    dist = state_shortest_path_costs(net)
-    assert dist.tolist() == [3.0, 4.0]
-    free = state_shortest_path_costs(net, free_only=True)
-    assert free.tolist() == [5.0, 4.0]  # only O->B->D remains
+    dist = state_shortest_path_costs(net, [("O", "D")])
+    assert dist.tolist() == [[3.0, 4.0]]
+    free = state_shortest_path_costs(net, [("O", "D"), ("D", "O"), ("A", "A")], free_only=True)
+    assert free.tolist() == [[5.0, 4.0], [math.inf] * 2, [0.0] * 2]  # only O->B->D remains
 
 
 def test_shortest_path_unreachable_is_inf():
@@ -188,15 +192,17 @@ def test_shortest_path_unreachable_is_inf():
         "D",
         np.ones((2, 2)),
     )
-    dist = state_shortest_path_costs(net)
+    dist = state_shortest_path_costs(net, [("O", "D")])
     assert np.all(np.isinf(dist))
     # undirected traversal makes D reachable through A
-    undirected = state_shortest_path_costs(net, undirected=True)
-    assert undirected.tolist() == [2.0, 2.0]
+    undirected = state_shortest_path_costs(net, [("O", "D")], undirected=True)
+    assert undirected.tolist() == [[2.0, 2.0]]
+    assert state_shortest_path_costs(net, []).shape == (0, 2)
 
 
 def string_keyed_shortest_paths(net, origin, destination, free_only, undirected):
-    """Reference: Dijkstra on node names, with dict distances and numpy costs."""
+    """Reference: one heap Dijkstra per state on node names, with dict
+    distances and numpy costs."""
     arc_ids = net.free_arcs if free_only else tuple(range(len(net.arcs)))
     adj = {}
     for i in arc_ids:
@@ -225,13 +231,13 @@ def string_keyed_shortest_paths(net, origin, destination, free_only, undirected)
 
 
 @pytest.mark.parametrize("undirected, free_only", itertools.product([False, True], repeat=2))
-def test_shortest_paths_match_string_keyed_reference(undirected, free_only):
+def test_shortest_paths_match_string_keyed_reference(monkeypatch, undirected, free_only):
     rng = np.random.default_rng([SEED, undirected, free_only])
-    # Few cost levels: equal-cost ties that the heap breaks by node name,
-    # zero-cost arcs, and sums whose last bit depends on the order they are
-    # added in (0.1 + 0.2 != 0.3).
+    # Few cost levels: equal-cost ties settled in either order, zero-cost
+    # arcs, and sums whose last bit depends on the order they are added in
+    # (0.1 + 0.2 != 0.3).
     levels = np.array([0.0, 0.1, 0.2, 0.3, 1 / 3, 0.7, 1.0])
-    for _ in range(60):
+    for trial in range(60):
         n_nodes = int(rng.integers(2, 14))
         names = [f"n{k}" for k in rng.permutation(n_nodes)]  # "n10" sorts before "n2"
         arcs, parallel = [], Counter()
@@ -244,10 +250,39 @@ def test_shortest_paths_match_string_keyed_reference(undirected, free_only):
         nodes = sorted({name for arc in arcs for name in (arc.tail, arc.head)})
         net = TollNetwork(tuple(arcs), nodes[0], nodes[-1], costs)
         ends = names + ["elsewhere"]  # isolated nodes and an unknown name: unreachable
-        for origin, destination in itertools.product(ends, ends):
-            got = state_shortest_path_costs(net, origin, destination, free_only, undirected)
-            want = string_keyed_shortest_paths(net, origin, destination, free_only, undirected)
-            assert np.array_equal(got, want), (origin, destination)
+        pairs = list(itertools.product(ends, ends))
+        got = state_shortest_path_costs(net, pairs, free_only, undirected)
+        want = [string_keyed_shortest_paths(net, o, d, free_only, undirected) for o, d in pairs]
+        assert got.tobytes() == np.array(want).tobytes(), trial
+        if trial % 10 == 0:
+            # blocks of 3 (pair, state) rows, so a pair's states split
+            # across blocks, give the same bytes
+            with monkeypatch.context() as patch:
+                patch.setattr(network, "_SEARCH_CELLS", 3 * len(ends))
+                split = state_shortest_path_costs(net, pairs, free_only, undirected)
+            assert split.tobytes() == got.tobytes(), trial
+
+
+def test_shortest_path_memory_stays_within_two_blocks(monkeypatch):
+    # 40 pairs x 10 states on a 200-node ring, in blocks of 100 rows: the
+    # search holds one block's labels (8 bytes) and settled flags (1 byte)
+    # at a time, never all four blocks' at once
+    names = [f"v{k:03d}" for k in range(200)]
+    arcs = tuple(Arc(names[k], names[(k + 1) % 200], False) for k in range(200))
+    net = TollNetwork(arcs, names[0], names[1], np.ones((10, 200)))
+    pairs = [(names[k], names[(k + 97) % 200]) for k in range(40)]
+    cells = 100 * 200
+    monkeypatch.setattr(network, "_SEARCH_CELLS", cells)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        dist = state_shortest_path_costs(net, pairs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert dist.tolist() == [[97.0] * 10] * 40
+    assert peak <= 2 * 9 * cells + 64 * 1024, peak
 
 
 def test_margin_series_fixtures():
@@ -314,9 +349,10 @@ def test_build_parallel_requires_toll_path():
 def test_allocation_fixture():
     bounds = (10.0, 8.0, 5.0)
     incidence = [[0, 1, 1], [1, 1, 0], [1, 0, 0]]
-    tolls = allocate_arc_tolls(bounds, incidence)
-    assert tolls.tolist() == [5, 0, 10]
-    assert tolls.sum() == 15
+    assert allocate_arc_tolls(bounds, incidence) == [5, 0, 10]
+    # the network module's array form of the same tolls
+    tolls = network.allocate_arc_tolls(bounds, np.array(incidence))
+    assert tolls.dtype == int and tolls.tolist() == [5, 0, 10]
 
 
 def brute_allocation(bounds, incidence):
@@ -348,7 +384,7 @@ def test_allocation_matches_brute_force():
         bounds = rng.integers(0, 21, size=n_paths).astype(float)
         got = allocate_arc_tolls(bounds, inc)
         want = brute_allocation(bounds, inc)
-        assert got.tolist() == want.tolist(), (trial, bounds, inc)
+        assert got == want.tolist(), (trial, bounds, inc)
 
 
 def test_allocation_is_locally_tight():
@@ -362,7 +398,7 @@ def test_allocation_is_locally_tight():
             if not inc[:, a].any():
                 inc[int(rng.integers(n_paths)), a] = 1
         bounds = rng.integers(0, 21, size=n_paths).astype(float)
-        tolls = allocate_arc_tolls(bounds, inc)
+        tolls = np.array(allocate_arc_tolls(bounds, inc))
         assert np.all(inc @ tolls <= bounds + 1e-9)
         for a in range(n_arcs):
             bumped = tolls.copy()
@@ -377,8 +413,9 @@ def test_allocation_validation():
         allocate_arc_tolls([-1.0], [[1]])
     with pytest.raises(ValueError, match="too large"):
         allocate_arc_tolls([1.0], [[1] * 13])
-    with pytest.raises(ValueError, match="matching bounds"):
-        allocate_arc_tolls([1.0, 2.0], [[1]])
+    for inc in ([[1]], [[1, 0], [1]], [1, 1]):
+        with pytest.raises(ValueError, match="matching bounds"):
+            allocate_arc_tolls([1.0, 2.0], inc)
 
 
 def test_allocation_rejects_non_finite_bounds():
@@ -387,6 +424,30 @@ def test_allocation_rejects_non_finite_bounds():
         with pytest.raises(ValueError) as err:
             allocate_arc_tolls(bounds, [[1]] * len(bounds))
         assert str(err.value) == f"path bounds must be finite, got {shown}"
+
+
+@pytest.mark.parametrize("entry", [2, -1, 0.5, math.nan, "1"])
+def test_allocation_refuses_incidence_entries_other_than_0_or_1(entry):
+    # a 2 once read as "used": [5] for the bound 5, although 2 x 5 > 5
+    with pytest.raises(ValueError) as err:
+        allocate_arc_tolls([5.0, 5.0], [[1, 0], [1, entry]])
+    assert str(err.value) == f"incidence entry for path 1, arc 1 must be 0 or 1, got {entry}"
+    assert allocate_arc_tolls([5.0], [[True]]) == [5]
+
+
+def test_allocation_search_is_refused_past_its_node_budget(monkeypatch):
+    # bound 2 on two arcs: the root, arc 1 at toll 0 with its three leaves,
+    # and arc 1 at tolls 1 and 2, both pruned, are 7 nodes
+    assert allocate_arc_tolls([2.0], [[1, 1]]) == [0, 2]
+    monkeypatch.setattr(allocation, "MAX_ALLOC_NODES", 7)
+    assert allocate_arc_tolls([2.0], [[1, 1]]) == [0, 2]
+    monkeypatch.setattr(allocation, "MAX_ALLOC_NODES", 6)
+    with pytest.raises(ValueError) as err:
+        allocate_arc_tolls([2.0], [[1, 1]])
+    assert str(err.value) == (
+        "allocation search passed its budget of 6 nodes; "
+        "lower the path bounds or split the instance"
+    )
 
 
 # --- CSV interchange ----------------------------------------------------------------
