@@ -69,11 +69,18 @@ def require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def require_integer(**values) -> None:
+    """Reject a count or seed that is not a whole number (a float or a
+    bool, even 50.0) by name; a numpy integer passes."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value}")
+
+
 def require_horizon(T, minimum: int) -> None:
-    """Reject a horizon that is not a whole number of periods (a float or
-    a bool, even 50.0), or is below ``minimum``, by name."""
-    if isinstance(T, bool) or not isinstance(T, numbers.Integral):
-        raise ValueError(f"T must be an integer, got {T}")
+    """Reject a horizon that is not a whole number of periods, or is below
+    ``minimum``, by name."""
+    require_integer(T=T)
     if T < minimum:
         raise ValueError(f"T must be >= {minimum}")
 

@@ -7,6 +7,9 @@ the mixed experiment never touches the cost stream.  Pinning the mixed
 family pool to a single family therefore reproduces the fixed-family run
 bit for bit.  The drivers seed a block of trials at once: one array pass
 derives every cell's stream state, and one Generator is re-seeded per cell.
+A cell draws raw values; the family's affine cost mapping and clamp run
+once over the whole block.  The links' parameters and the mixed family
+assignment take one seeding pass over all links each.
 
 Each link's distribution parameters are drawn once per run (their own
 substream) and shared by every history and evaluation trial: a history
@@ -44,6 +47,7 @@ from .core import (
     PriceGrid,
     estimate_moment_envelope,
     require_finite,
+    require_integer,
 )
 from .network import TollNetwork, state_shortest_path_costs
 from .pricing import (
@@ -187,7 +191,9 @@ class ExperimentConfig:
     confidence_z: float = 1.96
 
     def __post_init__(self) -> None:
-        for name in ("links", "T", "H", "history_samples", "eval_samples"):
+        counts = ("links", "T", "H", "history_samples", "eval_samples")
+        require_integer(**{name: getattr(self, name) for name in counts + ("seed",)})
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive count")
         require_finite(kappa_bar=self.kappa_bar, confidence_z=self.confidence_z)
@@ -226,19 +232,22 @@ class RealDataResult:
     n_skipped: int
 
 
-def _hashmixer(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
-    """numpy's SeedSequence ``hashmix`` over uint32 arrays.  Its hash
-    constant steps the same way whatever the data, so it is a Python int."""
-    const = init
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count + 1`` constants of numpy's SeedSequence hash, as a
+    (count + 1, 1) uint32 column.  They step the same way whatever the
+    data, so hash ``k`` xors with constant ``k`` and multiplies by ``k + 1``."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
 
-    return hashmix
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """numpy's SeedSequence ``hashmix`` of ``value`` (N,) or (k, N) under
+    ``k`` successive hash constants: row i uses ``consts[i]`` and
+    ``consts[i + 1]`` of a (k + 1, 1) slice."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> np.uint32(16))
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -251,26 +260,31 @@ def _pcg64_seeds(entropy: np.ndarray) -> list[tuple[int, int]]:
     each row of an (N, L) uint32 entropy array.
 
     The SeedSequence pool mixing and ``generate_state(4, uint64)`` run as
-    uint32 array arithmetic over the rows; PCG64's ``set_seed`` (state 0,
-    inc = 2 seq + 1, step, add the seed, step) runs in Python ints.
+    uint32 array arithmetic on the (pool word, row) array, one op per
+    source word; PCG64's ``set_seed`` (state 0, inc = 2 seq + 1, step, add
+    the seed, step) runs in Python ints.
     """
     n, length = entropy.shape
-    hashmix = _hashmixer(_INIT_A, _MULT_A)
-    zero = np.zeros(n, dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(_POOL)]
+    words = entropy.T  # (L, N)
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * max(_POOL, length))
+    pool = np.zeros((_POOL, n), dtype=np.uint32)
+    pool[: min(length, _POOL)] = words[:_POOL]
+    pool = _hashmix(pool, consts[: _POOL + 1])
+    at = _POOL
+    # a source word's hashes, one per destination, are the same word under
+    # consecutive constants
     for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[at : at + _POOL]))
+        at += _POOL - 1
     for src in range(_POOL, length):
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
-    hashmix = _hashmixer(_INIT_B, _MULT_B)
-    words = [hashmix(pool[i % _POOL]).astype(np.uint64) for i in range(8)]
+        pool = _mix(pool, _hashmix(words[src], consts[at : at + _POOL + 1]))
+        at += _POOL
+    out = _hashmix(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B, 8))
     # little-endian word pairs: seed high, seed low, seq high, seq low
     seed_hi, seed_lo, seq_hi, seq_lo = (
-        (words[2 * j] | words[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)
-    )
+        out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << np.uint64(32)
+    ).tolist()
     seeds = []
     for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
         inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
@@ -358,17 +372,15 @@ def _draw_params(
 def _draw_costs(
     spec: DistributionSpec, a: float, b: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """``n`` i.i.d. costs from one parametrized family, mapped; callers clamp."""
+    """``n`` i.i.d. raw draws from one parametrized family.  Callers map
+    them (``offset + scale * raw``, over a whole block at once) and clamp."""
     if spec.family == "beta":
-        raw = rng.beta(a, b, n)
-    elif spec.family == "gamma":
-        raw = rng.gamma(a, b, n)
-    elif spec.family == "normal":
-        raw = rng.normal(a, b, n)
-    else:  # lognormal
-        raw = rng.lognormal(a, b, n)
-    scale, offset = spec.cost_mapping
-    return offset + scale * raw
+        return rng.beta(a, b, n)
+    if spec.family == "gamma":
+        return rng.gamma(a, b, n)
+    if spec.family == "normal":
+        return rng.normal(a, b, n)
+    return rng.lognormal(a, b, n)
 
 
 def sample_costs(spec: DistributionSpec, n: int, seed) -> np.ndarray:
@@ -378,11 +390,15 @@ def sample_costs(spec: DistributionSpec, n: int, seed) -> np.ndarray:
     seed always yields the same sequence.  Costs are clamped to the spec's
     range after the affine mapping.
     """
+    require_integer(n=n)
+    if not isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+        require_integer(seed=seed)
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     a, b = _draw_params(spec, rng)
-    return np.clip(_draw_costs(spec, a, b, n, rng), *spec.clamp)
+    scale, offset = spec.cost_mapping
+    return np.clip(offset + scale * _draw_costs(spec, a, b, n, rng), *spec.clamp)
 
 
 # A link's ground truth for one run: its family plus the parameters drawn
@@ -394,12 +410,12 @@ def _link_instances(
     cfg: ExperimentConfig,
     link_spec: Callable[[int], DistributionSpec],
 ) -> tuple[_LinkInstance, ...]:
-    """Draw each link's parameters once, from a dedicated substream."""
+    """Draw each link's parameters once, from a dedicated substream; one
+    seeding pass covers every link."""
     instances = []
-    for link in range(cfg.links):
+    for link, rng in enumerate(_streams(cfg.seed, _KIND_PARAMS, np.arange(cfg.links))):
         spec = link_spec(link)
-        a, b = _draw_params(spec, _stream(cfg.seed, _KIND_PARAMS, link))
-        instances.append((spec, a, b))
+        instances.append((spec, *_draw_params(spec, rng)))
     return tuple(instances)
 
 
@@ -411,8 +427,9 @@ def _trial_minima(
     n: int,
 ) -> np.ndarray:
     """Element-wise minimum over the per-link cost draws of each trial (each
-    link's clamped to its spec), clipped to the grid: shape (len(trials), n).
-    One seeding pass covers every (trial, link) cell."""
+    link's mapped and clamped by its spec), clipped to the grid: shape
+    (len(trials), n).  One seeding pass covers every (trial, link) cell, and
+    the mapping runs once over the block's raw draws."""
     links = len(instances)
     costs = np.empty((len(trials), links, n))
     streams = _streams(
@@ -421,8 +438,13 @@ def _trial_minima(
     for cell, rng in enumerate(streams):
         spec, a, b = instances[cell % links]
         costs[divmod(cell, links)] = _draw_costs(spec, a, b, n, rng)
-    bounds = np.array([spec.clamp for spec, _, _ in instances])  # (links, 2)
-    np.clip(costs, bounds[:, :1], bounds[:, 1:], out=costs)
+    # (links, 1) columns: each link's offset + scale * raw, then its clamp
+    scale, offset, lo, hi = np.array(
+        [(*spec.cost_mapping, *spec.clamp) for spec, _, _ in instances]
+    ).T[:, :, None]
+    costs *= scale
+    costs += offset
+    np.clip(costs, lo, hi, out=costs)
     return np.clip(costs.min(axis=1), cfg.grid.q, cfg.grid.Q)
 
 
@@ -558,8 +580,8 @@ def run_mixed_distribution_experiment(
     specs = tuple(family_spec(fam, cfg.grid) for fam in pool)
     label = specs[0].family if len({s.family for s in specs}) == 1 else "mixed"
     assignment = tuple(
-        specs[int(_stream(cfg.seed, _KIND_ASSIGN, link).integers(len(specs)))]
-        for link in range(cfg.links)
+        specs[int(rng.integers(len(specs)))]
+        for rng in _streams(cfg.seed, _KIND_ASSIGN, np.arange(cfg.links))
     )
     return _run_regret(cfg, lambda link: assignment[link], label)
 
@@ -606,6 +628,7 @@ def run_real_data_experiment(
     is priced on the same history as the baseline.  Pairs with no
     connecting path are skipped and counted.
     """
+    require_integer(pairs=pairs, history_cut=history_cut, T=T, seed=seed)
     if pairs < 1:
         raise ValueError("need at least one node pair")
     n_states = net.state_costs.shape[0]

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from tollkit import experiments
 from tollkit.core import PriceGrid, estimate_moment_envelope
 from tollkit.experiments import (
     _KIND_PAIRS,
@@ -87,6 +88,24 @@ def test_sample_costs_determinism_and_range():
     assert a.min() >= 0.0 and a.max() <= 200.0
     with pytest.raises(ValueError, match="at least one"):
         sample_costs(spec, 0, 42)
+
+
+def test_sample_costs_refuses_non_integer_count_and_seed():
+    spec = family_spec("gamma", GRID)
+    for kwargs, message in (
+        (dict(n=5.0, seed=1), "n must be an integer, got 5.0"),
+        (dict(n=True, seed=1), "n must be an integer, got True"),
+        (dict(n=5, seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(n=5, seed=True), "seed must be an integer, got True"),
+    ):
+        with pytest.raises(ValueError) as got:
+            sample_costs(spec, **kwargs)
+        assert str(got.value) == message
+    # a numpy integer, a SeedSequence and a Generator all seed the draws
+    want = sample_costs(spec, 5, 1)
+    assert np.array_equal(sample_costs(spec, np.int64(5), np.uint32(1)), want)
+    assert np.array_equal(sample_costs(spec, 5, np.random.SeedSequence(1)), want)
+    assert np.array_equal(sample_costs(spec, 5, np.random.default_rng(1)), want)
 
 
 def test_sample_costs_normal_mean_within_three_standard_errors():
@@ -175,6 +194,30 @@ def test_config_validation():
         ExperimentConfig(kappa_bar=-1.0)
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(seed=-1)
+
+
+def test_config_refuses_non_integer_counts_and_seed():
+    # a float or bool, even a whole-valued one, is refused by name before
+    # any driver runs; a numpy integer is a count
+    for name, value in (
+        ("T", 50.0),
+        ("links", 2.5),
+        ("eval_samples", 20.0),
+        ("history_samples", math.nan),
+        ("seed", 1.5),
+        ("seed", True),
+        ("H", True),
+    ):
+        with pytest.raises(ValueError) as got:
+            ExperimentConfig(**{name: value})
+        assert str(got.value) == f"{name} must be an integer, got {value}"
+    cfg = ExperimentConfig(links=np.int64(2), T=np.int32(10), history_samples=2, eval_samples=5)
+    assert run_fixed_distribution_experiment(cfg, family_spec("gamma", cfg.grid)) == (
+        run_fixed_distribution_experiment(
+            ExperimentConfig(links=2, T=10, history_samples=2, eval_samples=5),
+            family_spec("gamma", cfg.grid),
+        )
+    )
 
 
 # --- dynamic horizon -----------------------------------------------------------------
@@ -362,3 +405,24 @@ def test_real_data_validation():
         run_real_data_experiment(net, pairs=0, history_cut=5)
     with pytest.raises(ValueError, match="history cut"):
         run_real_data_experiment(net, pairs=2, history_cut=11)
+
+
+def test_real_data_refuses_non_integer_counts_and_seed(monkeypatch):
+    net = path_graph_network(3, 10, SEED)
+
+    def search(*args, **kwargs):
+        raise AssertionError("a refused call reached the shortest-path search")
+
+    monkeypatch.setattr(experiments, "state_shortest_path_costs", search)
+    for name, value in (
+        ("pairs", 2.5),
+        ("pairs", True),
+        ("history_cut", 5.5),
+        ("seed", 1.5),
+        ("T", 50.0),
+    ):
+        kwargs = dict(pairs=2, history_cut=5, seed=0)
+        kwargs[name] = value
+        with pytest.raises(ValueError) as got:
+            run_real_data_experiment(net, **kwargs)
+        assert str(got.value) == f"{name} must be an integer, got {value}"

@@ -136,12 +136,39 @@ def ref_instances(cfg, link_spec):
 
 
 def ref_trial_minima(cfg, instances, kind, trial, n):
+    """One trial's link minima, drawn and mapped cell by cell: the family's
+    own Generator method, then ``offset + scale * raw`` and the clamp."""
     minima = None
     for link, (spec, a, b) in enumerate(instances):
-        costs = _draw_costs(spec, a, b, n, reference_stream(cfg.seed, kind, trial, link))
-        costs = np.clip(costs, *spec.clamp)
+        draw = getattr(reference_stream(cfg.seed, kind, trial, link), spec.family)
+        scale, offset = spec.cost_mapping
+        costs = np.clip(offset + scale * draw(a, b, n), *spec.clamp)
         minima = costs if minima is None else np.minimum(minima, costs)
     return np.clip(minima, cfg.grid.q, cfg.grid.Q)
+
+
+def test_trial_minima_match_per_cell_reference_across_blocks(monkeypatch):
+    # One instance tuple holds every family and a spec with its own mapping
+    # and a clamp narrow enough to bind on both sides; the minimum over
+    # links hides most of a link's draws, so each spec also runs alone.
+    # 11 trials run in 4 blocks.
+    custom = DistributionSpec(
+        "normal", ((20.0, 30.0), (5.0, 10.0)), cost_mapping=(3.7, -12.5), clamp=(60.0, 95.0)
+    )
+    specs = [family_spec(family, PriceGrid(0.0, 200.0, 1.0)) for family in FAMILIES] + [custom]
+    for chosen in [specs] + [[spec] for spec in specs]:
+        cfg = ExperimentConfig(
+            links=len(chosen), T=7, history_samples=1, eval_samples=1, seed=SEED
+        )
+        instances = experiments._link_instances(cfg, lambda link: chosen[link])
+        per_trial = cfg.links * (cfg.T + experiments._SEED_ENTRIES)
+        monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 3 * per_trial)
+        for kind in KINDS:
+            blocks = list(_trial_blocks(cfg, instances, kind, 11, cfg.T))
+            assert len(blocks) >= 3
+            for trials, minima in blocks:
+                want = [ref_trial_minima(cfg, instances, kind, t, cfg.T) for t in trials]
+                assert minima.tobytes() == np.array(want).tobytes(), (chosen, kind, trials)
 
 
 def ref_history_tolls(cfg, instances):
