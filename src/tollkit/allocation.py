@@ -22,7 +22,9 @@ def allocate_arc_tolls(bounds, incidence) -> list[int]:
     ``incidence[p][a]`` is 1 when path p uses toll arc a and 0 when it
     does not.  Maximizes the total arc toll subject to, for each path p,
     sum of tolls on p's toll arcs <= bounds[p].  Exact depth-first
-    branch-and-bound; ties resolve to the lexicographically smallest toll
+    branch-and-bound, which prunes with the smaller of two bounds on the
+    arcs left: the sum of their per-arc caps, and a greedy path cover's
+    residuals; ties resolve to the lexicographically smallest toll
     vector.  Guarded to ``MAX_ALLOC_ARCS`` arcs, and refused when the
     search needs more than ``MAX_ALLOC_NODES`` nodes (large bounds on
     shared arcs).
@@ -58,6 +60,27 @@ def allocate_arc_tolls(bounds, incidence) -> list[int]:
     def cap(a: int, residual: list[float]) -> int:
         return math.floor(min(residual[p] for p in rows_of[a]) + 1e-9)
 
+    masks = [sum(1 << a for a, used in enumerate(row) if used) for row in inc]
+
+    def cover(idx: int, residual: list[float]) -> int:
+        """An upper bound on the tolls of arcs ``idx`` onward: the floored
+        residuals of a greedy cover of those arcs by paths.  Tolls are at
+        least 0 and every arc lies on a covering path, whose tolls sum to at
+        most its residual."""
+        left = (1 << n_arcs) - (1 << idx)
+        weight = [math.floor(r + 1e-9) for r in residual]
+        total = 0
+        while left:
+            # the path with the least weight per newly covered arc
+            pick, pick_new = -1, 0
+            for p, mask in enumerate(masks):
+                new = (mask & left).bit_count()
+                if new and (pick < 0 or weight[p] * pick_new < weight[pick] * new):
+                    pick, pick_new = p, new
+            total += weight[pick]
+            left &= ~masks[pick]
+        return total
+
     best_total = -1
     best_vec: list[int] = []
     current = [0] * n_arcs
@@ -77,6 +100,8 @@ def allocate_arc_tolls(bounds, incidence) -> list[int]:
                 best_vec = current.copy()
             return
         if total + sum(cap(a, residual) for a in range(idx, n_arcs)) <= best_total:
+            return
+        if total + cover(idx, residual) <= best_total:
             return
         for v in range(cap(idx, residual) + 1):  # ascending: lex-smallest wins ties
             current[idx] = v

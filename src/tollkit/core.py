@@ -22,6 +22,7 @@ import numbers
 import os
 import warnings
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 # The array half of this module imports numpy where it is used, so that a
@@ -101,7 +102,8 @@ def _all_finite(values: list) -> bool:
             return True
     except (TypeError, OverflowError):  # text, blanks, huge integers
         pass
-    return not any(isinstance(v, float) and not math.isfinite(v) for v in values)
+    # every float among the values is finite, scanned without a Python loop
+    return all(map(math.isfinite, compress(values, map(isinstance, values, repeat(float)))))
 
 
 class Table(NamedTuple):
@@ -128,6 +130,92 @@ class Table(NamedTuple):
                 )
 
 
+# Characters one read of a plain CSV input takes at a time
+_READ_CHARS = 2**16
+
+
+def _header_check(where: str, got: list[str] | None, header: str) -> None:
+    """Raise unless ``got``, the first row's fields, is ``header``."""
+    if got is None or [h.strip().lower() for h in got] != header.split(","):
+        raise ValueError(
+            f"{where}:1: unexpected header {','.join(got or [])!r}, "
+            f"expected header {header!r}"
+        )
+
+
+def _csv_rows(stream, where: str, header: str) -> tuple[list[str], list[int]]:
+    """The data fields of ``stream`` in one flat list, and their lines, as
+    ``csv.reader`` splits them; blank rows are skipped."""
+    width = header.count(",") + 1
+    reader = csv.reader(stream)
+    try:
+        _header_check(where, next(reader, None), header)
+        fields: list[str] = []  # one flat list: a live list per row slows the GC
+        lines: list[int] = []
+        for row in reader:
+            if len(row) != width:
+                if "".join(row).strip():
+                    raise ValueError(
+                        f"{where}:{reader.line_num}: expected {width} fields, got {len(row)}"
+                    )
+                continue
+            fields += row
+            lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise ValueError(f"{where}:{reader.line_num}: {exc}") from None
+    return fields, lines
+
+
+def _plain_rows(stream, where: str, header: str) -> tuple[list[str], list[int]] | None:
+    """``_csv_rows`` of a plain text, split in bulk a chunk at a time, or
+    None when the text is not plain.
+
+    Plain text decodes, and holds no quote, carriage return or NUL, no
+    blank row, no data row of another width than the header's, and no line
+    longer than ``csv.field_size_limit()``: ``csv.reader`` then splits each
+    line at ``,`` and nothing else.
+    """
+    width = header.count(",") + 1
+    limit = csv.field_size_limit()
+    fields: list[str] = []
+    lines: list[int] = []
+    tail, line = "", 1  # the unfinished line, and the next line's number
+    while True:
+        try:
+            chunk = stream.read(_READ_CHARS)
+        except UnicodeDecodeError:  # csv.reader may meet an error on an earlier line
+            return None
+        text = tail + chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        text, tail = text[:cut], text[cut:]
+        if len(tail) > limit:
+            return None
+        if not text:
+            if chunk:
+                continue
+            return (fields, lines) if line > 1 else None  # None: an empty input
+        if '"' in text or "\r" in text or "\0" in text:
+            return None
+        rows = text.split("\n")
+        if chunk:
+            rows.pop()  # the empty text after the last line end
+        if not all(rows) or max(map(len, rows)) > limit:
+            return None
+        if line == 1:
+            _header_check(where, rows.pop(0).split(","), header)
+            line = 2
+        if not rows:
+            continue
+        flat = ",".join(rows).split(",")
+        # as many fields as width per row, and no row short of width - 1
+        # commas: then every row has width fields
+        if len(flat) != width * len(rows) or min(map(str.count, rows, repeat(","))) < width - 1:
+            return None
+        fields += flat
+        lines += range(line, line + len(rows))
+        line += len(rows)
+
+
 def read_rows(source, header: str, converters: Sequence[Callable[[str], object]]) -> Table:
     """Read a CSV input, a path or a text stream, whose first line is
     ``header`` (compared stripped and lower-cased).
@@ -135,36 +223,22 @@ def read_rows(source, header: str, converters: Sequence[Callable[[str], object]]
     Blank rows are skipped.  Every other row must have one field per header
     name; field ``j`` is converted by ``converters[j]`` and may not be a NaN
     or infinite float.  Every error is a ``ValueError`` that starts with
-    ``where:line:``, where ``where`` is the path or ``<stream>``.
+    ``where:line:``, where ``where`` is the path or ``<stream>``.  A path
+    whose text is plain (see ``_plain_rows``) is split in bulk; any other
+    input goes through ``csv.reader`` from its start.
     """
     names = header.split(",")
     if hasattr(source, "read"):
-        where, handle = "<stream>", contextlib.nullcontext(source)
+        where = "<stream>"
+        fields, lines = _csv_rows(source, where, header)
     else:
-        where, handle = os.fsdecode(source), open(source, newline="")
-    with handle as stream:
-        reader = csv.reader(stream)
-        try:
-            got = next(reader, None)
-            if got is None or [h.strip().lower() for h in got] != names:
-                raise ValueError(
-                    f"{where}:1: unexpected header {','.join(got or [])!r}, "
-                    f"expected header {header!r}"
-                )
-            fields: list[str] = []  # one flat list: a live list per row slows the GC
-            lines: list[int] = []
-            for row in reader:
-                if len(row) != len(names):
-                    if "".join(row).strip():
-                        raise ValueError(
-                            f"{where}:{reader.line_num}: expected {len(names)} "
-                            f"fields, got {len(row)}"
-                        )
-                    continue
-                fields += row
-                lines.append(reader.line_num)
-        except csv.Error as exc:
-            raise ValueError(f"{where}:{reader.line_num}: {exc}") from None
+        where = os.fsdecode(source)
+        with open(source, newline="") as stream:
+            plain = None
+            if stream.seekable():
+                plain = _plain_rows(stream, where, header)
+                stream.seek(0)
+            fields, lines = plain or _csv_rows(stream, where, header)
     # Convert column by column; only a failure scans rows for its line.
     texts = [fields[j :: len(names)] for j in range(len(names))]
     try:
@@ -257,12 +331,24 @@ def read_cost_table(source, n_arcs: int | None = None) -> tuple[str, np.ndarray]
 
 def write_cost_table(destination, costs: np.ndarray) -> None:
     """Write a (states x arcs) float cost matrix as ``state,arc,cost`` rows,
-    state-major, with LF line ends: the bytes ``write_rows`` would write,
-    formatted a state at a time (no cell needs ``csv`` quoting)."""
+    state-major, with LF line ends: the bytes ``write_rows`` would write
+    (no cell needs ``csv`` quoting).  Each distinct cost, told apart by its
+    bits so that ``-0.0`` stays ``-0``, is formatted once, and each state's
+    cells gather its text."""
+    import numpy as np
+
+    costs = np.ascontiguousarray(costs, dtype=float)
+    n_states, n_arcs = costs.shape
+    bits, which = np.unique(costs.reshape(-1).view(np.uint64), return_inverse=True)
+    texts = np.array(["%.12g\n" % cost for cost in bits.view(float).tolist()], dtype=object)
+    cells = [""] * (3 * n_arcs)  # state, arc and cost of one state's rows
+    cells[1::3] = [f"{a}," for a in range(n_arcs)]
     with _output(destination) as stream:
         stream.write(COST_TABLE_HEADER + "\n")
-        for s, row in enumerate(costs.tolist()):
-            stream.write("".join(["%d,%d,%.12g\n" % (s, a, cost) for a, cost in enumerate(row)]))
+        for s, row in enumerate(which.reshape(n_states, n_arcs)):
+            cells[0::3] = [f"{s},"] * n_arcs
+            cells[2::3] = texts[row].tolist()
+            stream.write("".join(cells))
 
 
 @dataclass(frozen=True)

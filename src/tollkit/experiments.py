@@ -339,13 +339,12 @@ def _streams(seed: int, *key) -> Iterator[np.random.Generator]:
     """
     rng = np.random.Generator(np.random.PCG64(0))  # the seed is overwritten
     bitgen = rng.bit_generator
+    # one state dict, updated per cell: the setter copies what it reads
+    cell = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": cell, "has_uint32": 0, "uinteger": 0}
     for state, inc in _cell_seeds(seed, *key):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        cell["state"], cell["inc"] = state, inc
+        bitgen.state = full
         yield rng
 
 

@@ -238,23 +238,31 @@ def state_shortest_path_costs(
     An end need not be a node of the arcs; it is then isolated.  A pair
     with no path comes back as ``inf``, and a pair of equal ends as 0.
 
-    One label-setting search runs every (pair, state) row in lockstep: each
-    step settles each live row's nearest open node and relaxes that node's
-    arcs, and a row retires when it settles its destination or when its
-    nearest open label is ``inf``.  Costs are finite and non-negative, as
-    ``TollNetwork`` guarantees, so rounded addition is monotone and never
-    makes a label smaller than the one it extends.  Each answer is then the
-    least left-to-right float sum of arc costs over the row's paths,
-    whatever order equal labels settle in, the same bits a one-row heap
-    search gives.  Rows run in blocks of at most ``_SEARCH_CELLS`` (row,
-    node) labels, so memory does not grow with the number of pairs.
+    One label-setting search runs every (pair, state) row in lockstep.  In
+    each round a live row settles every open label at most
+    ``fl(m + delta)``, where ``m`` is its least open label and ``delta``
+    the least cost, in the row's state, of an arc the search may use
+    (Dinitz's rule), and then relaxes the arcs of the nodes it settled.  A
+    row retires when its destination is among them or when ``m`` is
+    ``inf``.  Costs are finite and at least ``delta >= 0``, as
+    ``TollNetwork`` guarantees, and rounded addition is monotone, so every
+    label a later round makes is at least ``fl(m + delta)``: each settled
+    label is already the least left-to-right float sum of arc costs over
+    the row's paths to its node, the same bits a one-row heap search
+    gives.  That holds for ``delta = 0``, where a round settles only the
+    ties at ``m``, and when ``fl(m + delta)`` overflows to ``inf``, where
+    no later label is finite.  A settled label is stored as NaN, which
+    ``np.minimum`` keeps and ``np.fmin`` skips, so no relaxation reopens it.
+    Rows run in blocks of at most ``_SEARCH_CELLS`` (row, node) labels, so
+    memory does not grow with the number of pairs.
     """
     ends = list(ends)
     names = sorted({*net.nodes, *(name for pair in ends for name in pair)})
     number = {name: k for k, name in enumerate(names)}
     n = len(names)
+    usable = list(net.free_arcs) if free_only else list(range(len(net.arcs)))
     adj: list[list[tuple[int, int]]] = [[] for _ in names]
-    for i in net.free_arcs if free_only else range(len(net.arcs)):
+    for i in usable:
         tail, head = number[net.arcs[i].tail], number[net.arcs[i].head]
         adj[tail].append((head, i))
         if undirected:
@@ -268,35 +276,49 @@ def state_shortest_path_costs(
     arcs = np.array([[i for _, i in a] + [0] * (width - len(a)) for a in adj], dtype=np.intp)
     n_states, n_arcs = net.state_costs.shape
     costs = net.state_costs.ravel()
+    # each state's least usable arc cost; with no usable arc nothing relaxes
+    delta = net.state_costs[:, usable].min(axis=1, initial=math.inf)
     pair_ends = np.array([[number[o], number[d]] for o, d in ends], dtype=np.intp).reshape(-1, 2)
     out = np.full(len(ends) * n_states, math.inf)
     block = max(1, _SEARCH_CELLS // n)
     for lo in range(0, out.size, block):
         row = np.arange(lo, min(lo + block, out.size))  # pair-major (pair, state)
         offset = row % n_states * n_arcs  # where the row's state starts in costs
+        reach = delta[row % n_states]
         start, goal = pair_ends[row // n_states].T
-        label = np.full((row.size, n), math.inf)  # open labels; inf once settled
-        settled = np.zeros(label.shape, dtype=bool)
-        live = np.arange(row.size)
-        label[live, start] = 0.0
-        while live.size:
-            node = label.argmin(axis=1)[live]
-            dist = label[live, node]
-            done = (node == goal[live]) | np.isinf(dist)
-            if done.any():
-                out[row[live[done]]] = dist[done]
-                live, node, dist = live[~done], node[~done], dist[~done]
-                if 4 * live.size <= 3 * row.size:  # drop the retired rows
-                    label, settled, row, offset, goal = (
-                        x[live] for x in (label, settled, row, offset, goal)
-                    )
-                    live = np.arange(live.size)
-            label[live, node] = math.inf
-            settled[live, node] = True
-            to = (live * n)[:, None] + heads[node]  # cells of label.ravel()
-            step = dist[:, None] + costs[offset[live, None] + arcs[node]]
-            step[settled.ravel()[to]] = math.inf
-            np.minimum.at(label.ravel(), to, step)
+        label = np.full((row.size, n), math.inf)  # open labels; NaN once settled
+        label[np.arange(row.size), start] = 0.0
+        # np.minimum reports a settled (NaN) label as an invalid operand, and
+        # a sum past the largest float rounds to inf, as a heap search's does
+        with np.errstate(invalid="ignore", over="ignore"):
+            live = row.size
+            while live:
+                bound = np.fmin.reduce(label, axis=1) + reach
+                at_goal = label[np.arange(row.size), goal]
+                # a row is done when its goal lies in the window, an inf bound
+                # (nothing finite left in reach) included; a retired row is
+                # all NaN and never passes again
+                done = at_goal <= bound
+                if done.any():
+                    out[row[done]] = at_goal[done]
+                    label[done] = math.nan
+                    bound[done] = math.nan
+                    live -= int(done.sum())
+                    if 4 * live <= 3 * row.size:  # drop the retired rows
+                        keep = ~np.isnan(bound)
+                        label, row, offset, reach, goal, bound = (
+                            x[keep] for x in (label, row, offset, reach, goal, bound)
+                        )
+                flat = label.ravel()
+                cell = np.flatnonzero(label <= bound[:, None])
+                r, node = np.divmod(cell, n)
+                dist = flat[cell]
+                flat[cell] = math.nan
+                to = (cell - node)[:, None] + heads[node]  # cells of flat
+                step = costs[offset[r, None] + arcs[node]]
+                step += dist[:, None]
+                # flat indices take ufunc.at's fast path
+                np.minimum.at(flat, to.ravel(), step.ravel())
     return out.reshape(len(ends), n_states)
 
 

@@ -1,14 +1,19 @@
-"""Exhaustive reference for nature's exact solvers: every support of at
-most three grid points, in plain loops, under nature's tie rule."""
+"""References for the fast paths: an exhaustive one for nature's exact
+solvers (every support of at most three grid points, in plain loops, under
+nature's tie rule), and a CSV reader that reads every input through
+``csv.reader``."""
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import math
+import os
 from itertools import combinations
 
 import numpy as np
 
-from tollkit.core import MASS_TOL
+from tollkit.core import MASS_TOL, Table
 from tollkit.nature import _NO_FIT, _feasible_moments, _levels, _solutions, _tie_pick
 
 # Masses below this are numerical artifacts of the small linear solves, not
@@ -115,3 +120,60 @@ def brute_force_nature(grid, env, rows):
         support, masses = np.array([support]), np.array([masses])
         solutions += _solutions(grid, env, support, masses, [toll], objective)
     return tuple(solutions)
+
+
+def _all_finite(values):
+    try:
+        if math.isfinite(sum(values)):
+            return True
+    except (TypeError, OverflowError):
+        pass
+    return not any(isinstance(v, float) and not math.isfinite(v) for v in values)
+
+
+def csv_read_rows(source, header, converters):
+    """``tollkit.core.read_rows`` as it reads with ``csv.reader`` alone:
+    the same ``Table``, or the same error message, for any input."""
+    names = header.split(",")
+    if hasattr(source, "read"):
+        where, handle = "<stream>", contextlib.nullcontext(source)
+    else:
+        where, handle = os.fsdecode(source), open(source, newline="")
+    with handle as stream:
+        reader = csv.reader(stream)
+        try:
+            got = next(reader, None)
+            if got is None or [h.strip().lower() for h in got] != names:
+                raise ValueError(
+                    f"{where}:1: unexpected header {','.join(got or [])!r}, "
+                    f"expected header {header!r}"
+                )
+            fields, lines = [], []
+            for row in reader:
+                if len(row) != len(names):
+                    if "".join(row).strip():
+                        raise ValueError(
+                            f"{where}:{reader.line_num}: expected {len(names)} "
+                            f"fields, got {len(row)}"
+                        )
+                    continue
+                fields += row
+                lines.append(reader.line_num)
+        except csv.Error as exc:
+            raise ValueError(f"{where}:{reader.line_num}: {exc}") from None
+    texts = [fields[j :: len(names)] for j in range(len(names))]
+    try:
+        columns = tuple(list(map(conv, col)) for conv, col in zip(converters, texts))
+    except ValueError:
+        columns = ()
+    if columns and all(map(_all_finite, columns)):
+        return Table(where, lines, columns)
+    for line, row in zip(lines, zip(*texts)):
+        for name, conv, text in zip(names, converters, row):
+            try:
+                value = conv(text)
+            except ValueError as exc:
+                raise ValueError(f"{where}:{line}: {name}: {exc}") from None
+            if not _all_finite([value]):
+                raise ValueError(f"{where}:{line}: {name} must be finite, got {text!r}")
+    return Table(where, lines, columns)

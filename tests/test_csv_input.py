@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tollkit.core as core
+from oracle import csv_read_rows
 from tollkit.core import (
     CostHistory,
     flag,
@@ -98,6 +100,93 @@ def test_read_rows_reports_csv_errors_with_a_line():
 
 def test_read_rows_accepts_sums_that_overflow():
     assert table("a,b\n1,1e308\n2,1e308\n").columns[1] == [1e308, 1e308]
+
+
+# Fields of a plain text, and lines that make a text take the csv.reader
+# path: a quote, a carriage return, a blank row, ragged rows (a short and a
+# long one together hold as many fields as two rows of three), NUL, and a
+# field over the field size limit, which the test lowers to LIMIT.
+LIMIT = 12
+plain_fields = st.sampled_from(["0", "1", "2.5", " 3 ", "-0", "1e-3", "", "x", "nan", "1e400"])
+odd_lines = st.sampled_from(
+    [
+        '"1,2",3,4',
+        '1,"2""",3',
+        '1,2,"3',
+        "1,2,3\r",
+        "1\r2,3,4",
+        "",
+        "  ",
+        "1,2",
+        "1,2\n1,2,3,4",
+        "1,\x00,3",
+        "1,2," + "9" * (LIMIT + 1),
+        "1,2," + "9" * LIMIT,
+    ]
+)
+
+
+def optional_float(text):
+    return float(text) if text.strip() else None
+
+
+@settings(PROPERTY, max_examples=300)
+@given(width=st.sampled_from([3, 1]), data=st.data())
+def test_read_rows_matches_the_csv_reader(width, data):
+    header = "a,b,c"[: 2 * width - 1]
+    rows = data.draw(st.lists(st.lists(plain_fields, min_size=width, max_size=width), max_size=12))
+    rows = [",".join(row) for row in rows]
+    odd = data.draw(st.none() | odd_lines)
+    if odd is not None:
+        rows.insert(data.draw(st.integers(0, len(rows))), odd)
+    first = header
+    if data.draw(st.integers(0, 3)) == 0:
+        first = data.draw(st.sampled_from([f" {header.upper()}", "", "z", f'"{header}"', header + "\r"]))
+    text = "\n".join([first, *rows]) + data.draw(st.sampled_from(["\n", ""]))
+    converters = data.draw(st.sampled_from([(str,) * width, (optional_float, str.strip, float)[:width]]))
+    chunk = data.draw(st.sampled_from([2**16, 1, 6, 17]))
+
+    def outcome(read, path):
+        try:
+            return read(path, header, converters)
+        except ValueError as exc:
+            return str(exc)
+
+    limit = csv.field_size_limit(LIMIT)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            path = os.path.join(tmp, "in.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            patch.setattr(core, "_READ_CHARS", chunk)
+            assert outcome(read_rows, path) == outcome(csv_read_rows, path)
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"",
+        b"\n",
+        b"a,b,c",
+        b"a,b,c\n",
+        b"a,b,c\n\n",
+        b"a,b,c\n1,2,3",
+        # csv.reader meets the short row before the byte that does not decode
+        b"a,b,c\n1,2\n" + b"1,2,3\n" * 2000 + b"\xff\n",
+    ],
+)
+def test_read_rows_matches_the_csv_reader_on_edge_texts(tmp_path, data):
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    results = []
+    for read in (read_rows, csv_read_rows):
+        try:
+            results.append(read(path, "a,b,c", (str, str, str)))
+        except ValueError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
 
 
 def test_flag_accepts_only_zero_and_one():

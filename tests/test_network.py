@@ -202,7 +202,7 @@ def test_shortest_path_unreachable_is_inf():
 
 def string_keyed_shortest_paths(net, origin, destination, free_only, undirected):
     """Reference: one heap Dijkstra per state on node names, with dict
-    distances and numpy costs."""
+    distances and float costs (a sum past the largest float is inf)."""
     arc_ids = net.free_arcs if free_only else tuple(range(len(net.arcs)))
     adj = {}
     for i in arc_ids:
@@ -212,7 +212,7 @@ def string_keyed_shortest_paths(net, origin, destination, free_only, undirected)
             adj.setdefault(a.head, []).append((a.tail, i))
     result = np.full(net.n_states, math.inf)
     for s in range(net.n_states):
-        w = net.state_costs[s]
+        w = net.state_costs[s].tolist()
         dist = {origin: 0.0}
         heap = [(0.0, origin)]
         while heap:
@@ -235,9 +235,12 @@ def test_shortest_paths_match_string_keyed_reference(monkeypatch, undirected, fr
     rng = np.random.default_rng([SEED, undirected, free_only])
     # Few cost levels: equal-cost ties settled in either order, zero-cost
     # arcs, and sums whose last bit depends on the order they are added in
-    # (0.1 + 0.2 != 0.3).
-    levels = np.array([0.0, 0.1, 0.2, 0.3, 1 / 3, 0.7, 1.0])
+    # (0.1 + 0.2 != 0.3).  Every third trial also draws costs near 1e308,
+    # whose sums overflow to inf, and the search's window bound with them.
+    small = [0.0, 0.1, 0.2, 0.3, 1 / 3, 0.7, 1.0]
+    huge = [0.0, 1.0, 6e307, 9e307, 1e308, 1.7e308]
     for trial in range(60):
+        levels = np.array(huge if trial % 3 == 2 else small)
         n_nodes = int(rng.integers(2, 14))
         names = [f"n{k}" for k in rng.permutation(n_nodes)]  # "n10" sorts before "n2"
         arcs, parallel = [], Counter()
@@ -263,10 +266,50 @@ def test_shortest_paths_match_string_keyed_reference(monkeypatch, undirected, fr
             assert split.tobytes() == got.tobytes(), trial
 
 
+def test_shortest_path_window_takes_each_states_least_usable_arc():
+    # Arcs O->A (free, 1), O->B, B->C, C->A (toll, 0.1 each), A->D (free,
+    # 1.5, or 0 in state 1) and O->D (free, 2).  The cheapest arc is a toll
+    # arc: in state 0 a window as wide as the least free cost (1) would
+    # settle A at 1 before the toll detour reaches it at 0.1 + 0.1 + 0.1.
+    net = TollNetwork(
+        (
+            Arc("O", "A", False),
+            Arc("O", "B", True),
+            Arc("B", "C", True),
+            Arc("C", "A", True),
+            Arc("A", "D", False),
+            Arc("O", "D", False),
+        ),
+        "O",
+        "D",
+        [[1.0, 0.1, 0.1, 0.1, 1.5, 2.0], [1.0, 0.1, 0.1, 0.1, 0.0, 2.0]],
+    )
+    pairs = [("O", "A"), ("O", "D"), ("A", "D"), ("B", "A")]
+    detour = 0.1 + 0.1 + 0.1
+    assert state_shortest_path_costs(net, pairs).tolist() == [
+        [detour, detour],
+        [detour + 1.5, detour + 0.0],
+        [1.5, 0.0],  # state 1's least arc costs 0: its rounds settle ties
+        [0.1 + 0.1, 0.1 + 0.1],
+    ]
+    # free arcs only: state 0's window is 1 wide, state 1's is 0
+    assert state_shortest_path_costs(net, pairs, free_only=True).tolist() == [
+        [1.0, 1.0],
+        [2.0, 1.0],
+        [1.5, 0.0],
+        [math.inf, math.inf],
+    ]
+    for free_only, undirected in itertools.product([False, True], repeat=2):
+        got = state_shortest_path_costs(net, pairs, free_only, undirected)
+        want = [string_keyed_shortest_paths(net, o, d, free_only, undirected) for o, d in pairs]
+        assert got.tobytes() == np.array(want).tobytes(), (free_only, undirected)
+
+
 def test_shortest_path_memory_stays_within_two_blocks(monkeypatch):
     # 40 pairs x 10 states on a 200-node ring, in blocks of 100 rows: the
-    # search holds one block's labels (8 bytes) and settled flags (1 byte)
-    # at a time, never all four blocks' at once
+    # search holds one block's labels (8 bytes a cell), and a copy of the
+    # rows it keeps while it drops retired ones, at a time, never all four
+    # blocks' at once
     names = [f"v{k:03d}" for k in range(200)]
     arcs = tuple(Arc(names[k], names[(k + 1) % 200], False) for k in range(200))
     net = TollNetwork(arcs, names[0], names[1], np.ones((10, 200)))
@@ -385,6 +428,67 @@ def test_allocation_matches_brute_force():
         got = allocate_arc_tolls(bounds, inc)
         want = brute_allocation(bounds, inc)
         assert got == want.tolist(), (trial, bounds, inc)
+
+
+def reference_allocation(bounds, incidence):
+    """Reference: the search before its path-cover bound, which prunes with
+    the per-arc cap sum alone, the same depth-first order and tie rule, and
+    no node budget."""
+    sigma = [float(b) for b in bounds]
+    inc = [list(row) for row in incidence]
+    n_arcs = len(inc[0])
+    rows_of = [[p for p, row in enumerate(inc) if row[a]] for a in range(n_arcs)]
+
+    def cap(a, residual):
+        return math.floor(min(residual[p] for p in rows_of[a]) + 1e-9)
+
+    best_total, best_vec, current = -1, [], [0] * n_arcs
+
+    def search(idx, residual, total):
+        nonlocal best_total, best_vec
+        if idx == n_arcs:
+            if total > best_total:
+                best_total, best_vec = total, current.copy()
+            return
+        if total + sum(cap(a, residual) for a in range(idx, n_arcs)) <= best_total:
+            return
+        for v in range(cap(idx, residual) + 1):
+            current[idx] = v
+            nxt = residual.copy()
+            for p in rows_of[idx]:
+                nxt[p] -= v
+            search(idx + 1, nxt, total + v)
+        current[idx] = 0
+
+    search(0, sigma, 0)
+    return best_vec
+
+
+def test_allocation_matches_reference_search_on_fractional_bounds():
+    rng = np.random.default_rng(SEED + 3)
+    for trial in range(300):
+        n_arcs = int(rng.integers(1, 7))
+        n_paths = int(rng.integers(1, 7))
+        inc = rng.integers(0, 2, size=(n_paths, n_arcs))
+        for a in range(n_arcs):
+            if not inc[:, a].any():
+                inc[int(rng.integers(n_paths)), a] = 1
+        # fractional bounds, some a hair below or above a whole number
+        bounds = np.round(rng.uniform(0.0, 12.0, n_paths), int(rng.integers(0, 3)))
+        bounds += rng.choice([0.0, 0.0, -1e-10, 1e-10], n_paths)
+        bounds = np.maximum(bounds, 0.0).tolist()
+        got = allocate_arc_tolls(bounds, inc.tolist())
+        assert got == reference_allocation(bounds, inc.tolist()), (trial, bounds, inc)
+
+
+def test_allocation_solves_twelve_bidiagonal_arcs_within_its_budget():
+    # path p uses arcs p and p + 1; with bounds 4-6 the cap-sum bound alone
+    # needs 585,054 nodes, past the budget of 500,000, and the cover bound
+    # 1,496
+    bounds = [6.0, 5.0, 5.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 6.0, 5.0, 6.0]
+    incidence = [[int(a in (p, p + 1)) for a in range(12)] for p in range(12)]
+    # found by reference_allocation
+    assert allocate_arc_tolls(bounds, incidence) == [2, 4, 1, 4, 0, 4, 0, 4, 0, 4, 0, 5]
 
 
 def test_allocation_is_locally_tight():
