@@ -14,6 +14,7 @@ snapping and enumeration are exact.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import io
@@ -22,7 +23,7 @@ import numbers
 import os
 import warnings
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 # The array half of this module imports numpy where it is used, so that a
@@ -130,7 +131,7 @@ class Table(NamedTuple):
                 )
 
 
-# Characters one read of a plain CSV input takes at a time
+# Characters one read of a CSV input takes at a time
 _READ_CHARS = 2**16
 
 
@@ -143,77 +144,89 @@ def _header_check(where: str, got: list[str] | None, header: str) -> None:
         )
 
 
-def _csv_rows(stream, where: str, header: str) -> tuple[list[str], list[int]]:
-    """The data fields of ``stream`` in one flat list, and their lines, as
-    ``csv.reader`` splits them; blank rows are skipped."""
+def _texts(stream, encoding: str | None):
+    """The text of ``stream`` a read at a time, in pieces that end at a
+    line end or at the end of the text.  With an ``encoding`` the stream is
+    binary: a byte that does not decode ends the text before its line, and
+    then raises."""
+    decode = encoding and codecs.getincrementaldecoder(encoding)().decode
+    tail: list[str] = []  # the unfinished line
+    while True:
+        data = stream.read(_READ_CHARS)
+        try:
+            chunk = decode(data, not data) if decode else data
+        except UnicodeDecodeError as exc:
+            text = "".join(tail) + exc.object[: exc.start].decode(encoding)
+            yield text[: max(text.rfind("\n"), text.rfind("\r")) + 1]
+            raise
+        # a "\r" that ends a read may be the first half of "\r\n"
+        cut = max(chunk.rfind("\n"), chunk.rfind("\r", 0, -1)) + 1 if data else len(chunk)
+        if cut or not data:
+            text, tail = "".join(tail) + chunk[:cut], []
+            if text:
+                yield text
+        tail.append(chunk[cut:])
+        if not data:
+            return
+
+
+def _rows(stream, encoding: str | None, where: str, header: str):
+    """Yield the data rows of ``stream``, blank rows skipped, in a ``(fields,
+    lines)`` batch per piece of ``_texts``: the fields in one flat list (a
+    live list per row slows the GC) and each row's line.  A piece with no
+    quote, carriage return, NUL, blank or ragged row, or line over
+    ``csv.field_size_limit()`` is split in bulk at ``,``, as ``csv.reader``
+    would; from the first other piece on, ``csv.reader`` splits the rest."""
     width = header.count(",") + 1
-    reader = csv.reader(stream)
+    limit = csv.field_size_limit()
+    line, reader = 1, None  # line: the next line's number
+    texts = _texts(stream, encoding)
     try:
-        _header_check(where, next(reader, None), header)
-        fields: list[str] = []  # one flat list: a live list per row slows the GC
-        lines: list[int] = []
+        for text in texts:
+            rows = text.split("\n")
+            if text.endswith("\n"):
+                rows.pop()  # the empty text after the last line end
+            if any(c in text for c in '"\r\0') or not all(rows) or max(map(len, rows)) > limit:
+                break
+            first = max(line, 2)  # the first data row's line
+            if line == 1:
+                _header_check(where, rows.pop(0).split(","), header)
+            flat = ",".join(rows).split(",") if rows else []
+            # as many fields as width per row, and no row short of width - 1
+            # commas: then every row has width fields
+            commas = min(map(str.count, rows, repeat(",")), default=width)
+            if len(flat) != width * len(rows) or commas < width - 1:
+                break
+            yield flat, range(first, first + len(rows))
+            line = first + len(rows)
+        else:
+            text = ""  # the reader sees the end, or an empty input's header
+        ends = [0]  # the reader's line count at the end of each piece
+
+        def split(text: str) -> list[str]:
+            lines = io.StringIO(text, newline="").readlines()  # a file's line ends
+            ends.append(ends[-1] + len(lines))
+            return lines
+
+        reader = csv.reader(chain.from_iterable(map(split, chain([text], texts))))
+        if line == 1:
+            _header_check(where, next(reader, None), header)
+        fields, lines = [], []
         for row in reader:
             if len(row) != width:
                 if "".join(row).strip():
-                    raise ValueError(
-                        f"{where}:{reader.line_num}: expected {width} fields, got {len(row)}"
-                    )
+                    raise csv.Error(f"expected {width} fields, got {len(row)}")
                 continue
             fields += row
-            lines.append(reader.line_num)
+            lines.append(line - 1 + reader.line_num)
+            if reader.line_num == ends[-1]:
+                yield fields, lines
+                fields, lines = [], []
+        yield fields, lines
     except csv.Error as exc:
-        raise ValueError(f"{where}:{reader.line_num}: {exc}") from None
-    return fields, lines
-
-
-def _plain_rows(stream, where: str, header: str) -> tuple[list[str], list[int]] | None:
-    """``_csv_rows`` of a plain text, split in bulk a chunk at a time, or
-    None when the text is not plain.
-
-    Plain text decodes, and holds no quote, carriage return or NUL, no
-    blank row, no data row of another width than the header's, and no line
-    longer than ``csv.field_size_limit()``: ``csv.reader`` then splits each
-    line at ``,`` and nothing else.
-    """
-    width = header.count(",") + 1
-    limit = csv.field_size_limit()
-    fields: list[str] = []
-    lines: list[int] = []
-    tail, line = "", 1  # the unfinished line, and the next line's number
-    while True:
-        try:
-            chunk = stream.read(_READ_CHARS)
-        except UnicodeDecodeError:  # csv.reader may meet an error on an earlier line
-            return None
-        text = tail + chunk
-        cut = text.rfind("\n") + 1 if chunk else len(text)
-        text, tail = text[:cut], text[cut:]
-        if len(tail) > limit:
-            return None
-        if not text:
-            if chunk:
-                continue
-            return (fields, lines) if line > 1 else None  # None: an empty input
-        if '"' in text or "\r" in text or "\0" in text:
-            return None
-        rows = text.split("\n")
-        if chunk:
-            rows.pop()  # the empty text after the last line end
-        if not all(rows) or max(map(len, rows)) > limit:
-            return None
-        if line == 1:
-            _header_check(where, rows.pop(0).split(","), header)
-            line = 2
-        if not rows:
-            continue
-        flat = ",".join(rows).split(",")
-        # as many fields as width per row, and no row short of width - 1
-        # commas: then every row has width fields
-        if len(flat) != width * len(rows) or min(map(str.count, rows, repeat(","))) < width - 1:
-            return None
-        fields += flat
-        lines += range(line, line + len(rows))
-        line += len(rows)
+        raise ValueError(f"{where}:{line - 1 + reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:  # at the first line not read
+        raise ValueError(f"{where}:{line + (reader.line_num if reader else 0)}: {exc}") from None
 
 
 def read_rows(source, header: str, converters: Sequence[Callable[[str], object]]) -> Table:
@@ -223,31 +236,37 @@ def read_rows(source, header: str, converters: Sequence[Callable[[str], object]]
     Blank rows are skipped.  Every other row must have one field per header
     name; field ``j`` is converted by ``converters[j]`` and may not be a NaN
     or infinite float.  Every error is a ``ValueError`` that starts with
-    ``where:line:``, where ``where`` is the path or ``<stream>``.  A path
-    whose text is plain (see ``_plain_rows``) is split in bulk; any other
-    input goes through ``csv.reader`` from its start.
-    """
+    ``where:line:``, where ``where`` is the path or ``<stream>``.
+
+    Each ``_READ_CHARS`` characters are split (see ``_rows``) and converted
+    before more are read, so a read holds the columns and one piece of text.
+    The first structure error wins: the header, a row of another width, a
+    ``csv.Error`` or a byte that does not decode (at its line; in a stream,
+    the first line not read).  Then the first row with a field that does
+    not convert or is not finite fails the read."""
     names = header.split(",")
-    if hasattr(source, "read"):
-        where = "<stream>"
-        fields, lines = _csv_rows(source, where, header)
-    else:
-        where = os.fsdecode(source)
-        with open(source, newline="") as stream:
-            plain = None
-            if stream.seekable():
-                plain = _plain_rows(stream, where, header)
-                stream.seek(0)
-            fields, lines = plain or _csv_rows(stream, where, header)
-    # Convert column by column; only a failure scans rows for its line.
-    texts = [fields[j :: len(names)] for j in range(len(names))]
-    try:
-        columns = tuple(list(map(conv, col)) for conv, col in zip(converters, texts))
-    except ValueError:
-        columns = ()
-    if columns and all(map(_all_finite, columns)):
-        return Table(where, lines, columns)
-    for line, row in zip(lines, zip(*texts)):
+    path = not hasattr(source, "read")
+    where = os.fsdecode(source) if path else "<stream>"
+    # bad: the first batch that does not convert; the batches after it are only read
+    lines, columns, bad = [], tuple([] for _ in names), None
+    with open(source, newline="") if path else contextlib.nullcontext(source) as stream:
+        raw, encoding = (stream.buffer, stream.encoding) if path else (stream, None)
+        for fields, rows in _rows(raw, encoding, where, header):
+            lines += rows
+            if bad:
+                continue
+            try:
+                got = [list(map(c, fields[j :: len(names)])) for j, c in enumerate(converters)]
+            except ValueError:
+                got = []
+            if got and all(map(_all_finite, got)):
+                for column, values in zip(columns, got):
+                    column += values
+                fields.clear()  # the batch's text goes before the next is read
+            else:
+                bad = fields, rows
+    fields, rows = bad or ([], [])
+    for line, row in zip(rows, zip(*[iter(fields)] * len(names))):
         for name, conv, text in zip(names, converters, row):
             try:
                 value = conv(text)
@@ -255,7 +274,7 @@ def read_rows(source, header: str, converters: Sequence[Callable[[str], object]]
                 raise ValueError(f"{where}:{line}: {name}: {exc}") from None
             if not _all_finite([value]):
                 raise ValueError(f"{where}:{line}: {name} must be finite, got {text!r}")
-    return Table(where, lines, columns)  # only an overflowing sum gets here
+    return Table(where, lines, columns)
 
 
 def format_cell(value):

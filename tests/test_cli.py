@@ -657,6 +657,18 @@ def test_allocate_past_the_search_budget_exits_2(tmp_path, capsys, bounds, incid
     assert not out.exists()
 
 
+def test_allocate_names_the_line_of_a_byte_that_does_not_decode(tmp_path, capsys):
+    bounds, incidence = allocation_fixture(tmp_path)
+    with open(bounds, "wb") as fh:
+        fh.write(b"path,bound\np1,10\np2,\xff8\np3,5\n")
+    out = tmp_path / "out"
+    argv = ["allocate", "--bounds", bounds, "--incidence", incidence, "--out-dir", str(out)]
+    assert main(argv) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: {bounds}:3: ") and "can't decode byte 0xff" in err
+    assert not out.exists()
+
+
 def test_allocate_rejects_unknown_path(tmp_path, capsys):
     bounds = tmp_path / "bounds.csv"
     bounds.write_text("path,bound\np1,10\n")

@@ -10,6 +10,7 @@ import os
 import re
 import string
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,86 @@ def test_read_rows_matches_the_csv_reader_on_edge_texts(tmp_path, data):
         except ValueError as exc:
             results.append(str(exc))
     assert results[0] == results[1]
+
+
+LONG = "1,2,3\n" * 11000  # data rows past the first 2**16-character read
+
+
+@pytest.mark.parametrize("chunk", [1, 6, 17, 2**16])
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a bad float in the first read, a ragged row in a later one
+        "a,b,c\n1,x,3\n" + LONG + "1,2\n",
+        # a NaN early, a quote late: the rest goes through csv.reader
+        "a,b,c\n1,nan,3\n" + LONG + '1,"2,5",3\n',
+        # a bad cell only in the last read
+        "a,b,c\n" + LONG + "1,2,x\n",
+    ],
+    ids=["bad-float-then-ragged", "nan-then-quote", "bad-last-cell"],
+)
+def test_read_rows_error_precedence_across_reads(tmp_path, monkeypatch, chunk, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    monkeypatch.setattr(core, "_READ_CHARS", chunk)
+    results = []
+    for read in (read_rows, csv_read_rows):
+        with pytest.raises(ValueError) as info:
+            read(path, "a,b,c", (int, float, float))
+        results.append(str(info.value))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("chunk", [6, 2**16])
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"a,b,c\n1,2,3\n4,\xff,6\n", 3),  # plain text, the first read
+        (b"a,b,c\n" + LONG.encode() + b"4,5,\xff\n", 11002),  # plain, a later read
+        (b'a,b,c\n"1",2,3\n' + LONG.encode() + b"\xe9,5,6\n", 11003),  # csv.reader
+        (b"a,b,c\r\n1,2,3\r\n4,\xff,6\r\n", 3),  # csv.reader, CRLF
+        (b"a,b,c\n1,\xff,3\n1,2\n", 2),  # before a ragged row
+        (b"a,b,c\nx,2,3\n1,2,\xc3", 3),  # after a bad cell; cut in a character
+        (b"a,\xffb,c\n1,2,3\n", 1),
+    ],
+    ids=["plain", "plain-later-read", "csv-reader", "crlf", "before-ragged", "after-bad-cell", "header"],
+)
+def test_read_rows_names_the_line_of_a_byte_that_does_not_decode(
+    tmp_path, monkeypatch, chunk, data, line
+):
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr(core, "_READ_CHARS", chunk)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: .*can't decode"):
+        read_rows(path, "a,b,c", (int, int, int))
+
+
+# ~20,000 rows of the feed's seven fields: about eighteen reads of 2**16
+# characters, ten times one read's text once split into Python objects
+FEED_ROWS = [
+    f"{i},s{i % 300:03d},{30 + i % 17 / 4},-122.{i:06d},37.{i:06d},-122.{i + 1:06d},37.{i + 1:06d}"
+    for i in range(20000)
+]
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["plain", "crlf"])
+def test_read_rows_holds_one_read_of_text(tmp_path, line_end):
+    # Memory beyond the returned table stays near one read's text: the
+    # split and converted text of one 2**16-character read is about 0.7 MB.
+    # Holding every field of the input as a string until the end costs
+    # about 9 MB here.
+    path = tmp_path / "feed.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(line_end.join([RECORD_HEADER, *FEED_ROWS]) + line_end)
+    converters = (int, str.strip, float, float, float, float, float)
+    tracemalloc.start()
+    try:
+        table = read_rows(path, RECORD_HEADER, converters)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.lines) == len(FEED_ROWS)
+    assert peak - retained < 24 * core._READ_CHARS
 
 
 def test_flag_accepts_only_zero_and_one():
