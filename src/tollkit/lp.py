@@ -63,7 +63,9 @@ def _iterate(tab: np.ndarray, basis: np.ndarray, n_cols: int) -> None:
         while True:
             reduced = tab[level, :n_cols]
             if level > m:
-                eligible = np.logical_and.reduce(tab[m:level, :n_cols] <= EPS, axis=0)
+                eligible = tab[m, :n_cols] <= EPS
+                for earlier in range(m + 1, level):
+                    eligible &= tab[earlier, :n_cols] <= EPS
                 reduced = np.where(eligible, reduced, 0.0)
             col = int((reduced < -EPS).argmax() if degenerate else reduced.argmin())
             if not reduced[col] < -EPS:
@@ -158,7 +160,7 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, senses: str) -> n
     rebuilt = None  # the basis of the last rebuild
     for k in range(K):
         cost[:, :n] = c[k]
-        tab[m:] = cost - cost[:, basis] @ tab[:m]
+        np.subtract(cost, cost[:, basis] @ tab[:m], out=tab[m:])
         _iterate(tab, basis, n_cols)
         # rebuilt from the starting rows: x, and the next objective's
         # start, depend on the basis alone, not on the pivots that found it

@@ -40,9 +40,9 @@ nothing is kept between calls.  A call whose levels (tolls x points) or
 pair table would pass ``_MAX_LEVEL_CELLS`` or ``_MAX_PAIRS`` is refused
 before either is built.  The call then packages all its tolls' picks, as
 (tolls, 3) support and mass arrays, in one array pass (``_solutions``):
-the distributions are checked together, and each toll's moments, usage
-and objective are ``fsum`` over its own products, so every float is the
-one a per-toll packaging would give.
+each toll's moments, usage and objective are ``fsum`` over its own
+products, so every float is the one a per-toll packaging would give; the
+distribution checks, moment re-check and labels run on all tolls at once.
 
 ``solve_nature_two_point`` is the heuristic search over integer-period
 two-point responses; its per-count table (``first_feasible_lower``) and
@@ -171,22 +171,20 @@ def _levels(points: np.ndarray, tolls, objective: str) -> np.ndarray:
     return levels
 
 
-def _recompute_objective(dist: DiscreteDistribution, r: float, objective: str) -> float:
-    if objective == "ufn":
-        return expected_user_cost(dist, r)
-    return expected_revenue(dist, r)
+_LABELS = [  # a row's labels by its code: bit 0 mean-lower, 1 mean-upper, 2 variance
+    tuple(n for b, n in enumerate(("mean-lower", "mean-upper", "variance")) if c >> b & 1)
+    for c in range(8)
+]
 
 
-def _active_constraints(mean: float, var: float, env: MomentEnvelope) -> tuple[str, ...]:
-    tol = 1e-6 * max(1.0, abs(mean))
-    labels = []
-    if mean <= env.u_lower + tol:
-        labels.append("mean-lower")
-    if mean >= env.u_upper - tol:
-        labels.append("mean-upper")
-    if var >= env.variance_cap(mean) - max(tol, 1e-6 * env.variance_cap(mean)):
-        labels.append("variance")
-    return tuple(labels)
+def _active_constraints(mean: np.ndarray, var: np.ndarray, env: MomentEnvelope) -> list:
+    """Each row's labels of the envelope bounds its moments reach within
+    ``tol = 1e-6 * max(1, |mean|)``, the cap within ``max(tol, 1e-6 * cap)``."""
+    tol = 1e-6 * np.maximum(1.0, np.abs(mean))
+    cap = env.variance_cap(mean)
+    low, high = mean <= env.u_lower + tol, mean >= env.u_upper - tol
+    code = low + 2 * high + 4 * (var >= cap - np.maximum(tol, 1e-6 * cap))
+    return [_LABELS[c] for c in code.tolist()]
 
 
 def _moment_tols(scale: float) -> tuple[float, float]:
@@ -327,9 +325,7 @@ def _envelope_table(points: np.ndarray, env: MomentEnvelope) -> tuple[np.ndarray
     half = 0.5 * (1.0 + kappa / d)
     disc = half * half - kappa * cj / (d * d)
     sq = np.sqrt(np.where(disc >= 0, disc, np.nan))
-    t_var_lo = half - sq
-    t_var_hi = half + sq
-    t = np.stack([t_mean_lo, t_mean_hi, t_var_lo, t_var_hi], axis=1)
+    t = np.stack([t_mean_lo, t_mean_hi, half - sq, half + sq], axis=1)  # then variance-tight
     # d > 0, and the mask rejects the NaN of a negative discriminant
     interior = (t > 1e-12) & (t < 1 - 1e-12)
     mu = cj[:, None] - t * d[:, None]
@@ -478,12 +474,11 @@ def _solutions(
     Masses of at most 1e-15 end a row's atoms, and are dropped as
     ``from_pairs`` drops them; the rows are checked and renormalized together
     (``DiscreteDistribution.from_rows``), and each row's moments, usage
-    and objective are the ``math.fsum`` of its own products.  Each row is
-    re-checked against the envelope within ``_moment_tols`` of the grid's
-    scale, the slack that admitted it.
+    and objective are the ``math.fsum`` of its own products.  All rows'
+    moments are re-checked against the envelope (within ``_moment_tols`` of
+    the grid's scale, the slack that admitted them) and labelled in one
+    pass; the first that fails raises, once the rows before it are priced.
     """
-    if not tolls:
-        return ()
     sizes = (masses > 1e-15).sum(axis=1).tolist()
     if not all(sizes):
         raise ValueError("no positive mass")
@@ -495,21 +490,22 @@ def _solutions(
     if objective == "ufn":
         capped = (mass * np.minimum(support, r)).tolist()
         shortfall = (mass * np.maximum(r - support, 0.0)).tolist()
-    scale = float(np.max(np.abs(grid.points())))
+    mean = np.array([math.fsum(row[:n]) for row, n in zip(first, sizes)])
+    var = np.array([math.fsum(row[:n]) for row, n in zip(second, sizes)]) - mean * mean
+    feasible = _feasible_moments(mean, var, env, float(np.max(np.abs(grid.points())))).tolist()
+    labels = _active_constraints(mean, var, env)
     solutions = []
     for k, (dist, n, toll) in enumerate(zip(dists, sizes, tolls)):
-        mean = math.fsum(first[k][:n])
-        var = math.fsum(second[k][:n]) - mean * mean
-        if not _feasible_moments(mean, var, env, scale):
+        if not feasible[k]:
             raise AssertionError(
-                f"solver produced an infeasible distribution: mean={mean}, var={var}"
+                f"solver produced an infeasible distribution: mean={mean[k]}, var={var[k]}"
             )
         usage = math.fsum(paid[k][:n])
         if objective == "ufn":
             value = user_cost_from_terms(capped[k][:n], shortfall[k][:n], toll)
         else:
             value = toll * usage
-        solutions.append(NatureSolution(dist, value, usage, _active_constraints(mean, var, env)))
+        solutions.append(NatureSolution(dist, value, usage, labels[k]))
     return tuple(solutions)
 
 
@@ -669,6 +665,7 @@ def pick_worst(
         raise ValueError(f"unknown objective {objective!r}")
     if not candidates:
         raise ValueError("no candidate distributions")
-    values = [_recompute_objective(d, r, objective) for d in candidates]
+    value_of = expected_user_cost if objective == "ufn" else expected_revenue
+    values = [value_of(d, r) for d in candidates]
     idx = min(range(len(values)), key=lambda i: (values[i], i))
     return idx, values[idx]

@@ -825,6 +825,31 @@ def test_wide_grid_anchor_values():
 # --- packaging a call's solutions ------------------------------------------------
 
 
+def feasible_moments_reference(mean, var, env, scale):
+    """The moment re-check on one toll's floats: the band within 1e-9 of
+    ``max(1, scale)``, the variance cap within 1e-9 of ``max(1, scale**2)``."""
+    mean_tol, var_tol = 1e-9 * max(1.0, scale), 1e-9 * max(1.0, scale * scale)
+    return (
+        env.u_lower - mean_tol <= mean <= env.u_upper + mean_tol
+        and var <= env.kappa_bar * mean + var_tol
+    )
+
+
+def active_constraints_reference(mean, var, env):
+    """One toll's labels, in plain floats: a mean bound within ``tol`` of
+    the mean, the variance cap within the larger of ``tol`` and 1e-6 of it."""
+    tol = 1e-6 * max(1.0, abs(mean))
+    cap = env.kappa_bar * mean
+    labels = []
+    if mean <= env.u_lower + tol:
+        labels.append("mean-lower")
+    if mean >= env.u_upper - tol:
+        labels.append("mean-upper")
+    if var >= cap - max(tol, 1e-6 * cap):
+        labels.append("variance")
+    return tuple(labels)
+
+
 def package_reference(support, masses, env, r, objective, scale):
     """One toll packaged on its own, the way every solution was packaged
     before a call's tolls went through one array pass: a validated
@@ -833,12 +858,12 @@ def package_reference(support, masses, env, r, objective, scale):
     objective and usage from the distribution's own methods."""
     dist = DiscreteDistribution.from_pairs(zip(support, masses))
     mean, var = dist.mean(), dist.variance()
-    if not nature._feasible_moments(mean, var, env, scale):
+    if not feasible_moments_reference(mean, var, env, scale):
         raise AssertionError(
             f"solver produced an infeasible distribution: mean={mean}, var={var}"
         )
     value = expected_user_cost(dist, r) if objective == "ufn" else expected_revenue(dist, r)
-    return dist, value, dist.usage_probability(r), nature._active_constraints(mean, var, env)
+    return dist, value, dist.usage_probability(r), active_constraints_reference(mean, var, env)
 
 
 def assert_packaged_as_reference(got, want, context):
@@ -907,6 +932,82 @@ def test_packager_raises_as_the_per_toll_reference():
                 with pytest.raises(want.type) as got:
                     package(grid, env, minima, tolls, objective)
                 assert str(got.value) == str(want.value), (row, at)
+
+
+def test_packager_names_the_first_infeasible_toll():
+    # Two rows fail the moment re-check; the error names the first one's
+    # fsum moments, whatever follows it.
+    grid = PriceGrid(0.0, 40.0, 1.0)
+    env = MomentEnvelope(17.0, 17.0, 3.0)
+    good = ([10.0, 24.0], [0.5, 0.5])
+    far = ([29.0, 31.0, 33.0], [0.1, 0.2, 0.7])  # mean outside the band
+    wide = ([0.0, 34.0], [0.5, 0.5])  # variance over the cap
+    for first, second in ((far, wide), (wide, far)):
+        s, m = first
+        mean = math.fsum(a * b for a, b in zip(s, m))
+        var = math.fsum(a * a * b for a, b in zip(s, m)) - mean * mean
+        message = f"solver produced an infeasible distribution: mean={mean}, var={var}"
+        with pytest.raises(AssertionError, match="infeasible") as want:
+            package_reference(*first, env, 17.0, "ufn", 40.0)
+        assert str(want.value) == message
+        for tail in ([], [second], [good], [second, good], [good, second], [first]):
+            minima = [good, good, first, *tail]
+            for objective in ("ufn", "an"):
+                with pytest.raises(AssertionError) as got:
+                    package(grid, env, minima, [17.0] * len(minima), objective)
+                assert str(got.value) == message, (first, tail, objective)
+
+
+def ulps_around(x, n=8):
+    """``x`` and the ``n`` floats on either side of it, ascending."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(float(np.nextafter(below[-1], -np.inf)))
+        above.append(float(np.nextafter(above[-1], np.inf)))
+    return below[:0:-1] + above
+
+
+def test_active_constraints_match_the_scalar_rule_at_its_boundaries():
+    # Means at and a few ulps either side of u_lower + tol and u_upper - tol
+    # (tol = 1e-6 * max(1, |mean|), so each edge is the fixed point of
+    # mean = edge -/+ tol(mean)), each with variances at and around its
+    # cap's edge; kappa 0, a mean of 0 and means below 1 among them.
+    envs = [
+        MomentEnvelope(17.0, 17.0, 3.0),
+        MomentEnvelope(15.0, 19.0, 3.0),
+        MomentEnvelope(0.0, 0.5, 0.0),
+        MomentEnvelope(0.0, 0.0, 1.0),
+        MomentEnvelope(0.25, 0.75, 2.0),
+        MomentEnvelope(100.1234567891, 110.1234567891, 1.0),
+        MomentEnvelope(1234.5, 5678.9, 0.0),
+    ]
+    rows = 0
+    for env in envs:
+        edges = []
+        for bound, sign in ((env.u_lower, 1.0), (env.u_upper, -1.0)):
+            edge = bound
+            for _ in range(4):
+                edge = bound + sign * 1e-6 * max(1.0, abs(edge))
+            edges.append(ulps_around(edge))
+        # the rule's flip lies inside each window of means
+        for window, label in zip(edges, ("mean-lower", "mean-upper")):
+            seen = {label in active_constraints_reference(u, 0.0, env) for u in window}
+            assert seen == {True, False}, (env, label)
+        means = [*edges[0], *edges[1], env.u_lower, env.u_upper, 0.0, 0.5]
+        mean, var = [], []
+        for u in means:
+            tol = 1e-6 * max(1.0, abs(u))
+            cap = env.kappa_bar * u
+            window = ulps_around(cap - max(tol, 1e-6 * cap))
+            seen = {"variance" in active_constraints_reference(u, v, env) for v in window}
+            assert seen == {True, False}, (env, u)
+            for v in (*window, 0.0, cap):
+                mean.append(u)
+                var.append(v)
+        got = nature._active_constraints(np.array(mean), np.array(var), env)
+        assert got == [active_constraints_reference(u, v, env) for u, v in zip(mean, var)], env
+        rows += len(got)
+    assert rows > 1000
 
 
 def test_interval_band_at_the_variance_cap_edge_matches_brute_force():
