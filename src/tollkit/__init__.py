@@ -18,13 +18,13 @@ _EXPORTS = {
         "allocation": ("allocate_arc_tolls",),
         "config": ("RunConfig", "parse_config"),
         "core": (
-            "CostHistory",
             "DiscreteDistribution",
             "MomentEnvelope",
             "PriceGrid",
             "estimate_moment_envelope",
             "expected_revenue",
             "expected_user_cost",
+            "read_cost_history",
         ),
         "experiments": (
             "DistributionSpec",
@@ -45,6 +45,7 @@ _EXPORTS = {
             "ingest_to_network",
             "interpolate_missing",
             "parse_traffic_records",
+            "skeleton_to_network",
             "travel_cost_states",
         ),
         "miqp": ("MiqpModel", "emit_nature_miqp"),

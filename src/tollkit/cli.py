@@ -25,7 +25,7 @@ import os
 import sys
 from typing import Iterable, Sequence
 
-from . import _lazy_getattr
+from . import _EXPORTS, _lazy_getattr
 from .config import RunConfig, parse_config
 from .core import (
     DEFAULT_BUCKET_MINUTES,
@@ -33,43 +33,22 @@ from .core import (
     DEFAULT_MERGE_TOL,
     FAMILIES,
     FORMAT_VERSION,
-    CostHistory,
     MomentEnvelope,
     PriceGrid,
     estimate_moment_envelope,
     flag,
     format_cell,
+    read_cost_history,
     read_rows,
     write_rows,
 )
 
 __all__ = ["build_parser", "main"]
 
-# Library name -> the tollkit module that defines it, imported on first use
-# so a process loads only what its subcommand runs.  Handlers look these
-# names up on the module object (``_this``), which resolves them through
-# ``__getattr__`` and sees any object ``setattr`` put in their place.
-_LIBRARY = {
-    name: module
-    for module, names in {
-        "experiments": (
-            "ExperimentConfig",
-            "family_spec",
-            "run_dynamic_cumulative_regret",
-            "run_fixed_distribution_experiment",
-            "run_mixed_distribution_experiment",
-            "run_real_data_experiment",
-        ),
-        "ingest": ("ingest_to_network", "parse_traffic_records", "skeleton_to_network"),
-        "miqp": ("emit_nature_miqp",),
-        "nature": ("solve_nature_an", "solve_nature_ufn"),
-        "allocation": ("allocate_arc_tolls",),
-        "network": ("load_network", "write_network"),
-        "pricing": ("epsilon_sweep_robust_toll", "two_point_robust_toll"),
-    }.items()
-    for name in names
-}
-__getattr__ = _lazy_getattr(globals(), _LIBRARY)
+# Library names resolve through the package's ``_EXPORTS`` on first use, so
+# a process imports only what its subcommand runs.  Handlers look them up on
+# ``_this``, which sees any object ``setattr`` put in their place.
+__getattr__ = _lazy_getattr(globals(), _EXPORTS)
 _this = sys.modules[__name__]
 
 OUT_DIR_ENV = "TOLLKIT_OUT_DIR"
@@ -124,9 +103,9 @@ def _resolve_envelope(
     if args.history is not None:
         if args.u_lower is not None or args.u_upper is not None:
             raise ValueError("--history excludes --u-lower and --u-upper")
-        history = CostHistory.from_csv(args.history, grid, cfg.T, cfg.H)
+        history = read_cost_history(args.history, grid, cfg.T, cfg.H)
         return estimate_moment_envelope(
-            history.state_minima(), grid, cfg.confidence_z, cfg.kappa_bar
+            history.min(axis=1), grid, cfg.confidence_z, cfg.kappa_bar
         )
     if args.u_lower is None or args.u_upper is None:
         raise ValueError("provide --history, or both --u-lower and --u-upper")

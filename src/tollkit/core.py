@@ -10,6 +10,9 @@ the variance-to-mean ratio.
 Money lives on a :class:`PriceGrid` — an evenly spaced set of admissible
 prices.  Internally grid values are addressed by integer index so repeated
 snapping and enumeration are exact.
+
+The toll setter's historical costs, a ``state,arc,cost`` table, are read by
+:func:`read_cost_history` into a (states x arcs) matrix.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ __all__ = [
     "PriceGrid",
     "MomentEnvelope",
     "DiscreteDistribution",
-    "CostHistory",
+    "read_cost_history",
     "estimate_moment_envelope",
     "expected_revenue",
     "expected_user_cost",
@@ -581,79 +584,39 @@ class DiscreteDistribution:
         return f"DiscreteDistribution({{{pairs}}})"
 
 
-@dataclass(frozen=True)
-class CostHistory:
-    """Observed alternative costs: one row per state, one column per arc.
+def read_cost_history(
+    source, grid: PriceGrid | None = None, T: int | None = None, windows: int = 1
+) -> np.ndarray:
+    """Observed alternative costs, one row per state and one column per arc,
+    from a ``state,arc,cost`` table read by ``read_cost_table``.
 
-    ``states`` has shape (windows * T, n_arcs): ``windows`` observation
-    windows of ``T`` states each.
+    The states must fill ``windows`` windows of ``T`` states each (a run
+    config's ``T`` and ``H``; ``T`` defaults to the state count over
+    ``windows``).  With a grid, costs are clamped into [q, Q]; a clamp rate
+    above ``CLAMP_WARN_RATE`` warns.
     """
+    import numpy as np
 
-    states: np.ndarray
-    T: int
-    windows: int = 1
-
-    def __post_init__(self) -> None:
-        import numpy as np
-
-        arr = np.asarray(self.states, dtype=float)
-        object.__setattr__(self, "states", arr)
-        if arr.ndim != 2:
-            raise ValueError("states must be a 2-d array (state x arc)")
-        if self.T < 1 or self.windows < 1:
-            raise ValueError("T and windows must be positive")
-        if arr.shape[0] != self.T * self.windows:
-            raise ValueError(
-                f"states has {arr.shape[0]} rows, expected T*windows = "
-                f"{self.T * self.windows}"
-            )
-
-    def state_minima(self) -> np.ndarray:
-        """Per-state minimum cost across arcs (the best free alternative)."""
-        return self.states.min(axis=1)
-
-    @classmethod
-    def from_csv(
-        cls,
-        source: str | io.TextIOBase,
-        grid: PriceGrid | None = None,
-        T: int | None = None,
-        windows: int = 1,
-    ) -> "CostHistory":
-        """Read a ``state,arc,cost`` table through ``read_cost_table``: state
-        and arc ids from 0 with no gap, and every (state, arc) cell once.
-
-        The states must fill ``windows`` windows of ``T`` states each (a run
-        config's ``T`` and ``H``; ``T`` defaults to the state count over
-        ``windows``).  With a grid, costs are clamped into [q, Q]; a clamp
-        rate above ``CLAMP_WARN_RATE`` warns.
-        """
-        import numpy as np
-
-        where, matrix = read_cost_table(source)
-        n_states = matrix.shape[0]
-        if T is None:
-            T = n_states // windows
-        if n_states != T * windows:
-            raise ValueError(
-                f"{where}: {n_states} states, expected T*H = {T}*{windows} = {T * windows}"
-            )
-        if grid is not None:
-            clamped = np.clip(matrix, grid.q, grid.Q)
-            n_clamped = int(np.sum(clamped != matrix))
-            if n_clamped:
-                rate = n_clamped / matrix.size
-                if rate > CLAMP_WARN_RATE:
-                    warnings.warn(
-                        f"clamped {n_clamped}/{matrix.size} history costs "
-                        f"({100 * rate:.1f}%) into [{grid.q}, {grid.Q}]",
-                        stacklevel=2,
-                    )
-            matrix = clamped
-        return cls(states=matrix, T=T, windows=windows)
-
-    def to_csv(self, destination: str | io.TextIOBase) -> None:
-        write_cost_table(destination, self.states)
+    where, matrix = read_cost_table(source)
+    n_states = matrix.shape[0]
+    if T is None:
+        T = n_states // windows
+    if n_states != T * windows:
+        raise ValueError(
+            f"{where}: {n_states} states, expected T*H = {T}*{windows} = {T * windows}"
+        )
+    if grid is None:
+        return matrix
+    clamped = np.clip(matrix, grid.q, grid.Q)
+    n_clamped = int(np.sum(clamped != matrix))
+    rate = n_clamped / matrix.size
+    if rate > CLAMP_WARN_RATE:
+        warnings.warn(
+            f"clamped {n_clamped}/{matrix.size} history costs "
+            f"({100 * rate:.1f}%) into [{grid.q}, {grid.Q}]",
+            stacklevel=2,
+        )
+    return clamped
 
 
 def estimate_moment_envelope(

@@ -47,6 +47,7 @@ from .core import (
     PriceGrid,
     estimate_moment_envelope,
     require_finite,
+    require_horizon,
     require_integer,
 )
 from .network import TollNetwork, state_shortest_path_costs
@@ -196,6 +197,7 @@ class ExperimentConfig:
         for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive count")
+        require_horizon(self.T, 2)
         require_finite(kappa_bar=self.kappa_bar, confidence_z=self.confidence_z)
         if self.kappa_bar < 0:
             raise ValueError("kappa_bar must be nonnegative")
@@ -628,6 +630,7 @@ def run_real_data_experiment(
     connecting path are skipped and counted.
     """
     require_integer(pairs=pairs, history_cut=history_cut, T=T, seed=seed)
+    require_horizon(T, 2)
     if pairs < 1:
         raise ValueError("need at least one node pair")
     n_states = net.state_costs.shape[0]

@@ -399,12 +399,13 @@ def allocate_arc_tolls(bounds, incidence) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+ARCS_HEADER = "tail,head,toll_flag,length"
+
+
 def read_arcs(arcs_path) -> tuple[Arc, ...]:
-    """Read an arcs CSV (`tail,head,toll_flag,length`); a length ``Arc``
-    refuses is an error at its line."""
-    table = read_rows(
-        arcs_path, "tail,head,toll_flag,length", (str.strip, str.strip, flag, float)
-    )
+    """Read an arcs CSV (``ARCS_HEADER``); a length ``Arc`` refuses is an
+    error at its line."""
+    table = read_rows(arcs_path, ARCS_HEADER, (str.strip, str.strip, flag, float))
     if not table.lines:
         raise ValueError(f"{table.where}: no arcs")
     arcs = []
@@ -444,7 +445,7 @@ def load_network(
 def write_network(net: TollNetwork, arcs_path, states_path) -> None:
     write_rows(
         arcs_path,
-        ("tail", "head", "toll_flag", "length"),
+        ARCS_HEADER.split(","),
         ((a.tail, a.head, int(a.toll_flag), float(a.length)) for a in net.arcs),
         lineterminator="\n",
     )

@@ -1,7 +1,8 @@
 """References for the fast paths: an exhaustive one for nature's exact
 solvers (every support of at most three grid points, in plain loops, under
-nature's tie rule), and a CSV reader that reads every input through
-``csv.reader``."""
+nature's tie rule, each pick re-checked and packaged by the scalar rules
+here rather than nature's array ones), and a CSV reader that reads every
+input through ``csv.reader``."""
 
 from __future__ import annotations
 
@@ -13,8 +14,14 @@ from itertools import combinations
 
 import numpy as np
 
-from tollkit.core import MASS_TOL, Table
-from tollkit.nature import _NO_FIT, _feasible_moments, _levels, _solutions, _tie_pick
+from tollkit.core import (
+    MASS_TOL,
+    DiscreteDistribution,
+    Table,
+    expected_revenue,
+    expected_user_cost,
+)
+from tollkit.nature import _NO_FIT, NatureSolution, _levels, _tie_pick
 
 # Masses below this are numerical artifacts of the small linear solves, not
 # genuine support atoms; candidates are cleaned before evaluation.
@@ -51,7 +58,7 @@ def brute_force_nature(grid, env, rows):
         weights = [m / total for _, m in pairs]
         mean = math.fsum(w * c for c, w in zip(values, weights))
         var = math.fsum(w * c * c for c, w in zip(values, weights)) - mean * mean
-        if not _feasible_moments(mean, var, env, scale):
+        if not feasible_moments_reference(mean, var, env, scale):
             return None
         at = [int(round((c - grid.q) / grid.step)) for c in values]
         return at, values, weights, math.fsum(w * cube[i] for i, w in zip(at, weights))
@@ -117,9 +124,50 @@ def brute_force_nature(grid, env, rows):
         if not keys:
             raise ValueError(_NO_FIT)
         support, masses = picks[_tie_pick(*np.array(keys).T)]
-        support, masses = np.array([support]), np.array([masses])
-        solutions += _solutions(grid, env, support, masses, [toll], objective)
+        solutions.append(
+            NatureSolution(*package_reference(support, masses, env, toll, objective, scale))
+        )
     return tuple(solutions)
+
+
+def feasible_moments_reference(mean, var, env, scale):
+    """The moment re-check on one toll's floats: the band within 1e-9 of
+    ``max(1, scale)``, the variance cap within 1e-9 of ``max(1, scale**2)``."""
+    mean_tol, var_tol = 1e-9 * max(1.0, scale), 1e-9 * max(1.0, scale * scale)
+    return (
+        env.u_lower - mean_tol <= mean <= env.u_upper + mean_tol
+        and var <= env.kappa_bar * mean + var_tol
+    )
+
+
+def active_constraints_reference(mean, var, env):
+    """One toll's labels, in plain floats: a mean bound within ``tol`` of
+    the mean, the variance cap within the larger of ``tol`` and 1e-6 of it."""
+    tol = 1e-6 * max(1.0, abs(mean))
+    cap = env.kappa_bar * mean
+    labels = []
+    if mean <= env.u_lower + tol:
+        labels.append("mean-lower")
+    if mean >= env.u_upper - tol:
+        labels.append("mean-upper")
+    if var >= cap - max(tol, 1e-6 * cap):
+        labels.append("variance")
+    return tuple(labels)
+
+
+def package_reference(support, masses, env, r, objective, scale):
+    """One toll packaged on its own, in plain floats: a validated
+    ``from_pairs`` distribution, its ``fsum`` moments, the feasibility
+    re-check (within the tolerances of ``scale``, the grid's), and the
+    objective and usage from the distribution's own methods."""
+    dist = DiscreteDistribution.from_pairs(zip(support, masses))
+    mean, var = dist.mean(), dist.variance()
+    if not feasible_moments_reference(mean, var, env, scale):
+        raise AssertionError(
+            f"solver produced an infeasible distribution: mean={mean}, var={var}"
+        )
+    value = expected_user_cost(dist, r) if objective == "ufn" else expected_revenue(dist, r)
+    return dist, value, dist.usage_probability(r), active_constraints_reference(mean, var, env)
 
 
 def _all_finite(values):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import csv
+import inspect
 import math
 import os
 import subprocess
@@ -17,7 +19,7 @@ import tollkit.cli as cli
 from tollkit.allocation import MAX_ALLOC_NODES
 from tollkit.cli import main
 from tollkit.config import RunConfig
-from tollkit.core import FAMILIES, CostHistory, MomentEnvelope
+from tollkit.core import FAMILIES, MomentEnvelope, read_cost_history
 from tollkit.experiments import (
     ExperimentConfig,
     family_spec,
@@ -717,9 +719,9 @@ def test_ingest_then_real_exp(tmp_path, capsys):
     capsys.readouterr()
     # the network and a cost history read states.csv to one matrix
     net = load_network(ingest_dir / "arcs.csv", ingest_dir / "states.csv")
-    history = CostHistory.from_csv(ingest_dir / "states.csv")
+    history = read_cost_history(ingest_dir / "states.csv")
     assert net.state_costs.shape == (2, 4)
-    assert np.array_equal(history.states, net.state_costs)
+    assert np.array_equal(history, net.state_costs)
 
     exp_dir = tmp_path / "exp"
     args = [
@@ -1137,6 +1139,26 @@ def test_traced_names_resolve_to_the_library_objects():
         assert getattr(sys.modules[obj.__module__], name) is obj, name
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         cli.no_such_name
+
+
+def test_every_handler_name_is_a_package_export():
+    # Every ``_this.<name>`` a handler calls resolves through the package's
+    # export table to the object its module defines; a missing entry would
+    # otherwise fail only when its subcommand runs.
+    tree = ast.parse(inspect.getsource(cli))
+    names = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "_this"
+    }
+    assert len(names) > 10
+    for name in sorted(names):
+        assert name in tollkit._EXPORTS, name
+        obj = getattr(cli, name)
+        module = sys.modules[f"tollkit.{tollkit._EXPORTS[name]}"]
+        assert obj is getattr(module, name) and obj.__module__ == module.__name__, name
 
 
 @pytest.mark.parametrize(

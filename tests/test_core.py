@@ -11,13 +11,14 @@ import pytest
 
 from tollkit.config import RunConfig
 from tollkit.core import (
-    CostHistory,
     DiscreteDistribution,
     MomentEnvelope,
     PriceGrid,
     estimate_moment_envelope,
     expected_revenue,
     expected_user_cost,
+    read_cost_history,
+    write_cost_table,
 )
 from tollkit.experiments import ExperimentConfig
 
@@ -292,34 +293,42 @@ def test_user_cost_identity_randomized():
         assert abs(direct - (expected_revenue(d, r) + free_side)) <= 1e-9
 
 
-# --- CostHistory -------------------------------------------------------------
+# --- read_cost_history ---------------------------------------------------------
 
 
 def test_history_csv_round_trip():
     g = PriceGrid(0.0, 100.0, 1.0)
     states = np.array([[10.0, 20.0], [30.0, 5.0], [7.0, 7.0]])
-    hist = CostHistory(states=states, T=3, windows=1)
     buf = io.StringIO()
-    hist.to_csv(buf)
+    write_cost_table(buf, states)
     text = buf.getvalue()
-    again = CostHistory.from_csv(io.StringIO(text), g, T=3, windows=1)
-    assert np.array_equal(again.states, states)
+    again = read_cost_history(io.StringIO(text), g, T=3, windows=1)
+    assert np.array_equal(again, states)
     buf2 = io.StringIO()
-    again.to_csv(buf2)
+    write_cost_table(buf2, again)
     assert buf2.getvalue() == text
-    assert again.state_minima().tolist() == [10.0, 5.0, 7.0]
+    assert again.min(axis=1).tolist() == [10.0, 5.0, 7.0]
+    # the states must fill H windows of T states each
+    with pytest.raises(ValueError, match=r"^<stream>: 3 states, expected T\*H = 2\*2 = 4$"):
+        read_cost_history(io.StringIO(text), g, T=2, windows=2)
 
 
 def test_history_clamps_and_warns_above_threshold():
     g = PriceGrid(0.0, 10.0, 1.0)
     rows = ["state,arc,cost"] + [f"{s},0,{50.0}" for s in range(4)]
-    with pytest.warns(UserWarning):
-        hist = CostHistory.from_csv(io.StringIO("\n".join(rows)), g, T=4, windows=1)
-    assert hist.states.max() == 10.0
+    with pytest.warns(UserWarning, match=r"clamped 4/4 history costs \(100.0%\) into \[0.0, 10.0\]"):
+        hist = read_cost_history(io.StringIO("\n".join(rows)), g, T=4, windows=1)
+    assert hist.max() == 10.0
+    # one clamped cost in 20 is the warning rate itself: clamped, no warning
+    rows = ["state,arc,cost"] + [f"{s},0,{50.0 if s == 0 else 5.0}" for s in range(20)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hist = read_cost_history(io.StringIO("\n".join(rows)), g, T=20, windows=1)
+    assert hist[:, 0].tolist() == [10.0] + [5.0] * 19
 
 
 def test_history_incomplete_matrix_errors():
     g = PriceGrid(0.0, 10.0, 1.0)
     text = "state,arc,cost\n0,0,1\n0,1,2\n1,0,3\n"
     with pytest.raises(ValueError):
-        CostHistory.from_csv(io.StringIO(text), g, T=2, windows=1)
+        read_cost_history(io.StringIO(text), g, T=2, windows=1)

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 import tollkit.core as core
 from oracle import csv_read_rows
 from tollkit.core import (
-    CostHistory,
     flag,
     format_cell,
+    read_cost_history,
     read_cost_table,
     read_rows,
     write_cost_table,
@@ -279,7 +279,7 @@ def test_flag_accepts_only_zero_and_one():
 
 def test_history_rejects_negative_indices():
     with pytest.raises(ValueError, match="<stream>:3: state and arc must be >= 0"):
-        CostHistory.from_csv(io.StringIO("state,arc,cost\n0,0,1\n-1,0,2\n"))
+        read_cost_history(io.StringIO("state,arc,cost\n0,0,1\n-1,0,2\n"))
 
 
 GAP = " (state and arc ids run from 0 with no gap)"
@@ -386,18 +386,21 @@ def test_network_round_trip(arcs, n_states, data):
 def test_history_round_trip(T, windows, n_arcs, data):
     size = T * windows * n_arcs
     matrix = data.draw(st.lists(signed, min_size=size, max_size=size))
-    history = CostHistory(np.reshape(matrix, (T * windows, n_arcs)), T, windows)
+    history = np.reshape(matrix, (T * windows, n_arcs))
     buf = io.StringIO()
-    history.to_csv(buf)
-    again = CostHistory.from_csv(io.StringIO(buf.getvalue()), T=T, windows=windows)
-    assert np.array_equal(again.states, history.states)
-    assert (again.T, again.windows) == (T, windows)
+    write_cost_table(buf, history)
+    again = read_cost_history(io.StringIO(buf.getvalue()), T=T, windows=windows)
+    assert np.array_equal(again, history)
+    # a horizon one longer asks for more states than the table has
+    want = f"<stream>: {T * windows} states, expected T*H = {T + 1}*{windows} = {(T + 1) * windows}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        read_cost_history(io.StringIO(buf.getvalue()), T=T + 1, windows=windows)
 
     text = buf.getvalue()
     line = data.draw(st.integers(2, size + 1))
     bad = corrupt(text, line, 2, data.draw(non_finite))
     with pytest.raises(ValueError, match=f"^<stream>:{line}: cost must be finite"):
-        CostHistory.from_csv(io.StringIO(bad), T=T, windows=windows)
+        read_cost_history(io.StringIO(bad), T=T, windows=windows)
 
 
 # Cells whose text is easy to get wrong: signed zeros, a cost just below

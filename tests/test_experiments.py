@@ -194,6 +194,11 @@ def test_config_validation():
         ExperimentConfig(kappa_bar=-1.0)
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(seed=-1)
+    # a one-period horizon has no two-point toll: refused before any draw
+    with pytest.raises(ValueError, match="^T must be >= 2$"):
+        ExperimentConfig(T=1)
+    with pytest.raises(ValueError, match="^T must be a positive count$"):
+        ExperimentConfig(T=0)
 
 
 def test_config_refuses_non_integer_counts_and_seed():
@@ -414,15 +419,16 @@ def test_real_data_refuses_non_integer_counts_and_seed(monkeypatch):
         raise AssertionError("a refused call reached the shortest-path search")
 
     monkeypatch.setattr(experiments, "state_shortest_path_costs", search)
-    for name, value in (
-        ("pairs", 2.5),
-        ("pairs", True),
-        ("history_cut", 5.5),
-        ("seed", 1.5),
-        ("T", 50.0),
+    for name, value, message in (
+        ("pairs", 2.5, "pairs must be an integer, got 2.5"),
+        ("pairs", True, "pairs must be an integer, got True"),
+        ("history_cut", 5.5, "history_cut must be an integer, got 5.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("T", 50.0, "T must be an integer, got 50.0"),
+        ("T", 1, "T must be >= 2"),
     ):
         kwargs = dict(pairs=2, history_cut=5, seed=0)
         kwargs[name] = value
         with pytest.raises(ValueError) as got:
             run_real_data_experiment(net, **kwargs)
-        assert str(got.value) == f"{name} must be an integer, got {value}"
+        assert str(got.value) == message

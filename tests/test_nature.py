@@ -11,7 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from oracle import brute_force_nature
+from oracle import (
+    active_constraints_reference,
+    brute_force_nature,
+    package_reference,
+)
 from tollkit import lp, nature
 from tollkit.core import (
     DiscreteDistribution,
@@ -823,47 +827,6 @@ def test_wide_grid_anchor_values():
 
 
 # --- packaging a call's solutions ------------------------------------------------
-
-
-def feasible_moments_reference(mean, var, env, scale):
-    """The moment re-check on one toll's floats: the band within 1e-9 of
-    ``max(1, scale)``, the variance cap within 1e-9 of ``max(1, scale**2)``."""
-    mean_tol, var_tol = 1e-9 * max(1.0, scale), 1e-9 * max(1.0, scale * scale)
-    return (
-        env.u_lower - mean_tol <= mean <= env.u_upper + mean_tol
-        and var <= env.kappa_bar * mean + var_tol
-    )
-
-
-def active_constraints_reference(mean, var, env):
-    """One toll's labels, in plain floats: a mean bound within ``tol`` of
-    the mean, the variance cap within the larger of ``tol`` and 1e-6 of it."""
-    tol = 1e-6 * max(1.0, abs(mean))
-    cap = env.kappa_bar * mean
-    labels = []
-    if mean <= env.u_lower + tol:
-        labels.append("mean-lower")
-    if mean >= env.u_upper - tol:
-        labels.append("mean-upper")
-    if var >= cap - max(tol, 1e-6 * cap):
-        labels.append("variance")
-    return tuple(labels)
-
-
-def package_reference(support, masses, env, r, objective, scale):
-    """One toll packaged on its own, the way every solution was packaged
-    before a call's tolls went through one array pass: a validated
-    ``from_pairs`` distribution, its ``fsum`` moments, the feasibility
-    re-check (within the tolerances of ``scale``, the grid's), and the
-    objective and usage from the distribution's own methods."""
-    dist = DiscreteDistribution.from_pairs(zip(support, masses))
-    mean, var = dist.mean(), dist.variance()
-    if not feasible_moments_reference(mean, var, env, scale):
-        raise AssertionError(
-            f"solver produced an infeasible distribution: mean={mean}, var={var}"
-        )
-    value = expected_user_cost(dist, r) if objective == "ufn" else expected_revenue(dist, r)
-    return dist, value, dist.usage_probability(r), active_constraints_reference(mean, var, env)
 
 
 def assert_packaged_as_reference(got, want, context):
