@@ -29,20 +29,24 @@ where one basis stays optimal nature's value is concave in the mean, so
 its minimum lies at a band edge or at a basis change, which is a
 singleton or a variance-tight pair.  So an interval band is the point
 band at each of its two edges, one walk each, plus one table per call
-(``_envelope_table``) of the feasible singletons and pairs.  The tie rule
-then picks among the table and the two edge picks for a block of tolls at
-once: the block's objective is priced on every candidate in one array
-pass, the usage only on each toll's ties, and the cube only on the ties
-that remain.  A block holds at most ``_PICK_CELLS`` tolls x candidates, so
-the pick's working set stays bounded on fine grids.  Only the objective
-depends on the toll, so a call pays the toll-independent half once, and
-nothing is kept between calls.  A call whose levels (tolls x points) or
-pair table would pass ``_MAX_LEVEL_CELLS`` or ``_MAX_PAIRS`` is refused
-before either is built.  The call then packages all its tolls' picks, as
-(tolls, 3) support and mass arrays, in one array pass (``_solutions``):
-each toll's moments, usage and objective are ``fsum`` over its own
-products, so every float is the one a per-toll packaging would give; the
-distribution checks, moment re-check and labels run on all tolls at once.
+(``_envelope_table``) of the feasible singletons and pairs.  Under UFN the
+upper edge's walk stops at the last toll where Scarf's moment bound (see
+``_TIE_TOL``) lets its pick come within ``_TIE_TOL`` of the lower edge's:
+past it the upper pick cannot tie, and on an ascending curve that is most
+of the high tolls.  The tie rule then picks among the table and the two
+edge picks for a block of tolls at once: the block's objective is priced
+on every candidate in one array pass, the usage only on each toll's ties,
+and the cube only on the ties that remain.  A block holds at most
+``_PICK_CELLS`` tolls x candidates, so the pick's working set stays
+bounded on fine grids.  Only the objective depends on the toll, so a
+call pays the toll-independent half once, and nothing is kept between
+calls.  A call whose levels (tolls x points) or pair table would pass
+``_MAX_LEVEL_CELLS`` or ``_MAX_PAIRS`` is refused before either is built.
+The call then packages all its tolls' picks, as (tolls, 3) support and
+mass arrays, in one array pass (``_solutions``): each toll's moments,
+usage and objective are ``fsum`` over its own products, so every float
+is the one a per-toll packaging would give; the distribution checks,
+moment re-check and labels run on all tolls at once.
 
 ``solve_nature_two_point`` is the heuristic search over integer-period
 two-point responses; its per-count table (``first_feasible_lower``) and
@@ -232,12 +236,22 @@ def _feasible_moments(mean, var, env: MomentEnvelope, scale: float):
 # ``_envelope_table`` builds every feasible one once per call, and each
 # block of tolls takes one ``_tie_pick`` over the table's candidates and
 # the edges'.
+#
+# Under UFN the upper edge's pick often cannot tie, by Scarf's (1958)
+# bound: every distribution with mean m and variance at most v has
+#   min(c, r) = (c + r - |c - r|) / 2,
+#   E|c - r| <= sqrt(E (c - r)^2) = sqrt(Var + (r - m)^2)  (Jensen),
+#   so E min(c, r) >= (m + r) / 2 - sqrt(v + (r - m)^2) / 2.
+# ``_upper_edge_floor`` takes it at the loosest moments an admitted upper
+# pick can have; where the lower edge's admitted key is more than
+# ``_TIE_TOL`` below that, the upper pick cannot join the ties.
 
 _TIE_TOL = 1e-9
 # The largest call solved: a whole curve on a 4,001-point grid.  On an
-# interval band it takes 36 s and 2.1 GiB traced, most of it the pair
-# table (UFN, band [100, 110], kappa 1, grid 0..200, on a 2-core VM).  A
-# larger call is refused by name before anything is built.
+# interval band the pair table takes most of its time and memory: 2.1 GiB
+# traced at 4,001 points, and at 2,001 points 3.5 s and a 553 MiB peak RSS
+# (UFN, band [100, 110], kappa 1, grid 0..200, on a 2-core VM).  A larger
+# call is refused by name before anything is built.
 _MAX_LEVEL_CELLS = 4001 * 4001  # tolls x grid points
 _MAX_PAIRS = 4001 * 4000 // 2  # an interval band's pair table
 # The two-point table's skip counts x points below the mean: a 50-period
@@ -409,14 +423,48 @@ def _simplex_minima(
     return keys, c.T, x.T, admitted
 
 
+def _upper_edge_floor(env: MomentEnvelope, scale: float, tolls) -> np.ndarray:
+    """A lower bound, per toll of a UFN call, on the key of any pick that
+    ``_simplex_minima`` admits at the upper band edge: Scarf's bound (see
+    ``_TIE_TOL``) at the loosest moments such a pick can have, less a float
+    margin.  ``scale`` is the grid's largest magnitude.
+
+    An admitted pick's masses x sum to s within 1e-9 of 1, and its float
+    moments are within ``_moment_tols(scale) = (mt, vt)`` of the edge.  Read
+    as the distribution x / s, its mean is at least u - 2 mt (the 1e-9 of s
+    costs at most mt), and its variance at most k (u + 2 mt) + 2 vt (the
+    1e-9 of s costs at most k mt + vt); a third mt and vt cover rounding.
+    The bound rises with the mean and falls with the variance, so it is
+    taken at the low mean and the high variance.  The pick's key is s
+    times that distribution's objective: where the bound is positive it is
+    at most r <= scale, so the key is at least the bound less mt; and the
+    key is above -1e-9 always (every cost is at least q >= 0, every toll
+    within 1e-9 of the grid).  The sums' rounding is a few ulps of scale.
+    So the bound clipped at 0, less 2 mt, is at most the key."""
+    mean_tol, var_tol = _moment_tols(scale)
+    mean = env.u_upper - 3 * mean_tol
+    var = env.kappa_bar * (env.u_upper + 3 * mean_tol) + 3 * var_tol
+    r = np.asarray(tolls, dtype=float)
+    bound = 0.5 * (mean + r) - 0.5 * np.sqrt(var + (r - mean) ** 2)
+    return np.maximum(bound, 0.0) - 2 * mean_tol
+
+
 def _minimize_worst_case(
-    grid: PriceGrid, env: MomentEnvelope, levels: np.ndarray
+    grid: PriceGrid, env: MomentEnvelope, levels: np.ndarray, tolls, objective: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nature's pick at each toll's ``levels`` as ``(support, masses)``,
     each of shape (tolls, 3) with the atoms first and zero padding after:
     a point band's walk picks, or on an interval band one ``_tie_pick`` per
     block of tolls over the table's candidates, then the lower and the
-    upper band edge's admitted walk picks."""
+    upper band edge's admitted walk picks.
+
+    ``levels`` are those of ``tolls`` under ``objective``.  Under UFN a
+    toll is cut where the lower edge's pick is admitted and
+    ``_upper_edge_floor`` lies more than ``_TIE_TOL`` above its key: the
+    upper edge's pick cannot tie there.  The upper edge's walk then covers
+    only the leading tolls up to the last one not cut, a prefix of the
+    whole walk with the same picks, and the tolls past it take a refused
+    pick, which never ties."""
     if abs(env.u_upper - env.u_lower) <= 1e-12:
         _, support, masses, admitted = _simplex_minima(grid, env, levels)
         if not admitted.all():
@@ -426,10 +474,20 @@ def _minimize_worst_case(
     n = points.size
     idx, x = _envelope_table(points, env)
     table = x.shape[1]
-    edges = [
-        _simplex_minima(grid, MomentEnvelope(mu, mu, env.kappa_bar), levels)
-        for mu in (env.u_lower, env.u_upper)
-    ]
+    lower, upper = (MomentEnvelope(mu, mu, env.kappa_bar) for mu in (env.u_lower, env.u_upper))
+    edges = [_simplex_minima(grid, lower, levels)]
+    end = len(levels)
+    if objective == "ufn":
+        keys, _, _, admitted = edges[0]
+        floor = _upper_edge_floor(env, float(np.max(np.abs(points))), tolls)
+        kept = np.flatnonzero(~admitted | (floor <= keys[:, 0] + _TIE_TOL))
+        end = int(kept[-1]) + 1 if kept.size else 0
+    keys, (support, masses) = np.full((len(levels), 3), np.inf), np.zeros((2, len(levels), 3))
+    admitted = np.zeros(len(levels), dtype=bool)
+    if end:
+        head = _simplex_minima(grid, upper, levels[:end])
+        keys[:end], support[:end], masses[:end], admitted[:end] = head
+    edges.append((keys, support, masses, admitted))
     # per toll, the edge picks' keys as two more level columns; a refused
     # one never ties, at an infinite objective
     edge_keys = np.stack([keys for keys, *_ in edges], axis=2)
@@ -534,7 +592,7 @@ def _solve_nature(
             f"support pairs, over the bound of {_MAX_PAIRS}"
         )
     levels = _levels(grid.points(), tolls, objective)
-    support, masses = _minimize_worst_case(grid, env, levels)
+    support, masses = _minimize_worst_case(grid, env, levels, tolls, objective)
     solutions = _solutions(grid, env, support, masses, tolls, objective)
     return solutions if np.ndim(r) else solutions[0]
 

@@ -1,8 +1,8 @@
 """References for the fast paths: an exhaustive one for nature's exact
 solvers (every support of at most three grid points, in plain loops, under
-nature's tie rule, each pick re-checked and packaged by the scalar rules
-here rather than nature's array ones), and a CSV reader that reads every
-input through ``csv.reader``."""
+nature's tie rule on levels defined here, each pick re-checked and
+packaged by the scalar rules here rather than nature's array ones), and a
+CSV reader that reads every input through ``csv.reader``."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from tollkit.core import (
     expected_revenue,
     expected_user_cost,
 )
-from tollkit.nature import _NO_FIT, NatureSolution, _levels, _tie_pick
+from tollkit.nature import _NO_FIT, NatureSolution, _tie_pick
 
 # Masses below this are numerical artifacts of the small linear solves, not
 # genuine support atoms; candidates are cleaned before evaluation.
@@ -39,9 +39,9 @@ def brute_force_nature(grid, env, rows):
     for toll, _ in rows:
         grid.require_toll(toll)
     points = grid.points()
-    levels = [_levels(points, toll, objective)[0] for toll, objective in rows]
     if not rows:
         return ()
+    levels = [levels_reference(points, toll, objective) for toll, objective in rows]
     cube = levels[0][2]
     kappa, ul, uu = env.kappa_bar, env.u_lower, env.u_upper
     scale = float(np.max(np.abs(points)))
@@ -128,6 +128,21 @@ def brute_force_nature(grid, env, rows):
             NatureSolution(*package_reference(support, masses, env, toll, objective, scale))
         )
     return tuple(solutions)
+
+
+def levels_reference(points, toll, objective):
+    """Nature's three keys per grid point at one toll, by the tie rule's
+    own definitions: the objective (``min(c, r)`` under UFN, ``r`` where
+    ``c >= r`` and 0 elsewhere under AN), the usage ``c >= r``, and the cube
+    ``s * s * s`` of ``s``, the grid scaled onto [0, 1]."""
+    if objective == "ufn":
+        cost = np.minimum(points, toll)
+    elif objective == "an":
+        cost = np.where(points >= toll, toll, 0.0)
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+    s = (points - points[0]) / (points[-1] - points[0])
+    return cost, (points >= toll).astype(float), s * s * s
 
 
 def feasible_moments_reference(mean, var, env, scale):

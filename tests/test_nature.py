@@ -85,9 +85,11 @@ def padded(minima):
     return table[0], table[1]
 
 
-def worst_cases(grid, env, levels):
-    """The exact solver's picks, one ``(support, masses)`` row per toll."""
-    return atoms(*_minimize_worst_case(grid, env, levels))
+def worst_cases(grid, env, levels, tolls=None, objective=None):
+    """The exact solver's picks, one ``(support, masses)`` row per toll;
+    without UFN ``tolls`` and ``objective``, the upper band edge is walked
+    at every toll."""
+    return atoms(*_minimize_worst_case(grid, env, levels, tolls, objective))
 
 
 def package(grid, env, minima, tolls, objective):
@@ -610,6 +612,173 @@ def test_blocks_cannot_change_a_pick(monkeypatch):
                 ], (trial, solver.__name__, name)
                 checked += len(got)
     assert checked > 1000
+
+
+# --- the upper band edge's walk stops where it cannot tie --------------------
+
+
+def cut_instances(rng):
+    """Interval bands on grids of 51, 101, 201 and 401 points: the
+    ``sweep-interval`` shape (grid 0..200, centre 20-180, half-width 1-10,
+    kappa 0.5-2), then wider bands, larger kappas, a floor of 3 and on-grid
+    edges, with kappa 0 among them."""
+    for n in (51, 51, 51, 51, 101, 101, 201, 401):
+        centre, half = rng.uniform(20.0, 180.0), rng.uniform(1.0, 10.0)
+        env = MomentEnvelope(centre - half, centre + half, rng.uniform(0.5, 2.0))
+        yield PriceGrid(0.0, 200.0, 200.0 / (n - 1)), env
+    for n in (51, 51, 51, 101, 201):
+        q = float(rng.choice([0.0, 3.0]))
+        grid = PriceGrid(q, q + 200.0, 200.0 / (n - 1))
+        points = grid.points()
+        if rng.random() < 0.5:
+            lo, hi = np.sort(rng.choice(points[1:-1], 2, replace=False))
+        else:
+            lo, hi = np.sort(rng.uniform(grid.q, grid.Q, 2))
+        kappa = float(rng.choice([0.0, 1.0, 5.0, 40.0]))
+        yield grid, MomentEnvelope(float(lo), float(hi), kappa)
+
+
+def cut_calls(rng, points):
+    """One instance's calls: the whole curve ascending and shuffled, then
+    random runs of 1 to 12 tolls, ascending or shuffled: 225 runs on a
+    51-point grid, fewer on finer ones."""
+    yield points
+    yield rng.permutation(points)
+    for _ in range(11500 // points.size):
+        tolls = rng.choice(points, int(rng.integers(1, 13)), replace=False)
+        yield np.sort(tolls) if rng.random() < 0.5 else tolls
+
+
+def walked_tolls(monkeypatch):
+    """Patch ``nature._simplex_minima`` to record, per walk, its band edge
+    and its number of tolls."""
+    walks, inner = [], nature._simplex_minima
+
+    def record(grid, env, levels):
+        walks.append((env.u_lower, len(levels)))
+        return inner(grid, env, levels)
+
+    monkeypatch.setattr(nature, "_simplex_minima", record)
+    return walks
+
+
+def never_cut(env, scale, tolls):
+    """``_upper_edge_floor`` forced below every key: the upper walk covers
+    every toll."""
+    return np.full(len(tolls), -np.inf)
+
+
+def test_upper_edge_cut_changes_no_field(monkeypatch):
+    # Every field of every UFN solution equals that of the same call with
+    # the upper band edge walked at every toll, for whole curves and runs of
+    # tolls in any order; and the cut skips a good share of the tolls.  (AN
+    # never consults the floor: its walk is pinned by the test below.)
+    rng = np.random.default_rng(SEED + 31)
+    calls = cut = walked = 0
+    for trial, (grid, env) in enumerate(cut_instances(rng)):
+        for tolls in cut_calls(rng, grid.points()):
+            monkeypatch.setattr(nature, "_upper_edge_floor", never_cut)
+            want = outcome(solve_nature_ufn, grid, env, tolls)
+            monkeypatch.undo()
+            walks = walked_tolls(monkeypatch)
+            got = outcome(solve_nature_ufn, grid, env, tolls)
+            monkeypatch.undo()
+            context = (trial, env, tolls[:3])
+            if isinstance(want, str):
+                assert got == want, context
+            else:
+                assert [solution_fields(s) for s in got] == [
+                    solution_fields(s) for s in want
+                ], context
+            cut += len(tolls) - sum(k for mu, k in walks if mu == env.u_upper)
+            walked += len(tolls)
+            calls += 1
+    assert calls >= 2000
+    assert cut > walked / 2, (cut, walked)
+
+
+def test_upper_edge_floor_is_at_most_every_admitted_key():
+    # Wherever the whole upper walk admits a pick, the floor (Scarf's bound
+    # less the float margin) is at most its key, tolls 5e-10 off the grid
+    # too; where the bound is positive it comes within 1e-8 of the grid's
+    # scale of some key (kappa-0 edges on the grid), so it is not idle.
+    rng = np.random.default_rng(SEED + 32)
+    instances = list(cut_instances(rng))
+    for _ in range(40):
+        grid, env = random_table_instance(rng)
+        if env.u_lower < env.u_upper:
+            instances.append((grid, env))
+    instances.append((PriceGrid(0.0, 200.0, 4.0), MomentEnvelope(96.0, 120.0, 0.0)))
+    tightest, admitted_keys = np.inf, 0
+    for grid, env in instances:
+        points = grid.points()
+        scale = float(np.max(np.abs(points)))
+        for tolls in (points, points + 5e-10, points - 5e-10):
+            levels = _levels(points, tolls, "ufn")
+            upper = MomentEnvelope(env.u_upper, env.u_upper, env.kappa_bar)
+            keys, _, _, admitted = _simplex_minima(grid, upper, levels)
+            floor = nature._upper_edge_floor(env, scale, tolls)
+            slack = (keys[:, 0] - floor)[admitted]
+            assert (slack >= 0).all(), (grid, env, slack.min())
+            positive = floor[admitted] + 2 * _moment_tols(scale)[0] > 0
+            tightest = min(tightest, slack[positive].min(initial=np.inf) / max(1.0, scale))
+            admitted_keys += int(admitted.sum())
+    assert admitted_keys > 5000
+    assert tightest < 1e-8
+
+
+def test_upper_edge_walk_covers_under_half_a_sweep_curve(monkeypatch):
+    # On a sweep-interval-style band the upper edge's pick can tie only at
+    # the low tolls, so its walk stops before half the 51-point curve; the
+    # lower edge's walk and the AN objective still cover every toll.
+    grid = PriceGrid(0.0, 200.0, 4.0)
+    env = MomentEnvelope(95.0, 105.0, 1.5)
+    for solver in (solve_nature_ufn, solve_nature_an):
+        walks = walked_tolls(monkeypatch)
+        solver(grid, env, grid.points())
+        got = dict(walks)
+        assert got[env.u_lower] == 51
+        if solver is solve_nature_ufn:
+            assert 0 < got[env.u_upper] < 51 / 2, got
+        else:
+            assert got[env.u_upper] == 51
+        monkeypatch.undo()
+
+
+def test_upper_edge_cut_matches_brute_force(monkeypatch):
+    # UFN interval bands on small grids, whole curves: every pick, the
+    # tolls past the upper edge's cut among them, matches the exhaustive
+    # oracle, and the cut skips over 50 of the tolls.
+    rng = np.random.default_rng(SEED + 33)
+    cut = 0
+    for trial in range(12):
+        n = int(rng.integers(10, 22))
+        grid = PriceGrid(0.0, float(n - 1), 1.0)
+        lo = float(rng.uniform(1.0, grid.Q - 3.0))
+        hi = float(rng.uniform(lo + 0.5, grid.Q - 1.0))
+        env = MomentEnvelope(lo, hi, float(rng.choice([0.25, 1.0, 3.0])))
+        points = grid.points()
+        walks = walked_tolls(monkeypatch)
+        got = solve_nature_ufn(grid, env, points)
+        monkeypatch.undo()
+        cut += n - dict(walks).get(env.u_upper, 0)
+        want = brute_force_nature(grid, env, [(r, "ufn") for r in points.tolist()])
+        for r, g, w in zip(points.tolist(), got, want):
+            assert_same_pick(g, w, (trial, env, r))
+    assert cut > 50
+
+
+def test_first_bad_toll_of_an_array_is_named():
+    # A NaN or an off-grid toll in the middle of an array raises the scalar
+    # check's message for the first bad toll.
+    grid = PriceGrid(3.0, 43.0, 0.5)
+    for solver in (solve_nature_ufn, solve_nature_an):
+        env = MomentEnvelope(10.0, 20.0, 1.0)
+        for tolls, message in (
+            ([5.0, 6.5, math.nan, 7.25, 8.0], "toll must be finite, got nan"),
+            ([5.0, 6.5, 7.25, math.nan, 8.0], "toll 7.25 is not on the price grid"),
+        ):
+            assert outcome(solver, grid, env, np.array(tolls)) == message
 
 
 def test_fine_grid_curve_traced_peak():
