@@ -15,7 +15,9 @@ formats, written by the modules that read them back.
 
 Exit codes: 0 success, 1 missing input file (path in the message),
 2 usage or value error.  A run that exits non-zero writes nothing, not
-even its output directory.
+even its output directory.  Errors print as one ``error: ...`` line on
+standard error, and the library's ``UserWarning``s as one ``warning: ...``
+line each.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from typing import Iterable, Sequence
 
 from . import _EXPORTS, _lazy_getattr
@@ -561,6 +564,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_lines(show):
+    """A ``warnings.showwarning`` that prints a library ``UserWarning`` as
+    one ``warning: ...`` line, as errors print, and hands any other warning
+    to ``show``."""
+
+    def show_warning(message, category, *where):
+        if issubclass(category, UserWarning):
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, *where)
+
+    return show_warning
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -568,7 +585,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.handler(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_lines(warnings.showwarning)
+            return args.handler(args)
     except FileNotFoundError as exc:
         path = exc.filename if exc.filename is not None else exc
         print(f"error: missing input file: {path}", file=sys.stderr)

@@ -612,7 +612,7 @@ def read_cost_history(
     rate = n_clamped / matrix.size
     if rate > CLAMP_WARN_RATE:
         warnings.warn(
-            f"clamped {n_clamped}/{matrix.size} history costs "
+            f"{where}: clamped {n_clamped}/{matrix.size} history costs "
             f"({100 * rate:.1f}%) into [{grid.q}, {grid.Q}]",
             stacklevel=2,
         )

@@ -5,11 +5,13 @@ expanded into independent substreams keyed by (kind, trial, link, channel),
 so every trial is reproducible in isolation and the family-choice stream of
 the mixed experiment never touches the cost stream.  Pinning the mixed
 family pool to a single family therefore reproduces the fixed-family run
-bit for bit.  The drivers seed a block of trials at once: one array pass
-derives every cell's stream state, and one Generator is re-seeded per cell.
-A cell draws raw values; the family's affine cost mapping and clamp run
-once over the whole block.  The links' parameters and the mixed family
-assignment take one seeding pass over all links each.
+bit for bit.  The drivers seed a block of trials at once: one pass of
+uint32 and uint64 array arithmetic derives every cell's stream state
+(numpy's SeedSequence hash, then PCG64's 128-bit seeding on 64-bit limbs),
+and one Generator is re-seeded per cell.  A cell draws raw values; the
+family's affine cost mapping and clamp run once over the whole block.  The
+links' parameters and the mixed family assignment take one seeding pass
+over all links each.
 
 Each link's distribution parameters are drawn once per run (their own
 substream) and shared by every history and evaluation trial: a history
@@ -52,6 +54,7 @@ from .core import (
 )
 from .network import TollNetwork, state_shortest_path_costs
 from .pricing import (
+    _two_point_scan,
     optimal_toll_for_realized_costs,
     realized_revenue_table,
     two_point_robust_toll,
@@ -89,12 +92,15 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 _PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
 
-# float64 entries per block of trials; one cell's seed (its Python-int
-# state and the words it is hashed from) counts as _SEED_ENTRIES of them
+# float64 entries per block of trials.  One cell's seed counts as
+# _SEED_ENTRIES of them: what it holds through its block's draws, two
+# 128-bit Python ints (44 bytes each), their tuple (56) and a list slot
+# (8), is 152 bytes or 19 entries, and 24 leaves room for the uint64 limbs
+# it is derived from.  The seeding pass itself peaks at about 54 entries a
+# cell (tracemalloc), briefly, before the block's draws start.
 _BLOCK_ELEMENTS = 1 << 15
-_SEED_ENTRIES = 64
+_SEED_ENTRIES = 24
 
 
 @dataclass(frozen=True)
@@ -257,14 +263,27 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> np.uint32(16))
 
 
+def _mul_high(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of each uint64 of ``a`` times the 64-bit int ``b``,
+    from the four products of their 32-bit halves, none of which wraps."""
+    half, low = np.uint64(32), np.uint64(_MASK32)
+    a0, a1 = a & low, a >> half
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    cross0, cross1 = a0 * b1, a1 * b0
+    carry = (a0 * b0 >> half) + (cross0 & low) + (cross1 & low)
+    return a1 * b1 + (cross0 >> half) + (cross1 >> half) + (carry >> half)
+
+
 def _pcg64_seeds(entropy: np.ndarray) -> list[tuple[int, int]]:
     """PCG64 ``(state, inc)`` seeded by ``SeedSequence(entropy=row)`` for
     each row of an (N, L) uint32 entropy array.
 
     The SeedSequence pool mixing and ``generate_state(4, uint64)`` run as
     uint32 array arithmetic on the (pool word, row) array, one op per
-    source word; PCG64's ``set_seed`` (state 0, inc = 2 seq + 1, step, add
-    the seed, step) runs in Python ints.
+    source word.  PCG64's ``set_seed`` (state 0, inc = 2 seq + 1, step, add
+    the seed, step: state = ((inc + seed) * MULT + inc) mod 2**128) runs as
+    uint64 array arithmetic on each 128-bit number's high and low limbs,
+    and each cell's Python ints are built from the limbs at the end.
     """
     n, length = entropy.shape
     words = entropy.T  # (L, N)
@@ -286,13 +305,28 @@ def _pcg64_seeds(entropy: np.ndarray) -> list[tuple[int, int]]:
     # little-endian word pairs: seed high, seed low, seq high, seq low
     seed_hi, seed_lo, seq_hi, seq_lo = (
         out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << np.uint64(32)
-    ).tolist()
-    seeds = []
-    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
-        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
-        state = (((inc + (s_hi << 64 | s_lo)) & _MASK128) * _PCG_MULT + inc) & _MASK128
-        seeds.append((state, inc))
-    return seeds
+    )
+    one, top = np.uint64(1), np.uint64(63)
+    mult_hi, mult_lo = divmod(_PCG_MULT, 1 << 64)
+    inc_hi, inc_lo = seq_hi << one | seq_lo >> top, seq_lo << one | one
+    # inc + seed, the low limb's carry into the high one
+    lo = inc_lo + seed_lo
+    hi = inc_hi + seed_hi + (lo < inc_lo)
+    # times MULT, mod 2**128: the high limb of lo * mult_lo plus the two
+    # cross products' low limbs
+    hi = _mul_high(lo, mult_lo) + lo * np.uint64(mult_hi) + hi * np.uint64(mult_lo)
+    lo = lo * np.uint64(mult_lo)
+    # plus inc
+    lo += inc_lo
+    hi += inc_hi + (lo < inc_lo)
+    # each cell's state and inc as 16 little-endian bytes, read as an int
+    state = np.stack([lo, hi], axis=1).astype("<u8", copy=False).tobytes()
+    inc = np.stack([inc_lo, inc_hi], axis=1).astype("<u8", copy=False).tobytes()
+    to_int = int.from_bytes
+    return [
+        (to_int(state[k : k + 16], "little"), to_int(inc[k : k + 16], "little"))
+        for k in range(0, len(state), 16)
+    ]
 
 
 def _int_words(value: int) -> list[int]:
@@ -480,7 +514,8 @@ def _history_tolls(
             env = estimate_moment_envelope(
                 series, cfg.grid, cfg.confidence_z, cfg.kappa_bar
             )
-            tolls[h] = two_point_robust_toll(cfg.grid, env, cfg.T).toll
+            points, _, _, best = _two_point_scan(cfg.grid, env, cfg.T)
+            tolls[h] = points[best]
     return tolls
 
 

@@ -2,9 +2,12 @@
 
 Two pricing routes over a shared worst-case model:
 
-* ``two_point_robust_toll`` — quadratic-time scan pairing every grid toll
-  with nature's best two-point sample response (mean pinned to the envelope
-  floor) and maximizing the revenue the response actually pays;
+* ``two_point_robust_toll`` — a scan of the grid against nature's best
+  two-point sample response (mean pinned to the envelope floor),
+  maximizing the revenue the response actually pays; a response is picked
+  only at the tolls between the lowest and highest point of its
+  toll-independent table, since every period pays at or below the lowest
+  and none above the highest;
 * ``epsilon_sweep_robust_toll`` — for each usage level eps in {1/T, ..., 1},
   find the largest toll nature cannot push usage below eps, then take the
   best guaranteed revenue eps * r_eps.
@@ -76,15 +79,23 @@ class RobustTollResult:
             raise ValueError("epsilon must lie in [0, 1]")
 
 
-def two_point_robust_toll(grid: PriceGrid, env: MomentEnvelope, T: int) -> RobustTollResult:
-    """Scan every grid toll against nature's best two-point response.
+def _two_point_scan(
+    grid: PriceGrid, env: MomentEnvelope, T: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Every grid toll against nature's best two-point response.
 
     The response's lower point per skip count is toll-independent, so it is
-    precomputed once; per toll, the count minimizing nature's total user cost
-    is selected and the revenue actually paid (periods whose cost ties or
-    exceeds the toll) becomes BR(r).  The envelope-floor toll is seeded with
-    one guaranteed usage period so the argmax is well defined even when
-    every other worst case collapses to zero.
+    precomputed once.  At or below the lowest of the table's lower and upper
+    points and the mean every period pays, whatever the count, so usage is
+    T; above the highest of them none pays, so usage is 0.  With no
+    feasible count the response is the point mass at the mean.  Only the
+    tolls in between select the count minimizing nature's total user cost,
+    and the revenue actually paid (periods whose cost ties or exceeds the
+    toll) becomes BR(r).  The envelope-floor toll is seeded with one
+    guaranteed usage period so the argmax is well defined even when every
+    other worst case collapses to zero.  Returns the grid points, the usage
+    and BR(r) at each, and the index of the first maximum (the lowest toll
+    on ties).
     """
     grid.require_cost_floor()
     env.validate_against(grid)
@@ -92,17 +103,28 @@ def two_point_robust_toll(grid: PriceGrid, env: MomentEnvelope, T: int) -> Robus
     mu = env.u_lower
     points = grid.points()
     table = first_feasible_lower(points[points < mu], mu, env.kappa_bar, T, grid.Q)
-    low_count, lower, upper = two_point_responses(table, mu, T, points)
-    usage = np.where(lower >= points, low_count, 0) + np.where(upper >= points, T - low_count, 0)
-
+    _, lower, upper = table
+    ends = np.concatenate([lower, upper, [mu]])
+    start, stop = np.searchsorted(points, [ends.min(), ends.max()], side="right")
+    usage = np.zeros(points.size, dtype=int)
+    usage[:start] = T
+    tolls = points[start:stop]
+    low_count, low, high = two_point_responses(table, mu, T, tolls)
+    usage[start:stop] = np.where(low >= tolls, low_count, 0) + np.where(high >= tolls, T - low_count, 0)
     floor_idx = grid.index_of(mu)
     usage[floor_idx] = max(usage[floor_idx], 1)
     br = points * usage
-    best_idx = int(np.argmax(br))  # first maximum = lowest toll on ties
+    return points, usage, br, int(np.argmax(br))
+
+
+def two_point_robust_toll(grid: PriceGrid, env: MomentEnvelope, T: int) -> RobustTollResult:
+    """Scan every grid toll against nature's best two-point response
+    (:func:`_two_point_scan`) and package the best toll with its curve."""
+    points, usage, br, best = _two_point_scan(grid, env, T)
     return RobustTollResult(
-        toll=float(points[best_idx]),
+        toll=float(points[best]),
         br_curve=dict(zip(points.tolist(), br.tolist())),
-        epsilon=float(usage[best_idx]) / T,
+        epsilon=float(usage[best]) / T,
         method="two-point",
     )
 

@@ -1,8 +1,9 @@
 """References for the fast paths: an exhaustive one for nature's exact
 solvers (every support of at most three grid points, in plain loops, under
 nature's tie rule on levels defined here, each pick re-checked and
-packaged by the scalar rules here rather than nature's array ones), and a
-CSV reader that reads every input through ``csv.reader``."""
+packaged by the scalar rules here rather than nature's array ones), the
+two-point search picking a response at every grid toll, and a CSV reader
+that reads every input through ``csv.reader``."""
 
 from __future__ import annotations
 
@@ -21,7 +22,13 @@ from tollkit.core import (
     expected_revenue,
     expected_user_cost,
 )
-from tollkit.nature import _NO_FIT, NatureSolution, _tie_pick
+from tollkit.nature import (
+    _NO_FIT,
+    NatureSolution,
+    _tie_pick,
+    first_feasible_lower,
+    two_point_responses,
+)
 
 # Masses below this are numerical artifacts of the small linear solves, not
 # genuine support atoms; candidates are cleaned before evaluation.
@@ -183,6 +190,23 @@ def package_reference(support, masses, env, r, objective, scale):
         )
     value = expected_user_cost(dist, r) if objective == "ufn" else expected_revenue(dist, r)
     return dist, value, dist.usage_probability(r), active_constraints_reference(mean, var, env)
+
+
+def two_point_reference(grid, env, T):
+    """``two_point_robust_toll``'s ``(toll, epsilon, br_curve)`` from a
+    response picked at every grid toll, with no range cut: usage is the
+    periods whose cost ties or exceeds the toll, the envelope-floor toll
+    keeps at least one, and the first maximum of BR(r) wins."""
+    mu = env.u_lower
+    points = grid.points()
+    table = first_feasible_lower(points[points < mu], mu, env.kappa_bar, T, grid.Q)
+    low_count, lower, upper = two_point_responses(table, mu, T, points)
+    usage = np.where(lower >= points, low_count, 0) + np.where(upper >= points, T - low_count, 0)
+    floor_idx = grid.index_of(mu)
+    usage[floor_idx] = max(usage[floor_idx], 1)
+    br = points * usage
+    best = int(np.argmax(br))
+    return float(points[best]), float(usage[best]) / T, dict(zip(points.tolist(), br.tolist()))
 
 
 def _all_finite(values):

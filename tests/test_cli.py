@@ -7,6 +7,7 @@ import csv
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -19,7 +20,7 @@ import tollkit.cli as cli
 from tollkit.allocation import MAX_ALLOC_NODES
 from tollkit.cli import main
 from tollkit.config import RunConfig
-from tollkit.core import FAMILIES, MomentEnvelope, read_cost_history
+from tollkit.core import FAMILIES, MomentEnvelope, PriceGrid, read_cost_history
 from tollkit.experiments import (
     ExperimentConfig,
     family_spec,
@@ -756,12 +757,11 @@ def test_ingest_report_counts_dropped_duplicates(tmp_path, capsys):
     crossing_feed(records)
     records.write_text(records.read_text() + "900,nw,25,1,0,0,1\n")  # repeats the last key
     out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="1 duplicate"):
-        assert main(["ingest", "--records", str(records), "--out-dir", str(out)]) == 0
+    assert main(["ingest", "--records", str(records), "--out-dir", str(out)]) == 0
     report = (out / "ingest_report.txt").read_text()
     assert "records: 4\n" in report
     assert "duplicate records (last kept): 1\n" in report
-    capsys.readouterr()
+    assert capsys.readouterr().err == "warning: 1 duplicate (segment, timestamp) records; kept last\n"
 
 
 def test_ingest_endpoints_are_nodes_on_arcs(tmp_path, capsys):
@@ -770,11 +770,50 @@ def test_ingest_endpoints_are_nodes_on_arcs(tmp_path, capsys):
     records = tmp_path / "records.csv"
     records.write_text(f"{RECORD_HEADER}\n0,b,30,0,0,1,0\n0,a,30,5,5,5.00002,5\n")
     out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="1 zero-length"):
-        assert main(["ingest", "--records", str(records), "--out-dir", str(out)]) == 0
+    assert main(["ingest", "--records", str(records), "--out-dir", str(out)]) == 0
     assert (out / "arcs.csv").read_text() == "tail,head,toll_flag,length\nn0,n1,0,1\n"
     assert "nodes: 3\n" in (out / "ingest_report.txt").read_text()
-    capsys.readouterr()
+    assert capsys.readouterr().err == "warning: 1 zero-length arcs dropped after merging\n"
+
+
+def test_library_warnings_print_as_one_line_each(tmp_path, capsys):
+    # Each library UserWarning reaches stderr as one "warning: " line, as
+    # errors do, with no source file or line of tollkit's own.  A history
+    # with half its costs past Q names its file; the sweep on a band that
+    # reaches 0 falls back to the grid floor; at seed 7 three families'
+    # averaged tolls regret more than their histories' average.
+    history = tmp_path / "h.csv"
+    history.write_text("state,arc,cost\n" + "".join(f"{s},0,{150 + 100 * (s % 2)}\n" for s in range(50)))
+    assert main(["price", "--history", str(history), "--out-dir", str(tmp_path / "price")]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: {history}: clamped 25/50 history costs (50.0%) into [0.0, 200.0]\n"
+    )
+    sweep = ["price", "--method", "sweep", "--u-lower", "0", "--u-upper", "100"]
+    assert main(sweep + ["--out-dir", str(tmp_path / "sweep")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: no toll sustains positive worst-case usage revenue; falling back to the grid floor\n"
+    )
+    argv = ["simulate", "--family", "all", "--links", "2", "--history-samples", "3"]
+    assert main(argv + ["--eval-samples", "12", "--seed", "7", "--out-dir", str(tmp_path / "sim")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split("%")[0] for line in lines] == [
+        "warning: beta: averaged-toll regret 5.777",
+        "warning: gamma: averaged-toll regret 17.799",
+        "warning: lognormal: averaged-toll regret 9.020",
+    ]
+    assert all(line.endswith("(an empirical regularity, not a guarantee)") for line in lines)
+
+
+def test_library_callers_keep_their_warnings(tmp_path):
+    # Only the CLI prints warnings as lines: a library call still raises a
+    # UserWarning, and after a CLI run Python's own display is back.
+    history = tmp_path / "h.csv"
+    history.write_text("state,arc,cost\n" + "".join(f"{s},0,250\n" for s in range(50)))
+    shown = warnings.showwarning
+    assert main(["price", "--history", str(history), "--out-dir", str(tmp_path / "price")]) == 0
+    assert warnings.showwarning is shown
+    with pytest.warns(UserWarning, match=rf"^{re.escape(str(history))}: clamped 50/50 history costs"):
+        read_cost_history(str(history), PriceGrid(0.0, 200.0, 1.0), 50)
 
 
 @pytest.mark.parametrize(

@@ -316,7 +316,7 @@ def test_history_csv_round_trip():
 def test_history_clamps_and_warns_above_threshold():
     g = PriceGrid(0.0, 10.0, 1.0)
     rows = ["state,arc,cost"] + [f"{s},0,{50.0}" for s in range(4)]
-    with pytest.warns(UserWarning, match=r"clamped 4/4 history costs \(100.0%\) into \[0.0, 10.0\]"):
+    with pytest.warns(UserWarning, match=r"^<stream>: clamped 4/4 history costs \(100.0%\) into \[0.0, 10.0\]$"):
         hist = read_cost_history(io.StringIO("\n".join(rows)), g, T=4, windows=1)
     assert hist.max() == 10.0
     # one clamped cost in 20 is the warning rate itself: clamped, no warning

@@ -14,6 +14,7 @@ import pytest
 from oracle import (
     active_constraints_reference,
     brute_force_nature,
+    levels_reference,
     package_reference,
 )
 from tollkit import lp, nature
@@ -148,6 +149,32 @@ def test_exact_matches_brute_force_randomized():
         for objective, ref in zip(("ufn", "an"), refs):
             got = solve_on_path(_lone_minimum, grid, env, r, objective)
             assert_same_pick(got, ref, (trial, objective, env, r))
+
+
+def test_floored_grids_match_brute_force():
+    # random_instance's grids start at 0, where a cube level scaled from 0
+    # and one scaled from the floor agree.  These start above 0, and at the
+    # grid's lowest toll every candidate ties on the first two levels, so
+    # the cube picks among them.  The picks alone did not tell the two
+    # scalings apart on 6,000 random floored curves: where candidates tie,
+    # both take the least spread one, as any increasing convex level does.
+    # So nature's levels are also held to the oracle's definitions.
+    rng = np.random.default_rng(SEED + 41)
+    for trial in range(30):
+        n = int(rng.integers(8, 20))
+        step = float(rng.choice([0.5, 1.0, 2.0]))
+        q = float(rng.choice([1.0, 3.0, 50.0]))
+        grid = PriceGrid(q, q + step * (n - 1), step)
+        lo = float(rng.uniform(grid.q, grid.Q))
+        env = MomentEnvelope(lo, float(rng.uniform(lo, grid.Q)), float(rng.choice([0.25, 1.0, 3.0])))
+        points = grid.points().tolist()
+        tolls = [points[0], points[1], *rng.choice(points[2:], size=2, replace=False).tolist()]
+        rows = [(r, objective) for r in tolls for objective in ("ufn", "an")]
+        for (r, objective), want in zip(rows, brute_force_nature(grid, env, rows)):
+            solver = solve_nature_ufn if objective == "ufn" else solve_nature_an
+            assert_same_pick(solver(grid, env, r), want, (trial, grid, env, r, objective))
+            (levels,) = _levels(grid.points(), r, objective)
+            assert levels.tolist() == np.array(levels_reference(grid.points(), r, objective)).tolist()
 
 
 def test_simplex_matches_enumeration_randomized():

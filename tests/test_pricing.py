@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from oracle import two_point_reference
 from tollkit.core import (
     DiscreteDistribution,
     MomentEnvelope,
@@ -17,6 +18,7 @@ from tollkit.core import (
 )
 from tollkit.nature import (
     TwoPointResponse,
+    first_feasible_lower,
     solve_nature_an,
     solve_nature_two_point,
     solve_nature_ufn,
@@ -182,6 +184,53 @@ def test_two_point_curve_matches_direct_assembly():
         expect_toll = min(r for r, v in curve.items() if v >= best - 1e-9)
         assert res.toll == expect_toll
         assert res.epsilon == usage[expect_toll] / T
+
+
+def random_two_point_instance(rng: np.random.Generator):
+    """A grid (fractional steps and positive floors too), a horizon and an
+    envelope for the two-point search.  The mean is anywhere on the grid,
+    on a grid point, within 1e-13 of one, or at the floor; a zero variance
+    cap leaves no feasible count unless the mean is within a hair of a grid
+    point."""
+    n = int(rng.integers(3, 90))
+    step = float(rng.choice([0.1, 0.3, 0.5, 1.0, 2.5]))
+    q = float(rng.choice([0.0, 0.0, 0.7, 3.0, 100.0]))
+    grid = PriceGrid(q, q + step * (n - 1), step)
+    T = int(rng.choice([2, 2, 3, 10, 50, rng.integers(2, 80)]))
+    kappa = float(rng.choice([0.0, 0.0, 0.25, 1.0, 4.0, 60.0, rng.uniform(0.0, 60.0)]))
+    points = grid.points()
+    at = float(rng.choice(points))
+    mu = [
+        float(rng.uniform(grid.q, grid.Q)),
+        at,
+        min(max(at + float(rng.choice([-1e-13, -2e-14, 2e-14, 1e-13])), grid.q), grid.Q),
+        grid.q,
+    ][int(rng.choice(4, p=[0.5, 0.2, 0.2, 0.1]))]
+    return grid, T, MomentEnvelope(mu, float(rng.uniform(mu, grid.Q)), kappa)
+
+
+def test_two_point_range_cut_matches_the_full_scan():
+    # Only the tolls between the lowest and highest point of the
+    # first_feasible_lower table pick a response; the rest pay in every
+    # period or in none.  Toll, epsilon and the whole curve (values and key
+    # order) equal the full scan's, and the cut skips tolls on both sides.
+    rng = np.random.default_rng(SEED + 5)
+    point_masses = cut_below = cut_above = 0
+    for trial in range(3000):
+        grid, T, env = random_two_point_instance(rng)
+        res = two_point_robust_toll(grid, env, T)
+        toll, epsilon, curve = two_point_reference(grid, env, T)
+        context = (trial, grid, T, env)
+        assert res.toll == toll and res.epsilon == epsilon, context
+        assert res.br_curve == curve and list(res.br_curve) == list(curve), context
+        points = grid.points()
+        mu = env.u_lower
+        counts, lower, upper = first_feasible_lower(points[points < mu], mu, env.kappa_bar, T, grid.Q)
+        point_masses += counts.size == 0
+        if counts.size:
+            cut_below += points[0] <= lower.min()
+            cut_above += points[-1] > upper.max()
+    assert min(point_masses, cut_below, cut_above) >= 100, (point_masses, cut_below, cut_above)
 
 
 def test_curve_bounds_and_floor():

@@ -85,6 +85,34 @@ def test_batched_seeds_match_seed_sequence(seed):
         assert _stream(seed, kind, 3).bit_generator.state == numpy_state(seed, kind, 3)
 
 
+def test_limb_seeding_matches_numpy_on_random_cells():
+    # 2,400 cells in 8 blocks of random seeds and key entries below and
+    # past 2**32, mixed within each block, so one- and two-word entries
+    # hash in separate groups.  The low limb of inc + seed carries into the
+    # high limb in about half the cells; both branches occur.  The first
+    # cells of each block also run as a block of one cell, as _stream
+    # seeds its cell.
+    draws = random.Random(SEED + 1)
+    carries = set()
+    for _ in range(8):
+        seed = draws.getrandbits(draws.choice([8, 32, 64, 100]))
+        kind = draws.choice(KINDS)
+        trials = [draws.getrandbits(draws.choice([10, 32, 40, 64])) for _ in range(100)]
+        links = [draws.getrandbits(draws.choice([2, 32, 33])) for _ in range(3)]
+        key = np.array(trials, dtype=np.uint64)[:, None], np.array(links, dtype=np.uint64)
+        got = _cell_seeds(seed, kind, *key)
+        cells = [(seed, kind, trial, link) for trial in trials for link in links]
+        assert len(got) == len(cells) == 300
+        for k, (entropy, (state, inc)) in enumerate(zip(cells, got)):
+            assert {"state": state, "inc": inc} == numpy_state(*entropy)["state"], entropy
+            _, seed_lo, _, seq_lo = np.random.SeedSequence(entropy).generate_state(4, np.uint64).tolist()
+            carries.add((2 * seq_lo + 1) % 2**64 + seed_lo >= 2**64)
+            if k < 10:
+                assert _cell_seeds(*entropy) == [(state, inc)]
+                assert _stream(*entropy).bit_generator.state == numpy_state(*entropy)
+    assert carries == {False, True}
+
+
 def test_seeds_reject_negative_entries():
     with pytest.raises(ValueError, match="nonnegative"):
         _cell_seeds(-1, _KIND_PAIRS)
