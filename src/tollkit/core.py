@@ -409,6 +409,17 @@ class PriceGrid:
 
         return self.q + self.step * np.arange(self.n_points)
 
+    def count_below(self, value: float) -> int:
+        """How many of ``points()`` lie below ``value``, by bisection, without building them."""
+        lo, hi = 0, self.n_points
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.q + self.step * mid < value:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
     def value(self, index: int) -> float:
         if not 0 <= index < self.n_points:
             raise IndexError(f"grid index {index} out of range")
@@ -597,6 +608,11 @@ def read_cost_history(
     """
     import numpy as np
 
+    counts = {"windows": windows} if T is None else {"T": T, "windows": windows}
+    require_integer(**counts)
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     where, matrix = read_cost_table(source)
     n_states = matrix.shape[0]
     if T is None:

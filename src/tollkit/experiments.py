@@ -6,12 +6,11 @@ so every trial is reproducible in isolation and the family-choice stream of
 the mixed experiment never touches the cost stream.  Pinning the mixed
 family pool to a single family therefore reproduces the fixed-family run
 bit for bit.  The drivers seed a block of trials at once: one pass of
-uint32 and uint64 array arithmetic derives every cell's stream state
-(numpy's SeedSequence hash, then PCG64's 128-bit seeding on 64-bit limbs),
-and one Generator is re-seeded per cell.  A cell draws raw values; the
-family's affine cost mapping and clamp run once over the whole block.  The
-links' parameters and the mixed family assignment take one seeding pass
-over all links each.
+uint32 array arithmetic runs numpy's SeedSequence hash for every cell, and
+each cell draws from a fresh numpy PCG64 Generator seeded with its four
+hashed words.  A cell draws raw values; the family's affine cost mapping
+and clamp run once over the whole block.  The links' parameters and the
+mixed family assignment take one seeding pass over all links each.
 
 Each link's distribution parameters are drawn once per run (their own
 substream) and shared by every history and evaluation trial: a history
@@ -37,6 +36,7 @@ scores (opt - got) / opt clipped into [0, 1], 0 where opt <= 0.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -84,23 +84,23 @@ _KIND_PAIRS = 3
 _KIND_ASSIGN = 4
 _KIND_PARAMS = 5
 
-# numpy's SeedSequence hash constants and default pool size, and PCG64's
-# 128-bit LCG multiplier (numpy/random/bit_generator.pyx, pcg64.h)
+# numpy's SeedSequence hash constants and default pool size
+# (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
-_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
 _MASK32 = (1 << 32) - 1
 
 # float64 entries per block of trials.  One cell's seed counts as
-# _SEED_ENTRIES of them: what it holds through its block's draws, two
-# 128-bit Python ints (44 bytes each), their tuple (56) and a list slot
-# (8), is 152 bytes or 19 entries, and 24 leaves room for the uint64 limbs
-# it is derived from.  The seeding pass itself peaks at about 54 entries a
-# cell (tracemalloc), briefly, before the block's draws start.
+# _SEED_ENTRIES of them: through the block's draws it holds four uint64
+# words (4 entries), but hashing them peaks at 33-34 entries a cell with a
+# one-word master seed and 35-36 with a two-word one (tracemalloc), after
+# the block's cost array is allocated.  The budget leaves out an evaluation
+# block's realized_revenue_table: its (trials, grid points) histogram,
+# cumulative sum and revenue table.
 _BLOCK_ELEMENTS = 1 << 15
-_SEED_ENTRIES = 24
+_SEED_ENTRIES = 36
 
 
 @dataclass(frozen=True)
@@ -263,28 +263,11 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> np.uint32(16))
 
 
-def _mul_high(a: np.ndarray, b: int) -> np.ndarray:
-    """The high 64 bits of each uint64 of ``a`` times the 64-bit int ``b``,
-    from the four products of their 32-bit halves, none of which wraps."""
-    half, low = np.uint64(32), np.uint64(_MASK32)
-    a0, a1 = a & low, a >> half
-    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
-    cross0, cross1 = a0 * b1, a1 * b0
-    carry = (a0 * b0 >> half) + (cross0 & low) + (cross1 & low)
-    return a1 * b1 + (cross0 >> half) + (cross1 >> half) + (carry >> half)
-
-
-def _pcg64_seeds(entropy: np.ndarray) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` seeded by ``SeedSequence(entropy=row)`` for
-    each row of an (N, L) uint32 entropy array.
-
-    The SeedSequence pool mixing and ``generate_state(4, uint64)`` run as
-    uint32 array arithmetic on the (pool word, row) array, one op per
-    source word.  PCG64's ``set_seed`` (state 0, inc = 2 seq + 1, step, add
-    the seed, step: state = ((inc + seed) * MULT + inc) mod 2**128) runs as
-    uint64 array arithmetic on each 128-bit number's high and low limbs,
-    and each cell's Python ints are built from the limbs at the end.
-    """
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy=row).generate_state(4, np.uint64)`` of each
+    row of an (N, L) uint32 entropy array, as an (N, 4) uint64 array, by
+    uint32 arithmetic on the (pool word, row) array, one op per source
+    word."""
     n, length = entropy.shape
     words = entropy.T  # (L, N)
     consts = _hash_constants(_INIT_A, _MULT_A, _POOL * max(_POOL, length))
@@ -302,31 +285,9 @@ def _pcg64_seeds(entropy: np.ndarray) -> list[tuple[int, int]]:
         pool = _mix(pool, _hashmix(words[src], consts[at : at + _POOL + 1]))
         at += _POOL
     out = _hashmix(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B, 8))
-    # little-endian word pairs: seed high, seed low, seq high, seq low
-    seed_hi, seed_lo, seq_hi, seq_lo = (
-        out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << np.uint64(32)
-    )
-    one, top = np.uint64(1), np.uint64(63)
-    mult_hi, mult_lo = divmod(_PCG_MULT, 1 << 64)
-    inc_hi, inc_lo = seq_hi << one | seq_lo >> top, seq_lo << one | one
-    # inc + seed, the low limb's carry into the high one
-    lo = inc_lo + seed_lo
-    hi = inc_hi + seed_hi + (lo < inc_lo)
-    # times MULT, mod 2**128: the high limb of lo * mult_lo plus the two
-    # cross products' low limbs
-    hi = _mul_high(lo, mult_lo) + lo * np.uint64(mult_hi) + hi * np.uint64(mult_lo)
-    lo = lo * np.uint64(mult_lo)
-    # plus inc
-    lo += inc_lo
-    hi += inc_hi + (lo < inc_lo)
-    # each cell's state and inc as 16 little-endian bytes, read as an int
-    state = np.stack([lo, hi], axis=1).astype("<u8", copy=False).tobytes()
-    inc = np.stack([inc_lo, inc_hi], axis=1).astype("<u8", copy=False).tobytes()
-    to_int = int.from_bytes
-    return [
-        (to_int(state[k : k + 16], "little"), to_int(inc[k : k + 16], "little"))
-        for k in range(0, len(state), 16)
-    ]
+    # each uint64 word is a little-endian pair of uint32 words
+    state = out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << np.uint64(32)
+    return state.T
 
 
 def _int_words(value: int) -> list[int]:
@@ -341,10 +302,11 @@ def _int_words(value: int) -> list[int]:
     return words
 
 
-def _cell_seeds(seed: int, *key) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``SeedSequence(entropy=(seed, *key))`` for
-    every cell.  Key entries are ints or arrays of nonnegative ints (below
-    2**64); arrays broadcast, and cells run in C order of the broadcast."""
+def _cell_seeds(seed: int, *key) -> np.ndarray:
+    """``SeedSequence(entropy=(seed, *key)).generate_state(4, np.uint64)``
+    of every cell, as a C-contiguous (cells, 4) uint64 array.  Key entries
+    are ints or arrays of nonnegative ints (below 2**64); arrays broadcast,
+    and cells run in C order of the broadcast."""
     shape = np.broadcast_shapes(*(np.shape(k) for k in key))
     cols = [np.broadcast_to(np.asarray(k, dtype=np.uint64), shape).ravel() for k in key]
     lead = _int_words(int(seed))
@@ -353,7 +315,7 @@ def _cell_seeds(seed: int, *key) -> list[tuple[int, int]]:
     layout = np.zeros(math.prod(shape), dtype=np.int64)
     for j, c in enumerate(cols):
         layout |= (c > _MASK32).astype(np.int64) << j
-    seeds: list = [None] * layout.size
+    seeds = np.empty((layout.size, 4), dtype=np.uint64)
     for code in np.flatnonzero(np.bincount(layout)).tolist():
         rows = np.flatnonzero(layout == code)
         words = [np.full(rows.size, w, dtype=np.uint64) for w in lead]
@@ -361,38 +323,41 @@ def _cell_seeds(seed: int, *key) -> list[tuple[int, int]]:
             words.append(c[rows] & np.uint64(_MASK32))
             if code >> j & 1:
                 words.append(c[rows] >> np.uint64(32))
-        entropy = np.stack(words, axis=1).astype(np.uint32)
-        for row, cell in zip(rows.tolist(), _pcg64_seeds(entropy)):
-            seeds[row] = cell
+        seeds[rows] = _seed_words(np.stack(words, axis=1).astype(np.uint32))
     return seeds
 
 
-def _streams(seed: int, *key) -> Iterator[np.random.Generator]:
-    """One Generator per cell of :func:`_cell_seeds`, in order.
+@functools.cache
+def _cell_seed_sequence() -> type:
+    """The ``numpy.random.bit_generator.ISeedSequence`` that hands PCG64 a
+    cell's words: a contiguous row of :func:`_cell_seeds`, which PCG64 reads
+    by pointer as ``generate_state(4, np.uint64)``.  Built on first use, so
+    that importing this module does not import ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    It is the same Generator each time, re-seeded for the next cell, so a
-    cell's draws must be taken before the iteration moves on.
-    """
-    rng = np.random.Generator(np.random.PCG64(0))  # the seed is overwritten
-    bitgen = rng.bit_generator
-    # one state dict, updated per cell: the setter copies what it reads
-    cell = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": cell, "has_uint32": 0, "uinteger": 0}
-    for state, inc in _cell_seeds(seed, *key):
-        cell["state"], cell["inc"] = state, inc
-        bitgen.state = full
-        yield rng
+    class CellSeedSequence(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return CellSeedSequence
+
+
+def _streams(seed: int, *key) -> Iterator[np.random.Generator]:
+    """A fresh Generator for each cell of :func:`_cell_seeds`, in order:
+    numpy's own PCG64 seeded with the cell's words, which draws as PCG64
+    seeded by ``SeedSequence(entropy=(seed, *key))``.  Under numpy's
+    stream-compatibility policy (NEP 19) the draws are the same on every
+    numpy version."""
+    cell_seed = _cell_seed_sequence()
+    for words in _cell_seeds(seed, *key):
+        yield np.random.Generator(np.random.PCG64(cell_seed(words)))
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
-    """The generator of one (kind, trial, link, ...) cell.
-
-    Every cell's stream is PCG64 seeded by
-    ``SeedSequence(entropy=(seed, *key))``; the drivers compute those seeds
-    in batches (:func:`_cell_seeds`), this is the batch of one.  Under
-    numpy's stream-compatibility policy (NEP 19) the draws are the same on
-    every numpy version.
-    """
+    """The generator of one (kind, trial, link, ...) cell: the batch of one."""
     return next(_streams(seed, *key))
 
 

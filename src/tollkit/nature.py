@@ -567,6 +567,15 @@ def _solutions(
     return tuple(solutions)
 
 
+def _require_level_cells(n_tolls: int, n: int) -> None:
+    """Refuse levels past ``_MAX_LEVEL_CELLS``, from the counts alone."""
+    if n_tolls * n > _MAX_LEVEL_CELLS:
+        raise ValueError(
+            f"{n_tolls} tolls on a grid of {n} points exceed the bound of "
+            f"{_MAX_LEVEL_CELLS} tolls x points"
+        )
+
+
 def _solve_nature(
     grid: PriceGrid, env: MomentEnvelope, r, objective: str
 ) -> NatureSolution | tuple[NatureSolution, ...]:
@@ -574,18 +583,14 @@ def _solve_nature(
     tolls = np.asarray(r, dtype=float)
     if tolls.ndim > 1:
         raise ValueError("tolls must be one toll or a 1-D array of tolls")
+    n = grid.n_points
+    _require_level_cells(tolls.size, n)
     tolls = tolls.reshape(-1).tolist()
     for toll in tolls:
         grid.require_toll(toll)
     env.validate_against(grid)
     if not tolls:
         return ()
-    n = grid.n_points
-    if len(tolls) * n > _MAX_LEVEL_CELLS:
-        raise ValueError(
-            f"{len(tolls)} tolls on a grid of {n} points exceed the bound of "
-            f"{_MAX_LEVEL_CELLS} tolls x points"
-        )
     if abs(env.u_upper - env.u_lower) > 1e-12 and n * (n - 1) // 2 > _MAX_PAIRS:
         raise ValueError(
             f"an interval mean band on a grid of {n} points needs {n * (n - 1) // 2} "
@@ -624,6 +629,15 @@ def solve_nature_an(
 # ---------------------------------------------------------------------------
 
 
+def _require_lower_cells(T: int, n_lows: int) -> None:
+    """Refuse a two-point table past ``_MAX_LOWER_CELLS``, from the counts alone."""
+    if (T - 1) * n_lows > _MAX_LOWER_CELLS:
+        raise ValueError(
+            f"{T - 1} skip counts x {n_lows} points below the mean exceed the bound of "
+            f"{_MAX_LOWER_CELLS} counts x points"
+        )
+
+
 def first_feasible_lower(
     lows: np.ndarray, mu: float, kappa_bar: float, T: int, Q: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -640,11 +654,7 @@ def first_feasible_lower(
     it is built.
     """
     lows = np.asarray(lows, dtype=float)
-    if (T - 1) * lows.size > _MAX_LOWER_CELLS:
-        raise ValueError(
-            f"{T - 1} skip counts x {lows.size} points below the mean exceed the bound of "
-            f"{_MAX_LOWER_CELLS} counts x points"
-        )
+    _require_lower_cells(T, lows.size)
     counts = np.arange(T - 1, 0, -1)
     low = counts[:, None]
     high = T - low
@@ -700,6 +710,7 @@ def solve_nature_two_point(
     if kappa_bar < 0:
         raise ValueError("kappa_bar must be >= 0")
     grid.require_toll(r)
+    _require_lower_cells(T, grid.count_below(mu))
     points = grid.points()
     table = first_feasible_lower(points[points < mu], mu, kappa_bar, T, grid.Q)
     (count,), (lower,), (upper,) = two_point_responses(table, mu, T, [r])

@@ -32,6 +32,8 @@ from . import _lazy_getattr
 from .core import MomentEnvelope, PriceGrid, require_horizon
 from .nature import (
     TwoPointResponse,
+    _require_level_cells,
+    _require_lower_cells,
     first_feasible_lower,
     solve_nature_ufn,
     two_point_responses,
@@ -101,6 +103,7 @@ def _two_point_scan(
     env.validate_against(grid)
     require_horizon(T, 2)
     mu = env.u_lower
+    _require_lower_cells(T, grid.count_below(mu))  # before any point is built
     points = grid.points()
     table = first_feasible_lower(points[points < mu], mu, env.kappa_bar, T, grid.Q)
     _, lower, upper = table
@@ -144,10 +147,12 @@ def epsilon_sweep_robust_toll(
     ``nature`` is called once, as ``nature(grid, env, grid.points())``, and
     must return one ``NatureSolution`` per grid toll, in grid order, as
     ``solve_nature_ufn`` and ``solve_nature_an`` do for an array of tolls.
-    Every toll is solved, including those below where the walk stops.
+    Every toll is solved, including those below where the walk stops; a
+    grid too fine for that is refused before any point is built.
     """
     env.validate_against(grid)
     require_horizon(T, 1)
+    _require_level_cells(grid.n_points, grid.n_points)
     points = grid.points()
     usage = [sol.usage_probability for sol in nature(grid, env, points)]
 

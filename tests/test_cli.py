@@ -364,12 +364,42 @@ def test_near_infeasible_point_band_exits_2(tmp_path, capsys, argv):
             "49 skip counts x 2000000 points below the mean exceed the bound of "
             "50000000 counts x points",
         ),
+        # 2e11 points, 1.46 TiB as an array
+        (
+            ["price", "--grid-step", "1e-9", "--u-lower", "100", "--u-upper", "110"],
+            "49 skip counts x 100000000000 points below the mean exceed the bound of "
+            "50000000 counts x points",
+        ),
+        (
+            ["price", "--grid-step", "1e-9", "--u-lower", "100", "--u-upper", "110"]
+            + ["--method", "sweep"],
+            "200000000001 tolls on a grid of 200000000001 points exceed the bound of "
+            "16008001 tolls x points",
+        ),
+        (
+            ["nature", "--grid-step", "1e-9", "--u-lower", "100", "--u-upper", "110"]
+            + ["--toll", "100"],
+            "1 tolls on a grid of 200000000001 points exceed the bound of "
+            "16008001 tolls x points",
+        ),
     ],
-    ids=["nature-pair-table", "price-sweep-levels", "price-two-point-table"],
+    ids=[
+        "nature-pair-table",
+        "price-sweep-levels",
+        "price-two-point-table",
+        "price-two-point-unbuildable",
+        "price-sweep-unbuildable",
+        "nature-unbuildable",
+    ],
 )
-def test_grid_too_fine_to_finish_exits_2(tmp_path, capsys, argv, message):
-    # Calls whose arrays could not be built are refused before any is: one
-    # error line naming the grid's point count and the bound.
+def test_grid_too_fine_to_finish_exits_2(tmp_path, capsys, monkeypatch, argv, message):
+    # Calls whose arrays could not be built are refused before any is, from
+    # the grid's counts: one error line naming the grid's point count and
+    # the bound, and no grid point built.
+    def unbuilt(grid):
+        raise AssertionError("a refused run built its grid's points")
+
+    monkeypatch.setattr(PriceGrid, "points", unbuilt)
     out = tmp_path / "out"
     assert main(argv + ["--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
@@ -1234,23 +1264,30 @@ def test_subcommands_call_the_names_set_on_the_module(
 
 
 # Runs one subcommand and prints the tollkit modules it loaded, last.
-# The tollkit modules a process loaded, and ``numpy`` when it loaded numpy.
+# The tollkit modules a process loaded, and ``numpy`` and ``numpy.random``
+# when it loaded them.
 FOOTPRINT = """
 import sys
-from tollkit.cli import main
-code = main(sys.argv[1:]) if len(sys.argv) > 1 else None
-print(code, *sorted(m for m in sys.modules if m.startswith("tollkit.") or m == "numpy"))
+if sys.argv[1] == "import":
+    __import__(sys.argv[2])
+    code = None
+else:
+    from tollkit.cli import main
+    code = main(sys.argv[2:]) if len(sys.argv) > 2 else None
+shown = ("numpy", "numpy.random")
+print(code, *sorted(m for m in sys.modules if m.startswith("tollkit.") or m in shown))
 """
 
 
-def loaded_modules(tmp_path, argv):
+def loaded_modules(tmp_path, argv, module=None):
     """Run ``argv`` through the CLI in a new process; no ``argv`` only
-    imports ``tollkit.cli``."""
+    imports ``tollkit.cli``, and ``module`` imports that module instead."""
     src = os.path.dirname(os.path.dirname(tollkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     if argv:
         argv = [*argv, "--out-dir", str(tmp_path / "out")]
+    argv = ["import", module] if module else ["cli", *argv]
     done = subprocess.run(
         [sys.executable, "-c", FOOTPRINT, *argv],
         env=env,
@@ -1263,6 +1300,9 @@ def loaded_modules(tmp_path, argv):
 
 
 def test_each_subcommand_imports_only_what_it_uses(tmp_path):
+    # numpy.random loads only in the runs that draw (numpy before 2.0 loads
+    # it with numpy itself)
+    random = loaded_modules(tmp_path, [], module="numpy")[1] - {"numpy"}
     bounds, incidence = allocation_fixture(tmp_path)
     code, modules = loaded_modules(
         tmp_path, ["allocate", "--bounds", bounds, "--incidence", incidence]
@@ -1271,21 +1311,31 @@ def test_each_subcommand_imports_only_what_it_uses(tmp_path):
     code, modules = loaded_modules(
         tmp_path, ["nature", "--u-lower", "100", "--u-upper", "100", "--toll", "80"]
     )
-    assert (code, modules) == (0, {"cli", "config", "core", "lp", "nature", "numpy"})
+    assert (code, modules) == (0, {"cli", "config", "core", "lp", "nature", "numpy"} | random)
     code, modules = loaded_modules(tmp_path, ["price", "--u-lower", "100", "--u-upper", "110"])
-    assert (code, modules) == (0, {"cli", "config", "core", "lp", "nature", "pricing", "numpy"})
+    assert (code, modules) == (
+        0,
+        {"cli", "config", "core", "lp", "nature", "pricing", "numpy"} | random,
+    )
     code, modules = loaded_modules(
         tmp_path, ["ingest", "--records", crossing_feed(tmp_path / "records.csv")]
     )
-    assert (code, modules) == (0, {"cli", "config", "core", "ingest", "network", "numpy"})
+    assert (code, modules) == (0, {"cli", "config", "core", "ingest", "network", "numpy"} | random)
+    drawing = {"experiments", "lp", "nature", "network", "pricing", "numpy", "numpy.random"}
     code, modules = loaded_modules(
         tmp_path,
         ["real-exp", "--arcs", str(tmp_path / "out" / "arcs.csv"), "--pairs", "2"]
         + ["--states", str(tmp_path / "out" / "states.csv")],
     )
-    assert (code, modules) == (
-        0,
-        {"cli", "config", "core", "experiments", "lp", "nature", "network", "pricing", "numpy"},
+    assert (code, modules) == (0, {"cli", "config", "core"} | drawing)
+    code, modules = loaded_modules(
+        tmp_path, ["simulate", "--history-samples", "2", "--eval-samples", "5"]
+    )
+    assert (code, modules) == (0, {"cli", "config", "core"} | drawing)
+    # the experiment drivers load numpy.random on their first draw
+    assert loaded_modules(tmp_path, [], module="tollkit.experiments") == (
+        None,
+        {"core", "experiments", "lp", "nature", "network", "pricing", "numpy"} | random,
     )
     # Processes that compute with no array load no numpy.
     assert loaded_modules(tmp_path, []) == (None, {"cli", "config", "core"})

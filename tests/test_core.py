@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -124,6 +125,20 @@ def test_grid_snap_array_matches_snap():
         halves = g.points() + step / 2  # exact ties round up
         values = np.concatenate([rng.uniform(q - 20.0, Q + 20.0, 300), halves, g.points()])
         assert g.snap_array(values).tolist() == [g.snap(v) for v in values.tolist()]
+
+
+def test_grid_count_below_matches_the_built_points():
+    rng = np.random.default_rng(SEED)
+    grids = [PriceGrid(0.0, 200.0, 1.0), PriceGrid(0, 200, 1), PriceGrid(0.1, 0.7, 0.1)]
+    grids += [PriceGrid(0.1234567891, 200.1234567891, 0.25), PriceGrid(-3.0, 7.5, 0.25)]
+    for q, span, step in zip(rng.uniform(0, 50, 20), rng.integers(1, 400, 20), rng.uniform(0.01, 3, 20)):
+        grids.append(PriceGrid(float(q), float(q + span * step), float(step)))
+    for g in grids:
+        points = g.points()
+        near = np.concatenate([points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)])
+        values = np.concatenate([near, rng.uniform(g.q - 5, g.Q + 5, 50), [-np.inf, np.inf, np.nan]])
+        for v in values.tolist():
+            assert g.count_below(v) == np.count_nonzero(points < v), (g, v)
 
 
 def test_grid_index_round_trip():
@@ -325,6 +340,25 @@ def test_history_clamps_and_warns_above_threshold():
         warnings.simplefilter("error")
         hist = read_cost_history(io.StringIO("\n".join(rows)), g, T=20, windows=1)
     assert hist[:, 0].tolist() == [10.0] + [5.0] * 19
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({"windows": 0}, "windows must be >= 1, got 0"),
+        ({"windows": -1}, "windows must be >= 1, got -1"),
+        ({"windows": True}, "windows must be an integer, got True"),
+        ({"windows": 1.0}, "windows must be an integer, got 1.0"),
+        ({"T": 0}, "T must be >= 1, got 0"),
+        ({"T": -2, "windows": 2}, "T must be >= 1, got -2"),
+        ({"T": True}, "T must be an integer, got True"),
+        ({"T": 2.0}, "T must be an integer, got 2.0"),
+    ],
+)
+def test_history_rejects_bad_window_counts_by_name(counts, message):
+    text = "state,arc,cost\n0,0,1\n1,0,2\n"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_cost_history(io.StringIO(text), PriceGrid(0.0, 10.0, 1.0), **counts)
 
 
 def test_history_incomplete_matrix_errors():

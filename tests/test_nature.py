@@ -842,12 +842,16 @@ def test_grid_too_fine_to_finish_is_refused_before_building(monkeypatch):
 
     monkeypatch.setattr(nature, "_levels", refuse)
     monkeypatch.setattr(nature, "_MAX_LEVEL_CELLS", 20 * 20 - 1)
-    for env in (interval, point):
-        with pytest.raises(ValueError) as got:
-            solve_nature_an(grid, env, grid.points())
-        assert str(got.value) == (
-            "20 tolls on a grid of 20 points exceed the bound of 399 tolls x points"
-        )
+    tolls = grid.points()
+    with monkeypatch.context() as patched:
+        # the toll count is refused before any toll is checked
+        patched.setattr(PriceGrid, "require_toll", refuse)
+        for env in (interval, point):
+            with pytest.raises(ValueError) as got:
+                solve_nature_an(grid, env, tolls)
+            assert str(got.value) == (
+                "20 tolls on a grid of 20 points exceed the bound of 399 tolls x points"
+            )
     monkeypatch.setattr(nature, "_MAX_PAIRS", 189)
     with pytest.raises(ValueError) as got:
         solve_nature_ufn(grid, interval, 9.0)
@@ -1508,6 +1512,15 @@ def test_two_point_table_past_its_bound_is_refused(monkeypatch):
     assert str(got.value) == (
         "9 skip counts x 60 points below the mean exceed the bound of 539 counts x points"
     )
+
+    def unbuilt(grid):
+        raise AssertionError("a refused call built its grid's points")
+
+    # the points below the mean are counted before any is built
+    monkeypatch.setattr(PriceGrid, "points", unbuilt)
+    with pytest.raises(ValueError) as again:
+        solve_nature_two_point(grid, 60.0, 1.0, 10, 70.0)
+    assert str(again.value) == str(got.value)
 
 
 def test_two_point_responses_in_blocks_match_one_block(monkeypatch):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracle import two_point_reference
+from tollkit import nature
 from tollkit.core import (
     DiscreteDistribution,
     MomentEnvelope,
@@ -41,6 +42,32 @@ T50 = 50
 
 
 # --- robust toll search -------------------------------------------------------
+
+
+def test_fine_grids_are_refused_before_any_point_is_built(monkeypatch):
+    # At the bounds the curve scan and the sweep run; one cell past them
+    # each is refused with its sizes, from the grid's counts alone.
+    grid = PriceGrid(0.0, 19.0, 1.0)  # 20 points, 12 below the mean
+    env = MomentEnvelope(12.0, 14.0, 2.0)
+    monkeypatch.setattr(nature, "_MAX_LOWER_CELLS", 9 * 12)
+    monkeypatch.setattr(nature, "_MAX_LEVEL_CELLS", 20 * 20)
+    assert two_point_robust_toll(grid, env, 10).toll == 11.0
+    assert epsilon_sweep_robust_toll(grid, env, 10).toll == 11.0
+    monkeypatch.setattr(nature, "_MAX_LOWER_CELLS", 9 * 12 - 1)
+    monkeypatch.setattr(nature, "_MAX_LEVEL_CELLS", 20 * 20 - 1)
+
+    def unbuilt(grid):
+        raise AssertionError("a refused call built its grid's points")
+
+    monkeypatch.setattr(PriceGrid, "points", unbuilt)
+    with pytest.raises(ValueError) as got:
+        two_point_robust_toll(grid, env, 10)
+    assert str(got.value) == (
+        "9 skip counts x 12 points below the mean exceed the bound of 107 counts x points"
+    )
+    with pytest.raises(ValueError) as got:
+        epsilon_sweep_robust_toll(grid, env, 10)
+    assert str(got.value) == "20 tolls on a grid of 20 points exceed the bound of 399 tolls x points"
 
 
 def test_zero_variance_prices_the_band_floor():

@@ -1,9 +1,9 @@
 """Batched seeding of the regret drivers' random streams.
 
 Each (kind, trial, link) cell draws from PCG64 seeded by
-``SeedSequence(entropy=(seed, kind, trial, link))``.  The drivers derive
-those states for a whole block of cells in one array pass and re-seed one
-shared Generator per cell; these tests hold both against numpy's own
+``SeedSequence(entropy=(seed, kind, trial, link))``.  The drivers hash
+the seed words of a whole block of cells in one array pass and hand each
+cell's words to a fresh PCG64; these tests hold both against numpy's own
 seeding and the drivers against a per-cell reference loop.
 """
 
@@ -58,12 +58,17 @@ def numpy_state(*entropy: int) -> dict:
     return np.random.PCG64(np.random.SeedSequence(entropy=entropy)).state
 
 
+def numpy_words(*entropy: int) -> list[int]:
+    return np.random.SeedSequence(entropy=entropy).generate_state(4, np.uint64).tolist()
+
+
 def reference_stream(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
 
-def as_cells(seeds) -> list[dict]:
-    return [{"state": state, "inc": inc} for state, inc in seeds]
+def as_cells(seeds: np.ndarray) -> list[list[int]]:
+    assert seeds.dtype == np.uint64 and seeds.flags.c_contiguous and seeds.shape[1:] == (4,)
+    return seeds.tolist()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -71,46 +76,46 @@ def test_batched_seeds_match_seed_sequence(seed):
     for kind in KINDS:
         got = as_cells(_cell_seeds(seed, kind, TRIALS[:, None], LINKS))
         want = [
-            numpy_state(seed, kind, trial, link)["state"]
+            numpy_words(seed, kind, trial, link)
             for trial in TRIALS.tolist()
             for link in LINKS.tolist()
         ]
         assert got == want, kind
         # one-word, four-word and five-word keys: shorter than, as long as
         # and longer than the SeedSequence pool
-        assert as_cells(_cell_seeds(seed, kind)) == [numpy_state(seed, kind)["state"]]
+        assert as_cells(_cell_seeds(seed, kind)) == [numpy_words(seed, kind)]
         assert as_cells(_cell_seeds(seed, kind, 2**32 + 9, 2**63 + 1)) == [
-            numpy_state(seed, kind, 2**32 + 9, 2**63 + 1)["state"]
+            numpy_words(seed, kind, 2**32 + 9, 2**63 + 1)
         ]
         assert _stream(seed, kind, 3).bit_generator.state == numpy_state(seed, kind, 3)
+        assert _stream(seed, kind, 2**40 + 5, 2**33 + 1).bit_generator.state == numpy_state(
+            seed, kind, 2**40 + 5, 2**33 + 1
+        )
 
 
-def test_limb_seeding_matches_numpy_on_random_cells():
+def test_batched_seeding_matches_numpy_on_random_cells():
     # 2,400 cells in 8 blocks of random seeds and key entries below and
     # past 2**32, mixed within each block, so one- and two-word entries
-    # hash in separate groups.  The low limb of inc + seed carries into the
-    # high limb in about half the cells; both branches occur.  The first
-    # cells of each block also run as a block of one cell, as _stream
-    # seeds its cell.
+    # hash in separate groups.  Every cell's generator state is checked,
+    # and the first cells of each block also run as a block of one cell,
+    # as _stream seeds its cell.
     draws = random.Random(SEED + 1)
-    carries = set()
     for _ in range(8):
         seed = draws.getrandbits(draws.choice([8, 32, 64, 100]))
         kind = draws.choice(KINDS)
         trials = [draws.getrandbits(draws.choice([10, 32, 40, 64])) for _ in range(100)]
         links = [draws.getrandbits(draws.choice([2, 32, 33])) for _ in range(3)]
         key = np.array(trials, dtype=np.uint64)[:, None], np.array(links, dtype=np.uint64)
-        got = _cell_seeds(seed, kind, *key)
+        got = as_cells(_cell_seeds(seed, kind, *key))
+        streams = _streams(seed, kind, *key)
         cells = [(seed, kind, trial, link) for trial in trials for link in links]
         assert len(got) == len(cells) == 300
-        for k, (entropy, (state, inc)) in enumerate(zip(cells, got)):
-            assert {"state": state, "inc": inc} == numpy_state(*entropy)["state"], entropy
-            _, seed_lo, _, seq_lo = np.random.SeedSequence(entropy).generate_state(4, np.uint64).tolist()
-            carries.add((2 * seq_lo + 1) % 2**64 + seed_lo >= 2**64)
+        for k, (entropy, words, rng) in enumerate(zip(cells, got, streams, strict=True)):
+            assert words == numpy_words(*entropy), entropy
+            assert rng.bit_generator.state == numpy_state(*entropy), entropy
             if k < 10:
-                assert _cell_seeds(*entropy) == [(state, inc)]
+                assert as_cells(_cell_seeds(*entropy)) == [words]
                 assert _stream(*entropy).bit_generator.state == numpy_state(*entropy)
-    assert carries == {False, True}
 
 
 def test_seeds_reject_negative_entries():
@@ -275,7 +280,7 @@ def ref_dynamic(cfg, spec):
     return 100.0 * series
 
 
-# 131 evaluations split 43/44/44 at the default block size with 7 links
+# 131 evaluations split 65/66 at the default block size with 7 links
 # and T = 10, and into 131 blocks when a block holds one trial.
 @pytest.mark.parametrize("block", [None, 1])
 @pytest.mark.parametrize("links, H", [(1, 1), (1, 3), (7, 1), (7, 3)])
