@@ -6,11 +6,12 @@ so every trial is reproducible in isolation and the family-choice stream of
 the mixed experiment never touches the cost stream.  Pinning the mixed
 family pool to a single family therefore reproduces the fixed-family run
 bit for bit.  The drivers seed a block of trials at once: one pass of
-uint32 array arithmetic runs numpy's SeedSequence hash for every cell, and
-each cell draws from a fresh numpy PCG64 Generator seeded with its four
-hashed words.  A cell draws raw values; the family's affine cost mapping
-and clamp run once over the whole block.  The links' parameters and the
-mixed family assignment take one seeding pass over all links each.
+uint32 array arithmetic runs numpy's SeedSequence hash for every cell of
+the block (each key entry one 32-bit word; counts at or past 2**32 are
+refused), and each cell draws from a fresh numpy PCG64 Generator seeded
+with its four hashed words.  A cell draws raw values; the family's affine
+cost mapping and clamp run once over the whole block.  The links'
+parameters and the mixed family assignment each seed all links at once.
 
 Each link's distribution parameters are drawn once per run (their own
 substream) and shared by every history and evaluation trial: a history
@@ -93,12 +94,11 @@ _POOL = 4
 _MASK32 = (1 << 32) - 1
 
 # float64 entries per block of trials.  One cell's seed counts as
-# _SEED_ENTRIES of them: through the block's draws it holds four uint64
-# words (4 entries), but hashing them peaks at 33-34 entries a cell with a
-# one-word master seed and 35-36 with a two-word one (tracemalloc), after
-# the block's cost array is allocated.  The budget leaves out an evaluation
-# block's realized_revenue_table: its (trials, grid points) histogram,
-# cumulative sum and revenue table.
+# _SEED_ENTRIES of them: it holds four uint64 words through the draws, and
+# hashing them peaks at 20-22 entries a cell (tracemalloc); 36, the peak of
+# an earlier hash, keeps block boundaries where they were.  The budget
+# leaves out an evaluation block's realized_revenue_table: its (trials,
+# grid points) histogram, cumulative sum and revenue table.
 _BLOCK_ELEMENTS = 1 << 15
 _SEED_ENTRIES = 36
 
@@ -144,43 +144,27 @@ class DistributionSpec:
             raise ValueError("clamp range must satisfy lower <= upper")
 
 
-def family_spec(family: str, grid: PriceGrid) -> DistributionSpec:
-    """The stock parameter intervals and cost mapping for one family.
+# Each stock family's parameter intervals, as the source table prints them
+# (gamma's second upper-first), and the scale of its raw draws; beta's
+# unit-interval draws (scale None) span the grid range instead.
+_STOCK_FAMILIES = {
+    "beta": (((2.0, 5.0), (2.0, 5.0)), None),
+    "gamma": (((1.0, 3.0), (1.0 / 3.0, 1.0 / 5.0)), 100.0),
+    "normal": (((90.0, 110.0), (10.0, 30.0)), 1.0),
+    "lognormal": (((0.1, 0.3), (0.1, 0.3)), 100.0),
+}
 
-    Unit-interval draws (beta) are mapped affinely onto the grid range;
-    gamma and lognormal draws live near 1 and are scaled by 100; normal
-    draws are already in money units.
-    """
-    fam = family.lower()
-    if fam == "beta":
-        return DistributionSpec(
-            "beta",
-            ((2.0, 5.0), (2.0, 5.0)),
-            cost_mapping=(grid.Q - grid.q, grid.q),
-            clamp=(grid.q, grid.Q),
-        )
-    if fam == "gamma":
-        # Second interval is printed upper-first in the source table.
-        return DistributionSpec(
-            "gamma",
-            ((1.0, 3.0), (1.0 / 3.0, 1.0 / 5.0)),
-            cost_mapping=(100.0, 0.0),
-            clamp=(grid.q, grid.Q),
-        )
-    if fam == "normal":
-        return DistributionSpec(
-            "normal",
-            ((90.0, 110.0), (10.0, 30.0)),
-            clamp=(grid.q, grid.Q),
-        )
-    if fam == "lognormal":
-        return DistributionSpec(
-            "lognormal",
-            ((0.1, 0.3), (0.1, 0.3)),
-            cost_mapping=(100.0, 0.0),
-            clamp=(grid.q, grid.Q),
-        )
-    raise ValueError(f"unknown cost family {family!r}; expected one of {FAMILIES}")
+
+def family_spec(family: str, grid: PriceGrid) -> DistributionSpec:
+    """One family's stock spec, its costs clamped to the grid range.  An
+    unknown family is refused by ``DistributionSpec``, by name."""
+    intervals, scale = _STOCK_FAMILIES.get(family.lower(), (None, None))
+    return DistributionSpec(
+        family,
+        intervals,
+        cost_mapping=(grid.Q - grid.q, grid.q) if scale is None else (scale, 0.0),
+        clamp=(grid.q, grid.Q),
+    )
 
 
 @dataclass(frozen=True)
@@ -203,6 +187,10 @@ class ExperimentConfig:
         for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive count")
+        # trial and link indices are one seed key word each
+        for name in ("links", "history_samples", "eval_samples"):
+            if getattr(self, name) > _MASK32:
+                raise ValueError(f"{name} must be below 2**32")
         require_horizon(self.T, 2)
         require_finite(kappa_bar=self.kappa_bar, confidence_z=self.confidence_z)
         if self.kappa_bar < 0:
@@ -294,7 +282,7 @@ def _int_words(value: int) -> list[int]:
     """SeedSequence's uint32 words of a nonnegative int, least significant
     first (0 is one word)."""
     if value < 0:
-        raise ValueError("seed and key entries must be nonnegative integers")
+        raise ValueError("seed must be a nonnegative integer")
     words = [value & _MASK32]
     while value > _MASK32:
         value >>= 32
@@ -305,26 +293,18 @@ def _int_words(value: int) -> list[int]:
 def _cell_seeds(seed: int, *key) -> np.ndarray:
     """``SeedSequence(entropy=(seed, *key)).generate_state(4, np.uint64)``
     of every cell, as a C-contiguous (cells, 4) uint64 array.  Key entries
-    are ints or arrays of nonnegative ints (below 2**64); arrays broadcast,
-    and cells run in C order of the broadcast."""
+    are ints or arrays of ints in [0, 2**32), one entropy word each; arrays
+    broadcast, and cells run in C order of the broadcast."""
     shape = np.broadcast_shapes(*(np.shape(k) for k in key))
-    cols = [np.broadcast_to(np.asarray(k, dtype=np.uint64), shape).ravel() for k in key]
     lead = _int_words(int(seed))
-    # bit j of a cell's layout: key entry j takes two words; cells with the
-    # same layout hash together
-    layout = np.zeros(math.prod(shape), dtype=np.int64)
-    for j, c in enumerate(cols):
-        layout |= (c > _MASK32).astype(np.int64) << j
-    seeds = np.empty((layout.size, 4), dtype=np.uint64)
-    for code in np.flatnonzero(np.bincount(layout)).tolist():
-        rows = np.flatnonzero(layout == code)
-        words = [np.full(rows.size, w, dtype=np.uint64) for w in lead]
-        for j, c in enumerate(cols):
-            words.append(c[rows] & np.uint64(_MASK32))
-            if code >> j & 1:
-                words.append(c[rows] >> np.uint64(32))
-        seeds[rows] = _seed_words(np.stack(words, axis=1).astype(np.uint32))
-    return seeds
+    entropy = np.empty((math.prod(shape), len(lead) + len(key)), dtype=np.uint32)
+    entropy[:, : len(lead)] = lead
+    for j, k in enumerate(key):
+        k = np.asarray(k)
+        if k.size and not (k.min() >= 0 and k.max() <= _MASK32):
+            raise ValueError(f"seed key entry {j} must lie in [0, 2**32)")
+        entropy[:, len(lead) + j] = np.broadcast_to(k, shape).ravel()
+    return np.ascontiguousarray(_seed_words(entropy))
 
 
 @functools.cache
@@ -372,15 +352,10 @@ def _draw_params(
 def _draw_costs(
     spec: DistributionSpec, a: float, b: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """``n`` i.i.d. raw draws from one parametrized family.  Callers map
-    them (``offset + scale * raw``, over a whole block at once) and clamp."""
-    if spec.family == "beta":
-        return rng.beta(a, b, n)
-    if spec.family == "gamma":
-        return rng.gamma(a, b, n)
-    if spec.family == "normal":
-        return rng.normal(a, b, n)
-    return rng.lognormal(a, b, n)
+    """``n`` i.i.d. raw draws from one parametrized family, by the Generator
+    method of its name.  Callers map them (``offset + scale * raw``, over a
+    whole block at once) and clamp."""
+    return getattr(rng, spec.family)(a, b, n)
 
 
 def sample_costs(spec: DistributionSpec, n: int, seed) -> np.ndarray:

@@ -266,17 +266,14 @@ _PICK_CELLS = 1 << 20
 _NO_FIT = "no grid-supported distribution satisfies the moment envelope"
 
 
-def _tie_pick(objective: np.ndarray, usage, cube) -> np.ndarray | int:
+def _tie_pick(objective: np.ndarray, usage, cube) -> np.ndarray:
     """Nature's pick in each row of ``objective``, shape (rows,
     candidates): of the candidates within ``_TIE_TOL`` of the row's lowest
     objective, then within ``_TIE_TOL`` of the lowest usage among them, the
     index of the lowest cube, the first on an exact tie.  ``usage`` and
     ``cube`` index as (rows, candidates) arrays do, and are read only on
     the cells ``[rows, cols]`` the rule reaches: usage on each row's ties,
-    the cube on the ties that also tie on usage.  Flat key arrays are one
-    row, and give one int."""
-    if objective.ndim == 1:
-        return int(_tie_pick(objective[None], usage[None], cube[None])[0])
+    the cube on the ties that also tie on usage."""
     ties = objective <= objective.min(axis=1, keepdims=True) + _TIE_TOL
     rows, cols = np.divmod(np.flatnonzero(ties), objective.shape[1])
     # each row's cells are ordered by column, and every row has one, so
@@ -388,8 +385,6 @@ def _simplex_minima(
     ``_moment_tols`` of the grid's scale): phase 1 accepts a residual
     looser than those.
     """
-    if abs(env.u_upper - env.u_lower) > 1e-12:
-        raise ValueError("simplex path requires a point mean band")
     points = grid.points()
     mu, kappa = env.u_lower, env.kappa_bar
     cap = mu * mu + kappa * mu
@@ -710,9 +705,11 @@ def solve_nature_two_point(
     if kappa_bar < 0:
         raise ValueError("kappa_bar must be >= 0")
     grid.require_toll(r)
-    _require_lower_cells(T, grid.count_below(mu))
-    points = grid.points()
-    table = first_feasible_lower(points[points < mu], mu, kappa_bar, T, grid.Q)
+    n_lows = grid.count_below(mu)
+    _require_lower_cells(T, n_lows)
+    # the points below the mean: the grid's first n_lows, as points() builds them
+    lows = grid.q + grid.step * np.arange(n_lows)
+    table = first_feasible_lower(lows, mu, kappa_bar, T, grid.Q)
     (count,), (lower,), (upper,) = two_point_responses(table, mu, T, [r])
     return TwoPointResponse(
         lower=float(lower), upper=float(upper), low_count=int(count), mean=mu

@@ -55,6 +55,15 @@ __all__ = [
 __getattr__ = _lazy_getattr(globals(), dict.fromkeys(("MiqpModel", "emit_nature_miqp"), "miqp"))
 
 
+# The longest two-point curve scanned.  The scan holds a few arrays over
+# the grid, and the curve a dict of Python floats: about 175 bytes a point
+# in all.  A `price` run at this bound (grid 0..200, step 2.5e-5) takes
+# 19 s and a 1,393 MiB peak RSS on a 2-core VM, about half of a 3 GB
+# address limit; twice the points reach its edge.  A longer curve is
+# refused by name before any point is built.
+_MAX_CURVE_POINTS = 8_000_001
+
+
 @dataclass(frozen=True)
 class RobustTollResult:
     """Chosen toll plus the worst-case revenue curve behind the choice.
@@ -103,9 +112,15 @@ def _two_point_scan(
     env.validate_against(grid)
     require_horizon(T, 2)
     mu = env.u_lower
-    _require_lower_cells(T, grid.count_below(mu))  # before any point is built
+    n_lows = grid.count_below(mu)
+    _require_lower_cells(T, n_lows)  # both before any point is built
+    if grid.n_points > _MAX_CURVE_POINTS:
+        raise ValueError(
+            f"a two-point curve over {grid.n_points} grid points exceeds the bound of "
+            f"{_MAX_CURVE_POINTS} points"
+        )
     points = grid.points()
-    table = first_feasible_lower(points[points < mu], mu, env.kappa_bar, T, grid.Q)
+    table = first_feasible_lower(points[:n_lows], mu, env.kappa_bar, T, grid.Q)
     _, lower, upper = table
     ends = np.concatenate([lower, upper, [mu]])
     start, stop = np.searchsorted(points, [ends.min(), ends.max()], side="right")

@@ -1,6 +1,6 @@
 """References for the fast paths: an exhaustive one for nature's exact
 solvers (every support of at most three grid points, in plain loops, under
-nature's tie rule on levels defined here, each pick re-checked and
+nature's tie rule and on levels, both defined here, each pick re-checked and
 packaged by the scalar rules here rather than nature's array ones), the
 two-point search picking a response at every grid toll, and a CSV reader
 that reads every input through ``csv.reader``."""
@@ -24,8 +24,8 @@ from tollkit.core import (
 )
 from tollkit.nature import (
     _NO_FIT,
+    _TIE_TOL,
     NatureSolution,
-    _tie_pick,
     first_feasible_lower,
     two_point_responses,
 )
@@ -39,9 +39,10 @@ def brute_force_nature(grid, env, rows):
     """Nature's solution at each ``(toll, objective)`` of ``rows``, one
     ``NatureSolution`` per row.  The supports, their masses and their
     admission do not depend on the row, so they are enumerated once per
-    call; each row scores its admitted candidates and takes ``_tie_pick``
-    over all of them, and only a triple's stationary mean, where the row's
-    objective on it is flat in the mean, is found per row."""
+    call; each row scores its admitted candidates and takes
+    ``tie_pick_reference`` over all of them, and only a triple's stationary
+    mean, where the row's objective on it is flat in the mean, is found per
+    row."""
     env.validate_against(grid)
     for toll, _ in rows:
         grid.require_toll(toll)
@@ -130,11 +131,23 @@ def brute_force_nature(grid, env, rows):
             picks.append((values, weights))
         if not keys:
             raise ValueError(_NO_FIT)
-        support, masses = picks[_tie_pick(*np.array(keys).T)]
+        support, masses = picks[tie_pick_reference(keys)]
         solutions.append(
             NatureSolution(*package_reference(support, masses, env, toll, objective, scale))
         )
     return tuple(solutions)
+
+
+def tie_pick_reference(keys):
+    """Nature's tie rule over one toll's ``(objective, usage, cube)`` keys,
+    one triple per candidate, in plain floats: of the candidates within
+    ``_TIE_TOL`` of the lowest objective, then within ``_TIE_TOL`` of the
+    lowest usage among them, the index of the lowest cube, the first on an
+    exact tie."""
+    best = min(objective for objective, _, _ in keys)
+    ties = [k for k, (objective, _, _) in enumerate(keys) if objective <= best + _TIE_TOL]
+    low = min(keys[k][1] for k in ties)
+    return min((k for k in ties if keys[k][1] <= low + _TIE_TOL), key=lambda k: keys[k][2])
 
 
 def levels_reference(points, toll, objective):

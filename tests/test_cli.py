@@ -370,6 +370,11 @@ def test_near_infeasible_point_band_exits_2(tmp_path, capsys, argv):
             "49 skip counts x 100000000000 points below the mean exceed the bound of "
             "50000000 counts x points",
         ),
+        # a million points below the mean fit the table, but not the curve
+        (
+            ["price", "--grid-step", "1e-9", "--u-lower", "0.001", "--u-upper", "110"],
+            "a two-point curve over 200000000001 grid points exceeds the bound of 8000001 points",
+        ),
         (
             ["price", "--grid-step", "1e-9", "--u-lower", "100", "--u-upper", "110"]
             + ["--method", "sweep"],
@@ -388,6 +393,7 @@ def test_near_infeasible_point_band_exits_2(tmp_path, capsys, argv):
         "price-sweep-levels",
         "price-two-point-table",
         "price-two-point-unbuildable",
+        "price-two-point-curve-unbuildable",
         "price-sweep-unbuildable",
         "nature-unbuildable",
     ],
@@ -442,9 +448,11 @@ def test_band_below_the_zero_floor_solves_as_the_band_from_zero(tmp_path, argv):
         (["nature", "--grid-step", "0.01", "--u-lower", "100", "--u-upper", "110", "--toll", "100"], 2),
         (["nature", "--config", "{cfg}", "--u-lower", "5.5", "--u-upper", "5.5", "--toll", "5"], 2),
         (["simulate", "--links", "0"], 2),
+        # refused where the count enters, before a 2**32-row array is asked for
+        (["simulate", "--eval-samples", "4294967296"], 2),
         (["real-exp", "--arcs", "{missing}", "--states", "{missing}"], 1),
     ],
-    ids=["grid-too-fine", "infeasible-band", "no-links", "missing-arcs"],
+    ids=["grid-too-fine", "infeasible-band", "no-links", "eval-samples-past-2**32", "missing-arcs"],
 )
 def test_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, code):
     # the output directory is made only once the work is done
@@ -452,7 +460,8 @@ def test_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, code):
     argv = [arg.format(cfg=cfg, missing=tmp_path / "missing.csv") for arg in argv]
     out = tmp_path / "out"
     assert main(argv + ["--out-dir", str(out)]) == code
-    assert capsys.readouterr().err.startswith("error: ")
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tollkit import experiments
-from tollkit.core import PriceGrid, estimate_moment_envelope
+from tollkit.core import FAMILIES, PriceGrid, estimate_moment_envelope
 from tollkit.experiments import (
     _KIND_PAIRS,
     DistributionSpec,
@@ -69,10 +69,27 @@ def test_spec_validation():
 
 
 def test_family_specs_cover_catalog():
-    for family in ("beta", "gamma", "normal", "lognormal"):
-        spec = family_spec(family, GRID)
-        assert spec.family == family
-        assert spec.clamp == (0.0, 200.0)
+    # one table row per family, in catalog order
+    assert tuple(experiments._STOCK_FAMILIES) == FAMILIES
+    # each family's spec, spelled out, on the default grid and on one with
+    # a positive floor: beta's unit draws span the grid range, gamma and
+    # lognormal draws are scaled by 100, normal draws are money already
+    for grid in (GRID, PriceGrid(12.5, 180.5, 0.5)):
+        clamp = (grid.q, grid.Q)
+        want = {
+            "beta": DistributionSpec(
+                "beta", ((2.0, 5.0), (2.0, 5.0)), cost_mapping=(grid.Q - grid.q, grid.q), clamp=clamp
+            ),
+            "gamma": DistributionSpec(
+                "gamma", ((1.0, 3.0), (1.0 / 3.0, 1.0 / 5.0)), cost_mapping=(100.0, 0.0), clamp=clamp
+            ),
+            "normal": DistributionSpec("normal", ((90.0, 110.0), (10.0, 30.0)), clamp=clamp),
+            "lognormal": DistributionSpec(
+                "lognormal", ((0.1, 0.3), (0.1, 0.3)), cost_mapping=(100.0, 0.0), clamp=clamp
+            ),
+        }
+        for family in FAMILIES:
+            assert family_spec(family, grid) == want[family] == family_spec(family.upper(), grid)
     # the gamma scale interval is printed upper-first; normalization flips it
     assert family_spec("gamma", GRID).param_intervals[1] == (0.2, pytest.approx(1 / 3))
     assert family_spec("beta", GRID).cost_mapping == (200.0, 0.0)
@@ -199,6 +216,12 @@ def test_config_validation():
         ExperimentConfig(T=1)
     with pytest.raises(ValueError, match="^T must be a positive count$"):
         ExperimentConfig(T=0)
+    # trial and link indices are one seed key word each: a count at 2**32
+    # is refused by name before any draw, one below it is accepted
+    for name in ("links", "history_samples", "eval_samples"):
+        with pytest.raises(ValueError, match=rf"^{name} must be below 2\*\*32$"):
+            ExperimentConfig(**{name: 2**32})
+        assert getattr(ExperimentConfig(**{name: 2**32 - 1}), name) == 2**32 - 1
 
 
 def test_config_refuses_non_integer_counts_and_seed():

@@ -16,6 +16,7 @@ from oracle import (
     brute_force_nature,
     levels_reference,
     package_reference,
+    tie_pick_reference,
 )
 from tollkit import lp, nature
 from tollkit.core import (
@@ -332,21 +333,12 @@ def test_interval_band_matches_highs_on_wide_grids():
 # --- the exact solver against a per-toll enumeration ---------------------------
 
 
-def rule_pick(obj, usage, cube):
-    """The index the tie rule picks among flat candidates: within _TIE_TOL
-    of the lowest objective, the lowest usage, within _TIE_TOL the lowest
-    cube, the first on an exact tie."""
-    ties = obj <= obj.min() + _TIE_TOL
-    low = ties & (usage <= usage[ties].min() + _TIE_TOL)
-    return int(np.flatnonzero(low)[cube[low].argmin()])
-
-
 def per_toll_enumeration(points, env, levels):
     """Every support candidate rebuilt from scratch for one toll's levels,
     the objective's stationary point on each triple included, and
-    ``rule_pick`` over all of them: the enumeration as it ran before its
-    toll-independent half was tabulated.  Returns the lowest objective and
-    the pick's support and masses."""
+    ``tie_pick_reference`` over all of them: the enumeration as it ran
+    before its toll-independent half was tabulated.  Returns the lowest
+    objective and the pick's support and masses."""
     f, u, g = levels
     n = points.size
     kappa = env.kappa_bar
@@ -465,7 +457,7 @@ def per_toll_enumeration(points, env, levels):
     if not blocks:
         raise ValueError("no grid-supported distribution satisfies the moment envelope")
     objective, usage, cube = (np.concatenate(keys) for keys in list(zip(*blocks))[:3])
-    e = rule_pick(objective, usage, cube)
+    e = tie_pick_reference(np.stack([objective, usage, cube], axis=1).tolist())
     for *_, support, masses in blocks:
         if e < len(support):
             return float(objective.min()), support[e].tolist(), masses[e].tolist()
@@ -875,8 +867,10 @@ def test_tie_pick_breaks_ties_by_usage_then_cube():
     cube = (x * g[idx]).sum(axis=0)
 
     def pick(f, u, order=slice(None)):
+        # the candidates as one row of (rows, candidates) keys
         keys = (x[:, order] * np.stack([f, u, g])[:, idx[:, order]]).sum(axis=1)
-        e = _tie_pick(*keys)
+        (e,) = _tie_pick(*keys[:, None])
+        assert e == tie_pick_reference(keys.T.tolist())
         return points[idx[:, order][:, e]].tolist(), keys[:, e]
 
     # usage 0.3, 0.1, 0.3, 0.8: the second candidate wins on usage alone,
@@ -897,11 +891,12 @@ def test_tie_pick_breaks_ties_by_usage_then_cube():
 
 
 def test_tie_pick_is_the_rule_in_any_order():
-    # Against rule_pick on random candidates whose objectives and usages
-    # often tie or nearly tie, and on a near-tie chain whose ends are 1.5e-9
-    # apart.  As in nature, candidates with one cube are one candidate
-    # offered more than once.  The pick is the same candidate under every
-    # permutation, the first of its copies.
+    # Against the oracle's scalar rule on random candidates whose objectives
+    # and usages often tie or nearly tie, and on a near-tie chain whose ends
+    # are 1.5e-9 apart.  As in nature, candidates with one cube are one
+    # candidate offered more than once.  Each case's permutations are the
+    # rows of one call, and the pick is the same candidate in every row,
+    # the first of its copies.
     rng = np.random.default_rng(SEED + 13)
     chain = np.array([[0.0, 0.9e-9, 1.5e-9], [1.0, 1.0, 0.0], [0.5, 0.2, 0.0]])
     cases = [chain]
@@ -917,15 +912,15 @@ def test_tie_pick_is_the_rule_in_any_order():
         copies = rng.integers(0, size, int(rng.integers(0, 6 - size)))
         cases.append(np.hstack([keys, keys[:, copies]]))
     for k, keys in enumerate(cases):
-        want = keys[:, rule_pick(*keys)]
-        for order in itertools.permutations(range(keys.shape[1])):
-            shuffled = keys[:, list(order)]
-            e = _tie_pick(*shuffled)
-            assert e == rule_pick(*shuffled), (k, keys, order)
-            assert (shuffled[:, e] == want).all(), (k, keys, order)
-            assert not (shuffled[:, :e] == want[:, None]).all(axis=0).any(), (k, keys, order)
+        want = keys[:, tie_pick_reference(keys.T.tolist())]
+        orders = np.array(list(itertools.permutations(range(keys.shape[1]))))
+        shuffled = keys[:, orders]  # (keys, permutations, candidates)
+        for order, row, e in zip(orders, shuffled.transpose(1, 2, 0), _tie_pick(*shuffled)):
+            assert e == tie_pick_reference(row.tolist()), (k, keys, order)
+            assert (row[e] == want).all(), (k, keys, order)
+            assert not (row[:e] == want).all(axis=1).any(), (k, keys, order)
     # the chain: 0 and 0.9e-9 tie, 1.5e-9 does not, though its usage is lowest
-    assert _tie_pick(*chain) == 1
+    assert _tie_pick(*chain[:, None]).tolist() == [1]
 
 
 def test_envelope_table_interleaved_keys():
@@ -995,13 +990,6 @@ def test_mutating_a_solution_leaves_the_next_solve_unchanged():
     x[:] = 7.0
     x = lp.simplex_solve(c, A, np.array([1.0, 2.0]), senses="==")
     assert x.tolist() == want
-
-
-def test_simplex_rejects_interval_mean_band():
-    grid = PriceGrid(0.0, 10.0, 1.0)
-    env = MomentEnvelope(4.0, 6.0, 1.0)
-    with pytest.raises(ValueError, match="point mean band"):
-        solve_on_path(_simplex_minimum, grid, env, 5.0, "ufn")
 
 
 def test_wide_grid_examples_against_brute_force():

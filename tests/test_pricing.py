@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracle import two_point_reference
-from tollkit import nature
+from tollkit import nature, pricing
 from tollkit.core import (
     DiscreteDistribution,
     MomentEnvelope,
@@ -45,26 +45,38 @@ T50 = 50
 
 
 def test_fine_grids_are_refused_before_any_point_is_built(monkeypatch):
-    # At the bounds the curve scan and the sweep run; one cell past them
-    # each is refused with its sizes, from the grid's counts alone.
+    # At the bounds the curve scan, the sweep and the two-point nature solve
+    # run; one cell or point past them each is refused with its sizes, from
+    # the grid's counts alone.  The nature solve builds only the points
+    # below the mean, never the whole grid.
     grid = PriceGrid(0.0, 19.0, 1.0)  # 20 points, 12 below the mean
     env = MomentEnvelope(12.0, 14.0, 2.0)
     monkeypatch.setattr(nature, "_MAX_LOWER_CELLS", 9 * 12)
     monkeypatch.setattr(nature, "_MAX_LEVEL_CELLS", 20 * 20)
+    monkeypatch.setattr(pricing, "_MAX_CURVE_POINTS", 20)
     assert two_point_robust_toll(grid, env, 10).toll == 11.0
     assert epsilon_sweep_robust_toll(grid, env, 10).toll == 11.0
-    monkeypatch.setattr(nature, "_MAX_LOWER_CELLS", 9 * 12 - 1)
-    monkeypatch.setattr(nature, "_MAX_LEVEL_CELLS", 20 * 20 - 1)
+    response = solve_nature_two_point(grid, 12.0, 2.0, 10, 11.0)
 
     def unbuilt(grid):
         raise AssertionError("a refused call built its grid's points")
 
     monkeypatch.setattr(PriceGrid, "points", unbuilt)
+    assert solve_nature_two_point(grid, 12.0, 2.0, 10, 11.0) == response
+    monkeypatch.setattr(pricing, "_MAX_CURVE_POINTS", 19)
     with pytest.raises(ValueError) as got:
         two_point_robust_toll(grid, env, 10)
-    assert str(got.value) == (
-        "9 skip counts x 12 points below the mean exceed the bound of 107 counts x points"
-    )
+    assert str(got.value) == "a two-point curve over 20 grid points exceeds the bound of 19 points"
+    monkeypatch.setattr(nature, "_MAX_LOWER_CELLS", 9 * 12 - 1)
+    monkeypatch.setattr(nature, "_MAX_LEVEL_CELLS", 20 * 20 - 1)
+    lower_message = "9 skip counts x 12 points below the mean exceed the bound of 107 counts x points"
+    for call in (
+        lambda: two_point_robust_toll(grid, env, 10),
+        lambda: solve_nature_two_point(grid, 12.0, 2.0, 10, 11.0),
+    ):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == lower_message
     with pytest.raises(ValueError) as got:
         epsilon_sweep_robust_toll(grid, env, 10)
     assert str(got.value) == "20 tolls on a grid of 20 points exceed the bound of 399 tolls x points"

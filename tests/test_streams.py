@@ -49,9 +49,9 @@ SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**100 + 3] + [
     _draws.getrandbits(_draws.choice([8, 31, 32, 33, 63, 64, 65, 97])) for _ in range(20)
 ]
 
-# indices at and past 2**32 split into two entropy words
-TRIALS = np.array([0, 1, 7, 2**32 - 1, 2**32, 2**40 + 5], dtype=np.uint64)
-LINKS = np.array([0, 3, 2**33 + 1], dtype=np.uint64)
+# every key entry is one entropy word, up to the last one below 2**32
+TRIALS = np.array([0, 1, 7, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.uint64)
+LINKS = np.array([0, 3, 2**32 - 1], dtype=np.uint64)
 
 
 def numpy_state(*entropy: int) -> dict:
@@ -81,30 +81,30 @@ def test_batched_seeds_match_seed_sequence(seed):
             for link in LINKS.tolist()
         ]
         assert got == want, kind
-        # one-word, four-word and five-word keys: shorter than, as long as
-        # and longer than the SeedSequence pool
+        # keys of one, two and four entries: with the seed's words, shorter
+        # than, as long as and longer than the SeedSequence pool
         assert as_cells(_cell_seeds(seed, kind)) == [numpy_words(seed, kind)]
-        assert as_cells(_cell_seeds(seed, kind, 2**32 + 9, 2**63 + 1)) == [
-            numpy_words(seed, kind, 2**32 + 9, 2**63 + 1)
+        assert as_cells(_cell_seeds(seed, kind, 9, 2**32 - 1, 5)) == [
+            numpy_words(seed, kind, 9, 2**32 - 1, 5)
         ]
         assert _stream(seed, kind, 3).bit_generator.state == numpy_state(seed, kind, 3)
-        assert _stream(seed, kind, 2**40 + 5, 2**33 + 1).bit_generator.state == numpy_state(
-            seed, kind, 2**40 + 5, 2**33 + 1
+        assert _stream(seed, kind, 2**32 - 1, 2**31 + 1).bit_generator.state == numpy_state(
+            seed, kind, 2**32 - 1, 2**31 + 1
         )
 
 
 def test_batched_seeding_matches_numpy_on_random_cells():
-    # 2,400 cells in 8 blocks of random seeds and key entries below and
-    # past 2**32, mixed within each block, so one- and two-word entries
-    # hash in separate groups.  Every cell's generator state is checked,
-    # and the first cells of each block also run as a block of one cell,
-    # as _stream seeds its cell.
+    # 2,400 cells in 8 blocks of random seeds of one to four words and of
+    # random key entries below 2**32, small and large mixed within each
+    # block.  Every cell's generator state is checked, and the first cells
+    # of each block also run as a block of one cell, as _stream seeds its
+    # cell.
     draws = random.Random(SEED + 1)
     for _ in range(8):
         seed = draws.getrandbits(draws.choice([8, 32, 64, 100]))
         kind = draws.choice(KINDS)
-        trials = [draws.getrandbits(draws.choice([10, 32, 40, 64])) for _ in range(100)]
-        links = [draws.getrandbits(draws.choice([2, 32, 33])) for _ in range(3)]
+        trials = [draws.getrandbits(draws.choice([10, 31, 32])) for _ in range(100)]
+        links = [draws.getrandbits(draws.choice([2, 31, 32])) for _ in range(3)]
         key = np.array(trials, dtype=np.uint64)[:, None], np.array(links, dtype=np.uint64)
         got = as_cells(_cell_seeds(seed, kind, *key))
         streams = _streams(seed, kind, *key)
@@ -121,6 +121,19 @@ def test_batched_seeding_matches_numpy_on_random_cells():
 def test_seeds_reject_negative_entries():
     with pytest.raises(ValueError, match="nonnegative"):
         _cell_seeds(-1, _KIND_PAIRS)
+
+
+@pytest.mark.parametrize("entry", [2**32, -1, 2**64 + 1])
+def test_seeds_refuse_a_key_entry_outside_one_word(entry):
+    # a key entry is one entropy word: anything outside [0, 2**32) is
+    # refused by its place in the key, as an int or inside an array
+    for key, place in (
+        ((_KIND_EVAL, entry), 1),
+        ((_KIND_EVAL, np.array([[0], [1]]), np.array([0, entry, 2], dtype=object)), 2),
+    ):
+        with pytest.raises(ValueError) as got:
+            _cell_seeds(SEED, *key)
+        assert str(got.value) == f"seed key entry {place} must lie in [0, 2**32)"
 
 
 @pytest.mark.parametrize("family", FAMILIES)
